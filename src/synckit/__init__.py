@@ -1,7 +1,7 @@
 """Synchrony analysis for weighted coupled cell networks."""
 
 from .errors import SynckitError
-from .monoid import IntegerAdd, Monoid, MonoidFamily, TropicalMin, Weight, is_zero, monoid_add, monoid_by_name
+from .monoid import IntegerAdd, Monoid, TropicalMin, monoid_by_name
 from .network import Network, export_dot, load_network, network_to_doc, parse_network, row_color_sum, save_network
 from .partition import (
     Partition,
@@ -9,7 +9,6 @@ from .partition import (
     join,
     meet,
     parse_partition,
-    partition_matrix,
     quotient_partition,
     refines,
 )

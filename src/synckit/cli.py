@@ -49,8 +49,19 @@ def _kind(text: str) -> cls.NeighborhoodKind:
     if text == "r":
         return cls.R_IN
     if text.startswith("vk:"):
-        return cls.v_in_k(int(text[3:]))
+        try:
+            k = int(text[3:])
+        except ValueError:
+            raise SynckitError(f"kind {text!r} needs an integer k, as in vk:2") from None
+        return cls.v_in_k(k)
     raise SynckitError(f"unknown neighborhood kind {text!r}; use n, v, vk:<k> or r")
+
+
+def _at_least(args, name: str, low: int) -> int:
+    value = getattr(args, name)
+    if value < low:
+        raise SynckitError(f"--{name} must be at least {low}, got {value}")
+    return value
 
 
 def _fmt(net: Network, p: Partition) -> str:
@@ -301,6 +312,7 @@ def cmd_tables(args) -> int:
 
 def cmd_simulate(args) -> int:
     net = _net(args)
+    steps = _at_least(args, "steps", 0)
     spec = dyn.sample_admissible(net, args.seed, exo=args.exo)
     if args.x0 == "random":
         import random as _random
@@ -308,13 +320,18 @@ def cmd_simulate(args) -> int:
         rng = _random.Random(f"simulate:{args.seed}")
         x0 = tuple(rng.uniform(-1.5, 1.5) for _ in range(net.n_cells))
     else:
-        values = [float(v) for v in args.x0.split(",")]
+        try:
+            values = [float(v) for v in args.x0.split(",")]
+        except ValueError:
+            raise SynckitError(
+                f"x0 must be 'random' or comma-separated numbers, got {args.x0!r}"
+            ) from None
         if len(values) != net.n_cells:
             raise SynckitError(
                 f"x0 needs {net.n_cells} comma-separated values, got {len(values)}"
             )
         x0 = tuple(values)
-    traj = dyn.evolve(net, spec, x0, args.steps, mode=args.mode, dt=args.dt)
+    traj = dyn.evolve(net, spec, x0, steps, mode=args.mode, dt=args.dt)
     payload = {
         "cells": list(net.cell_ids),
         "mode": traj.mode,
@@ -331,6 +348,9 @@ def cmd_simulate(args) -> int:
 
 def cmd_verify(args) -> int:
     net = _net(args)
+    # a run of no trials or no steps would be vacuous evidence
+    _at_least(args, "trials", 1)
+    _at_least(args, "steps", 1)
     spec = dyn.sample_admissible(net, args.seed, exo=args.exo)
     if args.what in ("invariance", "quotient") and args.partition is None:
         raise SynckitError(f"verify {args.what} needs --partition")
@@ -342,9 +362,11 @@ def cmd_verify(args) -> int:
             net, spec, p, trials=args.trials, steps=args.steps,
             tol=args.tol, mode=args.mode, dt=args.dt, rng_seed=args.seed,
         )
-        _emit(report.to_json(), args,
-              f"max spread {report.max_spread:.3e} (tol {report.tol:g}): "
-              + ("invariant" if report.invariant else "not invariant"))
+        text = f"max spread {report.max_spread:.3e} (tol {report.tol:g}): " + (
+            "invariant" if report.invariant else "not invariant")
+        if report.aborted_trials:
+            text += f" ({report.aborted_trials} of {len(report.trials)} trials aborted)"
+        _emit(report.to_json(), args, text)
         return EXIT_OK if report.invariant else EXIT_FALSE
     if args.what == "locality":
         c = net.index_of(args.cell)

@@ -5,13 +5,13 @@ edges cancel to the monoid zero is not a neighbor.  On top of the
 one-step neighborhoods this module builds cumulative k-step
 neighborhoods, in-reachability sets, strongly connected components
 (single-pass Tarjan), the condensation DAG with its roots, and the
-partition of cells by root dependency.
+partition of cells by root dependency.  The condensation and the
+reach sets are computed once per network instance and then shared.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .errors import SynckitError
 from .network import Network
@@ -124,6 +124,10 @@ class Condensation:
 
 def condensation(net: Network) -> Condensation:
     """Collapse each SCC to a block; keep edges between distinct blocks."""
+    return net._condensation
+
+
+def _build_condensation(net: Network) -> Condensation:
     sccs = scc_decomposition(net)
     edges = set()
     for c in range(net.n_cells):
@@ -135,9 +139,12 @@ def condensation(net: Network) -> Condensation:
     return Condensation(sccs, frozenset(edges), roots)
 
 
-@lru_cache(maxsize=256)
 def all_in_reachability(net: Network) -> tuple[frozenset[int], ...]:
     """In-reachability set of every cell; shared per SCC."""
+    return net._reach
+
+
+def _build_reach_sets(net: Network) -> tuple[frozenset[int], ...]:
     cond = condensation(net)
     sccs = cond.scc_partition
     blocks = sccs.blocks()
@@ -163,15 +170,9 @@ def rdc_decomposition(net: Network) -> Partition:
     cond = condensation(net)
     sccs = cond.scc_partition
     reach = all_in_reachability(net)
-    keys = []
-    for c in range(net.n_cells):
-        keys.append(frozenset(k for k in cond.roots if any(
-            sccs.colors[d] == k for d in reach[c]
-        )))
     labels: dict[frozenset[int], int] = {}
     colors = []
-    for key in keys:
-        if key not in labels:
-            labels[key] = len(labels)
-        colors.append(labels[key])
+    for c in range(net.n_cells):
+        key = cond.roots.intersection(sccs.colors[d] for d in reach[c])
+        colors.append(labels.setdefault(key, len(labels)))
     return Partition.from_assignment(colors)

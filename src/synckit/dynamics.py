@@ -30,7 +30,7 @@ from typing import Optional
 
 from .errors import NumericalBlowup, SynckitError, UnsupportedMonoid
 from .network import Network
-from .partition import Partition, refines
+from .partition import Partition
 from .synchrony import BalancedCertificate, quotient_network
 from .connectivity import cumulative_in_k, in_reachability
 
@@ -77,14 +77,17 @@ def sample_admissible(net: Network, seed: int, exo: bool = False) -> AdmissibleF
     spec then stays bounded on every quotient and subnetwork, whose
     in-rows can only shrink.
     """
-    if net.monoids.kind != "int-add":
+    if net.monoid.kind != "int-add":
         raise UnsupportedMonoid("sampled dynamics require int-add weights")
     rng = random.Random(f"admissible:{seed}:{int(exo)}")
     weight_scale = max(
         (sum(abs(w) for _, w in net.in_edges[c]) for c in range(net.n_cells)),
         default=0,
     )
-    lin_cap = 0.25 / max(1, weight_scale)
+    try:
+        lin_cap = 0.25 / max(1, weight_scale)
+    except OverflowError:
+        raise UnsupportedMonoid("edge weights too large for sampled dynamics") from None
     if exo:
         lin_cap /= 2.0
 
@@ -286,6 +289,10 @@ class InvarianceReport:
     max_spread: float
     invariant: bool
 
+    @property
+    def aborted_trials(self) -> int:
+        return sum(t.aborted for t in self.trials)
+
     def to_json(self) -> dict:
         return {
             "tol": self.tol,
@@ -310,7 +317,11 @@ def check_invariance(
     rng_seed: int = 0,
     stop_above: Optional[float] = None,
 ) -> InvarianceReport:
-    """Start on the polydiagonal, evolve, and track within-color spread."""
+    """Start on the polydiagonal, evolve, and track within-color spread.
+
+    The verdict is invariant only when every trial ran to the end: a trial
+    aborted by the overflow guard shows nothing about the spread.
+    """
     results = []
     worst = 0.0
     for t in range(trials):
@@ -334,7 +345,8 @@ def check_invariance(
         worst = max(worst, spread)
         if stop_above is not None and worst > stop_above:
             break
-    return InvarianceReport(p, tuple(results), tol, worst, worst <= tol)
+    invariant = worst <= tol and not any(r.aborted for r in results)
+    return InvarianceReport(p, tuple(results), tol, worst, invariant)
 
 
 def probe_non_invariance(
@@ -504,26 +516,3 @@ def check_quotient_consistency(
     exact = worst == 0.0
     return ComparisonReport("quotient", worst, exact, tol)
 
-
-def numeric_exo_verdict(
-    net: Network,
-    p: Partition,
-    seeds: int = 5,
-    trials: int = 4,
-    steps: int = 50,
-    tol: float = 1e-9,
-    rng_seed: int = 0,
-) -> bool:
-    """Numerical invariance verdict under the same-state-insensitive family."""
-    if not refines(p, net.type_partition()):
-        raise SynckitError("exo verdict needs a type-refining partition")
-    for s in range(seeds):
-        spec = sample_admissible(net, seed=rng_seed * 6101 + s, exo=True)
-        report = check_invariance(
-            net, spec, p,
-            trials=trials, steps=steps, tol=tol,
-            rng_seed=rng_seed * 31 + s, stop_above=tol,
-        )
-        if report.max_spread > tol:
-            return False
-    return True

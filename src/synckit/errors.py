@@ -13,10 +13,6 @@ class UnknownMonoid(SynckitError):
     """Monoid kind name not registered."""
 
 
-class TypePairMismatch(SynckitError):
-    """Attempt to combine weights from different (receiver, sender) type pairs."""
-
-
 class MalformedDocument(SynckitError):
     """Network document violates the JSON schema."""
 

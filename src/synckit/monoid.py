@@ -1,11 +1,10 @@
 """Commutative edge-weight algebras.
 
-Weights on edges live in a commutative monoid attached to each
-(receiver type, sender type) pair.  Parallel edges combine with the
-monoid sum and the monoid zero means "no edge".  The default algebra is
-integer addition with exact arithmetic, so balance checks are bit-exact;
-min-plus ("tropical-min") ships as the one alternative and as a template
-for further extensions.
+Every edge weight of a network lives in one commutative monoid.
+Parallel edges combine with the monoid sum and the monoid zero means
+"no edge".  The default algebra is integer addition with exact
+arithmetic, so balance checks are bit-exact; min-plus ("tropical-min")
+ships as the one alternative and as a template for further extensions.
 """
 
 from __future__ import annotations
@@ -14,7 +13,7 @@ import math
 from dataclasses import dataclass
 from typing import Any
 
-from .errors import TypePairMismatch, UnknownMonoid
+from .errors import UnknownMonoid
 
 
 @dataclass(frozen=True)
@@ -23,13 +22,10 @@ class Monoid:
 
     kind: str = "abstract"
 
-    def zero(self, receiver_type: int, sender_type: int) -> Any:
+    def zero(self) -> Any:
         raise NotImplementedError
 
     def add(self, a: Any, b: Any) -> Any:
-        raise NotImplementedError
-
-    def is_zero_value(self, a: Any) -> bool:
         raise NotImplementedError
 
     def coerce(self, raw: Any) -> Any:
@@ -43,14 +39,11 @@ class IntegerAdd(Monoid):
 
     kind: str = "int-add"
 
-    def zero(self, receiver_type: int, sender_type: int) -> int:
+    def zero(self) -> int:
         return 0
 
     def add(self, a: int, b: int) -> int:
         return a + b
-
-    def is_zero_value(self, a: int) -> bool:
-        return a == 0
 
     def coerce(self, raw: Any) -> int:
         if isinstance(raw, bool) or not isinstance(raw, int):
@@ -64,21 +57,22 @@ class TropicalMin(Monoid):
 
     kind: str = "tropical-min"
 
-    def zero(self, receiver_type: int, sender_type: int) -> float:
+    def zero(self) -> float:
         return math.inf
 
     def add(self, a: float, b: float) -> float:
         return min(a, b)
-
-    def is_zero_value(self, a: float) -> bool:
-        return a == math.inf
 
     def coerce(self, raw: Any) -> float:
         if raw == "inf":
             return math.inf
         if isinstance(raw, bool) or not isinstance(raw, (int, float)):
             raise TypeError(f"tropical-min weight must be a number, got {raw!r}")
-        return float(raw)
+        value = float(raw)
+        if math.isnan(value):
+            # min() would drop a NaN silently, so it is not a weight
+            raise ValueError("tropical-min weight must not be NaN")
+        return value
 
 
 _REGISTRY: dict[str, Monoid] = {
@@ -88,53 +82,6 @@ _REGISTRY: dict[str, Monoid] = {
 
 
 def monoid_by_name(kind: str) -> Monoid:
-    try:
-        return _REGISTRY[kind]
-    except KeyError:
-        raise UnknownMonoid(f"unknown monoid kind {kind!r}") from None
-
-
-@dataclass(frozen=True)
-class MonoidFamily:
-    """The monoid attached to each (receiver type, sender type) pair.
-
-    Networks here are homogeneous: one instance serves every pair.  The
-    indexed accessor keeps call sites ready for genuinely per-pair
-    families.
-    """
-
-    base: Monoid
-
-    @property
-    def kind(self) -> str:
-        return self.base.kind
-
-    def get(self, receiver_type: int, sender_type: int) -> Monoid:
-        return self.base
-
-    def zero(self, receiver_type: int, sender_type: int) -> Any:
-        return self.base.zero(receiver_type, sender_type)
-
-
-@dataclass(frozen=True)
-class Weight:
-    """A monoid element tagged with its (receiver, sender) type pair."""
-
-    value: Any
-    receiver_type: int
-    sender_type: int
-
-
-def monoid_add(monoid: Monoid, a: Weight, b: Weight) -> Weight:
-    """Combine two parallel-edge weights within one monoid."""
-    if (a.receiver_type, a.sender_type) != (b.receiver_type, b.sender_type):
-        raise TypePairMismatch(
-            f"cannot add weight for pair ({a.receiver_type},{a.sender_type}) "
-            f"to weight for pair ({b.receiver_type},{b.sender_type})"
-        )
-    return Weight(monoid.add(a.value, b.value), a.receiver_type, a.sender_type)
-
-
-def is_zero(monoid: Monoid, a: Weight) -> bool:
-    """True iff the weight equals the identity of its monoid."""
-    return monoid.is_zero_value(a.value)
+    if not isinstance(kind, str) or kind not in _REGISTRY:
+        raise UnknownMonoid(f"unknown monoid kind {kind!r}")
+    return _REGISTRY[kind]

@@ -1,11 +1,12 @@
 """Coupled cell network data model with JSON I/O and DOT export.
 
-A network is a list of typed cells plus an in-adjacency matrix over a
-monoid family: rows are receivers, columns are senders (note that many
-graph libraries use the transpose).  Parallel edges in a document are
-folded with the monoid sum at parse time; the in-memory model only ever
-holds the folded matrix.  Cell ids are strings in files and dense
-indices internally.
+A network is a list of typed cells plus an in-adjacency matrix over one
+commutative monoid: rows are receivers, columns are senders (note that
+many graph libraries use the transpose).  Parallel edges in a document
+are folded with the monoid sum at parse time; the in-memory model only
+ever holds the folded matrix.  Every algorithm reads it through
+`Network.in_edges`, the per-receiver list of nonzero entries.  Cell ids
+are strings in files and dense indices internally.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Any, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Optional, Sequence
 
 from .errors import (
     DuplicateCellId,
@@ -22,8 +23,11 @@ from .errors import (
     UnknownCell,
     UnknownCellInEdge,
 )
-from .monoid import MonoidFamily, monoid_by_name
+from .monoid import Monoid, monoid_by_name
 from .partition import Partition
+
+if TYPE_CHECKING:
+    from .connectivity import Condensation
 
 _DOT_SHAPES = ("circle", "box", "diamond", "hexagon", "ellipse", "triangle")
 
@@ -35,7 +39,7 @@ class Network:
     cell_ids: tuple[str, ...]
     cell_types: tuple[int, ...]
     adjacency: tuple[tuple[Any, ...], ...]
-    monoids: MonoidFamily
+    monoid: Monoid
 
     @property
     def n_cells(self) -> int:
@@ -62,23 +66,28 @@ class Network:
     def weight(self, receiver: int, sender: int) -> Any:
         return self.adjacency[receiver][sender]
 
-    def is_zero_weight(self, receiver: int, sender: int) -> bool:
-        m = self.monoids.get(self.cell_types[receiver], self.cell_types[sender])
-        return m.is_zero_value(self.adjacency[receiver][sender])
-
     @cached_property
     def in_edges(self) -> tuple[tuple[tuple[int, Any], ...], ...]:
         """Per receiver, the (sender, weight) pairs with nonzero weight."""
-        rows = []
-        for c in range(self.n_cells):
-            rows.append(
-                tuple(
-                    (d, self.adjacency[c][d])
-                    for d in range(self.n_cells)
-                    if not self.is_zero_weight(c, d)
-                )
-            )
-        return tuple(rows)
+        zero = self.monoid.zero()
+        return tuple(
+            tuple((d, w) for d, w in enumerate(row) if w != zero)
+            for row in self.adjacency
+        )
+
+    # Connectivity structure is computed once per instance, on first use.
+
+    @cached_property
+    def _condensation(self) -> Condensation:
+        from .connectivity import _build_condensation
+
+        return _build_condensation(self)
+
+    @cached_property
+    def _reach(self) -> tuple[frozenset[int], ...]:
+        from .connectivity import _build_reach_sets
+
+        return _build_reach_sets(self)
 
     def type_partition(self) -> Partition:
         return Partition.from_assignment(self.cell_types)
@@ -90,7 +99,7 @@ class Network:
         ids = tuple(self.cell_ids[c] for c in cells)
         types = tuple(self.cell_types[c] for c in cells)
         adj = tuple(tuple(self.adjacency[c][d] for d in cells) for c in cells)
-        return Network(ids, types, adj, self.monoids)
+        return Network(ids, types, adj, self.monoid)
 
 
 def row_color_sum(net: Network, p: Partition, c: int) -> tuple[Any, ...]:
@@ -100,13 +109,12 @@ def row_color_sum(net: Network, p: Partition, c: int) -> tuple[Any, ...]:
             f"partition on {p.size} cells applied to a {net.n_cells}-cell network"
         )
     net.check_cell(c)
-    i = net.cell_types[c]
-    sums = [None] * p.rank
-    for d in range(net.n_cells):
-        m = net.monoids.get(i, net.cell_types[d])
-        k = p.colors[d]
-        w = net.adjacency[c][d]
-        sums[k] = w if sums[k] is None else m.add(sums[k], w)
+    add = net.monoid.add
+    colors = p.colors
+    sums = [net.monoid.zero()] * p.rank
+    for d, w in net.in_edges[c]:
+        k = colors[d]
+        sums[k] = add(sums[k], w)
     return tuple(sums)
 
 
@@ -123,28 +131,34 @@ def parse_network(doc: Any) -> Network:
     if not isinstance(cells, list) or not cells:
         raise MalformedDocument("document needs a non-empty 'cells' list")
 
-    ids: list[str] = []
+    index: dict[str, int] = {}
     types: list[int] = []
     for entry in cells:
         if not isinstance(entry, dict) or "id" not in entry or "type" not in entry:
             raise MalformedDocument(f"bad cell entry {entry!r}")
         cid = str(entry["id"])
+        if not cid or cid != cid.strip() or "/" in cid or "," in cid:
+            # partition specs split on "/" and "," and strip whitespace
+            raise MalformedDocument(
+                f"cell id {cid!r} must be nonempty, without '/', ',' or "
+                "leading/trailing whitespace"
+            )
         ctype = entry["type"]
         if not isinstance(ctype, int) or isinstance(ctype, bool) or ctype < 1:
             raise MalformedDocument(f"cell {cid!r} has bad type {ctype!r}")
-        if cid in ids:
+        if cid in index:
             raise DuplicateCellId(f"duplicate cell id {cid!r}")
-        ids.append(cid)
+        index[cid] = len(index)
         types.append(ctype)
-    if set(types) != set(range(1, max(types) + 1)):
+    if max(types) != len(set(types)):  # type ids are >= 1, so this means 1..k
         raise MalformedDocument("type ids must form a contiguous range starting at 1")
 
-    index = {cid: i for i, cid in enumerate(ids)}
-    n = len(ids)
-    adj: list[list[Any]] = [
-        [monoid.zero(types[c], types[d]) for d in range(n)] for c in range(n)
-    ]
-    for edge in doc.get("edges", []):
+    n = len(index)
+    adj: list[list[Any]] = [[monoid.zero()] * n for _ in range(n)]
+    edges = doc.get("edges", [])
+    if not isinstance(edges, list):
+        raise MalformedDocument("'edges' must be a list")
+    for edge in edges:
         if not isinstance(edge, dict) or not {"from", "to", "weight"} <= set(edge):
             raise MalformedDocument(f"bad edge entry {edge!r}")
         src, dst = str(edge["from"]), str(edge["to"])
@@ -155,16 +169,11 @@ def parse_network(doc: Any) -> Network:
         c, d = index[dst], index[src]
         try:
             w = monoid.coerce(edge["weight"])
-        except TypeError as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise MalformedDocument(str(exc)) from None
         adj[c][d] = monoid.add(adj[c][d], w)
 
-    return Network(
-        tuple(ids),
-        tuple(types),
-        tuple(tuple(row) for row in adj),
-        MonoidFamily(monoid),
-    )
+    return Network(tuple(index), tuple(types), tuple(tuple(row) for row in adj), monoid)
 
 
 def network_to_doc(net: Network) -> dict:
@@ -175,7 +184,7 @@ def network_to_doc(net: Network) -> dict:
             w_out: Any = "inf" if w == float("inf") else w
             edges.append({"from": net.cell_ids[d], "to": net.cell_ids[c], "weight": w_out})
     return {
-        "monoid": net.monoids.kind,
+        "monoid": net.monoid.kind,
         "cells": [
             {"id": cid, "type": t} for cid, t in zip(net.cell_ids, net.cell_types)
         ],
@@ -187,7 +196,7 @@ def load_network(path: str) -> Network:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise MalformedDocument(f"{path}: {exc}") from None
     return parse_network(doc)
 

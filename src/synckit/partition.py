@@ -2,19 +2,16 @@
 
 A partition is stored as a color assignment in canonical form: colors are
 numbered 0..rank-1 by first occurrence in cell order, which makes equality
-of partitions plain value equality.  The refinement order, join, meet,
-quotient partitions and 0/1 partition matrices all live here, along with
-the compact text form used by the CLI ("12/45": colors split by "/",
-cells within a color split by "," or concatenated when ids are single
-characters, singletons omissible).
+of partitions plain value equality.  The refinement order, join, meet and
+quotient partitions all live here, along with the compact text form used
+by the CLI ("12/45": colors split by "/", cells within a color split by
+"," or concatenated when ids are single characters, singletons omissible).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Iterable, Sequence
-
-import numpy as np
 
 from .errors import DomainMismatch, MalformedPartitionSpec, NotARefinement
 
@@ -153,23 +150,6 @@ def quotient_partition(b: Partition, a: Partition) -> Partition:
     for c in range(a.size):
         image[a.colors[c]] = b.colors[c]
     return Partition.from_assignment(image)
-
-
-def partition_matrix(a: Partition) -> np.ndarray:
-    """0/1 characteristic matrix, cells as rows, colors as columns."""
-    m = np.zeros((a.size, a.rank), dtype=np.int64)
-    for c, k in enumerate(a.colors):
-        m[c, k] = 1
-    return m
-
-
-def compose(outer: Partition, inner: Partition) -> Partition:
-    """Apply a partition of inner's colors to get a partition of cells."""
-    if outer.size != inner.rank:
-        raise DomainMismatch(
-            f"outer partition on {outer.size} elements cannot act on {inner.rank} colors"
-        )
-    return Partition.from_assignment(outer.colors[k] for k in inner.colors)
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ import os
 from dataclasses import dataclass
 from typing import Any, Iterator, Optional
 
-from .errors import NotBalanced, NotInLattice, NotTypeRefining, TooLarge
+from .errors import NotBalanced, NotInLattice, NotTypeRefining, SynckitError, TooLarge
 from .network import Network, row_color_sum
 from .partition import Partition, meet, quotient_partition, refines
 
@@ -58,7 +58,7 @@ def quotient_network(net: Network, cert: BalancedCertificate) -> Network:
     joiner = "" if compact else "+"
     ids = tuple(joiner.join(net.cell_ids[c] for c in block) for block in blocks)
     types = tuple(net.cell_types[block[0]] for block in blocks)
-    return Network(ids, types, cert.quotient_matrix, net.monoids)
+    return Network(ids, types, cert.quotient_matrix, net.monoid)
 
 
 def cir_balanced(net: Network, p: Partition) -> Partition:
@@ -88,7 +88,10 @@ def _resolve_cap(max_cells: Optional[int]) -> int:
         return max_cells
     env = os.environ.get("SYNCKIT_MAX_CELLS")
     if env is not None:
-        return int(env)
+        try:
+            return int(env)
+        except ValueError:
+            raise SynckitError(f"SYNCKIT_MAX_CELLS must be an integer, got {env!r}") from None
     return DEFAULT_MAX_CELLS
 
 

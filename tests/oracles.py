@@ -4,7 +4,9 @@ Everything here recomputes results from definitions, avoiding the
 library's algorithmic shortcuts: joins by chain closure instead of
 union-find, balance by explicit matrix products instead of row
 signatures, least upper bounds by scanning every partition of the cell
-set, SCCs by pairwise mutual reachability.
+set, SCCs by pairwise mutual reachability.  It also holds the helpers
+only the tests need: 0/1 partition matrices, composition of partitions,
+and the numerical exo-balance verdict.
 """
 
 from __future__ import annotations
@@ -14,9 +16,11 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from synckit.monoid import IntegerAdd, MonoidFamily
+from synckit.dynamics import check_invariance, sample_admissible
+from synckit.errors import DomainMismatch, SynckitError
+from synckit.monoid import IntegerAdd
 from synckit.network import Network
-from synckit.partition import Partition
+from synckit.partition import Partition, refines
 
 
 def all_partitions(n: int) -> Iterator[Partition]:
@@ -32,6 +36,23 @@ def all_partitions(n: int) -> Iterator[Partition]:
             yield from rec(c + 1, max(used, k + 1))
 
     yield from rec(0, 0)
+
+
+def partition_matrix(a: Partition) -> np.ndarray:
+    """0/1 characteristic matrix, cells as rows, colors as columns."""
+    m = np.zeros((a.size, a.rank), dtype=np.int64)
+    for c, k in enumerate(a.colors):
+        m[c, k] = 1
+    return m
+
+
+def compose(outer: Partition, inner: Partition) -> Partition:
+    """Apply a partition of inner's colors to get a partition of cells."""
+    if outer.size != inner.rank:
+        raise DomainMismatch(
+            f"outer partition on {outer.size} elements cannot act on {inner.rank} colors"
+        )
+    return Partition.from_assignment(outer.colors[k] for k in inner.colors)
 
 
 def oracle_refines(a: Partition, b: Partition) -> bool:
@@ -97,11 +118,7 @@ def oracle_glb(a: Partition, b: Partition) -> Optional[Partition]:
 
 def oracle_balanced(net: Network, p: Partition) -> bool:
     """Matrix form: rows of M @ P constant on every color."""
-    m = np.array(net.adjacency, dtype=np.int64)
-    pmat = np.zeros((p.size, p.rank), dtype=np.int64)
-    for c, k in enumerate(p.colors):
-        pmat[c, k] = 1
-    mp = m @ pmat
+    mp = np.array(net.adjacency, dtype=np.int64) @ partition_matrix(p)
     for block in p.blocks():
         first = mp[block[0]]
         for c in block[1:]:
@@ -155,6 +172,30 @@ def oracle_scc(net: Network) -> Partition:
     return Partition.from_assignment(labels)
 
 
+def numeric_exo_verdict(
+    net: Network,
+    p: Partition,
+    seeds: int = 5,
+    trials: int = 4,
+    steps: int = 50,
+    tol: float = 1e-9,
+    rng_seed: int = 0,
+) -> bool:
+    """Numerical invariance verdict under the same-state-insensitive family."""
+    if not refines(p, net.type_partition()):
+        raise SynckitError("exo verdict needs a type-refining partition")
+    for s in range(seeds):
+        spec = sample_admissible(net, seed=rng_seed * 6101 + s, exo=True)
+        report = check_invariance(
+            net, spec, p,
+            trials=trials, steps=steps, tol=tol,
+            rng_seed=rng_seed * 31 + s, stop_above=tol,
+        )
+        if report.max_spread > tol:
+            return False
+    return True
+
+
 def random_network(
     rng: random.Random,
     n: Optional[int] = None,
@@ -176,7 +217,7 @@ def random_network(
         tuple(rng.choice(weights) for _ in range(n)) for _ in range(n)
     )
     ids = tuple(str(i + 1) for i in range(n))
-    return Network(ids, tuple(types), adjacency, MonoidFamily(IntegerAdd()))
+    return Network(ids, tuple(types), adjacency, IntegerAdd())
 
 
 def random_type_refinement(rng: random.Random, net: Network) -> Partition:
@@ -236,5 +277,5 @@ def random_balanced_lift(
             offset += sizes[l]
         adjacency.append(tuple(row))
     ids = tuple(str(i + 1) for i in range(n))
-    net = Network(ids, tuple(types), tuple(adjacency), MonoidFamily(IntegerAdd()))
+    net = Network(ids, tuple(types), tuple(adjacency), IntegerAdd())
     return net, Partition.from_assignment(colors)

@@ -36,7 +36,6 @@ from synckit.dynamics import (
     check_locality,
     check_quotient_consistency,
     check_subsystem,
-    numeric_exo_verdict,
     probe_non_invariance,
     sample_admissible,
 )
@@ -53,6 +52,7 @@ from synckit.synchrony import (
 
 from conftest import FIXTURE_NAMES, fixture_net
 from oracles import (
+    numeric_exo_verdict,
     oracle_cir,
     random_balanced_lift,
     random_network,

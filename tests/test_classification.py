@@ -19,7 +19,7 @@ from synckit.classification import (
 )
 from synckit.connectivity import rdc_decomposition, scc_decomposition
 from synckit.errors import EmptyColor, SynckitError
-from synckit.monoid import IntegerAdd, MonoidFamily
+from synckit.monoid import IntegerAdd
 from synckit.network import Network
 from synckit.partition import Partition, join, parse_partition, refines
 from synckit.synchrony import enumerate_balanced, is_balanced
@@ -265,7 +265,7 @@ class TestJoinTable:
             ("a", "b"),
             (1, 2),
             ((0, 1), (1, 0)),
-            MonoidFamily(IntegerAdd()),
+            IntegerAdd(),
         )
         report = join_table_report(net)
         assert len(report.lattice.elements) == 1

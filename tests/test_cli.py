@@ -1,5 +1,8 @@
 import json
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
 from synckit.cli import run
 from synckit.network import load_network
 
@@ -202,6 +205,13 @@ class TestDynamicsCommands:
                               "--trials", "3", "--steps", "30")
         assert code == 1
 
+    def test_verify_invariance_with_aborted_trials_is_false(self, capsys):
+        code, out, _ = invoke(capsys, "verify", "invariance", "--network",
+                              fx("chain4"), "--partition", "1234",
+                              "--mode", "rk4", "--dt", "1e13")
+        assert code == 1
+        assert "not invariant (5 of 5 trials aborted)" in out
+
     def test_verify_locality_subsystem_quotient(self, capsys):
         code, out, _ = invoke(capsys, "verify", "locality", "--network", fx("chain4"),
                               "--cell", "3", "--k", "2", "--format", "json")
@@ -218,6 +228,73 @@ class TestDynamicsCommands:
         assert code == 2
         code, _, err = invoke(capsys, "verify", "locality", "--network", fx("triangle"))
         assert code == 2
+
+
+@pytest.mark.parametrize("argv,env", [
+    (["matched", "--network", fx("chorded_cycle"), "--partition", "14/23",
+      "--kind", "vk:x"], {}),
+    (["lattice", "--network", fx("triangle")], {"SYNCKIT_MAX_CELLS": "abc"}),
+    (["simulate", "--network", fx("chain4"), "--x0", "a,b,c,d"], {}),
+    (["simulate", "--network", fx("chain4"), "--steps", "-5"], {}),
+    (["verify", "invariance", "--network", fx("triangle"), "--partition", "12/3",
+      "--steps", "-1"], {}),
+    (["verify", "invariance", "--network", fx("triangle"), "--partition", "12/3",
+      "--trials", "0"], {}),
+    (["verify", "locality", "--network", fx("chain4"), "--cell", "3",
+      "--trials", "-2"], {}),
+], ids=["vk-not-int", "max-cells-env", "x0-not-numbers", "simulate-steps",
+        "verify-steps", "verify-trials", "locality-trials"])
+def test_bad_input_exits_two_with_error_line(capsys, monkeypatch, argv, env):
+    for key, value in env.items():
+        monkeypatch.setenv(key, value)
+    code, out, err = invoke(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+
+
+_IDS = st.sampled_from(["1", "2", "3", "a"])
+_JUNK = st.one_of(
+    st.none(), st.booleans(), st.integers(-2, 3), st.just(10**400),
+    st.floats(allow_nan=True), st.text(max_size=3), st.lists(st.integers(), max_size=2),
+)
+_CELL = st.one_of(st.fixed_dictionaries({"id": _IDS, "type": st.integers(-1, 3)}), _JUNK)
+_EDGE = st.one_of(
+    st.fixed_dictionaries({"from": _IDS, "to": _IDS,
+                           "weight": st.one_of(st.integers(-1, 2), _JUNK)}),
+    _JUNK,
+)
+_DOC = st.one_of(
+    st.fixed_dictionaries(
+        {"cells": st.one_of(st.lists(_CELL, min_size=1, max_size=4), _JUNK),
+         "edges": st.one_of(st.lists(_EDGE, max_size=6), _JUNK)},
+        optional={"monoid": st.one_of(st.sampled_from(["int-add", "tropical-min"]), _JUNK)},
+    ),
+    _JUNK,
+)
+_COMMANDS = st.sampled_from([
+    ["scc"], ["condense"], ["rdc"], ["reach", "--cell", "1", "--k", "1"],
+    ["balanced", "--partition", "12"], ["cir", "--partition", "12"], ["lattice"],
+    ["quotient", "--partition", "12"], ["exo", "--partition", "12"],
+    ["classify", "--partition", "12"], ["matched", "--partition", "12", "--kind", "r"],
+    ["invariant", "--partition", "12", "--kind", "vk:2"], ["tables"],
+    ["tables", "--quotient", "12"], ["simulate", "--steps", "3"],
+    ["verify", "invariance", "--partition", "12", "--trials", "1", "--steps", "3"],
+    ["verify", "subsystem", "--cell", "1", "--trials", "1", "--steps", "3"],
+    ["verify", "locality", "--cell", "2", "--trials", "1"],
+    ["verify", "quotient", "--partition", "12", "--trials", "1", "--steps", "3"],
+    ["export-dot", "--partition", "12"],
+])
+
+
+@settings(max_examples=150, deadline=None)
+@given(doc=_DOC, argv=_COMMANDS, fmt=st.sampled_from(["text", "json"]))
+def test_fuzzed_documents_exit_0_1_or_2(tmp_path_factory, doc, argv, fmt):
+    path = tmp_path_factory.getbasetemp() / "fuzzed.json"
+    path.write_text(json.dumps(doc))
+    # an escaping exception fails the test with its traceback
+    code = run([*argv, "--network", str(path), "--format", fmt])
+    assert code in (0, 1, 2)
 
 
 class TestExportDot:

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+import synckit.connectivity
 from synckit.connectivity import (
     all_in_reachability,
     condensation,
@@ -13,8 +14,8 @@ from synckit.connectivity import (
     scc_decomposition,
 )
 from synckit.errors import UnknownCell
-from synckit.monoid import IntegerAdd, MonoidFamily
-from synckit.network import Network, parse_network
+from synckit.monoid import IntegerAdd
+from synckit.network import Network, network_to_doc, parse_network
 from synckit.partition import Partition, refines
 
 from oracles import oracle_scc, random_network
@@ -190,9 +191,27 @@ class TestRdc:
             ("1", "2", "3", "4"),
             (1, 1, 1, 1),
             ((0, 1, 0, 0), (1, 0, 0, 0), (0, 0, 0, 1), (0, 0, 1, 0)),
-            MonoidFamily(IntegerAdd()),
+            IntegerAdd(),
         )
         assert rdc_decomposition(net).blocks() == ((0, 1), (2, 3))
+
+    def test_matches_per_cell_reachability(self):
+        # roots found from the oracle SCCs, reach sets by one search per cell
+        rng = random.Random(98)
+        for _ in range(60):
+            net = random_network(rng, max_cells=8, weights=(0, 0, 1, -1, 2))
+            sccs = oracle_scc(net)
+            fed = {sccs.colors[c] for c in range(net.n_cells)
+                   for d, _ in net.in_edges[c] if sccs.colors[d] != sccs.colors[c]}
+            keys = [
+                frozenset(sccs.colors[d] for d in in_reachability(net, c)) - fed
+                for c in range(net.n_cells)
+            ]
+            labels = {}
+            expected = Partition.from_assignment(
+                labels.setdefault(k, len(labels)) for k in keys
+            )
+            assert rdc_decomposition(net) == expected
 
     def test_scc_refines_rdc_and_root_bound(self):
         rng = random.Random(99)
@@ -203,3 +222,27 @@ class TestRdc:
             assert refines(sccs, rdcs)
             n_roots = len(condensation(net).roots)
             assert rdcs.rank <= 2 ** n_roots - 1
+
+
+class TestPerNetworkMemo:
+    def test_rdc_runs_tarjan_once(self, two_roots, monkeypatch):
+        calls = []
+        original = synckit.connectivity.scc_decomposition
+
+        def counting(net):
+            calls.append(net)
+            return original(net)
+
+        monkeypatch.setattr(synckit.connectivity, "scc_decomposition", counting)
+        net = parse_network(network_to_doc(two_roots))  # fresh instance, empty memo
+        rdc_decomposition(net)
+        reach = all_in_reachability(net)
+        assert len(calls) == 1
+        assert reach is all_in_reachability(net)
+        assert condensation(net) is condensation(net)
+
+    def test_equal_networks_do_not_share_memo(self, chain4):
+        again = parse_network(network_to_doc(chain4))
+        assert again == chain4
+        assert all_in_reachability(again) == all_in_reachability(chain4)
+        assert all_in_reachability(again) is not all_in_reachability(chain4)

@@ -12,20 +12,19 @@ from synckit.dynamics import (
     evolve,
     expand_state,
     in_polydiagonal,
-    numeric_exo_verdict,
     eval_on_neighborhood,
     probe_non_invariance,
     sample_admissible,
 )
 from synckit.errors import NumericalBlowup, SynckitError, UnsupportedMonoid
 from synckit.connectivity import in_reachability
-from synckit.monoid import IntegerAdd, MonoidFamily, TropicalMin
+from synckit.monoid import IntegerAdd, TropicalMin
 from synckit.network import Network, parse_network
 from synckit.partition import Partition, join, parse_partition, refines
 from synckit.synchrony import enumerate_balanced, is_balanced
 
 from conftest import fixture_net
-from oracles import random_network, random_type_refinement
+from oracles import numeric_exo_verdict, random_network, random_type_refinement
 
 
 def decoupled(n=3):
@@ -33,7 +32,7 @@ def decoupled(n=3):
         tuple(str(i + 1) for i in range(n)),
         (1,) * n,
         tuple(tuple(0 for _ in range(n)) for _ in range(n)),
-        MonoidFamily(IntegerAdd()),
+        IntegerAdd(),
     )
 
 
@@ -43,7 +42,12 @@ class TestSampling:
         assert sample_admissible(triangle, 5) != sample_admissible(triangle, 6)
 
     def test_rejects_non_integer_monoid(self):
-        net = Network(("a",), (1,), ((math.inf,),), MonoidFamily(TropicalMin()))
+        net = Network(("a",), (1,), ((math.inf,),), TropicalMin())
+        with pytest.raises(UnsupportedMonoid):
+            sample_admissible(net, 0)
+
+    def test_rejects_weights_beyond_float_range(self):
+        net = Network(("a",), (1,), ((10**400,),), IntegerAdd())
         with pytest.raises(UnsupportedMonoid):
             sample_admissible(net, 0)
 
@@ -187,6 +191,15 @@ class TestInvariance:
                 report = check_invariance(net, spec, cert_p, trials=3, steps=60)
                 assert report.invariant
                 assert report.max_spread == 0.0
+
+    def test_aborted_trials_are_not_evidence(self, chain4):
+        # a huge RK4 step trips the overflow guard before any spread is seen
+        p = Partition.one_color(4)  # not balanced on the chain
+        spec = sample_admissible(chain4, 0)
+        report = check_invariance(chain4, spec, p, trials=3, steps=5, mode="rk4", dt=1e13)
+        assert report.max_spread == 0.0
+        assert report.aborted_trials == 3
+        assert not report.invariant
 
     def test_trivial_partition_vacuous(self, triangle):
         spec = sample_admissible(triangle, 1)

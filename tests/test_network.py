@@ -1,4 +1,9 @@
+import math
+import random
+import tracemalloc
+
 import pytest
+from hypothesis import assume, given, strategies as st
 
 from synckit.errors import (
     DuplicateCellId,
@@ -6,6 +11,7 @@ from synckit.errors import (
     PartitionDomainMismatch,
     UnknownCell,
     UnknownCellInEdge,
+    UnknownMonoid,
 )
 from synckit.network import (
     export_dot,
@@ -14,9 +20,10 @@ from synckit.network import (
     parse_network,
     row_color_sum,
 )
-from synckit.partition import Partition, parse_partition
+from synckit.partition import Partition, format_partition, parse_partition
 
 from conftest import fixture_path
+from oracles import random_network, random_type_refinement
 
 
 def doc_for(edges, cells=None, monoid="int-add"):
@@ -67,12 +74,41 @@ class TestParse:
             parse_network(
                 doc_for([], cells=[{"id": "a", "type": 1}, {"id": "b", "type": 3}])
             )
+        with pytest.raises(MalformedDocument):
+            parse_network({"cells": [{"id": "a", "type": 1}], "edges": 5})
+        with pytest.raises(UnknownMonoid):
+            parse_network(doc_for([], monoid=["int-add"]))
 
     def test_tropical_weights(self):
         net = parse_network(doc_for([{"from": "a", "to": "b", "weight": 4}],
                                     monoid="tropical-min"))
         assert net.weight(1, 0) == 4.0
-        assert net.is_zero_weight(0, 1)  # omitted edge is +inf
+        assert net.weight(0, 1) == net.monoid.zero()  # omitted edge is +inf
+        assert net.in_edges == ((), ((0, 4.0),))
+
+    def test_tropical_nan_rejected(self):
+        # min() would drop a NaN: NaN then 3 would fold to 3.0
+        edges = [{"from": "a", "to": "b", "weight": math.nan},
+                 {"from": "a", "to": "b", "weight": 3}]
+        with pytest.raises(MalformedDocument):
+            parse_network(doc_for(edges, monoid="tropical-min"))
+
+    @pytest.mark.parametrize("cid", ["", " a", "a ", "a/b", "a,b", "\ta"])
+    def test_bad_cell_ids_rejected(self, cid):
+        cells = [{"id": cid, "type": 1}, {"id": "z", "type": 1}]
+        with pytest.raises(MalformedDocument):
+            parse_network(doc_for([], cells=cells))
+
+    def test_large_type_id_rejected_without_building_its_range(self):
+        cells = [{"id": "a", "type": 1}, {"id": "b", "type": 10**6}]
+        tracemalloc.start()
+        try:
+            with pytest.raises(MalformedDocument):
+                parse_network(doc_for([], cells=cells))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
     def test_round_trip_all_fixtures(self, any_fixture):
         again = parse_network(network_to_doc(any_fixture))
@@ -90,6 +126,25 @@ class TestRowColorSum:
         p = Partition.trivial(net.n_cells)
         for c in range(net.n_cells):
             assert row_color_sum(net, p, c) == net.adjacency[c]
+
+    def test_matches_dense_fold_on_random_networks(self):
+        # the sparse fold over in_edges equals the fold over every sender
+        rng = random.Random(41)
+        for _ in range(60):
+            net = random_network(rng, max_cells=7, weights=(-1, 0, 0, 1, 2))
+            p = random_type_refinement(rng, net)
+            for c in range(net.n_cells):
+                dense = [0] * p.rank
+                for d in range(net.n_cells):
+                    dense[p.colors[d]] += net.adjacency[c][d]
+                assert row_color_sum(net, p, c) == tuple(dense)
+
+    def test_tropical_empty_color_sums_to_zero(self):
+        net = parse_network(doc_for([{"from": "a", "to": "b", "weight": 4}],
+                                    monoid="tropical-min"))
+        p = Partition.trivial(2)
+        assert row_color_sum(net, p, 0) == (math.inf, math.inf)
+        assert row_color_sum(net, p, 1) == (4.0, math.inf)
 
     def test_domain_mismatch(self, triangle):
         with pytest.raises(PartitionDomainMismatch):
@@ -136,6 +191,29 @@ def test_load_network_fixture_path(tmp_path):
     bad.write_text("{not json")
     with pytest.raises(MalformedDocument):
         load_network(str(bad))
+
+
+def test_load_network_rejects_non_utf8(tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b'{"cells": "\xff"}')
+    with pytest.raises(MalformedDocument):
+        load_network(str(bad))
+
+
+@given(
+    st.lists(st.text(max_size=4), min_size=1, max_size=6, unique=True),
+    st.data(),
+)
+def test_partition_text_round_trip_on_any_valid_network(ids, data):
+    cells = [{"id": cid, "type": 1} for cid in ids]
+    try:
+        net = parse_network({"cells": cells, "edges": []})
+    except MalformedDocument:
+        assume(False)
+    n = net.n_cells
+    colors = data.draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+    p = Partition.from_assignment(colors)
+    assert parse_partition(format_partition(p, net.cell_ids), net.cell_ids) == p
 
 
 def test_subnetwork_preserves_order_and_weights(two_roots):

@@ -11,12 +11,19 @@ from synckit.partition import (
     join,
     meet,
     parse_partition,
-    partition_matrix,
     quotient_partition,
     refines,
 )
 
-from oracles import all_partitions, oracle_glb, oracle_join, oracle_lub, oracle_meet
+from oracles import (
+    all_partitions,
+    compose,
+    oracle_glb,
+    oracle_join,
+    oracle_lub,
+    oracle_meet,
+    partition_matrix,
+)
 
 
 def blocks(*groups, size):
@@ -130,8 +137,6 @@ class TestQuotient:
         assert np.array_equal(pa @ pq, pb)
 
     def test_function_composition_recovers_coarse_partition(self):
-        from synckit.partition import compose
-
         rng = random.Random(8)
         for _ in range(40):
             n = rng.randint(2, 7)

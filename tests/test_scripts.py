@@ -1,0 +1,22 @@
+"""The scripts under scripts/ still run against the current library."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@pytest.mark.parametrize("argv", [
+    ["scripts/survey_fixtures.py"],
+    ["scripts/verify_dynamics.py", "--seeds", "1", "--steps", "10"],
+], ids=["survey_fixtures", "verify_dynamics"])
+def test_script_exits_zero(argv):
+    path = filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    done = subprocess.run([sys.executable, *argv], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stdout + done.stderr

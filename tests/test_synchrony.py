@@ -3,7 +3,7 @@ import random
 import pytest
 
 from synckit.errors import NotBalanced, NotInLattice, NotTypeRefining, TooLarge
-from synckit.monoid import IntegerAdd, MonoidFamily
+from synckit.monoid import IntegerAdd
 from synckit.network import Network
 from synckit.partition import (
     Partition,
@@ -38,7 +38,7 @@ def same_structure(a: Network, b: Network) -> bool:
     return (
         a.cell_types == b.cell_types
         and a.adjacency == b.adjacency
-        and a.monoids == b.monoids
+        and a.monoid == b.monoid
     )
 
 
@@ -149,7 +149,7 @@ class TestEnumerate:
             ("a", "b", "c"),
             (1, 2, 3),
             ((0, 1, 1), (1, 0, 1), (1, 1, 0)),
-            MonoidFamily(IntegerAdd()),
+            IntegerAdd(),
         )
         lattice = enumerate_balanced(net)
         assert lattice.elements == (Partition.trivial(3),)
@@ -354,7 +354,7 @@ class TestExoBalanced:
             ("1", "2", "3"),
             (1, 1, 1),
             ((0, 0, 1), (0, 0, 2), (0, 0, 0)),
-            MonoidFamily(IntegerAdd()),
+            IntegerAdd(),
         )
         assert not is_exo_balanced(net, parse_partition("12/3", net.cell_ids))
 
@@ -365,6 +365,6 @@ def test_type_refining_enumeration_counts():
         ("1", "2", "3", "4", "5"),
         (1, 1, 2, 2, 2),
         tuple(tuple(0 for _ in range(5)) for _ in range(5)),
-        MonoidFamily(IntegerAdd()),
+        IntegerAdd(),
     )
     assert sum(1 for _ in type_refining_partitions(net)) == 2 * 5
