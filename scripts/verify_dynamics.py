@@ -13,6 +13,7 @@ Usage:
 from __future__ import annotations
 
 import argparse
+import sys
 from pathlib import Path
 
 from synckit.dynamics import (
@@ -25,7 +26,11 @@ from synckit.dynamics import (
 )
 from synckit.network import load_network
 from synckit.partition import format_partition
-from synckit.synchrony import enumerate_balanced, is_balanced, type_refining_partitions
+from synckit.synchrony import enumerate_balanced, is_balanced
+
+# the brute-force scan of every type-refining partition lives with the test oracles
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+from oracles import oracle_type_refining  # noqa: E402
 
 
 def verify(path: Path, seeds: int, steps: int) -> bool:
@@ -47,7 +52,7 @@ def verify(path: Path, seeds: int, steps: int) -> bool:
         print(f"   invariance {format_partition(b, ids):<18} spread {worst:.1e} {flag}")
 
     attempted = falsified = 0
-    for p in type_refining_partitions(net):
+    for p in oracle_type_refining(net):
         if p in balanced:
             continue
         attempted += 1

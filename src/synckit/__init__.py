@@ -33,7 +33,6 @@ from .synchrony import (
     lattice_meet,
     lattice_quotient,
     quotient_network,
-    type_refining_partitions,
 )
 from .classification import (
     ColorClass,

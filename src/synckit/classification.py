@@ -209,25 +209,23 @@ class JoinTableReport:
     def to_json(self, cell_ids) -> dict:
         from .partition import format_partition
 
-        def fmt(i: int) -> str:
-            return format_partition(self.lattice.elements[i], cell_ids)
-
+        texts = [format_partition(p, cell_ids) for p in self.lattice.elements]
         element_class: dict[int, str] = {}
         for e in self.entries:
             element_class[e.left] = e.left_class.value
             element_class[e.right] = e.right_class.value
         return {
             "elements": [
-                {"partition": fmt(i), "class": element_class.get(i, "")}
-                for i in range(len(self.lattice.elements))
+                {"partition": text, "class": element_class.get(i, "")}
+                for i, text in enumerate(texts)
             ],
             "pairs": [
                 {
-                    "left": fmt(e.left),
-                    "right": fmt(e.right),
+                    "left": texts[e.left],
+                    "right": texts[e.right],
                     "left_class": e.left_class.value,
                     "right_class": e.right_class.value,
-                    "join": fmt(e.join_in_lattice),
+                    "join": texts[e.join_in_lattice],
                     "join_class": e.join_class.value,
                 }
                 for e in self.entries

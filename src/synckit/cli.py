@@ -64,6 +64,15 @@ def _at_least(args, name: str, low: int) -> int:
     return value
 
 
+def _finite(args, name: str, *, zero_ok: bool) -> float:
+    value = getattr(args, name)
+    above = value >= 0 if zero_ok else value > 0  # False for NaN
+    if not above or value == float("inf"):
+        bound = "at least 0" if zero_ok else "positive"
+        raise SynckitError(f"--{name} must be finite and {bound}, got {value}")
+    return value
+
+
 def _fmt(net: Network, p: Partition) -> str:
     return format_partition(p, net.cell_ids)
 
@@ -313,6 +322,7 @@ def cmd_tables(args) -> int:
 def cmd_simulate(args) -> int:
     net = _net(args)
     steps = _at_least(args, "steps", 0)
+    _finite(args, "dt", zero_ok=False)
     spec = dyn.sample_admissible(net, args.seed, exo=args.exo)
     if args.x0 == "random":
         import random as _random
@@ -351,6 +361,9 @@ def cmd_verify(args) -> int:
     # a run of no trials or no steps would be vacuous evidence
     _at_least(args, "trials", 1)
     _at_least(args, "steps", 1)
+    # dt 0 never moves the state, and a negative or NaN tol fails every comparison
+    _finite(args, "dt", zero_ok=False)
+    _finite(args, "tol", zero_ok=True)
     spec = dyn.sample_admissible(net, args.seed, exo=args.exo)
     if args.what in ("invariance", "quotient") and args.partition is None:
         raise SynckitError(f"verify {args.what} needs --partition")

@@ -11,6 +11,7 @@ by the CLI ("12/45": colors split by "/", cells within a color split by
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .errors import DomainMismatch, MalformedPartitionSpec, NotARefinement
@@ -65,7 +66,7 @@ class Partition:
     def size(self) -> int:
         return len(self.colors)
 
-    @property
+    @cached_property
     def rank(self) -> int:
         return max(self.colors) + 1 if self.colors else 0
 

@@ -5,15 +5,18 @@ same monoid-summed in-weight per color; the witnessing color-by-color
 matrix is the in-adjacency of the quotient network.  The coarsest
 balanced partition below a given one is computed by iterated signature
 refinement (split every color by its per-color in-weight row until
-nothing splits), which is the polynomial-time route; full lattices are
-enumerated only for small networks via type-constrained restricted
-growth strings.
+nothing splits), which is the polynomial-time route.  Full lattices are
+built only for small networks, by split-and-cir: starting from the
+coarsest balanced partition, split one color in two and take cir of the
+result, so the work grows with the number of balanced partitions rather
+than with the number of type-refining ones.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Any, Iterator, Optional
 
 from .errors import NotBalanced, NotInLattice, NotTypeRefining, SynckitError, TooLarge
@@ -95,33 +98,6 @@ def _resolve_cap(max_cells: Optional[int]) -> int:
     return DEFAULT_MAX_CELLS
 
 
-def type_refining_partitions(net: Network) -> Iterator[Partition]:
-    """All partitions finer than the type partition, by restricted growth.
-
-    A cell may join an existing color only when the color's type matches,
-    so cross-type candidates are pruned before they are ever built.
-    """
-    n = net.n_cells
-    colors = [0] * n
-    color_types: list[int] = []
-
-    def rec(c: int) -> Iterator[Partition]:
-        if c == n:
-            yield Partition.from_assignment(colors)
-            return
-        t = net.cell_types[c]
-        for k in range(len(color_types)):
-            if color_types[k] == t:
-                colors[c] = k
-                yield from rec(c + 1)
-        color_types.append(t)
-        colors[c] = len(color_types) - 1
-        yield from rec(c + 1)
-        color_types.pop()
-
-    yield from rec(0)
-
-
 @dataclass(frozen=True)
 class BalancedLattice:
     """All balanced partitions of a network with their Hasse diagram.
@@ -135,48 +111,111 @@ class BalancedLattice:
     bottom: int
     top: int
 
+    @cached_property
+    def _positions(self) -> dict[Partition, int]:
+        return {p: i for i, p in enumerate(self.elements)}
+
     def index_of(self, p: Partition) -> int:
         try:
-            return self.elements.index(p)
-        except ValueError:
+            return self._positions[p]
+        except KeyError:
             raise NotInLattice("partition is not an element of the lattice") from None
 
 
+def _bits(mask: int) -> Iterator[int]:
+    """Positions of the set bits of mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 def _hasse_edges(elements: tuple[Partition, ...]) -> frozenset[tuple[int, int]]:
-    m = len(elements)
-    leq = [[i != j and refines(elements[i], elements[j]) for j in range(m)] for i in range(m)]
+    """Covers of the refinement order, with sets of elements as bitsets.
+
+    A partition is coded by the cell pairs it puts in one color, and i
+    refines j iff j holds every pair of i; so the elements strictly above
+    i are the intersection, over i's pairs, of the elements holding that
+    pair, less i itself.  A cover of i is an element above i that is not
+    above anything else above i.
+    """
+    holders: dict[tuple[int, int], int] = {}
+    pairs_of = []
+    for i, p in enumerate(elements):
+        pairs = [
+            (a, b) for block in p.blocks() for x, a in enumerate(block) for b in block[x + 1:]
+        ]
+        for pair in pairs:
+            holders[pair] = holders.get(pair, 0) | 1 << i
+        pairs_of.append(pairs)
+    everyone = (1 << len(elements)) - 1
+    up = []
+    for i, pairs in enumerate(pairs_of):
+        mask = everyone ^ 1 << i
+        for pair in pairs:
+            mask &= holders[pair]
+        up.append(mask)
     covers = set()
-    for i in range(m):
-        for j in range(m):
-            if not leq[i][j]:
-                continue
-            if any(leq[i][k] and leq[k][j] for k in range(m)):
-                continue
-            covers.add((i, j))
+    for i, mask in enumerate(up):
+        above = 0
+        for k in _bits(mask):
+            above |= up[k]
+        covers.update((i, j) for j in _bits(mask & ~above))
     return frozenset(covers)
 
 
 def _build_lattice(elements: list[Partition]) -> BalancedLattice:
+    """Sorted by (rank, assignment): the top is first and the trivial bottom last.
+
+    In a lattice the top is strictly coarser than every other element and
+    the bottom strictly finer, so each is the only element of its rank.
+    """
     ordered = tuple(sorted(elements, key=lambda p: (p.rank, p.colors)))
-    n = ordered[0].size
-    bottom = ordered.index(Partition.trivial(n))
-    top = next(
-        i for i, p in enumerate(ordered)
-        if all(refines(q, p) for q in ordered)
-    )
-    return BalancedLattice(ordered, _hasse_edges(ordered), bottom, top)
+    return BalancedLattice(ordered, _hasse_edges(ordered), len(ordered) - 1, 0)
+
+
+def _two_splits(p: Partition) -> Iterator[Partition]:
+    """Every partition that splits one color of p in two.
+
+    The color's first cell stays on the old side, so each split is made
+    once: 2^(s-1) - 1 of them for a color of s cells.
+    """
+    fresh = p.rank
+    for block in p.blocks():
+        rest = block[1:]
+        for mask in range(1, 1 << len(rest)):
+            colors = list(p.colors)
+            for c in _bits(mask):
+                colors[rest[c]] = fresh
+            yield Partition.from_assignment(colors)
 
 
 def enumerate_balanced(net: Network, max_cells: Optional[int] = None) -> BalancedLattice:
-    """Full balanced lattice by filtered enumeration; refuses large networks."""
+    """Full balanced lattice by split-and-cir; refuses large networks.
+
+    Every balanced B strictly below a balanced P lies below some 2-split
+    Q of P, hence B <= cir(Q) < P: walking down from cir(types) through
+    cir of every 2-split reaches each balanced partition.  A split that
+    is already known is balanced, and cir would return it unchanged.
+    """
     cap = _resolve_cap(max_cells)
     if net.n_cells > cap:
         raise TooLarge(
             f"{net.n_cells} cells exceeds the enumeration cap of {cap}; "
             "raise it explicitly or via SYNCKIT_MAX_CELLS"
         )
-    found = [p for p in type_refining_partitions(net) if is_balanced(net, p) is not None]
-    return _build_lattice(found)
+    top = cir_balanced(net, net.type_partition())
+    found = {top}
+    stack = [top]
+    while stack:
+        for q in _two_splits(stack.pop()):
+            if q in found:
+                continue
+            b = cir_balanced(net, q)
+            if b not in found:
+                found.add(b)
+                stack.append(b)
+    return _build_lattice(list(found))
 
 
 def lattice_meet(net: Network, b1: Partition, b2: Partition) -> Partition:
@@ -231,5 +270,4 @@ __all__ = [
     "lattice_meet",
     "lattice_quotient",
     "quotient_network",
-    "type_refining_partitions",
 ]

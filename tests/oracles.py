@@ -12,7 +12,7 @@ and the numerical exo-balance verdict.
 from __future__ import annotations
 
 import random
-from typing import Iterator, Optional
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -151,6 +151,21 @@ def oracle_cir(net: Network, upper: Partition) -> Partition:
             best = candidate
     assert best is not None, "balanced candidates below the bound have no maximum"
     return best
+
+
+def oracle_covers(elements: Sequence[Partition]) -> frozenset[tuple[int, int]]:
+    """Hasse covers as the transitive reduction of the strict refinement order."""
+    m = len(elements)
+    below = [
+        [i != j and oracle_refines(elements[i], elements[j]) for j in range(m)]
+        for i in range(m)
+    ]
+    return frozenset(
+        (i, j)
+        for i in range(m)
+        for j in range(m)
+        if below[i][j] and not any(below[i][k] and below[k][j] for k in range(m))
+    )
 
 
 def oracle_scc(net: Network) -> Partition:

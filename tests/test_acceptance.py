@@ -47,13 +47,13 @@ from synckit.synchrony import (
     is_exo_balanced,
     lattice_quotient,
     quotient_network,
-    type_refining_partitions,
 )
 
 from conftest import FIXTURE_NAMES, fixture_net
 from oracles import (
     numeric_exo_verdict,
     oracle_cir,
+    oracle_type_refining,
     random_balanced_lift,
     random_network,
     random_type_refinement,
@@ -291,7 +291,7 @@ def test_c10_dynamics_invariance_and_falsification():
     for name in FIXTURE_NAMES:
         network = net(name)
         balanced = set(lattice(name).elements)
-        for p in type_refining_partitions(network):
+        for p in oracle_type_refining(network):
             if p in balanced:
                 continue
             attempted += 1
@@ -335,7 +335,7 @@ def test_c12_exo_crosscheck():
     disagreements = []
     checked = 0
     for network in networks:
-        for p in type_refining_partitions(network):
+        for p in oracle_type_refining(network):
             combinatorial = is_exo_balanced(network, p)
             numerical = numeric_exo_verdict(
                 network, p, seeds=4, trials=3, steps=40, tol=1e-9

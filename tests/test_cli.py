@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from synckit.cli import run
 from synckit.network import load_network
 
-from conftest import fixture_path
+from conftest import FIXTURE_NAMES, fixture_path
 
 
 def fx(name):
@@ -242,8 +243,20 @@ class TestDynamicsCommands:
       "--trials", "0"], {}),
     (["verify", "locality", "--network", fx("chain4"), "--cell", "3",
       "--trials", "-2"], {}),
+    (["verify", "invariance", "--network", fx("chain4"), "--partition", "1234",
+      "--mode", "rk4", "--dt", "0"], {}),
+    (["verify", "invariance", "--network", fx("triangle"), "--partition", "1/2/3",
+      "--tol", "-1"], {}),
+    (["verify", "quotient", "--network", fx("triangle"), "--partition", "12/3",
+      "--tol", "nan"], {}),
+    (["verify", "subsystem", "--network", fx("chain4"), "--cell", "3",
+      "--mode", "rk4", "--dt", "inf"], {}),
+    (["simulate", "--network", fx("chain4"), "--mode", "rk4", "--dt", "nan"], {}),
+    (["simulate", "--network", fx("chain4"), "--dt", "-1"], {}),
 ], ids=["vk-not-int", "max-cells-env", "x0-not-numbers", "simulate-steps",
-        "verify-steps", "verify-trials", "locality-trials"])
+        "verify-steps", "verify-trials", "locality-trials", "verify-dt-zero",
+        "verify-tol-negative", "verify-tol-nan", "verify-dt-inf", "simulate-dt-nan",
+        "simulate-dt-negative"])
 def test_bad_input_exits_two_with_error_line(capsys, monkeypatch, argv, env):
     for key, value in env.items():
         monkeypatch.setenv(key, value)
@@ -316,3 +329,25 @@ def test_byte_identical_reruns(capsys):
     a = invoke(capsys, "tables", "--network", fx("driven_chain"), "--format", "json")
     b = invoke(capsys, "tables", "--network", fx("driven_chain"), "--format", "json")
     assert a == b
+
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+_GOLDEN_COMMANDS = {
+    "lattice.json": ["lattice", "--format", "json"],
+    "lattice.dot": ["lattice", "--dot"],
+    "tables.json": ["tables", "--format", "json"],
+}
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+@pytest.mark.parametrize("golden", sorted(_GOLDEN_COMMANDS))
+def test_lattice_output_matches_golden(capsys, name, golden):
+    """Element order, cover indices and every byte of lattice and tables output.
+
+    Regenerate a golden only when the output is meant to change, e.g.
+    `synckit lattice --network fixtures/NAME.json --dot > tests/golden/NAME/lattice.dot`.
+    """
+    command, *flags = _GOLDEN_COMMANDS[golden]
+    code, out, err = invoke(capsys, command, "--network", fx(name), *flags)
+    assert (code, err) == (0, "")
+    assert out == (GOLDEN / name / golden).read_text()

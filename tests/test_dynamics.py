@@ -24,7 +24,12 @@ from synckit.partition import Partition, join, parse_partition, refines
 from synckit.synchrony import enumerate_balanced, is_balanced
 
 from conftest import fixture_net
-from oracles import numeric_exo_verdict, random_network, random_type_refinement
+from oracles import (
+    numeric_exo_verdict,
+    oracle_type_refining,
+    random_network,
+    random_type_refinement,
+)
 
 
 def decoupled(n=3):
@@ -349,11 +354,11 @@ class TestQuotientConsistency:
 class TestExoCrossCheck:
     def test_small_networks_agree(self):
         rng = random.Random(500)
-        from synckit.synchrony import is_exo_balanced, type_refining_partitions
+        from synckit.synchrony import is_exo_balanced
 
         for _ in range(12):
             net = random_network(rng, max_cells=4)
-            for p in type_refining_partitions(net):
+            for p in oracle_type_refining(net):
                 combinatorial = is_exo_balanced(net, p)
                 numerical = numeric_exo_verdict(net, p, seeds=3, trials=3, steps=30)
                 assert combinatorial == numerical

@@ -21,13 +21,14 @@ from synckit.synchrony import (
     lattice_meet,
     lattice_quotient,
     quotient_network,
-    type_refining_partitions,
 )
 
 from conftest import fixture_net
 from oracles import (
     oracle_balanced,
     oracle_cir,
+    oracle_covers,
+    oracle_type_refining,
     random_balanced_lift,
     random_network,
     random_type_refinement,
@@ -184,6 +185,47 @@ class TestEnumerate:
             for b1 in lattice.elements:
                 for b2 in lattice.elements:
                     assert join(b1, b2) in lattice.elements
+
+    def test_split_and_cir_matches_brute_force(self):
+        rng = random.Random(3301)
+        # sparse and cancelling weights make nontrivial lattices common
+        weights = [(-1, 0, 1, 2), (0, 0, 0, 1), (0, 0, 0, 0, 1, -1)]
+        for trial in range(260):
+            if trial < 200:
+                net = random_network(rng, max_cells=7, num_types=1 + trial // 3 % 2,
+                                     weights=weights[trial % 3])
+            else:
+                net, _ = random_balanced_lift(rng, max_cells=7)
+            lattice = enumerate_balanced(net)
+            expected = {
+                p for p in oracle_type_refining(net) if oracle_balanced(net, p)
+            }
+            assert set(lattice.elements) == expected
+            assert list(lattice.elements) == sorted(expected, key=lambda p: (p.rank, p.colors))
+            assert lattice.cover_edges == oracle_covers(lattice.elements)
+            assert lattice.elements[lattice.bottom] == Partition.trivial(net.n_cells)
+            top = lattice.elements[lattice.top]
+            assert all(refines(p, top) for p in lattice.elements)
+
+    @pytest.mark.parametrize("n,bell", [(6, 203), (7, 877)])
+    def test_complete_graph_lattice_is_every_partition(self, n, bell):
+        net = Network(
+            tuple(str(i + 1) for i in range(n)),
+            (1,) * n,
+            tuple(tuple(int(i != j) for j in range(n)) for i in range(n)),
+            IntegerAdd(),
+        )
+        lattice = enumerate_balanced(net)
+        assert len(lattice.elements) == bell
+        # in the partition lattice, the covers of an element merge two of its colors
+        ups: dict[int, list[int]] = {i: [] for i in range(bell)}
+        for i, j in lattice.cover_edges:
+            ups[i].append(j)
+        for i, p in enumerate(lattice.elements):
+            assert len(ups[i]) == p.rank * (p.rank - 1) // 2
+            for j in ups[i]:
+                q = lattice.elements[j]
+                assert q.rank == p.rank - 1 and refines(p, q)
 
     def test_cover_edges_are_transitive_reduction(self):
         net = fixture_net("twin_cycles_hub")
@@ -367,4 +409,4 @@ def test_type_refining_enumeration_counts():
         tuple(tuple(0 for _ in range(5)) for _ in range(5)),
         IntegerAdd(),
     )
-    assert sum(1 for _ in type_refining_partitions(net)) == 2 * 5
+    assert sum(1 for _ in oracle_type_refining(net)) == 2 * 5
