@@ -12,6 +12,7 @@ reach sets are computed once per network instance and then shared.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from graphlib import TopologicalSorter
 
 from .errors import SynckitError
 from .network import Network
@@ -145,24 +146,21 @@ def all_in_reachability(net: Network) -> tuple[frozenset[int], ...]:
 
 
 def _build_reach_sets(net: Network) -> tuple[frozenset[int], ...]:
+    """Reach set of each SCC, built without recursion from the roots down."""
     cond = condensation(net)
     sccs = cond.scc_partition
     blocks = sccs.blocks()
-    preds: list[list[int]] = [[] for _ in range(sccs.rank)]
+    preds: dict[int, list[int]] = {k: [] for k in range(sccs.rank)}
     for s, t in cond.dag_edges:
         preds[t].append(s)
 
-    memo: dict[int, frozenset[int]] = {}
-
-    def reach(k: int) -> frozenset[int]:
-        if k not in memo:
-            acc = set(blocks[k])
-            for p in preds[k]:
-                acc |= reach(p)
-            memo[k] = frozenset(acc)
-        return memo[k]
-
-    return tuple(reach(sccs.colors[c]) for c in range(net.n_cells))
+    reach: dict[int, frozenset[int]] = {}
+    for k in TopologicalSorter(preds).static_order():
+        acc = set(blocks[k])
+        for p in preds[k]:
+            acc |= reach[p]
+        reach[k] = frozenset(acc)
+    return tuple(reach[sccs.colors[c]] for c in range(net.n_cells))
 
 
 def rdc_decomposition(net: Network) -> Partition:

@@ -1,12 +1,13 @@
 """Coupled cell network data model with JSON I/O and DOT export.
 
-A network is a list of typed cells plus an in-adjacency matrix over one
-commutative monoid: rows are receivers, columns are senders (note that
-many graph libraries use the transpose).  Parallel edges in a document
-are folded with the monoid sum at parse time; the in-memory model only
-ever holds the folded matrix.  Every algorithm reads it through
-`Network.in_edges`, the per-receiver list of nonzero entries.  Cell ids
-are strings in files and dense indices internally.
+A network is a list of typed cells plus (receiver, sender, weight) edges
+over one commutative monoid (many graph libraries put the sender first).
+Parallel edges in a document are folded with the monoid sum at parse
+time and folded weights equal to the monoid zero are dropped; the
+in-memory model only ever holds that folded nonzero edge list, never a
+dense matrix.  Every algorithm reads it through `Network.in_edges`, the
+per-receiver (sender, weight) pairs.  Cell ids are strings in files and
+dense indices internally.
 """
 
 from __future__ import annotations
@@ -34,11 +35,16 @@ _DOT_SHAPES = ("circle", "box", "diamond", "hexagon", "ellipse", "triangle")
 
 @dataclass(frozen=True)
 class Network:
-    """Immutable network: typed cells and a folded in-adjacency matrix."""
+    """Immutable network: typed cells and folded nonzero weighted edges.
+
+    `edges` holds (receiver, sender, weight) triples sorted by receiver
+    and then sender, one per connected pair, none with the zero weight,
+    so equal networks compare equal.
+    """
 
     cell_ids: tuple[str, ...]
     cell_types: tuple[int, ...]
-    adjacency: tuple[tuple[Any, ...], ...]
+    edges: tuple[tuple[int, int, Any], ...]
     monoid: Monoid
 
     @property
@@ -63,17 +69,13 @@ class Network:
         if not 0 <= c < self.n_cells:
             raise UnknownCell(f"cell index {c} out of range")
 
-    def weight(self, receiver: int, sender: int) -> Any:
-        return self.adjacency[receiver][sender]
-
     @cached_property
     def in_edges(self) -> tuple[tuple[tuple[int, Any], ...], ...]:
         """Per receiver, the (sender, weight) pairs with nonzero weight."""
-        zero = self.monoid.zero()
-        return tuple(
-            tuple((d, w) for d, w in enumerate(row) if w != zero)
-            for row in self.adjacency
-        )
+        rows: list[list[tuple[int, Any]]] = [[] for _ in range(self.n_cells)]
+        for c, d, w in self.edges:
+            rows[c].append((d, w))
+        return tuple(map(tuple, rows))
 
     # Connectivity structure is computed once per instance, on first use.
 
@@ -98,8 +100,9 @@ class Network:
             self.check_cell(c)
         ids = tuple(self.cell_ids[c] for c in cells)
         types = tuple(self.cell_types[c] for c in cells)
-        adj = tuple(tuple(self.adjacency[c][d] for d in cells) for c in cells)
-        return Network(ids, types, adj, self.monoid)
+        pos = {c: i for i, c in enumerate(cells)}
+        edges = [(pos[c], pos[d], w) for c in cells for d, w in self.in_edges[c] if d in pos]
+        return Network(ids, types, tuple(sorted(edges)), self.monoid)
 
 
 def row_color_sum(net: Network, p: Partition, c: int) -> tuple[Any, ...]:
@@ -153,8 +156,8 @@ def parse_network(doc: Any) -> Network:
     if max(types) != len(set(types)):  # type ids are >= 1, so this means 1..k
         raise MalformedDocument("type ids must form a contiguous range starting at 1")
 
-    n = len(index)
-    adj: list[list[Any]] = [[monoid.zero()] * n for _ in range(n)]
+    zero = monoid.zero()
+    folded: dict[tuple[int, int], Any] = {}
     edges = doc.get("edges", [])
     if not isinstance(edges, list):
         raise MalformedDocument("'edges' must be a list")
@@ -171,24 +174,19 @@ def parse_network(doc: Any) -> Network:
             w = monoid.coerce(edge["weight"])
         except (TypeError, ValueError, OverflowError) as exc:
             raise MalformedDocument(str(exc)) from None
-        adj[c][d] = monoid.add(adj[c][d], w)
+        folded[c, d] = monoid.add(folded.get((c, d), zero), w)
 
-    return Network(tuple(index), tuple(types), tuple(tuple(row) for row in adj), monoid)
+    nonzero = tuple((c, d, w) for (c, d), w in sorted(folded.items()) if w != zero)
+    return Network(tuple(index), tuple(types), nonzero, monoid)
 
 
 def network_to_doc(net: Network) -> dict:
-    """Serializable document; zero-weight entries are omitted."""
-    edges = []
-    for c in range(net.n_cells):
-        for d, w in net.in_edges[c]:
-            w_out: Any = "inf" if w == float("inf") else w
-            edges.append({"from": net.cell_ids[d], "to": net.cell_ids[c], "weight": w_out})
+    """Serializable document with one entry per folded nonzero edge."""
+    ids = net.cell_ids
     return {
         "monoid": net.monoid.kind,
-        "cells": [
-            {"id": cid, "type": t} for cid, t in zip(net.cell_ids, net.cell_types)
-        ],
-        "edges": edges,
+        "cells": [{"id": cid, "type": t} for cid, t in zip(ids, net.cell_types)],
+        "edges": [{"from": ids[d], "to": ids[c], "weight": w} for c, d, w in net.edges],
     }
 
 
@@ -229,8 +227,7 @@ def export_dot(net: Network, p: Optional[Partition] = None) -> str:
             attrs.append("style=filled")
             attrs.append(f'fillcolor="{_fill_color(p.colors[c], p.rank)}"')
         lines.append(f'  "{cid}" [{", ".join(attrs)}];')
-    for c in range(net.n_cells):
-        for d, w in net.in_edges[c]:
-            lines.append(f'  "{net.cell_ids[d]}" -> "{net.cell_ids[c]}" [label="{w}"];')
+    for c, d, w in net.edges:
+        lines.append(f'  "{net.cell_ids[d]}" -> "{net.cell_ids[c]}" [label="{w}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 from .errors import DomainMismatch, MalformedPartitionSpec, NotARefinement
 
 
-def _canonical(colors: Sequence[int]) -> tuple[int, ...]:
+def _canonical(colors: Iterable[int]) -> tuple[int, ...]:
     relabel: dict[int, int] = {}
     out = []
     for c in colors:
@@ -39,7 +39,10 @@ class Partition:
 
     @staticmethod
     def from_assignment(colors: Iterable[int]) -> "Partition":
-        return Partition(_canonical(tuple(colors)))
+        # canonical by construction, so __post_init__'s check is skipped
+        p = object.__new__(Partition)
+        object.__setattr__(p, "colors", _canonical(colors))
+        return p
 
     @staticmethod
     def from_blocks(blocks: Iterable[Iterable[int]], size: int) -> "Partition":

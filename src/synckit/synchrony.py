@@ -39,18 +39,26 @@ class BalancedCertificate:
     quotient_matrix: tuple[tuple[Any, ...], ...]
 
 
-def is_balanced(net: Network, p: Partition) -> Optional[BalancedCertificate]:
-    """Certificate with the quotient matrix, or None if rows disagree."""
+def _shared_rows(net: Network, p: Partition, own_column: bool) -> Optional[tuple]:
+    """Per color, the in-weight row all its cells see, or None if two differ."""
     _check_type_refining(net, p)
     rows: list[Optional[tuple]] = [None] * p.rank
     for c in range(net.n_cells):
         row = row_color_sum(net, p, c)
         k = p.colors[c]
+        if not own_column:
+            row = row[:k] + row[k + 1:]
         if rows[k] is None:
             rows[k] = row
         elif rows[k] != row:
             return None
-    return BalancedCertificate(p, tuple(rows))  # type: ignore[arg-type]
+    return tuple(rows)
+
+
+def is_balanced(net: Network, p: Partition) -> Optional[BalancedCertificate]:
+    """Certificate with the quotient matrix, or None if rows disagree."""
+    rows = _shared_rows(net, p, own_column=True)
+    return None if rows is None else BalancedCertificate(p, rows)
 
 
 def quotient_network(net: Network, cert: BalancedCertificate) -> Network:
@@ -61,7 +69,10 @@ def quotient_network(net: Network, cert: BalancedCertificate) -> Network:
     joiner = "" if compact else "+"
     ids = tuple(joiner.join(net.cell_ids[c] for c in block) for block in blocks)
     types = tuple(net.cell_types[block[0]] for block in blocks)
-    return Network(ids, types, cert.quotient_matrix, net.monoid)
+    zero = net.monoid.zero()
+    matrix = cert.quotient_matrix
+    edges = tuple((k, l, w) for k, row in enumerate(matrix) for l, w in enumerate(row) if w != zero)
+    return Network(ids, types, edges, net.monoid)
 
 
 def cir_balanced(net: Network, p: Partition) -> Partition:
@@ -246,17 +257,7 @@ def is_exo_balanced(net: Network, p: Partition) -> bool:
     same-state senders cannot distinguish the own-color entry on the
     polydiagonal.
     """
-    _check_type_refining(net, p)
-    rows: list[Optional[tuple]] = [None] * p.rank
-    for c in range(net.n_cells):
-        row = row_color_sum(net, p, c)
-        k = p.colors[c]
-        masked = tuple(row[j] for j in range(p.rank) if j != k)
-        if rows[k] is None:
-            rows[k] = masked
-        elif rows[k] != masked:
-            return False
-    return True
+    return _shared_rows(net, p, own_column=False) is not None
 
 
 __all__ = [

@@ -4,23 +4,57 @@ Everything here recomputes results from definitions, avoiding the
 library's algorithmic shortcuts: joins by chain closure instead of
 union-find, balance by explicit matrix products instead of row
 signatures, least upper bounds by scanning every partition of the cell
-set, SCCs by pairwise mutual reachability.  It also holds the helpers
-only the tests need: 0/1 partition matrices, composition of partitions,
-and the numerical exo-balance verdict.
+set, SCCs by pairwise mutual reachability, networks by folding every
+edge into a dense matrix.  It also holds the helpers only the tests
+need: networks to and from dense in-adjacency matrices, 0/1 partition
+matrices, composition of partitions, and the numerical exo-balance
+verdict.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Iterator, Optional, Sequence
+from typing import Any, Iterator, Optional, Sequence
 
 import numpy as np
 
 from synckit.dynamics import check_invariance, sample_admissible
 from synckit.errors import DomainMismatch, SynckitError
-from synckit.monoid import IntegerAdd
+from synckit.monoid import IntegerAdd, Monoid, monoid_by_name
 from synckit.network import Network
 from synckit.partition import Partition, refines
+
+Matrix = tuple[tuple[Any, ...], ...]
+
+
+def from_matrix(
+    ids: Sequence[str], types: Sequence[int], matrix: Sequence[Sequence[Any]], monoid: Monoid
+) -> Network:
+    """Network whose in-adjacency matrix (rows receive, columns send) is given."""
+    zero = monoid.zero()
+    edges = tuple(
+        (c, d, w) for c, row in enumerate(matrix) for d, w in enumerate(row) if w != zero
+    )
+    return Network(tuple(ids), tuple(types), edges, monoid)
+
+
+def dense(net: Network) -> Matrix:
+    """The n x n in-adjacency matrix of a network, zero where no edge is."""
+    rows = [[net.monoid.zero()] * net.n_cells for _ in range(net.n_cells)]
+    for c, d, w in net.edges:
+        rows[c][d] = w
+    return tuple(map(tuple, rows))
+
+
+def oracle_fold(doc: dict) -> Matrix:
+    """Dense in-adjacency of a valid network document: every edge summed in."""
+    monoid = monoid_by_name(doc.get("monoid", "int-add"))
+    index = {str(cell["id"]): i for i, cell in enumerate(doc["cells"])}
+    rows = [[monoid.zero()] * len(index) for _ in index]
+    for edge in doc.get("edges", []):
+        c, d = index[str(edge["to"])], index[str(edge["from"])]
+        rows[c][d] = monoid.add(rows[c][d], monoid.coerce(edge["weight"]))
+    return tuple(map(tuple, rows))
 
 
 def all_partitions(n: int) -> Iterator[Partition]:
@@ -118,7 +152,7 @@ def oracle_glb(a: Partition, b: Partition) -> Optional[Partition]:
 
 def oracle_balanced(net: Network, p: Partition) -> bool:
     """Matrix form: rows of M @ P constant on every color."""
-    mp = np.array(net.adjacency, dtype=np.int64) @ partition_matrix(p)
+    mp = np.array(dense(net), dtype=np.int64) @ partition_matrix(p)
     for block in p.blocks():
         first = mp[block[0]]
         for c in block[1:]:
@@ -228,11 +262,9 @@ def random_network(
         if t not in relabel:
             relabel[t] = len(relabel) + 1
         types.append(relabel[t])
-    adjacency = tuple(
-        tuple(rng.choice(weights) for _ in range(n)) for _ in range(n)
-    )
+    matrix = [[rng.choice(weights) for _ in range(n)] for _ in range(n)]
     ids = tuple(str(i + 1) for i in range(n))
-    return Network(ids, tuple(types), adjacency, IntegerAdd())
+    return from_matrix(ids, types, matrix, IntegerAdd())
 
 
 def random_type_refinement(rng: random.Random, net: Network) -> Partition:
@@ -281,7 +313,7 @@ def random_balanced_lift(
         head = [rng.randint(-2, 2) for _ in range(parts - 1)]
         return head + [total - sum(head)]
 
-    adjacency = []
+    matrix = []
     for c in range(n):
         row = [0] * n
         offset = 0
@@ -290,7 +322,7 @@ def random_balanced_lift(
             for j, w in enumerate(chunk):
                 row[offset + j] = w
             offset += sizes[l]
-        adjacency.append(tuple(row))
+        matrix.append(row)
     ids = tuple(str(i + 1) for i in range(n))
-    net = Network(ids, tuple(types), tuple(adjacency), IntegerAdd())
+    net = from_matrix(ids, types, matrix, IntegerAdd())
     return net, Partition.from_assignment(colors)

@@ -20,12 +20,11 @@ from synckit.classification import (
 from synckit.connectivity import rdc_decomposition, scc_decomposition
 from synckit.errors import EmptyColor, SynckitError
 from synckit.monoid import IntegerAdd
-from synckit.network import Network
 from synckit.partition import Partition, join, parse_partition, refines
 from synckit.synchrony import enumerate_balanced, is_balanced
 
 from conftest import fixture_net
-from oracles import random_network, random_type_refinement
+from oracles import from_matrix, random_network, random_type_refinement
 
 KINDS = (N_IN, V_IN, v_in_k(1), v_in_k(2), v_in_k(3), R_IN)
 
@@ -261,7 +260,7 @@ class TestJoinTable:
         assert not report.nonweak_join_closed
 
     def test_singleton_lattice_vacuous(self):
-        net = Network(
+        net = from_matrix(
             ("a", "b"),
             (1, 2),
             ((0, 1), (1, 0)),

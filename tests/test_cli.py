@@ -8,6 +8,7 @@ from synckit.cli import run
 from synckit.network import load_network
 
 from conftest import FIXTURE_NAMES, fixture_path
+from oracles import dense
 
 
 def fx(name):
@@ -159,7 +160,7 @@ class TestQuotientCommand:
         assert code == 0
         q = load_network(str(out_path))
         assert q.cell_ids == ("12", "3")
-        assert q.adjacency == ((1, 1), (2, 1))
+        assert dense(q) == ((1, 1), (2, 1))
         assert json.loads(out)["cells"] == [
             {"id": "12", "type": 1},
             {"id": "3", "type": 2},
@@ -310,6 +311,26 @@ def test_fuzzed_documents_exit_0_1_or_2(tmp_path_factory, doc, argv, fmt):
     assert code in (0, 1, 2)
 
 
+@pytest.mark.parametrize("argv", [
+    ["rdc"],
+    ["classify", "--partition", "c0,c1"],
+    ["matched", "--partition", "c0,c1", "--kind", "r"],
+])
+def test_deep_chain_does_not_exhaust_the_stack(capsys, tmp_path, argv):
+    # one condensation level per cell, listed sink first; the reach sets
+    # grow quadratically with the length, so the chain stays near 1500
+    n = 1500
+    doc = {
+        "cells": [{"id": f"c{i}", "type": 1} for i in reversed(range(n))],
+        "edges": [{"from": f"c{i}", "to": f"c{i + 1}", "weight": 1} for i in range(n - 1)],
+    }
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = invoke(capsys, *argv, "--network", str(path))
+    assert (code, err) == (0, "")
+    assert out
+
+
 class TestExportDot:
     def test_plain_and_colored(self, capsys):
         code, out, _ = invoke(capsys, "export-dot", "--network", fx("triangle"))
@@ -336,13 +357,19 @@ _GOLDEN_COMMANDS = {
     "lattice.json": ["lattice", "--format", "json"],
     "lattice.dot": ["lattice", "--dot"],
     "tables.json": ["tables", "--format", "json"],
+    "quotient.json": ["quotient", "--format", "json", "--partition", "-"],
+    "export.dot": ["export-dot"],
 }
 
 
 @pytest.mark.parametrize("name", FIXTURE_NAMES)
 @pytest.mark.parametrize("golden", sorted(_GOLDEN_COMMANDS))
 def test_lattice_output_matches_golden(capsys, name, golden):
-    """Element order, cover indices and every byte of lattice and tables output.
+    """Every byte of lattice, tables, quotient and export-dot output.
+
+    The lattice goldens pin element order and cover indices; the quotient
+    over the trivial partition and the plain DOT export pin the edge order
+    of a network written back out.
 
     Regenerate a golden only when the output is meant to change, e.g.
     `synckit lattice --network fixtures/NAME.json --dot > tests/golden/NAME/lattice.dot`.

@@ -15,10 +15,10 @@ from synckit.connectivity import (
 )
 from synckit.errors import UnknownCell
 from synckit.monoid import IntegerAdd
-from synckit.network import Network, network_to_doc, parse_network
+from synckit.network import network_to_doc, parse_network
 from synckit.partition import Partition, refines
 
-from oracles import oracle_scc, random_network
+from oracles import from_matrix, oracle_scc, random_network
 
 
 class TestNeighborhoods:
@@ -187,7 +187,7 @@ class TestRdc:
         assert rdc_decomposition(net) == Partition.one_color(2)
 
     def test_two_disjoint_cycles(self):
-        net = Network(
+        net = from_matrix(
             ("1", "2", "3", "4"),
             (1, 1, 1, 1),
             ((0, 1, 0, 0), (1, 0, 0, 0), (0, 0, 0, 1), (0, 0, 1, 0)),

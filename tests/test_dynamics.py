@@ -19,12 +19,13 @@ from synckit.dynamics import (
 from synckit.errors import NumericalBlowup, SynckitError, UnsupportedMonoid
 from synckit.connectivity import in_reachability
 from synckit.monoid import IntegerAdd, TropicalMin
-from synckit.network import Network, parse_network
+from synckit.network import parse_network
 from synckit.partition import Partition, join, parse_partition, refines
 from synckit.synchrony import enumerate_balanced, is_balanced
 
 from conftest import fixture_net
 from oracles import (
+    from_matrix,
     numeric_exo_verdict,
     oracle_type_refining,
     random_network,
@@ -33,7 +34,7 @@ from oracles import (
 
 
 def decoupled(n=3):
-    return Network(
+    return from_matrix(
         tuple(str(i + 1) for i in range(n)),
         (1,) * n,
         tuple(tuple(0 for _ in range(n)) for _ in range(n)),
@@ -47,12 +48,12 @@ class TestSampling:
         assert sample_admissible(triangle, 5) != sample_admissible(triangle, 6)
 
     def test_rejects_non_integer_monoid(self):
-        net = Network(("a",), (1,), ((math.inf,),), TropicalMin())
+        net = from_matrix(("a",), (1,), ((math.inf,),), TropicalMin())
         with pytest.raises(UnsupportedMonoid):
             sample_admissible(net, 0)
 
     def test_rejects_weights_beyond_float_range(self):
-        net = Network(("a",), (1,), ((10**400,),), IntegerAdd())
+        net = from_matrix(("a",), (1,), ((10**400,),), IntegerAdd())
         with pytest.raises(UnsupportedMonoid):
             sample_admissible(net, 0)
 

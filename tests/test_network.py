@@ -3,7 +3,7 @@ import random
 import tracemalloc
 
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from synckit.errors import (
     DuplicateCellId,
@@ -23,7 +23,7 @@ from synckit.network import (
 from synckit.partition import Partition, format_partition, parse_partition
 
 from conftest import fixture_path
-from oracles import random_network, random_type_refinement
+from oracles import dense, from_matrix, oracle_fold, random_network, random_type_refinement
 
 
 def doc_for(edges, cells=None, monoid="int-add"):
@@ -36,7 +36,7 @@ class TestParse:
         # two same-type cells fed identically plus one hub of a second type
         assert triangle.cell_ids == ("1", "2", "3")
         assert triangle.cell_types == (1, 1, 2)
-        assert triangle.adjacency == ((1, 0, 1), (1, 0, 1), (1, 1, 1))
+        assert dense(triangle) == ((1, 0, 1), (1, 0, 1), (1, 1, 1))
 
     def test_parallel_edges_fold(self):
         net = parse_network(
@@ -45,11 +45,12 @@ class TestParse:
                 {"from": "b", "to": "a", "weight": 3},
             ])
         )
-        assert net.weight(0, 1) == 5
+        assert net.edges == ((0, 1, 5),)
 
     def test_empty_edges_mean_zero_matrix(self):
         net = parse_network(doc_for([]))
-        assert net.adjacency == ((0, 0), (0, 0))
+        assert net.edges == ()
+        assert dense(net) == ((0, 0), (0, 0))
 
     def test_duplicate_cell_id(self):
         with pytest.raises(DuplicateCellId):
@@ -82,8 +83,8 @@ class TestParse:
     def test_tropical_weights(self):
         net = parse_network(doc_for([{"from": "a", "to": "b", "weight": 4}],
                                     monoid="tropical-min"))
-        assert net.weight(1, 0) == 4.0
-        assert net.weight(0, 1) == net.monoid.zero()  # omitted edge is +inf
+        assert net.edges == ((1, 0, 4.0),)
+        assert dense(net) == ((math.inf, math.inf), (4.0, math.inf))  # omitted edge is +inf
         assert net.in_edges == ((), ((0, 4.0),))
 
     def test_tropical_nan_rejected(self):
@@ -125,7 +126,7 @@ class TestRowColorSum:
         net = any_fixture
         p = Partition.trivial(net.n_cells)
         for c in range(net.n_cells):
-            assert row_color_sum(net, p, c) == net.adjacency[c]
+            assert row_color_sum(net, p, c) == dense(net)[c]
 
     def test_matches_dense_fold_on_random_networks(self):
         # the sparse fold over in_edges equals the fold over every sender
@@ -133,11 +134,12 @@ class TestRowColorSum:
         for _ in range(60):
             net = random_network(rng, max_cells=7, weights=(-1, 0, 0, 1, 2))
             p = random_type_refinement(rng, net)
+            matrix = dense(net)
             for c in range(net.n_cells):
-                dense = [0] * p.rank
+                sums = [0] * p.rank
                 for d in range(net.n_cells):
-                    dense[p.colors[d]] += net.adjacency[c][d]
-                assert row_color_sum(net, p, c) == tuple(dense)
+                    sums[p.colors[d]] += matrix[c][d]
+                assert row_color_sum(net, p, c) == tuple(sums)
 
     def test_tropical_empty_color_sums_to_zero(self):
         net = parse_network(doc_for([{"from": "a", "to": "b", "weight": 4}],
@@ -158,9 +160,7 @@ class TestRowColorSum:
 class TestDot:
     def test_edge_and_node_counts(self, triangle):
         out = export_dot(triangle)
-        nonzero = sum(
-            1 for row in triangle.adjacency for w in row if w != 0
-        )
+        nonzero = sum(1 for row in dense(triangle) for w in row if w != 0)
         assert nonzero == 7
         assert out.count("->") == nonzero
         assert out.count("shape=") == 3
@@ -216,14 +216,55 @@ def test_partition_text_round_trip_on_any_valid_network(ids, data):
     assert parse_partition(format_partition(p, net.cell_ids), net.cell_ids) == p
 
 
+_WEIGHTS = {"int-add": [-1, 1, 2, 0], "tropical-min": [1, 2.5, -3, 0, "inf"]}
+
+
+@st.composite
+def _documents(draw):
+    """Small documents with parallel edges, +1/-1 pairs and tropical "inf"."""
+    monoid = draw(st.sampled_from(sorted(_WEIGHTS)))
+    n = draw(st.integers(1, 6))
+    cells = [{"id": f"c{i}", "type": 1 if i == 0 else draw(st.integers(1, 2))}
+             for i in range(n)]
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    edges = [
+        {"from": f"c{d}", "to": f"c{c}", "weight": w}
+        for (d, c), w in draw(st.lists(
+            st.tuples(pairs, st.sampled_from(_WEIGHTS[monoid])), max_size=3 * n))
+    ]
+    for d, c in draw(st.lists(pairs, max_size=n)):  # parallel pairs that cancel
+        edges += [{"from": f"c{d}", "to": f"c{c}", "weight": w} for w in (1, -1)]
+    return {"monoid": monoid, "cells": cells, "edges": draw(st.permutations(edges))}
+
+
+@settings(max_examples=200, deadline=None)
+@given(doc=_documents(), data=st.data())
+def test_folded_edges_agree_with_dense_fold(doc, data):
+    matrix = oracle_fold(doc)
+    net = parse_network(doc)
+    ids, types, monoid = net.cell_ids, net.cell_types, net.monoid
+    # equality pins the edge order too: from_matrix lists receiver-major
+    assert net == from_matrix(ids, types, matrix, monoid)
+    zero = monoid.zero()
+    assert net.in_edges == tuple(
+        tuple((d, w) for d, w in enumerate(row) if w != zero) for row in matrix
+    )
+    n = net.n_cells
+    cells = data.draw(st.permutations(range(n)))[:data.draw(st.integers(0, n))]
+    assert net.subnetwork(cells) == from_matrix(
+        [ids[c] for c in cells],
+        [types[c] for c in cells],
+        [[matrix[c][d] for d in cells] for c in cells],
+        monoid,
+    )
+    assert parse_network(network_to_doc(net)) == net
+
+
 def test_subnetwork_preserves_order_and_weights(two_roots):
     sub = two_roots.subnetwork([0, 1, 2, 3])
     assert sub.cell_ids == ("1", "2", "3", "4")
-    assert all(
-        sub.adjacency[c][d] == two_roots.adjacency[c][d]
-        for c in range(4)
-        for d in range(4)
-    )
+    full = dense(two_roots)
+    assert dense(sub) == tuple(tuple(full[c][d] for d in range(4)) for c in range(4))
 
 
 def test_index_of_unknown(triangle):
