@@ -112,17 +112,8 @@ def classify_partition(net: Network, p: Partition) -> ColorClass:
 
 def is_matched(net: Network, p: Partition, kind: NeighborhoodKind) -> bool:
     """Same-colored cells see the same color set in the chosen neighborhood."""
-    hoods = neighborhood_sets(net, kind)
-    seen: dict[int, frozenset[int]] = {}
-    for c in range(net.n_cells):
-        image = p.color_of_set(hoods[c])
-        k = p.colors[c]
-        if k in seen:
-            if seen[k] != image:
-                return False
-        else:
-            seen[k] = image
-    return True
+    images = (p.color_of_set(hood) for hood in neighborhood_sets(net, kind))
+    return Partition.from_assignment(zip(p.colors, images, strict=True)) == p
 
 
 def is_invariant(net: Network, cert: BalancedCertificate, kind: NeighborhoodKind) -> bool:

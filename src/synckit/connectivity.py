@@ -11,6 +11,7 @@ reach sets are computed once per network instance and then shared.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from graphlib import TopologicalSorter
 
@@ -30,32 +31,31 @@ def cumulative_in(net: Network, c: int) -> frozenset[int]:
     return in_neighborhood(net, c) | {c}
 
 
+def _in_ball(net: Network, c: int, radius: float) -> frozenset[int]:
+    """Cells with a directed path of at most radius edges ending at c.
+
+    Breadth first over in-edges, each cell expanded once; radius may be inf.
+    """
+    seen, frontier = {c}, {c}
+    while frontier and radius > 0:
+        radius -= 1
+        frontier = {e for d in frontier for e, _ in net.in_edges[d]} - seen
+        seen |= frontier
+    return frozenset(seen)
+
+
 def cumulative_in_k(net: Network, c: int, k: int) -> frozenset[int]:
     """Cells with a directed path of at most k edges ending at c."""
     net.check_cell(c)
     if k < 0:
         raise SynckitError("k must be nonnegative")
-    current = frozenset({c})
-    for _ in range(k):
-        nxt = frozenset().union(*(cumulative_in(net, d) for d in current))
-        if nxt == current:
-            break
-        current = nxt
-    return current
+    return _in_ball(net, c, k)
 
 
 def in_reachability(net: Network, c: int) -> frozenset[int]:
     """Fixed point of the cumulative neighborhoods: reverse reachability."""
     net.check_cell(c)
-    seen = {c}
-    stack = [c]
-    while stack:
-        d = stack.pop()
-        for e, _ in net.in_edges[d]:
-            if e not in seen:
-                seen.add(e)
-                stack.append(e)
-    return frozenset(seen)
+    return _in_ball(net, c, math.inf)
 
 
 def scc_decomposition(net: Network) -> Partition:
@@ -167,10 +167,7 @@ def rdc_decomposition(net: Network) -> Partition:
     """Group cells by the exact set of root SCCs they depend on."""
     cond = condensation(net)
     sccs = cond.scc_partition
-    reach = all_in_reachability(net)
-    labels: dict[frozenset[int], int] = {}
-    colors = []
-    for c in range(net.n_cells):
-        key = cond.roots.intersection(sccs.colors[d] for d in reach[c])
-        colors.append(labels.setdefault(key, len(labels)))
-    return Partition.from_assignment(colors)
+    return Partition.from_assignment(
+        cond.roots.intersection(sccs.colors[d] for d in reach)
+        for reach in all_in_reachability(net)
+    )

@@ -206,6 +206,7 @@ def evolve(
     dt: float = 1e-3,
 ) -> Trajectory:
     """Iterate the map (discrete) or integrate with fixed-step RK4."""
+    _check_mode(mode)
     if len(x0) != net.n_cells:
         raise SynckitError("initial state length does not match the network")
     _guard(tuple(x0))
@@ -213,17 +214,23 @@ def evolve(
     times = [0.0]
     x = tuple(x0)
     for step in range(steps):
-        if mode == "discrete":
-            x = evaluate(net, spec, x)
-            times.append(float(step + 1))
-        elif mode == "rk4":
-            x = _rk4_step(net, spec, x, dt)
-            times.append(dt * (step + 1))
-        else:
-            raise SynckitError(f"unknown mode {mode!r}")
+        x = _step(net, spec, x, mode, dt)
+        times.append(float(step + 1) if mode == "discrete" else dt * (step + 1))
         _guard(x)
         states.append(x)
     return Trajectory(tuple(times), tuple(states), mode, dt if mode == "rk4" else None)
+
+
+def _check_mode(mode: str) -> None:
+    if mode not in ("discrete", "rk4"):
+        raise SynckitError(f"unknown mode {mode!r}")
+
+
+def _step(
+    net: Network, spec: AdmissibleFunctionSpec, x: tuple[float, ...], mode: str, dt: float
+) -> tuple[float, ...]:
+    """One map application, or one RK4 step of size dt (the caller checks mode)."""
+    return evaluate(net, spec, x) if mode == "discrete" else _rk4_step(net, spec, x, dt)
 
 
 def _rk4_step(
@@ -322,6 +329,7 @@ def check_invariance(
     The verdict is invariant only when every trial ran to the end: a trial
     aborted by the overflow guard shows nothing about the spread.
     """
+    _check_mode(mode)
     results = []
     worst = 0.0
     for t in range(trials):
@@ -333,7 +341,7 @@ def check_invariance(
         aborted = False
         try:
             for step in range(steps):
-                x = evaluate(net, spec, x) if mode == "discrete" else _rk4_step(net, spec, x, dt)
+                x = _step(net, spec, x, mode, dt)
                 _guard(x)
                 ran = step + 1
                 spread = max(spread, color_spread(x, p))
@@ -472,6 +480,7 @@ def check_subsystem(
     rng_seed: int = 0,
 ) -> ComparisonReport:
     """Restricting a trajectory to the reach-in set solves the subsystem."""
+    _check_mode(mode)
     net.check_cell(c)
     cells = sorted(in_reachability(net, c))
     sub = net.subnetwork(cells)
@@ -500,6 +509,7 @@ def check_quotient_consistency(
     rng_seed: int = 0,
 ) -> ComparisonReport:
     """The quotient system reproduces the full system on the polydiagonal."""
+    _check_mode(mode)
     p = cert.partition
     quotient = quotient_network(net, cert)
     worst = 0.0

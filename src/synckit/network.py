@@ -105,8 +105,13 @@ class Network:
         return Network(ids, types, tuple(sorted(edges)), self.monoid)
 
 
-def row_color_sum(net: Network, p: Partition, c: int) -> tuple[Any, ...]:
-    """Monoid sums of the in-row of cell c, grouped by the colors of p."""
+def row_color_sum(net: Network, p: Partition, c: int) -> tuple[tuple[int, Any], ...]:
+    """Sparse signature of cell c: sorted (color, sum) pairs of its in-row.
+
+    Colors whose monoid sum is zero are left out, so two cells have equal
+    signatures exactly when their dense per-color rows are equal; the cost
+    is the in-degree of c, whatever the rank of p.
+    """
     if p.size != net.n_cells:
         raise PartitionDomainMismatch(
             f"partition on {p.size} cells applied to a {net.n_cells}-cell network"
@@ -114,11 +119,12 @@ def row_color_sum(net: Network, p: Partition, c: int) -> tuple[Any, ...]:
     net.check_cell(c)
     add = net.monoid.add
     colors = p.colors
-    sums = [net.monoid.zero()] * p.rank
+    sums: dict[int, Any] = {}
     for d, w in net.in_edges[c]:
         k = colors[d]
-        sums[k] = add(sums[k], w)
-    return tuple(sums)
+        sums[k] = add(sums[k], w) if k in sums else w
+    zero = net.monoid.zero()
+    return tuple(sorted([kw for kw in sums.items() if kw[1] != zero]))
 
 
 # ---------------------------------------------------------------------------

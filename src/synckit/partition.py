@@ -12,19 +12,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Hashable, Iterable, Sequence
 
 from .errors import DomainMismatch, MalformedPartitionSpec, NotARefinement
 
 
-def _canonical(colors: Iterable[int]) -> tuple[int, ...]:
-    relabel: dict[int, int] = {}
-    out = []
-    for c in colors:
-        if c not in relabel:
-            relabel[c] = len(relabel)
-        out.append(relabel[c])
-    return tuple(out)
+def _canonical(labels: Iterable[Hashable]) -> tuple[int, ...]:
+    """Number the labels 0, 1, ... by first occurrence."""
+    relabel: dict[Hashable, int] = {}
+    return tuple([relabel.setdefault(label, len(relabel)) for label in labels])
 
 
 @dataclass(frozen=True)
@@ -38,10 +34,11 @@ class Partition:
             raise ValueError("partition assignment is not in canonical form")
 
     @staticmethod
-    def from_assignment(colors: Iterable[int]) -> "Partition":
+    def from_assignment(labels: Iterable[Hashable]) -> "Partition":
+        """Cells with equal labels share a color; any hashable labels will do."""
         # canonical by construction, so __post_init__'s check is skipped
         p = object.__new__(Partition)
-        object.__setattr__(p, "colors", _canonical(colors))
+        object.__setattr__(p, "colors", _canonical(labels))
         return p
 
     @staticmethod
@@ -136,14 +133,7 @@ def join(a: Partition, b: Partition) -> Partition:
 def meet(a: Partition, b: Partition) -> Partition:
     """Greatest lower bound: nonempty intersections of color pairs."""
     _check_domain(a, b)
-    pairs: dict[tuple[int, int], int] = {}
-    colors = []
-    for c in range(a.size):
-        key = (a.colors[c], b.colors[c])
-        if key not in pairs:
-            pairs[key] = len(pairs)
-        colors.append(pairs[key])
-    return Partition.from_assignment(colors)
+    return Partition.from_assignment(zip(a.colors, b.colors))
 
 
 def quotient_partition(b: Partition, a: Partition) -> Partition:

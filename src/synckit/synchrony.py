@@ -2,10 +2,12 @@
 
 A type-refining partition is balanced when cells of one color see the
 same monoid-summed in-weight per color; the witnessing color-by-color
-matrix is the in-adjacency of the quotient network.  The coarsest
-balanced partition below a given one is computed by iterated signature
-refinement (split every color by its per-color in-weight row until
-nothing splits), which is the polynomial-time route.  Full lattices are
+matrix is the in-adjacency of the quotient network.  One O(n + m)
+refinement round regroups the cells by color and sparse signature (the
+nonzero per-color sums of their in-edges, `row_color_sum`): a partition
+is balanced when the round leaves it unchanged, exo-balanced when the
+round that ignores each cell's own color does, and the coarsest balanced
+partition below a given one is the round's fixed point.  Full lattices are
 built only for small networks, by split-and-cir: starting from the
 coarsest balanced partition, split one color in two and take cir of the
 result, so the work grows with the number of balanced partitions rather
@@ -39,35 +41,42 @@ class BalancedCertificate:
     quotient_matrix: tuple[tuple[Any, ...], ...]
 
 
-def _shared_rows(net: Network, p: Partition, own_column: bool) -> Optional[tuple]:
-    """Per color, the in-weight row all its cells see, or None if two differ."""
-    _check_type_refining(net, p)
-    rows: list[Optional[tuple]] = [None] * p.rank
-    for c in range(net.n_cells):
-        row = row_color_sum(net, p, c)
-        k = p.colors[c]
-        if not own_column:
-            row = row[:k] + row[k + 1:]
-        if rows[k] is None:
-            rows[k] = row
-        elif rows[k] != row:
-            return None
-    return tuple(rows)
+def _round(net: Network, p: Partition, exo: bool = False) -> Partition:
+    """Split every color of p by its cells' signatures (own color left out if exo)."""
+    keys = []
+    for c, k in enumerate(p.colors):
+        signature = row_color_sum(net, p, c)
+        if exo:
+            signature = tuple(kw for kw in signature if kw[0] != k)
+        keys.append((k, signature))
+    return Partition.from_assignment(keys)
 
 
 def is_balanced(net: Network, p: Partition) -> Optional[BalancedCertificate]:
     """Certificate with the quotient matrix, or None if rows disagree."""
-    rows = _shared_rows(net, p, own_column=True)
-    return None if rows is None else BalancedCertificate(p, rows)
+    _check_type_refining(net, p)
+    if _round(net, p) != p:
+        return None
+    zero = net.monoid.zero()
+    rows = (dict(row_color_sum(net, p, block[0])) for block in p.blocks())
+    matrix = tuple(tuple(row.get(k, zero) for k in range(p.rank)) for row in rows)
+    return BalancedCertificate(p, matrix)
 
 
 def quotient_network(net: Network, cert: BalancedCertificate) -> Network:
-    """The smaller network on colors whose in-adjacency is the certificate's."""
+    """The smaller network on colors whose in-adjacency is the certificate's.
+
+    A color's id joins its cells' ids with "+" (or "" if all are one
+    character); two colors whose joined ids collide are an input error.
+    """
     p = cert.partition
     blocks = p.blocks()
     compact = all(len(i) == 1 for i in net.cell_ids)
     joiner = "" if compact else "+"
     ids = tuple(joiner.join(net.cell_ids[c] for c in block) for block in blocks)
+    if len(set(ids)) < len(ids):
+        clash = next(i for i in ids if ids.count(i) > 1)
+        raise SynckitError(f"quotient cell id {clash!r} would name two colors")
     types = tuple(net.cell_types[block[0]] for block in blocks)
     zero = net.monoid.zero()
     matrix = cert.quotient_matrix
@@ -78,23 +87,9 @@ def quotient_network(net: Network, cert: BalancedCertificate) -> Network:
 def cir_balanced(net: Network, p: Partition) -> Partition:
     """Coarsest balanced partition finer than p, by signature refinement."""
     _check_type_refining(net, p)
-    current = p
-    while True:
-        signatures: dict[tuple, int] = {}
-        colors = []
-        for c in range(net.n_cells):
-            key = (
-                current.colors[c],
-                net.cell_types[c],
-                row_color_sum(net, current, c),
-            )
-            if key not in signatures:
-                signatures[key] = len(signatures)
-            colors.append(signatures[key])
-        refined = Partition.from_assignment(colors)
-        if refined == current:
-            return current
-        current = refined
+    while (refined := _round(net, p)) != p:
+        p = refined
+    return p
 
 
 def _resolve_cap(max_cells: Optional[int]) -> int:
@@ -257,7 +252,8 @@ def is_exo_balanced(net: Network, p: Partition) -> bool:
     same-state senders cannot distinguish the own-color entry on the
     polydiagonal.
     """
-    return _shared_rows(net, p, own_column=False) is not None
+    _check_type_refining(net, p)
+    return _round(net, p, exo=True) == p
 
 
 __all__ = [

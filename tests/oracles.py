@@ -2,9 +2,10 @@
 
 Everything here recomputes results from definitions, avoiding the
 library's algorithmic shortcuts: joins by chain closure instead of
-union-find, balance by explicit matrix products instead of row
-signatures, least upper bounds by scanning every partition of the cell
-set, SCCs by pairwise mutual reachability, networks by folding every
+union-find, balance and exo-balance by dense matrix products folded
+with the monoid sum instead of sparse signatures, least upper bounds by
+scanning every partition of the cell set, SCCs by pairwise mutual
+reachability, walks by boolean matrix powers, networks by folding every
 edge into a dense matrix.  It also holds the helpers only the tests
 need: networks to and from dense in-adjacency matrices, 0/1 partition
 matrices, composition of partitions, and the numerical exo-balance
@@ -150,15 +151,28 @@ def oracle_glb(a: Partition, b: Partition) -> Optional[Partition]:
     return None
 
 
+def oracle_color_rows(net: Network, p: Partition) -> list[list[Any]]:
+    """The rows of M @ P over the monoid: row c, column k sums c's in-weight from color k."""
+    zero, add = net.monoid.zero(), net.monoid.add
+    rows = []
+    for weights in dense(net):
+        row = [zero] * p.rank
+        for d, w in enumerate(weights):
+            row[p.colors[d]] = add(row[p.colors[d]], w)
+        rows.append(row)
+    return rows
+
+
 def oracle_balanced(net: Network, p: Partition) -> bool:
     """Matrix form: rows of M @ P constant on every color."""
-    mp = np.array(dense(net), dtype=np.int64) @ partition_matrix(p)
-    for block in p.blocks():
-        first = mp[block[0]]
-        for c in block[1:]:
-            if not np.array_equal(mp[c], first):
-                return False
-    return True
+    rows = oracle_color_rows(net, p)
+    return all(rows[c] == rows[block[0]] for block in p.blocks() for c in block)
+
+
+def oracle_exo_balanced(net: Network, p: Partition) -> bool:
+    """Rows of M @ P constant on every color once that color's own column is dropped."""
+    rows = [row[:k] + row[k + 1:] for row, k in zip(oracle_color_rows(net, p), p.colors)]
+    return all(rows[c] == rows[block[0]] for block in p.blocks() for c in block)
 
 
 def oracle_type_refining(net: Network) -> Iterator[Partition]:
@@ -200,6 +214,25 @@ def oracle_covers(elements: Sequence[Partition]) -> frozenset[tuple[int, int]]:
         for j in range(m)
         if below[i][j] and not any(below[i][k] and below[k][j] for k in range(m))
     )
+
+
+def oracle_in_ball(net: Network, c: int, k: Optional[int]) -> frozenset[int]:
+    """Senders of walks of at most k edges into c (any length if None), by matrix powers.
+
+    Walk j from d to c exists iff entry (c, d) of the j-th boolean power of
+    the nonzero pattern of the in-adjacency matrix is set.
+    """
+    n = net.n_cells
+    step = [[w != net.monoid.zero() for w in row] for row in dense(net)]
+    power = [[c == d for d in range(n)] for c in range(n)]
+    ball = set()
+    for _ in range(n if k is None else k + 1):
+        ball |= {d for d in range(n) if power[c][d]}
+        power = [
+            [any(power[x][y] and step[y][d] for y in range(n)) for d in range(n)]
+            for x in range(n)
+        ]
+    return frozenset(ball)
 
 
 def oracle_scc(net: Network) -> Partition:
@@ -250,9 +283,14 @@ def random_network(
     n: Optional[int] = None,
     max_cells: int = 7,
     num_types: int = 2,
-    weights: tuple[int, ...] = (-1, 0, 1, 2),
+    weights: tuple[Any, ...] = (-1, 0, 1, 2),
+    monoid: Monoid = IntegerAdd(),
 ) -> Network:
-    """Random integer-weighted network with contiguous type ids."""
+    """Random network with contiguous type ids and weights drawn from weights.
+
+    Each matrix entry is one draw; entries equal to the monoid zero are no
+    edge, so tropical-min weights may include math.inf.
+    """
     if n is None:
         n = rng.randint(2, max_cells)
     raw_types = [rng.randint(1, num_types) for _ in range(n)]
@@ -264,7 +302,7 @@ def random_network(
         types.append(relabel[t])
     matrix = [[rng.choice(weights) for _ in range(n)] for _ in range(n)]
     ids = tuple(str(i + 1) for i in range(n))
-    return from_matrix(ids, types, matrix, IntegerAdd())
+    return from_matrix(ids, types, matrix, monoid)
 
 
 def random_type_refinement(rng: random.Random, net: Network) -> Partition:

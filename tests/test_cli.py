@@ -171,6 +171,20 @@ class TestQuotientCommand:
                               "--partition", "12")
         assert code == 2
 
+    def test_colliding_quotient_ids_are_usage_error(self, capsys, tmp_path):
+        # {a, b} and {a+b} would both be named "a+b", which no document may repeat
+        doc = tmp_path / "plus.json"
+        doc.write_text(json.dumps({
+            "cells": [{"id": i, "type": 1} for i in ("a", "b", "a+b")], "edges": [],
+        }))
+        out_path = tmp_path / "q.json"
+        code, out, err = invoke(capsys, "quotient", "--network", str(doc),
+                                "--partition", "a,b/a+b", "--out", str(out_path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "'a+b'" in err
+        assert not out_path.exists()
+
 
 class TestDynamicsCommands:
     def test_simulate_json(self, capsys):

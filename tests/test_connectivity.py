@@ -13,12 +13,12 @@ from synckit.connectivity import (
     rdc_decomposition,
     scc_decomposition,
 )
-from synckit.errors import UnknownCell
+from synckit.errors import SynckitError, UnknownCell
 from synckit.monoid import IntegerAdd
 from synckit.network import network_to_doc, parse_network
 from synckit.partition import Partition, refines
 
-from oracles import from_matrix, oracle_scc, random_network
+from oracles import from_matrix, oracle_in_ball, oracle_scc, random_network
 
 
 class TestNeighborhoods:
@@ -67,6 +67,24 @@ class TestCumulative:
                 if stabilized is not None:
                     assert cur == stabilized
                 prev = cur
+
+    def test_balls_match_walk_oracle(self):
+        # the breadth-first ball against walks counted by boolean matrix powers
+        rng = random.Random(77)
+        for _ in range(60):
+            net = random_network(rng, max_cells=8, weights=(0, 0, 0, 1, -1))
+            for c in range(net.n_cells):
+                for k in range(net.n_cells + 1):
+                    assert cumulative_in_k(net, c, k) == oracle_in_ball(net, c, k)
+                assert in_reachability(net, c) == oracle_in_ball(net, c, None)
+
+    def test_bad_cell_and_negative_k(self, chain4):
+        with pytest.raises(UnknownCell):
+            cumulative_in_k(chain4, 4, 1)
+        with pytest.raises(UnknownCell):
+            in_reachability(chain4, -1)
+        with pytest.raises(SynckitError, match="nonnegative"):
+            cumulative_in_k(chain4, 0, -1)
 
 
 class TestReachability:

@@ -188,6 +188,26 @@ class TestEvolve:
         assert len(traj.states) == 6
 
 
+def test_unknown_mode_is_refused_before_any_step(triangle):
+    # an unknown mode must not fall back to RK4 and report a verdict
+    spec = sample_admissible(triangle, 0)
+    cert = is_balanced(triangle, parse_partition("12/3", triangle.cell_ids))
+    calls = [
+        lambda: evolve(triangle, spec, (0.0, 0.0, 0.0), 0, mode="bogus"),
+        lambda: check_invariance(triangle, spec, Partition.trivial(3), trials=1, steps=2,
+                                 mode="bogus"),
+        lambda: check_invariance(triangle, spec, Partition.trivial(3), trials=0, mode="bogus"),
+        lambda: check_subsystem(triangle, spec, 0, trials=0, mode="bogus"),
+        lambda: check_subsystem(triangle, spec, 0, trials=1, steps=2, mode="bogus"),
+        lambda: check_quotient_consistency(triangle, spec, cert, trials=0, mode="bogus"),
+        lambda: check_quotient_consistency(triangle, spec, cert, trials=1, steps=2,
+                                           mode="bogus"),
+    ]
+    for call in calls:
+        with pytest.raises(SynckitError, match="unknown mode 'bogus'"):
+            call()
+
+
 class TestInvariance:
     def test_balanced_partitions_have_zero_spread(self, any_fixture):
         net = any_fixture

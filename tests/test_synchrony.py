@@ -1,9 +1,11 @@
+import math
 import random
+from collections import Counter
 
 import pytest
 
-from synckit.errors import NotBalanced, NotInLattice, NotTypeRefining, TooLarge
-from synckit.monoid import IntegerAdd
+from synckit.errors import NotBalanced, NotInLattice, NotTypeRefining, SynckitError, TooLarge
+from synckit.monoid import IntegerAdd, TropicalMin
 from synckit.network import Network
 from synckit.partition import (
     Partition,
@@ -29,7 +31,9 @@ from oracles import (
     from_matrix,
     oracle_balanced,
     oracle_cir,
+    oracle_color_rows,
     oracle_covers,
+    oracle_exo_balanced,
     oracle_type_refining,
     random_balanced_lift,
     random_network,
@@ -90,6 +94,16 @@ class TestQuotientNetwork:
         merged = q.cell_ids.index("12")
         receiver = q.cell_ids.index("3")
         assert dense(q)[receiver][merged] == 0
+
+    def test_colliding_ids_are_refused(self):
+        # colors {a, b} and {a+b} would both be named "a+b"
+        net = from_matrix(("a", "b", "a+b"), (1, 1, 1), ((0,) * 3,) * 3, IntegerAdd())
+        cert = is_balanced(net, parse_partition("a,b/a+b", net.cell_ids))
+        assert cert is not None
+        with pytest.raises(SynckitError, match="'a\\+b'"):
+            quotient_network(net, cert)
+        apart = is_balanced(net, parse_partition("a,a+b/b", net.cell_ids))
+        assert quotient_network(net, apart).cell_ids == ("a+a+b", "b")
 
 
 class TestCir:
@@ -401,6 +415,45 @@ class TestExoBalanced:
             IntegerAdd(),
         )
         assert not is_exo_balanced(net, parse_partition("12/3", net.cell_ids))
+
+
+@pytest.mark.parametrize(
+    "monoid, weights",
+    [(IntegerAdd(), (-1, 0, 0, 1)), (TropicalMin(), (1, 2.5, math.inf, math.inf))],
+    ids=["int-add", "tropical-min"],
+)
+def test_signature_round_matches_dense_oracles(monoid, weights):
+    # int-add rows whose +1/-1 entries cancel per color, and tropical-min
+    # rows with empty (inf) colors: balance, exo-balance, cir and the
+    # quotient matrix against the dense monoid fold of M @ P
+    rng = random.Random(61)
+    verdicts = Counter()
+    merged = 0
+    for trial in range(150):
+        net = random_network(
+            rng, max_cells=6, num_types=1 + trial % 2, weights=weights, monoid=monoid
+        )
+        candidates = [Partition.trivial(net.n_cells)]
+        for upper in (random_type_refinement(rng, net), net.type_partition()):
+            coarsest = cir_balanced(net, upper)
+            assert coarsest == oracle_cir(net, upper)
+            candidates += [upper, coarsest]
+            merged += coarsest.rank < net.n_cells
+        for p in candidates:
+            balanced = oracle_balanced(net, p)
+            exo = oracle_exo_balanced(net, p)
+            cert = is_balanced(net, p)
+            assert (cert is not None) == balanced == (cir_balanced(net, p) == p)
+            assert is_exo_balanced(net, p) == exo
+            if cert is not None:
+                rows = oracle_color_rows(net, p)
+                assert cert.quotient_matrix == tuple(tuple(rows[b[0]]) for b in p.blocks())
+            verdicts[balanced, exo] += 1
+    # balance implies exo-balance, every other combination shows up, and
+    # some balanced partitions merge cells, so their quotient matrix is checked
+    assert verdicts[True, False] == 0
+    assert verdicts[True, True] and verdicts[False, True] and verdicts[False, False]
+    assert merged >= 20
 
 
 def test_type_refining_enumeration_counts():
