@@ -21,6 +21,7 @@ from .connectivity import (
     in_neighborhood,
     in_reachability,
     rdc_decomposition,
+    reach_colors,
     scc_decomposition,
 )
 from .synchrony import (
@@ -30,7 +31,6 @@ from .synchrony import (
     enumerate_balanced,
     is_balanced,
     is_exo_balanced,
-    lattice_meet,
     lattice_quotient,
     quotient_network,
 )

@@ -2,11 +2,13 @@
 
 A color is strong when its cells share one SCC, rooted when their
 in-reachability sets still intersect, and weak when some of its cells
-evolve with no common upstream influence at all.  On top of the classes
-this module checks the neighborhood color-matching and color-invariance
-predicates for the four neighborhood notions (one-step, cumulative,
-k-step cumulative, reachability), and produces the join-table and
-quotient-class reports used to validate how classes combine.
+evolve with no common upstream influence at all.  Both are read off the
+condensation: one SCC block, or a nonzero AND of the blocks' root
+bitsets.  On top of the classes this module checks the neighborhood
+color-matching and color-invariance predicates for the four neighborhood
+notions (one-step, cumulative, k-step cumulative, reachability) on the
+bitset of colors each cell's neighborhood meets, and produces the
+join-table and quotient-class reports used to validate how classes combine.
 """
 
 from __future__ import annotations
@@ -16,11 +18,12 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .connectivity import (
-    all_in_reachability,
+    condensation,
     cumulative_in,
     cumulative_in_k,
     in_neighborhood,
     rdc_decomposition,
+    reach_colors,
     scc_decomposition,
 )
 from .errors import EmptyColor, SynckitError
@@ -29,9 +32,9 @@ from .partition import Partition, join, meet, quotient_partition, refines
 from .synchrony import (
     BalancedCertificate,
     BalancedLattice,
+    _quotient,
     cir_balanced,
     enumerate_balanced,
-    quotient_network,
 )
 
 
@@ -71,33 +74,35 @@ def v_in_k(k: int) -> NeighborhoodKind:
     return NeighborhoodKind("vk", k)
 
 
-def neighborhood_sets(net: Network, kind: NeighborhoodKind) -> tuple[frozenset[int], ...]:
-    """The chosen neighborhood of every cell."""
+def _hood_colors(net: Network, p: Partition, kind: NeighborhoodKind) -> tuple[int, ...]:
+    """Per cell, the bitset of p's colors that its chosen neighborhood meets."""
+    if kind.name == "r":
+        return reach_colors(net, p)
     if kind.name == "n":
-        return tuple(in_neighborhood(net, c) for c in range(net.n_cells))
-    if kind.name == "v":
-        return tuple(cumulative_in(net, c) for c in range(net.n_cells))
-    if kind.name == "vk":
+        hoods = (in_neighborhood(net, c) for c in range(net.n_cells))
+    elif kind.name == "v":
+        hoods = (cumulative_in(net, c) for c in range(net.n_cells))
+    else:
         assert kind.k is not None
-        return tuple(cumulative_in_k(net, c, kind.k) for c in range(net.n_cells))
-    return all_in_reachability(net)
+        hoods = (cumulative_in_k(net, c, kind.k) for c in range(net.n_cells))
+    return tuple(sum(1 << k for k in p.color_of_set(hood)) for hood in hoods)
 
 
 def classify_color(net: Network, color: Iterable[int]) -> ColorClass:
-    """Class of one color from the intersection of its reachability sets."""
+    """Class of one color: one SCC block, or some root block upstream of all its cells."""
     cells = sorted(set(color))
     if not cells:
         raise EmptyColor("cannot classify an empty color")
     for c in cells:
         net.check_cell(c)
-    reach = all_in_reachability(net)
-    common = frozenset.intersection(*(reach[c] for c in cells))
-    union = frozenset.union(*(reach[c] for c in cells))
-    if common == union:
+    cond = condensation(net)
+    blocks = {cond.scc_partition.colors[c] for c in cells}
+    if len(blocks) == 1:
         return ColorClass.STRONG
-    if common:
-        return ColorClass.ROOTED
-    return ColorClass.WEAK
+    common = -1
+    for k in blocks:
+        common &= cond.root_bits[k]
+    return ColorClass.ROOTED if common else ColorClass.WEAK
 
 
 def classify_partition(net: Network, p: Partition) -> ColorClass:
@@ -112,20 +117,17 @@ def classify_partition(net: Network, p: Partition) -> ColorClass:
 
 def is_matched(net: Network, p: Partition, kind: NeighborhoodKind) -> bool:
     """Same-colored cells see the same color set in the chosen neighborhood."""
-    images = (p.color_of_set(hood) for hood in neighborhood_sets(net, kind))
+    images = _hood_colors(net, p, kind)
     return Partition.from_assignment(zip(p.colors, images, strict=True)) == p
 
 
 def is_invariant(net: Network, cert: BalancedCertificate, kind: NeighborhoodKind) -> bool:
-    """Colorwise neighborhoods commute with taking the quotient network."""
+    """Colorwise neighborhoods commute with taking the quotient network (cell k is color k)."""
     p = cert.partition
-    quotient = quotient_network(net, cert)
-    hoods_g = neighborhood_sets(net, kind)
-    hoods_q = neighborhood_sets(quotient, kind)
-    for c in range(net.n_cells):
-        if p.color_of_set(hoods_g[c]) != hoods_q[p.colors[c]]:
-            return False
-    return True
+    quotient = _quotient(net, cert)
+    hoods_g = _hood_colors(net, p, kind)
+    hoods_q = _hood_colors(quotient, Partition.trivial(p.rank), kind)
+    return all(hoods_g[c] == hoods_q[k] for c, k in enumerate(p.colors))
 
 
 def top_strong(net: Network) -> Partition:
@@ -323,7 +325,7 @@ def quotient_class_report(
     emitted but carries no table verdict.
     """
     precondition = is_invariant(net, cert, R_IN)
-    quotient = quotient_network(net, cert)
+    quotient = _quotient(net, cert)
     lattice = enumerate_balanced(net, max_cells)
     entries = []
     violations = []

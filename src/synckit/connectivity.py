@@ -3,21 +3,23 @@
 In-neighborhoods see only the folded weights: a sender whose parallel
 edges cancel to the monoid zero is not a neighbor.  On top of the
 one-step neighborhoods this module builds cumulative k-step
-neighborhoods, in-reachability sets, strongly connected components
-(single-pass Tarjan), the condensation DAG with its roots, and the
-partition of cells by root dependency.  The condensation and the
-reach sets are computed once per network instance and then shared.
+neighborhoods, strongly connected components (single-pass Tarjan), the
+condensation DAG with its roots, and the partition of cells by root
+dependency.  The condensation, computed once per network instance, is
+the only reachability structure: `reach_colors` ORs per-block color
+bitsets (Python ints) down it in topological order, and in-reachability
+sets and root bitsets are decoded or seeded from the same pass.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from functools import cached_property
 from graphlib import TopologicalSorter
 
-from .errors import SynckitError
+from .errors import DomainMismatch, SynckitError
 from .network import Network
-from .partition import Partition
+from .partition import Partition, iter_bits
 
 
 def in_neighborhood(net: Network, c: int) -> frozenset[int]:
@@ -31,31 +33,26 @@ def cumulative_in(net: Network, c: int) -> frozenset[int]:
     return in_neighborhood(net, c) | {c}
 
 
-def _in_ball(net: Network, c: int, radius: float) -> frozenset[int]:
-    """Cells with a directed path of at most radius edges ending at c.
+def cumulative_in_k(net: Network, c: int, k: int) -> frozenset[int]:
+    """Cells with a directed path of at most k edges ending at c.
 
-    Breadth first over in-edges, each cell expanded once; radius may be inf.
+    Breadth first over in-edges, each cell expanded once.
     """
+    net.check_cell(c)
+    if k < 0:
+        raise SynckitError("k must be nonnegative")
     seen, frontier = {c}, {c}
-    while frontier and radius > 0:
-        radius -= 1
+    while frontier and k > 0:
+        k -= 1
         frontier = {e for d in frontier for e, _ in net.in_edges[d]} - seen
         seen |= frontier
     return frozenset(seen)
 
 
-def cumulative_in_k(net: Network, c: int, k: int) -> frozenset[int]:
-    """Cells with a directed path of at most k edges ending at c."""
-    net.check_cell(c)
-    if k < 0:
-        raise SynckitError("k must be nonnegative")
-    return _in_ball(net, c, k)
-
-
 def in_reachability(net: Network, c: int) -> frozenset[int]:
     """Fixed point of the cumulative neighborhoods: reverse reachability."""
     net.check_cell(c)
-    return _in_ball(net, c, math.inf)
+    return frozenset(iter_bits(reach_colors(net, Partition.trivial(net.n_cells))[c]))
 
 
 def scc_decomposition(net: Network) -> Partition:
@@ -69,12 +66,8 @@ def scc_decomposition(net: Network) -> Partition:
     counter = 0
     ncomp = 0
 
-    # predecessors of c are exactly its nonzero in-edges
-    succ = [[] for _ in range(n)]
-    for c in range(n):
-        for d, _ in net.in_edges[c]:
-            succ[d].append(c)
-
+    # Tarjan over the reversed graph: mutual reachability is symmetric
+    in_edges = net.in_edges
     for root in range(n):
         if index[root] != -1:
             continue
@@ -87,8 +80,8 @@ def scc_decomposition(net: Network) -> Partition:
                 stack.append(v)
                 on_stack[v] = True
             advanced = False
-            for j in range(pi, len(succ[v])):
-                w = succ[v][j]
+            for j in range(pi, len(in_edges[v])):
+                w = in_edges[v][j][0]
                 if index[w] == -1:
                     work[-1] = (v, j + 1)
                     work.append((w, 0))
@@ -116,11 +109,26 @@ def scc_decomposition(net: Network) -> Partition:
 
 @dataclass(frozen=True)
 class Condensation:
-    """SCC blocks, the acyclic block graph, and its roots."""
+    """SCC blocks, the block DAG, its roots, each block's predecessors, a topological order."""
 
     scc_partition: Partition
     dag_edges: frozenset[tuple[int, int]]
     roots: frozenset[int]
+    preds: tuple[tuple[int, ...], ...]
+    order: tuple[int, ...]
+
+    def close_up(self, bits: list[int]) -> list[int]:
+        """OR each block's bitset into every block downstream of it, in place."""
+        for k in self.order:
+            for j in self.preds[k]:
+                bits[k] |= bits[j]
+        return bits
+
+    @cached_property
+    def root_bits(self) -> tuple[int, ...]:
+        """Per block, the bitset of the root blocks upstream of it (itself included)."""
+        return tuple(self.close_up([1 << k if k in self.roots else 0
+                                    for k in range(self.scc_partition.rank)]))
 
 
 def condensation(net: Network) -> Condensation:
@@ -135,39 +143,38 @@ def _build_condensation(net: Network) -> Condensation:
         for d, _ in net.in_edges[c]:
             if sccs.colors[d] != sccs.colors[c]:
                 edges.add((sccs.colors[d], sccs.colors[c]))
-    targets = {t for _, t in edges}
-    roots = frozenset(k for k in range(sccs.rank) if k not in targets)
-    return Condensation(sccs, frozenset(edges), roots)
+    preds: list[list[int]] = [[] for _ in range(sccs.rank)]
+    for s, t in sorted(edges):
+        preds[t].append(s)
+    order = TopologicalSorter(dict(enumerate(preds))).static_order()
+    roots = frozenset(k for k in range(sccs.rank) if not preds[k])
+    return Condensation(sccs, frozenset(edges), roots, tuple(map(tuple, preds)), tuple(order))
+
+
+def reach_colors(net: Network, p: Partition) -> tuple[int, ...]:
+    """Per cell, the bitset of p's colors that its in-reachability set meets.
+
+    Each cell's color bit goes on its SCC block, and the blocks' bits are
+    ORed downstream in topological order of the condensation.
+    """
+    if p.size != net.n_cells:
+        raise DomainMismatch(f"partition on {p.size} cells for a network of {net.n_cells}")
+    cond = condensation(net)
+    scc = cond.scc_partition.colors
+    bits = [0] * cond.scc_partition.rank
+    for c, k in enumerate(p.colors):
+        bits[scc[c]] |= 1 << k
+    cond.close_up(bits)
+    return tuple(bits[k] for k in scc)
 
 
 def all_in_reachability(net: Network) -> tuple[frozenset[int], ...]:
-    """In-reachability set of every cell; shared per SCC."""
-    return net._reach
-
-
-def _build_reach_sets(net: Network) -> tuple[frozenset[int], ...]:
-    """Reach set of each SCC, built without recursion from the roots down."""
-    cond = condensation(net)
-    sccs = cond.scc_partition
-    blocks = sccs.blocks()
-    preds: dict[int, list[int]] = {k: [] for k in range(sccs.rank)}
-    for s, t in cond.dag_edges:
-        preds[t].append(s)
-
-    reach: dict[int, frozenset[int]] = {}
-    for k in TopologicalSorter(preds).static_order():
-        acc = set(blocks[k])
-        for p in preds[k]:
-            acc |= reach[p]
-        reach[k] = frozenset(acc)
-    return tuple(reach[sccs.colors[c]] for c in range(net.n_cells))
+    """In-reachability set of every cell, decoded from reach_colors."""
+    bits = reach_colors(net, Partition.trivial(net.n_cells))
+    return tuple(frozenset(iter_bits(b)) for b in bits)
 
 
 def rdc_decomposition(net: Network) -> Partition:
     """Group cells by the exact set of root SCCs they depend on."""
     cond = condensation(net)
-    sccs = cond.scc_partition
-    return Partition.from_assignment(
-        cond.roots.intersection(sccs.colors[d] for d in reach)
-        for reach in all_in_reachability(net)
-    )
+    return Partition.from_assignment(cond.root_bits[k] for k in cond.scc_partition.colors)

@@ -31,7 +31,7 @@ from typing import Optional
 from .errors import NumericalBlowup, SynckitError, UnsupportedMonoid
 from .network import Network
 from .partition import Partition
-from .synchrony import BalancedCertificate, quotient_network
+from .synchrony import BalancedCertificate, _quotient
 from .connectivity import cumulative_in_k, in_reachability
 
 OVERFLOW_GUARD = 1e12
@@ -255,11 +255,6 @@ def expand_state(xbar: tuple[float, ...], p: Partition) -> tuple[float, ...]:
     if len(xbar) != p.rank:
         raise SynckitError("per-color state length does not match the partition rank")
     return tuple(xbar[k] for k in p.colors)
-
-
-def in_polydiagonal(x: tuple[float, ...], p: Partition, tol: float = 0.0) -> bool:
-    """True iff same-colored entries agree within tol."""
-    return color_spread(x, p) <= tol
 
 
 def color_spread(x: tuple[float, ...], p: Partition) -> float:
@@ -511,7 +506,7 @@ def check_quotient_consistency(
     """The quotient system reproduces the full system on the polydiagonal."""
     _check_mode(mode)
     p = cert.partition
-    quotient = quotient_network(net, cert)
+    quotient = _quotient(net, cert)
     worst = 0.0
     for t in range(trials):
         rng = random.Random(f"quotient:{rng_seed}:{t}")

@@ -85,12 +85,6 @@ class Network:
 
         return _build_condensation(self)
 
-    @cached_property
-    def _reach(self) -> tuple[frozenset[int], ...]:
-        from .connectivity import _build_reach_sets
-
-        return _build_reach_sets(self)
-
     def type_partition(self) -> Partition:
         return Partition.from_assignment(self.cell_types)
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Hashable, Iterable, Sequence
+from typing import Hashable, Iterable, Iterator, Sequence
 
 from .errors import DomainMismatch, MalformedPartitionSpec, NotARefinement
 
@@ -58,10 +58,6 @@ class Partition:
         """Finest partition: every cell its own color."""
         return Partition(tuple(range(size)))
 
-    @staticmethod
-    def one_color(size: int) -> "Partition":
-        return Partition((0,) * size)
-
     @property
     def size(self) -> int:
         return len(self.colors)
@@ -69,9 +65,6 @@ class Partition:
     @cached_property
     def rank(self) -> int:
         return max(self.colors) + 1 if self.colors else 0
-
-    def __call__(self, cell: int) -> int:
-        return self.colors[cell]
 
     def color_of_set(self, cells: Iterable[int]) -> frozenset[int]:
         """Set of colors occurring in a set of cells."""
@@ -82,6 +75,14 @@ class Partition:
         for c, k in enumerate(self.colors):
             out[k].append(c)
         return tuple(tuple(b) for b in out)
+
+
+def iter_bits(mask: int) -> Iterator[int]:
+    """Positions of the set bits of mask, lowest first: a bitset's members."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def _check_domain(a: Partition, b: Partition) -> None:

@@ -21,9 +21,9 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Any, Iterator, Optional
 
-from .errors import NotBalanced, NotInLattice, NotTypeRefining, SynckitError, TooLarge
+from .errors import NotInLattice, NotTypeRefining, SynckitError, TooLarge
 from .network import Network, row_color_sum
-from .partition import Partition, meet, quotient_partition, refines
+from .partition import Partition, iter_bits, quotient_partition, refines
 
 DEFAULT_MAX_CELLS = 12
 
@@ -69,15 +69,23 @@ def quotient_network(net: Network, cert: BalancedCertificate) -> Network:
     A color's id joins its cells' ids with "+" (or "" if all are one
     character); two colors whose joined ids collide are an input error.
     """
-    p = cert.partition
-    blocks = p.blocks()
     compact = all(len(i) == 1 for i in net.cell_ids)
     joiner = "" if compact else "+"
-    ids = tuple(joiner.join(net.cell_ids[c] for c in block) for block in blocks)
+    ids = tuple(joiner.join(net.cell_ids[c] for c in block) for block in cert.partition.blocks())
     if len(set(ids)) < len(ids):
         clash = next(i for i in ids if ids.count(i) > 1)
         raise SynckitError(f"quotient cell id {clash!r} would name two colors")
-    types = tuple(net.cell_types[block[0]] for block in blocks)
+    return _quotient(net, cert, ids)
+
+
+def _quotient(
+    net: Network, cert: BalancedCertificate, ids: Optional[tuple[str, ...]] = None
+) -> Network:
+    """Quotient network, color k named str(k) unless ids are given: ids never collide."""
+    p = cert.partition
+    if ids is None:
+        ids = tuple(map(str, range(p.rank)))
+    types = tuple(net.cell_types[block[0]] for block in p.blocks())
     zero = net.monoid.zero()
     matrix = cert.quotient_matrix
     edges = tuple((k, l, w) for k, row in enumerate(matrix) for l, w in enumerate(row) if w != zero)
@@ -128,14 +136,6 @@ class BalancedLattice:
             raise NotInLattice("partition is not an element of the lattice") from None
 
 
-def _bits(mask: int) -> Iterator[int]:
-    """Positions of the set bits of mask, lowest first."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
 def _hasse_edges(elements: tuple[Partition, ...]) -> frozenset[tuple[int, int]]:
     """Covers of the refinement order, with sets of elements as bitsets.
 
@@ -164,9 +164,9 @@ def _hasse_edges(elements: tuple[Partition, ...]) -> frozenset[tuple[int, int]]:
     covers = set()
     for i, mask in enumerate(up):
         above = 0
-        for k in _bits(mask):
+        for k in iter_bits(mask):
             above |= up[k]
-        covers.update((i, j) for j in _bits(mask & ~above))
+        covers.update((i, j) for j in iter_bits(mask & ~above))
     return frozenset(covers)
 
 
@@ -191,7 +191,7 @@ def _two_splits(p: Partition) -> Iterator[Partition]:
         rest = block[1:]
         for mask in range(1, 1 << len(rest)):
             colors = list(p.colors)
-            for c in _bits(mask):
+            for c in iter_bits(mask):
                 colors[rest[c]] = fresh
             yield Partition.from_assignment(colors)
 
@@ -222,14 +222,6 @@ def enumerate_balanced(net: Network, max_cells: Optional[int] = None) -> Balance
                 found.add(b)
                 stack.append(b)
     return _build_lattice(list(found))
-
-
-def lattice_meet(net: Network, b1: Partition, b2: Partition) -> Partition:
-    """Meet inside the balanced lattice: cir of the plain partition meet."""
-    for b in (b1, b2):
-        if is_balanced(net, b) is None:
-            raise NotBalanced("lattice meet is defined for balanced partitions only")
-    return cir_balanced(net, meet(b1, b2))
 
 
 def lattice_quotient(lattice: BalancedLattice, p: Partition) -> BalancedLattice:
@@ -264,7 +256,6 @@ __all__ = [
     "enumerate_balanced",
     "is_balanced",
     "is_exo_balanced",
-    "lattice_meet",
     "lattice_quotient",
     "quotient_network",
 ]

@@ -6,10 +6,12 @@ union-find, balance and exo-balance by dense matrix products folded
 with the monoid sum instead of sparse signatures, least upper bounds by
 scanning every partition of the cell set, SCCs by pairwise mutual
 reachability, walks by boolean matrix powers, networks by folding every
-edge into a dense matrix.  It also holds the helpers only the tests
-need: networks to and from dense in-adjacency matrices, 0/1 partition
-matrices, composition of partitions, and the numerical exo-balance
-verdict.
+edge into a dense matrix, reach-based classes and matching from
+per-cell frozenset reach sets instead of condensation bitsets.  It also
+holds the helpers only the tests need: networks to and from dense
+in-adjacency matrices, the one-color partition, 0/1 partition matrices,
+composition of partitions, the balanced-lattice meet, the polydiagonal
+test, and the numerical exo-balance verdict.
 """
 
 from __future__ import annotations
@@ -19,11 +21,12 @@ from typing import Any, Iterator, Optional, Sequence
 
 import numpy as np
 
-from synckit.dynamics import check_invariance, sample_admissible
-from synckit.errors import DomainMismatch, SynckitError
+from synckit.dynamics import check_invariance, color_spread, sample_admissible
+from synckit.errors import DomainMismatch, NotBalanced, SynckitError
 from synckit.monoid import IntegerAdd, Monoid, monoid_by_name
 from synckit.network import Network
-from synckit.partition import Partition, refines
+from synckit.partition import Partition, meet, refines
+from synckit.synchrony import BalancedCertificate, cir_balanced, is_balanced
 
 Matrix = tuple[tuple[Any, ...], ...]
 
@@ -71,6 +74,24 @@ def all_partitions(n: int) -> Iterator[Partition]:
             yield from rec(c + 1, max(used, k + 1))
 
     yield from rec(0, 0)
+
+
+def one_color(size: int) -> Partition:
+    """Coarsest partition: every cell in color 0."""
+    return Partition((0,) * size)
+
+
+def lattice_meet(net: Network, b1: Partition, b2: Partition) -> Partition:
+    """Meet inside the balanced lattice: cir of the plain partition meet."""
+    for b in (b1, b2):
+        if is_balanced(net, b) is None:
+            raise NotBalanced("lattice meet is defined for balanced partitions only")
+    return cir_balanced(net, meet(b1, b2))
+
+
+def in_polydiagonal(x: tuple[float, ...], p: Partition, tol: float = 0.0) -> bool:
+    """True iff same-colored entries agree within tol."""
+    return color_spread(x, p) <= tol
 
 
 def partition_matrix(a: Partition) -> np.ndarray:
@@ -233,6 +254,61 @@ def oracle_in_ball(net: Network, c: int, k: Optional[int]) -> frozenset[int]:
             for x in range(n)
         ]
     return frozenset(ball)
+
+
+def oracle_reach_sets(net: Network) -> tuple[frozenset[int], ...]:
+    """In-reachability set of every cell, one matrix-power walk per cell."""
+    return tuple(oracle_in_ball(net, c, None) for c in range(net.n_cells))
+
+
+def oracle_classify_color(reach: Sequence[frozenset[int]], color: Sequence[int]) -> str:
+    """Strong, rooted or weak from the intersection and union of reach sets."""
+    common = frozenset.intersection(*(reach[c] for c in color))
+    union = frozenset.union(*(reach[c] for c in color))
+    if common == union:
+        return "strong"
+    return "rooted" if common else "weak"
+
+
+def oracle_classify_partition(reach: Sequence[frozenset[int]], p: Partition) -> str:
+    classes = {oracle_classify_color(reach, block) for block in p.blocks()}
+    if "weak" in classes:
+        return "weak"
+    return "strong" if classes == {"strong"} else "rooted"
+
+
+def oracle_rdc(net: Network, reach: Sequence[frozenset[int]]) -> Partition:
+    """Cells grouped by the root SCCs in their reach sets; roots from oracle_scc."""
+    sccs = oracle_scc(net)
+    fed = {sccs.colors[c] for c in range(net.n_cells)
+           for d, _ in net.in_edges[c] if sccs.colors[d] != sccs.colors[c]}
+    return Partition.from_assignment(
+        frozenset(sccs.colors[d] for d in hood) - fed for hood in reach
+    )
+
+
+def oracle_reach_matched(reach: Sequence[frozenset[int]], p: Partition) -> bool:
+    """Same-colored cells see the same color set in their reach sets."""
+    images: dict[int, frozenset[int]] = {}
+    for c, k in enumerate(p.colors):
+        if images.setdefault(k, p.color_of_set(reach[c])) != p.color_of_set(reach[c]):
+            return False
+    return True
+
+
+def oracle_reach_invariant(
+    net: Network, cert: BalancedCertificate, reach: Sequence[frozenset[int]]
+) -> bool:
+    """Each cell's reach colors are its color's reach set in the quotient.
+
+    The quotient is built from the certificate's dense matrix, color k
+    named str(k), so it shares no code with the library's quotient.
+    """
+    p = cert.partition
+    types = [net.cell_types[block[0]] for block in p.blocks()]
+    quotient = from_matrix([str(k) for k in range(p.rank)], types, cert.quotient_matrix, net.monoid)
+    qreach = oracle_reach_sets(quotient)
+    return all(p.color_of_set(reach[c]) == qreach[k] for c, k in enumerate(p.colors))
 
 
 def oracle_scc(net: Network) -> Partition:

@@ -53,6 +53,7 @@ from conftest import FIXTURE_NAMES, fixture_net
 from oracles import (
     dense,
     numeric_exo_verdict,
+    one_color,
     oracle_cir,
     oracle_type_refining,
     random_balanced_lift,
@@ -150,7 +151,7 @@ def test_c05_hub_fixture_rooted_joins_weak():
     rooted = [
         b for b in lat.elements if classify_partition(th, b) is ColorClass.ROOTED
     ]
-    full = Partition.one_color(5)
+    full = one_color(5)
     assert full in lat.elements
     assert classify_partition(th, full) is ColorClass.WEAK
     weak_joins = [
@@ -240,7 +241,7 @@ def test_c08_hierarchies_and_counterexample_fixtures():
     assert not is_matched(cc, p, V_IN) and is_matched(cc, p, R_IN)
 
     zs = net("zero_sum_triangle")
-    cert = is_balanced(zs, Partition.one_color(3))
+    cert = is_balanced(zs, one_color(3))
     assert not is_invariant(zs, cert, N_IN) and is_invariant(zs, cert, V_IN)
 
     cy = net("cancel_cycle")

@@ -1,4 +1,6 @@
 import random
+import tracemalloc
+from collections import Counter
 
 import pytest
 
@@ -17,14 +19,32 @@ from synckit.classification import (
     top_strong,
     v_in_k,
 )
-from synckit.connectivity import rdc_decomposition, scc_decomposition
+from synckit.connectivity import (
+    all_in_reachability,
+    in_reachability,
+    rdc_decomposition,
+    scc_decomposition,
+)
 from synckit.errors import EmptyColor, SynckitError
 from synckit.monoid import IntegerAdd
+from synckit.network import parse_network
 from synckit.partition import Partition, join, parse_partition, refines
-from synckit.synchrony import enumerate_balanced, is_balanced
+from synckit.synchrony import cir_balanced, enumerate_balanced, is_balanced
 
 from conftest import fixture_net
-from oracles import from_matrix, random_network, random_type_refinement
+from oracles import (
+    from_matrix,
+    one_color,
+    oracle_classify_color,
+    oracle_classify_partition,
+    oracle_rdc,
+    oracle_reach_invariant,
+    oracle_reach_matched,
+    oracle_reach_sets,
+    random_balanced_lift,
+    random_network,
+    random_type_refinement,
+)
 
 KINDS = (N_IN, V_IN, v_in_k(1), v_in_k(2), v_in_k(3), R_IN)
 
@@ -64,7 +84,7 @@ class TestPartitionClasses:
 
     def test_full_merge_on_hub_fixture_is_weak(self):
         net = fixture_net("twin_cycles_hub")
-        assert classify_partition(net, Partition.one_color(5)) is ColorClass.WEAK
+        assert classify_partition(net, one_color(5)) is ColorClass.WEAK
 
     def test_two_roots_cli_partition_is_rooted(self, two_roots):
         p = parse_partition("5/67/1234", two_roots.cell_ids)
@@ -162,7 +182,7 @@ class TestInvariant:
 
     def test_zero_sum_triangle_pattern(self):
         net = fixture_net("zero_sum_triangle")
-        cert = is_balanced(net, Partition.one_color(3))
+        cert = is_balanced(net, one_color(3))
         assert not is_invariant(net, cert, N_IN)
         assert is_invariant(net, cert, V_IN)
 
@@ -344,3 +364,96 @@ def test_neighborhood_kind_validation():
         from synckit.classification import NeighborhoodKind
 
         NeighborhoodKind("n", k=2)
+
+
+def reach_doc(rng, monoid):
+    """Random document: any digraph, a multi-root DAG, or a chain listed sink first.
+
+    Self-loops are mixed in, and so are parallel edges that fold to the
+    monoid zero (+3 and -3 for int-add, "inf" for tropical-min) and so
+    make no neighbor unless the pair already has an edge.
+    """
+    n = rng.randint(1, 9)
+    shape = rng.choice(("any", "dag", "chain"))
+    if shape == "chain":
+        pairs = [(i, i + 1) for i in range(n - 1)]
+    elif shape == "dag":
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.3]
+    else:
+        pairs = [(i, j) for i in range(n) for j in range(n) if rng.random() < 0.25]
+    pairs += [(i, i) for i in range(n) if rng.random() < 0.2]
+    weights = (1, 2, -1) if monoid == "int-add" else (1, 2.5)
+    cancelling = (3, -3) if monoid == "int-add" else ("inf",)
+    edges = [(i, j, rng.choice(weights)) for i, j in pairs]
+    for _ in range(rng.randint(0, n)):
+        i, j = rng.randrange(n), rng.randrange(n)
+        edges += [(i, j, w) for w in cancelling]
+    rng.shuffle(edges)
+    order = reversed(range(n)) if shape == "chain" else range(n)
+    return {
+        "monoid": monoid,
+        "cells": [{"id": f"c{i}", "type": 1 + i % 2} for i in order],
+        "edges": [{"from": f"c{i}", "to": f"c{j}", "weight": w} for i, j, w in edges],
+    }
+
+
+@pytest.mark.parametrize("monoid", ["int-add", "tropical-min"])
+def test_condensation_bitsets_match_frozenset_oracle(monoid):
+    """Classes, rdc, reach matching and invariance against per-cell reach sets."""
+    rng = random.Random(f"reach-bitsets:{monoid}")
+    seen = Counter()
+    for _ in range(150):
+        net = parse_network(reach_doc(rng, monoid))
+        n = net.n_cells
+        reach = oracle_reach_sets(net)
+        assert all_in_reachability(net) == reach
+        assert tuple(in_reachability(net, c) for c in range(n)) == reach
+        assert rdc_decomposition(net) == oracle_rdc(net, reach)
+        for _ in range(4):
+            ncolors = rng.randint(1, n)
+            p = Partition.from_assignment(rng.randrange(ncolors) for _ in range(n))
+            for block in p.blocks():
+                assert classify_color(net, block).value == oracle_classify_color(reach, block)
+            verdict = classify_partition(net, p).value
+            assert verdict == oracle_classify_partition(reach, p)
+            matched = is_matched(net, p, R_IN)
+            assert matched == oracle_reach_matched(reach, p)
+            seen[verdict] += 1
+            seen[f"matched {matched}"] += 1
+        cases = [(net, cir_balanced(net, random_type_refinement(rng, net)))]
+        if monoid == "int-add":
+            # planted blocks whose in-weights may sum to zero drop quotient edges
+            cases.append(random_balanced_lift(rng, max_cells=8))
+        for g, b in cases:
+            cert = is_balanced(g, b)
+            invariant = is_invariant(g, cert, R_IN)
+            assert invariant == oracle_reach_invariant(g, cert, oracle_reach_sets(g))
+            seen[f"invariant {invariant}"] += 1
+    # every verdict occurs, so no branch is compared only vacuously
+    expected = {"strong", "rooted", "weak", "matched True", "matched False", "invariant True"}
+    if monoid == "int-add":
+        expected.add("invariant False")
+    assert expected <= set(seen), seen
+
+
+def test_reach_consumers_stay_small_on_a_deep_chain():
+    """Reach-based calls on a 2000-cell chain keep no per-cell reach sets.
+
+    Frozenset reach sets hold about n^2 / 2 entries here; color bitsets
+    on the condensation stay linear in the number of blocks.
+    """
+    n = 2000
+    net = parse_network({
+        "cells": [{"id": f"c{i}", "type": 1} for i in reversed(range(n))],
+        "edges": [{"from": f"c{i}", "to": f"c{i + 1}", "weight": 1} for i in range(n - 1)],
+    })
+    trivial = Partition.trivial(n)
+    tracemalloc.start()
+    try:
+        assert classify_partition(net, trivial) is ColorClass.STRONG
+        assert is_matched(net, trivial, R_IN)
+        assert rdc_decomposition(net) == one_color(n)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20, f"peak {peak / 2**20:.1f} MiB"

@@ -186,6 +186,30 @@ class TestQuotientCommand:
         assert not out_path.exists()
 
 
+@pytest.mark.parametrize("argv, expected", [
+    (["invariant", "--partition", "a,b/a+b", "--kind", "r"], 0),
+    (["invariant", "--partition", "a,b/a+b", "--kind", "n"], 0),
+    (["verify", "quotient", "--partition", "a,b/a+b"], 0),
+    (["quotient", "--partition", "a,b/a+b"], 2),
+    (["tables", "--quotient", "a,b/a+b"], 2),
+], ids=["invariant-r", "invariant-n", "verify-quotient", "quotient", "tables-quotient"])
+def test_colliding_quotient_ids_matter_only_where_printed(capsys, tmp_path, argv, expected):
+    # {a, b} and {a+b} would both be named "a+b"; only quotient and
+    # tables --quotient print quotient ids, so only they refuse the partition
+    doc = tmp_path / "plus.json"
+    doc.write_text(json.dumps({
+        "cells": [{"id": i, "type": 1} for i in ("a", "b", "a+b")],
+        "edges": [{"from": "a", "to": "a+b", "weight": 1},
+                  {"from": "b", "to": "a+b", "weight": 1}],
+    }))
+    code, out, err = invoke(capsys, *argv, "--network", str(doc))
+    assert code == expected
+    if expected == 2:
+        assert out == "" and err.startswith("error:") and "'a+b'" in err
+    else:
+        assert err == "" and out
+
+
 class TestDynamicsCommands:
     def test_simulate_json(self, capsys):
         code, out, _ = invoke(capsys, "simulate", "--network", fx("triangle"),
@@ -373,17 +397,19 @@ _GOLDEN_COMMANDS = {
     "tables.json": ["tables", "--format", "json"],
     "quotient.json": ["quotient", "--format", "json", "--partition", "-"],
     "export.dot": ["export-dot"],
+    "condense.json": ["condense", "--format", "json"],
+    "rdc.json": ["rdc", "--format", "json"],
 }
 
 
 @pytest.mark.parametrize("name", FIXTURE_NAMES)
 @pytest.mark.parametrize("golden", sorted(_GOLDEN_COMMANDS))
 def test_lattice_output_matches_golden(capsys, name, golden):
-    """Every byte of lattice, tables, quotient and export-dot output.
+    """Every byte of lattice, tables, quotient, condense, rdc and export-dot output.
 
     The lattice goldens pin element order and cover indices; the quotient
     over the trivial partition and the plain DOT export pin the edge order
-    of a network written back out.
+    of a network written back out; condense and rdc pin the block order.
 
     Regenerate a golden only when the output is meant to change, e.g.
     `synckit lattice --network fixtures/NAME.json --dot > tests/golden/NAME/lattice.dot`.

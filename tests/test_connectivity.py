@@ -11,14 +11,15 @@ from synckit.connectivity import (
     in_neighborhood,
     in_reachability,
     rdc_decomposition,
+    reach_colors,
     scc_decomposition,
 )
-from synckit.errors import SynckitError, UnknownCell
+from synckit.errors import DomainMismatch, SynckitError, UnknownCell
 from synckit.monoid import IntegerAdd
 from synckit.network import network_to_doc, parse_network
 from synckit.partition import Partition, refines
 
-from oracles import from_matrix, oracle_in_ball, oracle_scc, random_network
+from oracles import from_matrix, one_color, oracle_in_ball, oracle_scc, random_network
 
 
 class TestNeighborhoods:
@@ -85,6 +86,8 @@ class TestCumulative:
             in_reachability(chain4, -1)
         with pytest.raises(SynckitError, match="nonnegative"):
             cumulative_in_k(chain4, 0, -1)
+        with pytest.raises(DomainMismatch):
+            reach_colors(chain4, Partition.trivial(3))
 
 
 class TestReachability:
@@ -134,7 +137,7 @@ class TestScc:
                 {"from": "3", "to": "1", "weight": 1},
             ],
         })
-        assert scc_decomposition(net) == Partition.one_color(3)
+        assert scc_decomposition(net) == one_color(3)
 
     def test_against_mutual_reachability_oracle(self):
         rng = random.Random(2024)
@@ -202,7 +205,7 @@ class TestRdc:
                 {"from": "b", "to": "a", "weight": 1},
             ],
         })
-        assert rdc_decomposition(net) == Partition.one_color(2)
+        assert rdc_decomposition(net) == one_color(2)
 
     def test_two_disjoint_cycles(self):
         net = from_matrix(
@@ -254,13 +257,12 @@ class TestPerNetworkMemo:
         monkeypatch.setattr(synckit.connectivity, "scc_decomposition", counting)
         net = parse_network(network_to_doc(two_roots))  # fresh instance, empty memo
         rdc_decomposition(net)
-        reach = all_in_reachability(net)
+        all_in_reachability(net)
         assert len(calls) == 1
-        assert reach is all_in_reachability(net)
         assert condensation(net) is condensation(net)
 
     def test_equal_networks_do_not_share_memo(self, chain4):
         again = parse_network(network_to_doc(chain4))
         assert again == chain4
-        assert all_in_reachability(again) == all_in_reachability(chain4)
-        assert all_in_reachability(again) is not all_in_reachability(chain4)
+        assert condensation(again) == condensation(chain4)
+        assert condensation(again) is not condensation(chain4)

@@ -11,7 +11,6 @@ from synckit.dynamics import (
     evaluate,
     evolve,
     expand_state,
-    in_polydiagonal,
     eval_on_neighborhood,
     probe_non_invariance,
     sample_admissible,
@@ -26,7 +25,9 @@ from synckit.synchrony import enumerate_balanced, is_balanced
 from conftest import fixture_net
 from oracles import (
     from_matrix,
+    in_polydiagonal,
     numeric_exo_verdict,
+    one_color,
     oracle_type_refining,
     random_network,
     random_type_refinement,
@@ -220,7 +221,7 @@ class TestInvariance:
 
     def test_aborted_trials_are_not_evidence(self, chain4):
         # a huge RK4 step trips the overflow guard before any spread is seen
-        p = Partition.one_color(4)  # not balanced on the chain
+        p = one_color(4)  # not balanced on the chain
         spec = sample_admissible(chain4, 0)
         report = check_invariance(chain4, spec, p, trials=3, steps=5, mode="rk4", dt=1e13)
         assert report.max_spread == 0.0

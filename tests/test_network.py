@@ -23,7 +23,7 @@ from synckit.network import (
 from synckit.partition import Partition, format_partition, parse_partition
 
 from conftest import fixture_path
-from oracles import dense, from_matrix, oracle_fold, random_network, random_type_refinement
+from oracles import dense, from_matrix, one_color, oracle_fold, random_network, random_type_refinement
 
 
 def doc_for(edges, cells=None, monoid="int-add"):
@@ -164,7 +164,7 @@ class TestRowColorSum:
         p = Partition.trivial(2)
         assert row_color_sum(net, p, 0) == ()
         assert row_color_sum(net, p, 1) == ((0, 4.0),)
-        assert row_color_sum(net, Partition.one_color(2), 1) == ((0, 4.0),)
+        assert row_color_sum(net, one_color(2), 1) == ((0, 4.0),)
 
     def test_domain_mismatch(self, triangle):
         with pytest.raises(PartitionDomainMismatch):

@@ -8,15 +8,19 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
-@pytest.mark.parametrize("argv", [
-    ["scripts/survey_fixtures.py"],
-    ["scripts/verify_dynamics.py", "--seeds", "1", "--steps", "10"],
+@pytest.mark.parametrize("argv, golden", [
+    (["scripts/survey_fixtures.py"], "survey_fixtures.txt"),
+    (["scripts/verify_dynamics.py", "--seeds", "1", "--steps", "10"], None),
 ], ids=["survey_fixtures", "verify_dynamics"])
-def test_script_exits_zero(argv):
+def test_script_exits_zero(argv, golden):
+    """Both scripts exit 0; the survey's classes, reach verdicts and tops match the golden."""
     path = filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
     done = subprocess.run([sys.executable, *argv], cwd=ROOT, env=env,
                           capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stdout + done.stderr
+    if golden is not None:
+        assert done.stdout == (GOLDEN / golden).read_text()

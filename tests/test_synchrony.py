@@ -20,7 +20,6 @@ from synckit.synchrony import (
     enumerate_balanced,
     is_balanced,
     is_exo_balanced,
-    lattice_meet,
     lattice_quotient,
     quotient_network,
 )
@@ -29,6 +28,7 @@ from conftest import fixture_net
 from oracles import (
     dense,
     from_matrix,
+    lattice_meet,
     oracle_balanced,
     oracle_cir,
     oracle_color_rows,
