@@ -28,7 +28,7 @@ from .connectivity import (
 )
 from .errors import EmptyColor, SynckitError
 from .network import Network
-from .partition import Partition, join, meet, quotient_partition, refines
+from .partition import Partition, iter_bits, meet, quotient_partition
 from .synchrony import (
     BalancedCertificate,
     BalancedLattice,
@@ -145,12 +145,19 @@ def top_nonweak(net: Network, max_cells: Optional[int] = None) -> tuple[Partitio
     """
     candidate = cir_balanced(net, meet(net.type_partition(), rdc_decomposition(net)))
     lattice = enumerate_balanced(net, max_cells)
-    valid = all(
+    classes = [classify_partition(net, b) for b in lattice.elements]
+    return candidate, _rooted_reach_matched(net, lattice, classes)
+
+
+def _rooted_reach_matched(
+    net: Network, lattice: BalancedLattice, classes: list[ColorClass]
+) -> bool:
+    """Whether every rooted element of the lattice is reach-in matched."""
+    return all(
         is_matched(net, b, R_IN)
-        for b in lattice.elements
-        if classify_partition(net, b) is ColorClass.ROOTED
+        for b, k in zip(lattice.elements, classes)
+        if k is ColorClass.ROOTED
     )
-    return candidate, valid
 
 
 # ---------------------------------------------------------------------------
@@ -193,6 +200,7 @@ class JoinEntry:
 @dataclass(frozen=True)
 class JoinTableReport:
     lattice: BalancedLattice
+    classes: tuple[ColorClass, ...]
     entries: tuple[JoinEntry, ...]
     general_violations: tuple[JoinEntry, ...]
     rooted_all_reach_matched: bool
@@ -203,14 +211,9 @@ class JoinTableReport:
         from .partition import format_partition
 
         texts = [format_partition(p, cell_ids) for p in self.lattice.elements]
-        element_class: dict[int, str] = {}
-        for e in self.entries:
-            element_class[e.left] = e.left_class.value
-            element_class[e.right] = e.right_class.value
         return {
             "elements": [
-                {"partition": text, "class": element_class.get(i, "")}
-                for i, text in enumerate(texts)
+                {"partition": text, "class": k.value} for text, k in zip(texts, self.classes)
             ],
             "pairs": [
                 {
@@ -236,19 +239,15 @@ def join_table_report(net: Network, max_cells: Optional[int] = None) -> JoinTabl
     """Join every pair of balanced partitions and record the class algebra."""
     lattice = enumerate_balanced(net, max_cells)
     classes = [classify_partition(net, b) for b in lattice.elements]
-    rooted_matched = all(
-        is_matched(net, b, R_IN)
-        for b, k in zip(lattice.elements, classes)
-        if k is ColorClass.ROOTED
-    )
+    rooted_matched = _rooted_reach_matched(net, lattice, classes)
     entries = []
     general_bad = []
     matched_bad = []
     nonweak_closed = True
-    for i in range(len(lattice.elements)):
-        for j in range(i, len(lattice.elements)):
-            joined = join(lattice.elements[i], lattice.elements[j])
-            jdx = lattice.index_of(joined)
+    up = lattice.up
+    for i in range(len(up)):
+        for j in range(i, len(up)):
+            jdx = (up[i] & up[j]).bit_length() - 1
             entry = JoinEntry(i, j, classes[i], classes[j], classes[jdx], jdx)
             entries.append(entry)
             key = _pair_key(classes[i], classes[j])
@@ -264,6 +263,7 @@ def join_table_report(net: Network, max_cells: Optional[int] = None) -> JoinTabl
                 nonweak_closed = False
     return JoinTableReport(
         lattice,
+        tuple(classes),
         tuple(entries),
         tuple(general_bad),
         rooted_matched,
@@ -329,9 +329,8 @@ def quotient_class_report(
     lattice = enumerate_balanced(net, max_cells)
     entries = []
     violations = []
-    for b in lattice.elements:
-        if not refines(cert.partition, b):
-            continue
+    for k in iter_bits(lattice.up[lattice.index_of(cert.partition)]):
+        b = lattice.elements[k]
         q = quotient_partition(b, cert.partition)
         entry = QuotientClassEntry(
             b,

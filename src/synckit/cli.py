@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import random
 import sys
 from typing import Optional
 
@@ -17,7 +18,7 @@ from . import classification as cls
 from . import connectivity as conn
 from . import dynamics as dyn
 from . import synchrony as syn
-from .errors import SynckitError
+from .errors import NotBalanced, SynckitError
 from .network import Network, export_dot, load_network, save_network
 from .partition import Partition, format_partition, parse_partition
 
@@ -71,6 +72,13 @@ def _finite(args, name: str, *, zero_ok: bool) -> float:
         bound = "at least 0" if zero_ok else "positive"
         raise SynckitError(f"--{name} must be finite and {bound}, got {value}")
     return value
+
+
+def _certificate(net: Network, p: Partition, consequence: str) -> syn.BalancedCertificate:
+    cert = syn.is_balanced(net, p)
+    if cert is None:
+        raise NotBalanced(f"partition is not balanced; {consequence}")
+    return cert
 
 
 def _fmt(net: Network, p: Partition) -> str:
@@ -207,11 +215,7 @@ def cmd_lattice(args) -> int:
 
 def cmd_quotient(args) -> int:
     net = _net(args)
-    p = _partition(args, net)
-    cert = syn.is_balanced(net, p)
-    if cert is None:
-        print("partition is not balanced; no quotient network", file=sys.stderr)
-        return EXIT_USAGE
+    cert = _certificate(net, _partition(args, net), "no quotient network")
     q = syn.quotient_network(net, cert)
     if args.out:
         save_network(q, args.out)
@@ -265,10 +269,7 @@ def cmd_matched(args) -> int:
 def cmd_invariant(args) -> int:
     net = _net(args)
     p = _partition(args, net)
-    cert = syn.is_balanced(net, p)
-    if cert is None:
-        print("partition is not balanced; invariance is undefined", file=sys.stderr)
-        return EXIT_USAGE
+    cert = _certificate(net, p, "invariance is undefined")
     kind = _kind(args.kind)
     verdict = cls.is_invariant(net, cert, kind)
     _emit(
@@ -283,10 +284,7 @@ def cmd_tables(args) -> int:
     net = _net(args)
     if args.quotient:
         p = parse_partition(args.quotient, net.cell_ids)
-        cert = syn.is_balanced(net, p)
-        if cert is None:
-            print("quotient partition is not balanced", file=sys.stderr)
-            return EXIT_USAGE
+        cert = _certificate(net, p, "no quotient class table")
         report = cls.quotient_class_report(net, cert, args.max_cells)
         qnet = syn.quotient_network(net, cert)
         payload = report.to_json(net.cell_ids, qnet.cell_ids)
@@ -325,10 +323,7 @@ def cmd_simulate(args) -> int:
     _finite(args, "dt", zero_ok=False)
     spec = dyn.sample_admissible(net, args.seed, exo=args.exo)
     if args.x0 == "random":
-        import random as _random
-
-        rng = _random.Random(f"simulate:{args.seed}")
-        x0 = tuple(rng.uniform(-1.5, 1.5) for _ in range(net.n_cells))
+        x0 = dyn._random_state(random.Random(f"simulate:{args.seed}"), net.n_cells)
     else:
         try:
             values = [float(v) for v in args.x0.split(",")]
@@ -394,20 +389,12 @@ def cmd_verify(args) -> int:
             net, spec, c, trials=args.trials, steps=args.steps,
             mode=args.mode, dt=args.dt, tol=args.tol, rng_seed=args.seed,
         )
-        good = report.exact if args.mode == "discrete" else report.max_deviation <= args.tol
-        _emit(report.to_json(), args,
-              f"max deviation {report.max_deviation:.3e}: {'ok' if good else 'mismatch'}")
-        return EXIT_OK if good else EXIT_FALSE
-    # quotient
-    p = _partition(args, net)
-    cert = syn.is_balanced(net, p)
-    if cert is None:
-        print("partition is not balanced; no quotient system", file=sys.stderr)
-        return EXIT_USAGE
-    report = dyn.check_quotient_consistency(
-        net, spec, cert, trials=args.trials, steps=args.steps,
-        mode=args.mode, dt=args.dt, tol=args.tol, rng_seed=args.seed,
-    )
+    else:  # quotient
+        cert = _certificate(net, _partition(args, net), "no quotient system")
+        report = dyn.check_quotient_consistency(
+            net, spec, cert, trials=args.trials, steps=args.steps,
+            mode=args.mode, dt=args.dt, tol=args.tol, rng_seed=args.seed,
+        )
     good = report.exact if args.mode == "discrete" else report.max_deviation <= args.tol
     _emit(report.to_json(), args,
           f"max deviation {report.max_deviation:.3e}: {'ok' if good else 'mismatch'}")

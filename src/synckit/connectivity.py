@@ -6,9 +6,11 @@ one-step neighborhoods this module builds cumulative k-step
 neighborhoods, strongly connected components (single-pass Tarjan), the
 condensation DAG with its roots, and the partition of cells by root
 dependency.  The condensation, computed once per network instance, is
-the only reachability structure: `reach_colors` ORs per-block color
-bitsets (Python ints) down it in topological order, and in-reachability
-sets and root bitsets are decoded or seeded from the same pass.
+the only stored reachability structure: `reach_colors` ORs per-block
+color bitsets (Python ints) down it in topological order, and the
+in-reachability sets of all cells and the root bitsets are decoded or
+seeded from the same pass.  One cell's in-reachability set is a
+breadth-first search that builds no condensation.
 """
 
 from __future__ import annotations
@@ -51,8 +53,7 @@ def cumulative_in_k(net: Network, c: int, k: int) -> frozenset[int]:
 
 def in_reachability(net: Network, c: int) -> frozenset[int]:
     """Fixed point of the cumulative neighborhoods: reverse reachability."""
-    net.check_cell(c)
-    return frozenset(iter_bits(reach_colors(net, Partition.trivial(net.n_cells))[c]))
+    return cumulative_in_k(net, c, net.n_cells)
 
 
 def scc_decomposition(net: Network) -> Partition:

@@ -114,13 +114,17 @@ def _resolve_cap(max_cells: Optional[int]) -> int:
 
 @dataclass(frozen=True)
 class BalancedLattice:
-    """All balanced partitions of a network with their Hasse diagram.
+    """All balanced partitions of a network with their refinement order.
 
-    Elements are ordered by (rank, assignment); cover edges point from
-    the finer to the coarser element.
+    Elements are ordered by (rank, assignment), so coarser elements come
+    first.  up[i] is the bitset of the elements that element i refines,
+    i itself included; cover edges point from the finer to the coarser
+    element.  The join of i and j is the finest element above both, the
+    highest set bit of up[i] & up[j].
     """
 
     elements: tuple[Partition, ...]
+    up: tuple[int, ...]
     cover_edges: frozenset[tuple[int, int]]
     bottom: int
     top: int
@@ -136,14 +140,16 @@ class BalancedLattice:
             raise NotInLattice("partition is not an element of the lattice") from None
 
 
-def _hasse_edges(elements: tuple[Partition, ...]) -> frozenset[tuple[int, int]]:
-    """Covers of the refinement order, with sets of elements as bitsets.
+def _order(
+    elements: tuple[Partition, ...],
+) -> tuple[tuple[int, ...], frozenset[tuple[int, int]]]:
+    """Up-sets and covers of the refinement order, with sets of elements as bitsets.
 
     A partition is coded by the cell pairs it puts in one color, and i
-    refines j iff j holds every pair of i; so the elements strictly above
-    i are the intersection, over i's pairs, of the elements holding that
-    pair, less i itself.  A cover of i is an element above i that is not
-    above anything else above i.
+    refines j iff j holds every pair of i; so the elements above i (i
+    itself included) are the intersection, over i's pairs, of the
+    elements holding that pair.  A cover of i is an element strictly
+    above i that is not strictly above anything else strictly above i.
     """
     holders: dict[tuple[int, int], int] = {}
     pairs_of = []
@@ -156,18 +162,19 @@ def _hasse_edges(elements: tuple[Partition, ...]) -> frozenset[tuple[int, int]]:
         pairs_of.append(pairs)
     everyone = (1 << len(elements)) - 1
     up = []
-    for i, pairs in enumerate(pairs_of):
-        mask = everyone ^ 1 << i
+    for pairs in pairs_of:
+        mask = everyone
         for pair in pairs:
             mask &= holders[pair]
         up.append(mask)
     covers = set()
     for i, mask in enumerate(up):
+        strict = mask ^ 1 << i
         above = 0
-        for k in iter_bits(mask):
-            above |= up[k]
-        covers.update((i, j) for j in iter_bits(mask & ~above))
-    return frozenset(covers)
+        for k in iter_bits(strict):
+            above |= up[k] ^ 1 << k
+        covers.update((i, j) for j in iter_bits(strict & ~above))
+    return tuple(up), frozenset(covers)
 
 
 def _build_lattice(elements: list[Partition]) -> BalancedLattice:
@@ -177,7 +184,7 @@ def _build_lattice(elements: list[Partition]) -> BalancedLattice:
     the bottom strictly finer, so each is the only element of its rank.
     """
     ordered = tuple(sorted(elements, key=lambda p: (p.rank, p.colors)))
-    return BalancedLattice(ordered, _hasse_edges(ordered), len(ordered) - 1, 0)
+    return BalancedLattice(ordered, *_order(ordered), len(ordered) - 1, 0)
 
 
 def _two_splits(p: Partition) -> Iterator[Partition]:
@@ -226,14 +233,8 @@ def enumerate_balanced(net: Network, max_cells: Optional[int] = None) -> Balance
 
 def lattice_quotient(lattice: BalancedLattice, p: Partition) -> BalancedLattice:
     """The lattice {B/p : B >= p} on the colors of p; bottom is p/p."""
-    base = lattice.index_of(p)
-    anchor = lattice.elements[base]
-    quotients = [
-        quotient_partition(b, anchor)
-        for b in lattice.elements
-        if refines(anchor, b)
-    ]
-    return _build_lattice(quotients)
+    above = lattice.up[lattice.index_of(p)]
+    return _build_lattice([quotient_partition(lattice.elements[k], p) for k in iter_bits(above)])
 
 
 def is_exo_balanced(net: Network, p: Partition) -> bool:

@@ -292,10 +292,15 @@ class TestDynamicsCommands:
       "--mode", "rk4", "--dt", "inf"], {}),
     (["simulate", "--network", fx("chain4"), "--mode", "rk4", "--dt", "nan"], {}),
     (["simulate", "--network", fx("chain4"), "--dt", "-1"], {}),
+    (["quotient", "--network", fx("chain4"), "--partition", "1234"], {}),
+    (["invariant", "--network", fx("chain4"), "--partition", "1234", "--kind", "r"], {}),
+    (["tables", "--network", fx("chain4"), "--quotient", "1234"], {}),
+    (["verify", "quotient", "--network", fx("chain4"), "--partition", "1234"], {}),
 ], ids=["vk-not-int", "max-cells-env", "x0-not-numbers", "simulate-steps",
         "verify-steps", "verify-trials", "locality-trials", "verify-dt-zero",
         "verify-tol-negative", "verify-tol-nan", "verify-dt-inf", "simulate-dt-nan",
-        "simulate-dt-negative"])
+        "simulate-dt-negative", "quotient-not-balanced", "invariant-not-balanced",
+        "tables-quotient-not-balanced", "verify-quotient-not-balanced"])
 def test_bad_input_exits_two_with_error_line(capsys, monkeypatch, argv, env):
     for key, value in env.items():
         monkeypatch.setenv(key, value)

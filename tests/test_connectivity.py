@@ -266,3 +266,8 @@ class TestPerNetworkMemo:
         assert again == chain4
         assert condensation(again) == condensation(chain4)
         assert condensation(again) is not condensation(chain4)
+
+    def test_one_cell_reachability_builds_no_condensation(self, chain4):
+        net = parse_network(network_to_doc(chain4))  # fresh instance, empty memo
+        assert in_reachability(net, 3) == {0, 1, 2, 3}
+        assert "_condensation" not in vars(net)

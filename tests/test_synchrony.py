@@ -15,6 +15,7 @@ from synckit.partition import (
     quotient_partition,
     refines,
 )
+from synckit.classification import classify_partition, join_table_report, quotient_class_report
 from synckit.synchrony import (
     cir_balanced,
     enumerate_balanced,
@@ -39,6 +40,29 @@ from oracles import (
     random_network,
     random_type_refinement,
 )
+
+
+def seeded_lattice_networks():
+    """260 seeded networks of up to 7 cells; sparse and cancelling weights
+    make nontrivial lattices common, and the last 60 are balanced lifts."""
+    rng = random.Random(3301)
+    weights = [(-1, 0, 1, 2), (0, 0, 0, 1), (0, 0, 0, 0, 1, -1)]
+    for trial in range(260):
+        if trial < 200:
+            yield random_network(rng, max_cells=7, num_types=1 + trial // 3 % 2,
+                                 weights=weights[trial % 3])
+        else:
+            yield random_balanced_lift(rng, max_cells=7)[0]
+
+
+def complete_graph(n: int) -> Network:
+    """K_n with unit weights: every partition of its cells is balanced."""
+    return from_matrix(
+        tuple(str(i + 1) for i in range(n)),
+        (1,) * n,
+        tuple(tuple(int(i != j) for j in range(n)) for i in range(n)),
+        IntegerAdd(),
+    )
 
 
 def same_structure(a: Network, b: Network) -> bool:
@@ -203,15 +227,7 @@ class TestEnumerate:
                     assert join(b1, b2) in lattice.elements
 
     def test_split_and_cir_matches_brute_force(self):
-        rng = random.Random(3301)
-        # sparse and cancelling weights make nontrivial lattices common
-        weights = [(-1, 0, 1, 2), (0, 0, 0, 1), (0, 0, 0, 0, 1, -1)]
-        for trial in range(260):
-            if trial < 200:
-                net = random_network(rng, max_cells=7, num_types=1 + trial // 3 % 2,
-                                     weights=weights[trial % 3])
-            else:
-                net, _ = random_balanced_lift(rng, max_cells=7)
+        for net in seeded_lattice_networks():
             lattice = enumerate_balanced(net)
             expected = {
                 p for p in oracle_type_refining(net) if oracle_balanced(net, p)
@@ -225,12 +241,7 @@ class TestEnumerate:
 
     @pytest.mark.parametrize("n,bell", [(6, 203), (7, 877)])
     def test_complete_graph_lattice_is_every_partition(self, n, bell):
-        net = from_matrix(
-            tuple(str(i + 1) for i in range(n)),
-            (1,) * n,
-            tuple(tuple(int(i != j) for j in range(n)) for i in range(n)),
-            IntegerAdd(),
-        )
+        net = complete_graph(n)
         lattice = enumerate_balanced(net)
         assert len(lattice.elements) == bell
         # in the partition lattice, the covers of an element merge two of its colors
@@ -255,6 +266,43 @@ class TestEnumerate:
                     lattice.elements[k], lattice.elements[j]
                 )
                 assert not between
+
+
+def _check_order(net: Network, quotient_every: int) -> int:
+    """The up-sets, the joins read from them and the coarsenings above an
+    element all agree with refines, partition.join and index_of.
+
+    Returns the number of pairs whose join is neither of them.
+    """
+    report = join_table_report(net)
+    lattice = report.lattice
+    elements = lattice.elements
+    assert report.classes == tuple(classify_partition(net, b) for b in elements)
+    for i, p in enumerate(elements):
+        assert lattice.up[i] == sum(1 << k for k, b in enumerate(elements) if refines(p, b))
+    for e in report.entries:
+        joined = join(elements[e.left], elements[e.right])
+        assert e.join_in_lattice == lattice.index_of(joined)
+    assert len(report.entries) == len(elements) * (len(elements) + 1) // 2
+    for i, p in enumerate(elements):
+        above = [b for b in elements if refines(p, b)]
+        quotients = [quotient_partition(b, p) for b in above]
+        assert set(lattice_quotient(lattice, p).elements) == set(quotients)
+        if i % quotient_every:
+            continue
+        entries = quotient_class_report(net, is_balanced(net, p)).entries
+        assert [e.partition for e in entries] == above
+        assert [e.quotient_partition for e in entries] == quotients
+    return sum(e.join_in_lattice not in (e.left, e.right) for e in report.entries)
+
+
+class TestUpSetOrder:
+    def test_seeded_lattices_match_refinement_oracles(self):
+        joins = sum(_check_order(net, quotient_every=1) for net in seeded_lattice_networks())
+        assert joins >= 30  # incomparable pairs occur, so the joins are checked
+
+    def test_complete_graph_matches_refinement_oracles(self):
+        assert _check_order(complete_graph(6), quotient_every=25) > 10000
 
 
 class TestLatticeMeet:
