@@ -11,7 +11,10 @@ state), dropping zero totals and summing in sorted order.  That makes
 the value a function of the multiset of inputs, so neighbor permutation,
 same-state merging and zero-edge deletion hold bit for bit, and a
 quotient system or an induced reachability subsystem reproduces the
-full trajectory exactly in discrete mode.
+full trajectory exactly in discrete mode.  Each run or check compiles
+the (network, spec) pair once into per-cell records of floats and
+sender tuples, and folds every cell's inputs with one sort and a merge
+of adjacent equal inputs.
 
 The intrinsic term is an affine map plus a sinusoid and the coupling is
 a degree-one polynomial in the sender state plus sinusoids; the linear
@@ -26,7 +29,9 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Optional
+from itertools import chain
+from math import sin
+from typing import NamedTuple, Optional
 
 from .errors import NumericalBlowup, SynckitError, UnsupportedMonoid
 from .network import Network
@@ -122,27 +127,95 @@ def sample_admissible(net: Network, seed: int, exo: bool = False) -> AdmissibleF
     return AdmissibleFunctionSpec(seed, exo, net.num_types, tuple(selfs), tuple(couplings))
 
 
-def _self_term(spec: AdmissibleFunctionSpec, cell_type: int, x: float) -> float:
+# ---------------------------------------------------------------------------
+# Compiled evaluation
+#
+# A system is compiled once per (network, spec) into one record per cell:
+#
+#     (self coefficients, coupling rows, sender indices, sender types, weights)
+#
+# where the coefficients are the spec's floats in field order, the coupling
+# rows are the receiver type's rows indexed by sender type - 1, and the last
+# three are parallel tuples over the cell's folded in-edges.
+
+
+class _System(NamedTuple):
+    exo: bool
+    cells: tuple[tuple, ...]
+
+
+def _self_coeffs(spec: AdmissibleFunctionSpec, cell_type: int) -> tuple[float, ...]:
     p = spec.self_params[cell_type - 1]
-    return p.bias + p.gain * x + p.amp * math.sin(p.freq * x + p.phase)
+    return (p.bias, p.gain, p.amp, p.freq, p.phase)
 
 
-def _coupling_raw(p: CouplingParams, x: float, y: float) -> float:
-    return (
-        p.lin * y
-        + p.amp1 * math.sin(p.freq1 * y + p.phase1)
-        + p.amp2 * math.sin(p.freq_x * x + p.freq_y * y + p.phase2)
+def _coupling_rows(
+    spec: AdmissibleFunctionSpec, receiver_type: int
+) -> tuple[tuple[float, ...], ...]:
+    return tuple(
+        (p.lin, p.amp1, p.freq1, p.phase1, p.amp2, p.freq_x, p.freq_y, p.phase2)
+        for p in spec.coupling_params[receiver_type - 1]
     )
 
 
-def _coupling_term(
-    spec: AdmissibleFunctionSpec, receiver_type: int, sender_type: int, x: float, y: float
-) -> float:
-    p = spec.coupling_params[receiver_type - 1][sender_type - 1]
-    v = _coupling_raw(p, x, y)
-    if spec.exo:
-        v -= _coupling_raw(p, x, x)
-    return v
+def _compile(net: Network, spec: AdmissibleFunctionSpec) -> _System:
+    if spec.num_types < net.num_types:
+        raise SynckitError("spec was sampled for fewer cell types than the network has")
+    by_type = {t: (_self_coeffs(spec, t), _coupling_rows(spec, t)) for t in set(net.cell_types)}
+    sender_type = tuple(t - 1 for t in net.cell_types).__getitem__
+    cells = []
+    for t, edges in zip(net.cell_types, net.in_edges):
+        senders, weights = tuple(zip(*edges)) or ((), ())
+        cells.append((*by_type[t], senders, tuple(map(sender_type, senders)), weights))
+    return _System(spec.exo, tuple(cells))
+
+
+_FLUSH = ((None, None, 0),)  # a last input that joins no run, so the final run is added
+
+
+def _apply(system: _System, x: tuple[float, ...]) -> tuple[float, ...]:
+    """One application of the compiled map: the multiset fold, cell by cell.
+
+    Sorting a cell's (sender type, state, weight) inputs brings equal
+    (type, state) pairs together, so each run is one group of the fold,
+    its integer weights summed exactly.  Runs are added in sorted order
+    and zero sums are skipped.  A run merging 0.0 with -0.0 takes the
+    state of its first sender in input order, so the sign of a zero does
+    not hang on the weights that order the run.
+    """
+    exo = system.exo
+    state = x.__getitem__
+    out = []
+    for ((bias, gain, amp, freq, phase), rows, senders, types, weights), xc in zip(
+        system.cells, x
+    ):
+        total = bias + gain * xc + amp * sin(freq * xc + phase)
+        t0, y0, acc = -1, None, 0  # types count from 0, so no input joins this run
+        for t, y, w in chain(sorted(zip(types, map(state, senders), weights)), _FLUSH):
+            if t == t0 and y == y0:
+                acc += w
+                if not y:
+                    y0 = next(
+                        state(d) for d, s in zip(senders, types) if s == t and not state(d)
+                    )
+                continue
+            if acc:
+                lin, amp1, freq1, phase1, amp2, freq_x, freq_y, phase2 = rows[t0]
+                v = (
+                    lin * y0
+                    + amp1 * sin(freq1 * y0 + phase1)
+                    + amp2 * sin(freq_x * xc + freq_y * y0 + phase2)
+                )
+                if exo:
+                    v -= (
+                        lin * xc
+                        + amp1 * sin(freq1 * xc + phase1)
+                        + amp2 * sin(freq_x * xc + freq_y * xc + phase2)
+                    )
+                total += acc * v
+            t0, y0, acc = t, y, w
+        out.append(total)
+    return tuple(out)
 
 
 def eval_on_neighborhood(
@@ -157,16 +230,15 @@ def eval_on_neighborhood(
     The fold by (type, state) with exact integer weight sums is what
     gives the multiset semantics.
     """
-    groups: dict[tuple[int, float], int] = {}
-    for sender_type, weight, state in inputs:
-        key = (sender_type, state)
-        groups[key] = groups.get(key, 0) + weight
-    total = _self_term(spec, cell_type, x_self)
-    for (sender_type, state), weight in sorted(groups.items()):
-        if weight == 0:
-            continue
-        total += weight * _coupling_term(spec, cell_type, sender_type, x_self, state)
-    return total
+    # a one-cell system whose senders index the state (x_self, *input states)
+    cell = (
+        _self_coeffs(spec, cell_type),
+        _coupling_rows(spec, cell_type),
+        tuple(range(1, len(inputs) + 1)),
+        tuple(t - 1 for t, _, _ in inputs),
+        tuple(w for _, w, _ in inputs),
+    )
+    return _apply(_System(spec.exo, (cell,)), (x_self, *(y for _, _, y in inputs)))[0]
 
 
 def component_value(
@@ -178,9 +250,7 @@ def component_value(
 
 def evaluate(net: Network, spec: AdmissibleFunctionSpec, x: tuple[float, ...]) -> tuple[float, ...]:
     """One application of the admissible function to a full state."""
-    if spec.num_types < net.num_types:
-        raise SynckitError("spec was sampled for fewer cell types than the network has")
-    return tuple(component_value(net, spec, x, c) for c in range(net.n_cells))
+    return _apply(_compile(net, spec), x)
 
 
 @dataclass(frozen=True)
@@ -192,6 +262,8 @@ class Trajectory:
 
 
 def _guard(x: tuple[float, ...]) -> None:
+    if all(map(math.isfinite, x)) and max(map(abs, x), default=0.0) <= OVERFLOW_GUARD:
+        return
     for v in x:
         if not math.isfinite(v) or abs(v) > OVERFLOW_GUARD:
             raise NumericalBlowup(f"state magnitude {v!r} exceeded the overflow guard")
@@ -209,12 +281,22 @@ def evolve(
     _check_mode(mode)
     if len(x0) != net.n_cells:
         raise SynckitError("initial state length does not match the network")
-    _guard(tuple(x0))
-    states = [tuple(x0)]
+    return _evolve(_compile(net, spec), tuple(x0), steps, mode, dt)
+
+
+def _evolve(
+    system: _System,
+    x0: tuple[float, ...],
+    steps: int,
+    mode: str = "discrete",
+    dt: float = 1e-3,
+) -> Trajectory:
+    _guard(x0)
+    states = [x0]
     times = [0.0]
-    x = tuple(x0)
+    x = x0
     for step in range(steps):
-        x = _step(net, spec, x, mode, dt)
+        x = _step(system, x, mode, dt)
         times.append(float(step + 1) if mode == "discrete" else dt * (step + 1))
         _guard(x)
         states.append(x)
@@ -226,24 +308,31 @@ def _check_mode(mode: str) -> None:
         raise SynckitError(f"unknown mode {mode!r}")
 
 
-def _step(
-    net: Network, spec: AdmissibleFunctionSpec, x: tuple[float, ...], mode: str, dt: float
-) -> tuple[float, ...]:
+def _step(system: _System, x: tuple[float, ...], mode: str, dt: float) -> tuple[float, ...]:
     """One map application, or one RK4 step of size dt (the caller checks mode)."""
-    return evaluate(net, spec, x) if mode == "discrete" else _rk4_step(net, spec, x, dt)
+    return _apply(system, x) if mode == "discrete" else _rk4_step(system, x, dt)
 
 
-def _rk4_step(
-    net: Network, spec: AdmissibleFunctionSpec, x: tuple[float, ...], dt: float
-) -> tuple[float, ...]:
-    n = len(x)
-    k1 = evaluate(net, spec, x)
-    k2 = evaluate(net, spec, tuple(x[i] + 0.5 * dt * k1[i] for i in range(n)))
-    k3 = evaluate(net, spec, tuple(x[i] + 0.5 * dt * k2[i] for i in range(n)))
-    k4 = evaluate(net, spec, tuple(x[i] + dt * k3[i] for i in range(n)))
-    return tuple(
-        x[i] + (dt / 6.0) * (k1[i] + 2.0 * k2[i] + 2.0 * k3[i] + k4[i]) for i in range(n)
-    )
+def _rk4_step(system: _System, x: tuple[float, ...], dt: float) -> tuple[float, ...]:
+    half = 0.5 * dt
+    k1 = _apply(system, x)
+    k2 = _apply(system, _stage(x, half, k1))
+    k3 = _apply(system, _stage(x, half, k2))
+    k4 = _apply(system, _stage(x, dt, k3))
+    sixth = dt / 6.0
+    return tuple([
+        xi + sixth * (a + 2.0 * b + 2.0 * c + d) for xi, a, b, c, d in zip(x, k1, k2, k3, k4)
+    ])
+
+
+def _stage(x: tuple[float, ...], h: float, k: tuple[float, ...]) -> tuple[float, ...]:
+    """An intermediate RK4 state, refused when not finite: the sinusoids
+    cannot be evaluated there, and the step it leads to is not finite."""
+    stage = tuple([xi + h * ki for xi, ki in zip(x, k)])
+    if not all(map(math.isfinite, stage)):
+        bad = next(v for v in stage if not math.isfinite(v))
+        raise NumericalBlowup(f"RK4 stage state {bad!r} is not finite")
+    return stage
 
 
 # ---------------------------------------------------------------------------
@@ -259,8 +348,12 @@ def expand_state(xbar: tuple[float, ...], p: Partition) -> tuple[float, ...]:
 
 def color_spread(x: tuple[float, ...], p: Partition) -> float:
     """Largest within-color state spread."""
+    return _spread(x, p.blocks())
+
+
+def _spread(x: tuple[float, ...], blocks: tuple[tuple[int, ...], ...]) -> float:
     worst = 0.0
-    for block in p.blocks():
+    for block in blocks:
         if len(block) < 2:
             continue
         values = [x[c] for c in block]
@@ -325,6 +418,8 @@ def check_invariance(
     aborted by the overflow guard shows nothing about the spread.
     """
     _check_mode(mode)
+    system = _compile(net, spec)
+    blocks = p.blocks()
     results = []
     worst = 0.0
     for t in range(trials):
@@ -336,10 +431,10 @@ def check_invariance(
         aborted = False
         try:
             for step in range(steps):
-                x = _step(net, spec, x, mode, dt)
+                x = _step(system, x, mode, dt)
                 _guard(x)
                 ran = step + 1
-                spread = max(spread, color_spread(x, p))
+                spread = max(spread, _spread(x, blocks))
                 if stop_above is not None and spread > stop_above:
                     break
         except NumericalBlowup:
@@ -426,6 +521,7 @@ def check_locality(
         support = sorted(cone - {c})
     else:
         support = sorted(set(range(net.n_cells)) - cone)
+    system = _compile(net, spec)
     results = []
     for t in range(trials):
         rng = random.Random(f"locality:{rng_seed}:{t}")
@@ -436,8 +532,8 @@ def check_locality(
         bumped = list(x0)
         for d in support:
             bumped[d] += rng.uniform(0.1, 1.0)
-        base = evolve(net, spec, tuple(x0), k)
-        other = evolve(net, spec, tuple(bumped), k)
+        base = _evolve(system, x0, k)
+        other = _evolve(system, tuple(bumped), k)
         mismatch = None
         for step in range(k + 1):
             if base.states[step][c] != other.states[step][c]:
@@ -478,13 +574,14 @@ def check_subsystem(
     _check_mode(mode)
     net.check_cell(c)
     cells = sorted(in_reachability(net, c))
-    sub = net.subnetwork(cells)
+    full_system = _compile(net, spec)
+    sub_system = _compile(net.subnetwork(cells), spec)
     worst = 0.0
     for t in range(trials):
         rng = random.Random(f"subsystem:{rng_seed}:{t}")
         x0 = _random_state(rng, net.n_cells)
-        full = evolve(net, spec, x0, steps, mode=mode, dt=dt)
-        part = evolve(sub, spec, tuple(x0[d] for d in cells), steps, mode=mode, dt=dt)
+        full = _evolve(full_system, x0, steps, mode, dt)
+        part = _evolve(sub_system, tuple(x0[d] for d in cells), steps, mode, dt)
         for step in range(steps + 1):
             for i, d in enumerate(cells):
                 worst = max(worst, abs(full.states[step][d] - part.states[step][i]))
@@ -506,13 +603,14 @@ def check_quotient_consistency(
     """The quotient system reproduces the full system on the polydiagonal."""
     _check_mode(mode)
     p = cert.partition
-    quotient = _quotient(net, cert)
+    full_system = _compile(net, spec)
+    quotient_system = _compile(_quotient(net, cert), spec)
     worst = 0.0
     for t in range(trials):
         rng = random.Random(f"quotient:{rng_seed}:{t}")
         xbar = _random_state(rng, p.rank)
-        full = evolve(net, spec, expand_state(xbar, p), steps, mode=mode, dt=dt)
-        small = evolve(quotient, spec, xbar, steps, mode=mode, dt=dt)
+        full = _evolve(full_system, expand_state(xbar, p), steps, mode, dt)
+        small = _evolve(quotient_system, xbar, steps, mode, dt)
         for step in range(steps + 1):
             for c in range(net.n_cells):
                 worst = max(

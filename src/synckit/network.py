@@ -162,9 +162,16 @@ def parse_network(doc: Any) -> Network:
     if not isinstance(edges, list):
         raise MalformedDocument("'edges' must be a list")
     for edge in edges:
-        if not isinstance(edge, dict) or not {"from", "to", "weight"} <= set(edge):
+        if (not isinstance(edge, dict)
+                or "from" not in edge or "to" not in edge or "weight" not in edge):
             raise MalformedDocument(f"bad edge entry {edge!r}")
-        src, dst = str(edge["from"]), str(edge["to"])
+        # ids are nearly always strings already; str() of a str subclass
+        # would copy it, so test the exact type
+        src, dst = edge["from"], edge["to"]
+        if type(src) is not str:
+            src = str(src)
+        if type(dst) is not str:
+            dst = str(dst)
         if src not in index:
             raise UnknownCellInEdge(f"edge references unknown cell {src!r}")
         if dst not in index:

@@ -7,21 +7,30 @@ with the monoid sum instead of sparse signatures, least upper bounds by
 scanning every partition of the cell set, SCCs by pairwise mutual
 reachability, walks by boolean matrix powers, networks by folding every
 edge into a dense matrix, reach-based classes and matching from
-per-cell frozenset reach sets instead of condensation bitsets.  It also
-holds the helpers only the tests need: networks to and from dense
-in-adjacency matrices, the one-color partition, 0/1 partition matrices,
-composition of partitions, the balanced-lattice meet, the polydiagonal
-test, and the numerical exo-balance verdict.
+per-cell frozenset reach sets instead of condensation bitsets, and the
+admissible map cell by cell through a dict fold of each neighbourhood
+instead of the compiled sort-merge kernel.  It also holds the helpers
+only the tests need: networks to and from dense in-adjacency matrices,
+the one-color partition, 0/1 partition matrices, composition of
+partitions, the balanced-lattice meet, the polydiagonal test, and the
+numerical exo-balance verdict.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from typing import Any, Iterator, Optional, Sequence
 
 import numpy as np
 
-from synckit.dynamics import check_invariance, color_spread, sample_admissible
+from synckit.dynamics import (
+    AdmissibleFunctionSpec,
+    CouplingParams,
+    check_invariance,
+    color_spread,
+    sample_admissible,
+)
 from synckit.errors import DomainMismatch, NotBalanced, SynckitError
 from synckit.monoid import IntegerAdd, Monoid, monoid_by_name
 from synckit.network import Network
@@ -352,6 +361,85 @@ def numeric_exo_verdict(
         if report.max_spread > tol:
             return False
     return True
+
+
+def _coupling(p: CouplingParams, x: float, y: float) -> float:
+    return (
+        p.lin * y
+        + p.amp1 * math.sin(p.freq1 * y + p.phase1)
+        + p.amp2 * math.sin(p.freq_x * x + p.freq_y * y + p.phase2)
+    )
+
+
+def oracle_eval_on_neighborhood(
+    spec: AdmissibleFunctionSpec,
+    cell_type: int,
+    x_self: float,
+    inputs: Sequence[tuple[int, int, float]],
+) -> float:
+    """One cell's component by the dict fold of its inputs.
+
+    inputs are (sender type, integer weight, sender state) triples.  They
+    are grouped by (type, state) in a dict, so 0.0 and -0.0 share a key
+    holding the first sender's state, with exact integer weight sums; the
+    groups are added in sorted key order and zero sums are skipped.
+    """
+    groups: dict[tuple[int, float], int] = {}
+    for sender_type, weight, state in inputs:
+        key = (sender_type, state)
+        groups[key] = groups.get(key, 0) + weight
+    s = spec.self_params[cell_type - 1]
+    total = s.bias + s.gain * x_self + s.amp * math.sin(s.freq * x_self + s.phase)
+    for (sender_type, state), weight in sorted(groups.items()):
+        if weight == 0:
+            continue
+        p = spec.coupling_params[cell_type - 1][sender_type - 1]
+        v = _coupling(p, x_self, state)
+        if spec.exo:
+            v -= _coupling(p, x_self, x_self)
+        total += weight * v
+    return total
+
+
+def oracle_evaluate(
+    net: Network, spec: AdmissibleFunctionSpec, x: Sequence[float]
+) -> tuple[float, ...]:
+    """The admissible map applied one cell at a time through the dict fold."""
+    types = net.cell_types
+    return tuple(
+        oracle_eval_on_neighborhood(
+            spec, types[c], x[c], [(types[d], w, x[d]) for d, w in net.in_edges[c]]
+        )
+        for c in range(net.n_cells)
+    )
+
+
+def oracle_evolve(
+    net: Network,
+    spec: AdmissibleFunctionSpec,
+    x0: Sequence[float],
+    steps: int,
+    mode: str = "discrete",
+    dt: float = 1e-3,
+) -> list[tuple[float, ...]]:
+    """Every state of the map iteration or of fixed-step RK4, index by index."""
+    x = tuple(x0)
+    n = len(x)
+    states = [x]
+    for _ in range(steps):
+        if mode == "discrete":
+            x = oracle_evaluate(net, spec, x)
+        else:
+            k1 = oracle_evaluate(net, spec, x)
+            k2 = oracle_evaluate(net, spec, [x[i] + 0.5 * dt * k1[i] for i in range(n)])
+            k3 = oracle_evaluate(net, spec, [x[i] + 0.5 * dt * k2[i] for i in range(n)])
+            k4 = oracle_evaluate(net, spec, [x[i] + dt * k3[i] for i in range(n)])
+            x = tuple(
+                x[i] + (dt / 6.0) * (k1[i] + 2.0 * k2[i] + 2.0 * k3[i] + k4[i])
+                for i in range(n)
+            )
+        states.append(x)
+    return states
 
 
 def random_network(

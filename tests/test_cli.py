@@ -252,6 +252,14 @@ class TestDynamicsCommands:
         assert code == 1
         assert "not invariant (5 of 5 trials aborted)" in out
 
+    def test_verify_invariance_rk4_stage_overflow_aborts_trials(self, capsys):
+        code, out, err = invoke(capsys, "verify", "invariance", "--network",
+                                fx("triangle"), "--partition", "12/3",
+                                "--mode", "rk4", "--dt", "1e300")
+        assert code == 1
+        assert "not invariant (5 of 5 trials aborted)" in out
+        assert err == ""
+
     def test_verify_locality_subsystem_quotient(self, capsys):
         code, out, _ = invoke(capsys, "verify", "locality", "--network", fx("chain4"),
                               "--cell", "3", "--k", "2", "--format", "json")
@@ -296,11 +304,19 @@ class TestDynamicsCommands:
     (["invariant", "--network", fx("chain4"), "--partition", "1234", "--kind", "r"], {}),
     (["tables", "--network", fx("chain4"), "--quotient", "1234"], {}),
     (["verify", "quotient", "--network", fx("chain4"), "--partition", "1234"], {}),
+    # an RK4 stage past the float range blows up before the step is taken
+    (["simulate", "--network", fx("triangle"), "--mode", "rk4", "--dt", "1e300"], {}),
+    (["verify", "quotient", "--network", fx("triangle"), "--partition", "12/3",
+      "--mode", "rk4", "--dt", "1e300"], {}),
+    (["verify", "subsystem", "--network", fx("chain4"), "--cell", "3",
+      "--mode", "rk4", "--dt", "1e300"], {}),
 ], ids=["vk-not-int", "max-cells-env", "x0-not-numbers", "simulate-steps",
         "verify-steps", "verify-trials", "locality-trials", "verify-dt-zero",
         "verify-tol-negative", "verify-tol-nan", "verify-dt-inf", "simulate-dt-nan",
         "simulate-dt-negative", "quotient-not-balanced", "invariant-not-balanced",
-        "tables-quotient-not-balanced", "verify-quotient-not-balanced"])
+        "tables-quotient-not-balanced", "verify-quotient-not-balanced",
+        "simulate-rk4-stage-overflow", "verify-quotient-rk4-stage-overflow",
+        "verify-subsystem-rk4-stage-overflow"])
 def test_bad_input_exits_two_with_error_line(capsys, monkeypatch, argv, env):
     for key, value in env.items():
         monkeypatch.setenv(key, value)

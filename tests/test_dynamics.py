@@ -4,10 +4,14 @@ import random
 import pytest
 
 from synckit.dynamics import (
+    AdmissibleFunctionSpec,
+    CouplingParams,
+    SelfParams,
     check_invariance,
     check_locality,
     check_quotient_consistency,
     check_subsystem,
+    component_value,
     evaluate,
     evolve,
     expand_state,
@@ -28,6 +32,9 @@ from oracles import (
     in_polydiagonal,
     numeric_exo_verdict,
     one_color,
+    oracle_eval_on_neighborhood,
+    oracle_evaluate,
+    oracle_evolve,
     oracle_type_refining,
     random_network,
     random_type_refinement,
@@ -151,8 +158,6 @@ class TestEvolve:
 
     def test_identity_selfmap_fixed_point(self):
         # hand-built spec: a(x) = x, no coupling terms
-        from synckit.dynamics import AdmissibleFunctionSpec, CouplingParams, SelfParams
-
         spec = AdmissibleFunctionSpec(
             0,
             False,
@@ -165,8 +170,6 @@ class TestEvolve:
         assert all(s == traj.states[0] for s in traj.states)
 
     def test_blowup_guard(self):
-        from synckit.dynamics import AdmissibleFunctionSpec, CouplingParams, SelfParams
-
         spec = AdmissibleFunctionSpec(
             0,
             False,
@@ -176,6 +179,12 @@ class TestEvolve:
         )
         with pytest.raises(NumericalBlowup):
             evolve(decoupled(), spec, (1.0, 1.0, 1.0), 10)
+
+    def test_rk4_stage_overflow_is_a_blowup(self, triangle):
+        # the third stage state is infinite; sin(inf) would raise ValueError
+        spec = sample_admissible(triangle, 0)
+        with pytest.raises(NumericalBlowup, match="RK4 stage state"):
+            evolve(triangle, spec, (0.1, 0.2, 0.3), 1, mode="rk4", dt=1e300)
 
     def test_bad_initial_state_length(self, triangle):
         spec = sample_admissible(triangle, 0)
@@ -384,3 +393,107 @@ class TestExoCrossCheck:
                 combinatorial = is_exo_balanced(net, p)
                 numerical = numeric_exo_verdict(net, p, seeds=3, trials=3, steps=30)
                 assert combinatorial == numerical
+
+
+def bits(values):
+    """Exact float identity: 0.0 and -0.0 differ here, unlike under ==."""
+    return [float.hex(v) for v in values]
+
+
+def random_doc_network(rng):
+    """Seeded network with 1-3 types, self-loops, parallel and cancelling edges."""
+    n = rng.randint(1, 6)
+    k = rng.randint(1, min(3, n))
+    types = list(range(1, k + 1)) + [rng.randint(1, k) for _ in range(n - k)]
+    rng.shuffle(types)
+    edges = []
+    for _ in range(rng.randint(0, 3 * n)):
+        edge = {"from": str(rng.randint(1, n)), "to": str(rng.randint(1, n)),
+                "weight": rng.choice([-2, -1, 1, 1, 2, 3])}
+        edges.append(edge)
+        extra = rng.random()
+        if extra < 0.2:
+            edges.append(dict(edge))
+        elif extra < 0.4:
+            edges.append(dict(edge, weight=-edge["weight"]))
+    cells = [{"id": str(i + 1), "type": t} for i, t in enumerate(types)]
+    return parse_network({"cells": cells, "edges": edges})
+
+
+def random_states(rng, n):
+    """A generic state, then one whose cells share a few values, 0.0 and -0.0 among them."""
+    pool = [0.0, -0.0, rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5)]
+    yield tuple(rng.uniform(-1.5, 1.5) for _ in range(n))
+    yield tuple(rng.choice(pool) for _ in range(n))
+
+
+# a(x) = -0.0 for x < 0 and h(x, y) = y + (-0.0) + (-0.0) near y = 0, so the
+# result's sign shows which zero stood for a merged group, and whether a
+# zero-sum group was added as 0 * h(x, y) = +0.0
+SIGNED_ZERO = AdmissibleFunctionSpec(
+    0, False, 1,
+    (SelfParams(-0.0, 0.0, 0.0, 1.0, 0.0),),
+    ((CouplingParams(1.0, 0.0, 1.0, -1.0, 0.0, 0.0, 1.0, -1.0),),),
+)
+
+
+class TestKernelMatchesDictFold:
+    """The compiled sort-merge kernel gives the dict fold's bits exactly."""
+
+    def test_evaluate_on_seeded_networks(self):
+        rng = random.Random(800)
+        for _ in range(150):
+            net = random_doc_network(rng)
+            for exo in (False, True):
+                spec = sample_admissible(net, rng.randrange(1000), exo=exo)
+                for x in random_states(rng, net.n_cells):
+                    want = bits(oracle_evaluate(net, spec, x))
+                    assert bits(evaluate(net, spec, x)) == want
+                    got = [component_value(net, spec, x, c) for c in range(net.n_cells)]
+                    assert bits(got) == want
+
+    def test_explicit_neighborhoods(self):
+        # repeated senders of one type and state, cancelling pairs, and
+        # types that share a state
+        rng = random.Random(801)
+        net = parse_network({"cells": [{"id": str(t), "type": t} for t in (1, 2, 3)]})
+        for _ in range(300):
+            spec = sample_admissible(net, rng.randrange(1000), exo=rng.random() < 0.5)
+            pool = [0.0, -0.0, rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5)]
+            inputs = []
+            for _ in range(rng.randint(0, 8)):
+                entry = (rng.randint(1, 3), rng.choice([-2, -1, 1, 2]), rng.choice(pool))
+                inputs.append(entry)
+                if rng.random() < 0.3:
+                    inputs.append((entry[0], -entry[1], entry[2]))
+            cell_type = rng.randint(1, 3)
+            x_self = rng.choice(pool)
+            got = eval_on_neighborhood(spec, cell_type, x_self, inputs)
+            want = oracle_eval_on_neighborhood(spec, cell_type, x_self, inputs)
+            assert bits([got]) == bits([want])
+
+    @pytest.mark.parametrize("inputs, sign", [
+        ([(1, 1, 0.0), (1, 1, -0.0)], "0x0.0p+0"),
+        ([(1, 1, -0.0), (1, 1, 0.0)], "-0x0.0p+0"),
+        # a larger weight does not move the first sender's zero from the front
+        ([(1, 2, -0.0), (1, 1, 0.0)], "-0x0.0p+0"),
+        ([(1, 3, 0.0), (1, 1, -0.0)], "0x0.0p+0"),
+        ([(1, 1, 0.5), (1, -1, 0.5)], "-0x0.0p+0"),
+        ([(1, 2, 0.5), (1, -1, 0.5), (1, -1, 0.5), (1, 1, -0.0)], "-0x0.0p+0"),
+    ])
+    def test_signed_zero_groups(self, inputs, sign):
+        want = oracle_eval_on_neighborhood(SIGNED_ZERO, 1, -1.0, inputs)
+        assert float.hex(want) == sign
+        assert float.hex(eval_on_neighborhood(SIGNED_ZERO, 1, -1.0, inputs)) == sign
+
+    @pytest.mark.parametrize("mode, steps, dt", [("discrete", 15, 1e-3), ("rk4", 6, 0.05)])
+    def test_evolve_matches_oracle_loop(self, mode, steps, dt):
+        rng = random.Random(f"evolve:{mode}")
+        for _ in range(40):
+            net = random_doc_network(rng)
+            for exo in (False, True):
+                spec = sample_admissible(net, rng.randrange(1000), exo=exo)
+                for x0 in random_states(rng, net.n_cells):
+                    traj = evolve(net, spec, x0, steps, mode=mode, dt=dt)
+                    want = oracle_evolve(net, spec, x0, steps, mode=mode, dt=dt)
+                    assert [bits(s) for s in traj.states] == [bits(s) for s in want]
