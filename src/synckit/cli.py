@@ -343,7 +343,8 @@ def cmd_simulate(args) -> int:
         "times": list(traj.times),
         "states": [list(s) for s in traj.states],
     }
-    text = "\n".join(
+    # json output never shows the text, and formatting every state value is costly
+    text = "" if args.format == "json" else "\n".join(
         f"t={t:g} " + " ".join(f"{v:+.6f}" for v in s)
         for t, s in zip(traj.times, traj.states)
     )

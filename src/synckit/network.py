@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING, Any, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Optional, Sequence
 
 from .errors import (
     DuplicateCellId,
@@ -77,6 +77,14 @@ class Network:
             rows[c].append((d, w))
         return tuple(map(tuple, rows))
 
+    @cached_property
+    def out_neighbours(self) -> tuple[tuple[int, ...], ...]:
+        """Per sender, the receivers of its nonzero-weight edges."""
+        rows: list[list[int]] = [[] for _ in range(self.n_cells)]
+        for c, d, _ in self.edges:
+            rows[d].append(c)
+        return tuple(map(tuple, rows))
+
     # Connectivity structure is computed once per instance, on first use.
 
     @cached_property
@@ -111,13 +119,17 @@ def row_color_sum(net: Network, p: Partition, c: int) -> tuple[tuple[int, Any], 
             f"partition on {p.size} cells applied to a {net.n_cells}-cell network"
         )
     net.check_cell(c)
-    add = net.monoid.add
-    colors = p.colors
+    return _signature(net.in_edges[c], p.colors, net.monoid.add, net.monoid.zero())
+
+
+def _signature(
+    row: Sequence[tuple[int, Any]], colors: Sequence[int], add: Callable[[Any, Any], Any], zero: Any
+) -> tuple[tuple[int, Any], ...]:
+    """Sorted nonzero (color, sum) pairs of one in-row under a color assignment."""
     sums: dict[int, Any] = {}
-    for d, w in net.in_edges[c]:
+    for d, w in row:
         k = colors[d]
         sums[k] = add(sums[k], w) if k in sums else w
-    zero = net.monoid.zero()
     return tuple(sorted([kw for kw in sums.items() if kw[1] != zero]))
 
 

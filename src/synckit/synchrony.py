@@ -5,9 +5,10 @@ same monoid-summed in-weight per color; the witnessing color-by-color
 matrix is the in-adjacency of the quotient network.  One O(n + m)
 refinement round regroups the cells by color and sparse signature (the
 nonzero per-color sums of their in-edges, `row_color_sum`): a partition
-is balanced when the round leaves it unchanged, exo-balanced when the
-round that ignores each cell's own color does, and the coarsest balanced
-partition below a given one is the round's fixed point.  Full lattices are
+is balanced when the round leaves it unchanged, and exo-balanced when the
+round that ignores each cell's own color does.  The coarsest balanced
+partition below a given one comes from a worklist refinement that
+re-keys only the cells whose senders changed color.  Full lattices are
 built only for small networks, by split-and-cir: starting from the
 coarsest balanced partition, split one color in two and take cir of the
 result, so the work grows with the number of balanced partitions rather
@@ -19,10 +20,10 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Any, Iterator, Optional
+from typing import Any, Iterable, Iterator, Optional
 
 from .errors import NotInLattice, NotTypeRefining, SynckitError, TooLarge
-from .network import Network, row_color_sum
+from .network import Network, _signature, row_color_sum
 from .partition import Partition, iter_bits, quotient_partition, refines
 
 DEFAULT_MAX_CELLS = 12
@@ -93,11 +94,71 @@ def _quotient(
 
 
 def cir_balanced(net: Network, p: Partition) -> Partition:
-    """Coarsest balanced partition finer than p, by signature refinement."""
+    """Coarsest balanced partition finer than p, by worklist refinement.
+
+    Colors keep their ids while they split, and all cells of a color share
+    one signature, stored once for the color.  Each pass re-keys the cells
+    with an in-edge from a cell the last pass renamed (every cell, in the
+    first pass); any other cell sums the same edges into the same ids as
+    before, whatever the monoid, so its color's stored signature still
+    holds for it.  Each color with re-keyed cells splits by signature and
+    its largest part keeps the id, so a cell is renamed at most log2(n)
+    times (Paige & Tarjan 1987).  A pass that renames nothing leaves every
+    color with one signature: balanced.
+    """
     _check_type_refining(net, p)
-    while (refined := _round(net, p)) != p:
-        p = refined
-    return p
+    rows, receivers = net.in_edges, net.out_neighbours
+    add, zero = net.monoid.add, net.monoid.zero()
+    color = list(p.colors)
+    signature: list[Optional[tuple]] = [None] * p.rank  # None: no cell keyed yet
+    members: list[set[int]] = []  # built once the first pass splits a color
+    rekey: Iterable[int] = range(net.n_cells)
+    while rekey:
+        parts: dict[int, dict[tuple, list[int]]] = {}
+        for c in rekey:
+            k, sig = color[c], _signature(rows[c], color, add, zero)
+            by_sig = parts.get(k)
+            if by_sig is None:
+                parts[k] = {sig: [c]}
+            elif sig in by_sig:
+                by_sig[sig].append(c)
+            else:
+                by_sig[sig] = [c]
+        if not members:
+            # an already balanced p (as most 2-splits of a dense network's
+            # lattice are) returns before any member set is built
+            if all(len(by_sig) == 1 for by_sig in parts.values()):
+                return p
+            members = [set() for _ in range(p.rank)]
+            for c, k in enumerate(color):
+                members[k].add(c)
+        renamed: list[int] = []
+        for k, by_sig in parts.items():
+            cells, old = members[k], signature[k]
+            if len(by_sig) == 1:
+                (sig, part), = by_sig.items()
+                if sig == old or len(part) == len(cells):  # no split
+                    signature[k] = sig
+                    continue
+            size = {sig: len(part) for sig, part in by_sig.items()}
+            unkeyed = len(cells) - sum(size.values())  # these still have the old signature
+            if unkeyed:
+                size[old] = size.get(old, 0) + unkeyed
+            keep = signature[k] = max(size, key=size.__getitem__)
+            if unkeyed and keep != old:
+                keyed = {c for part in by_sig.values() for c in part}
+                by_sig.setdefault(old, []).extend(c for c in cells if c not in keyed)
+            for sig, part in by_sig.items():
+                if sig != keep:
+                    new = len(members)
+                    members.append(set(part))
+                    signature.append(sig)
+                    cells.difference_update(part)
+                    for c in part:
+                        color[c] = new
+                    renamed.extend(part)
+        rekey = {c for d in renamed for c in receivers[d]}
+    return Partition.from_assignment(color)
 
 
 def _resolve_cap(max_cells: Optional[int]) -> int:

@@ -3,8 +3,9 @@
 Everything here recomputes results from definitions, avoiding the
 library's algorithmic shortcuts: joins by chain closure instead of
 union-find, balance and exo-balance by dense matrix products folded
-with the monoid sum instead of sparse signatures, least upper bounds by
-scanning every partition of the cell set, SCCs by pairwise mutual
+with the monoid sum instead of sparse signatures, the coarsest balanced
+refinement by full signature rounds instead of the worklist, least upper
+bounds by scanning every partition of the cell set, SCCs by pairwise mutual
 reachability, walks by boolean matrix powers, networks by folding every
 edge into a dense matrix, reach-based classes and matching from
 per-cell frozenset reach sets instead of condensation bitsets, and the
@@ -33,7 +34,7 @@ from synckit.dynamics import (
 )
 from synckit.errors import DomainMismatch, NotBalanced, SynckitError
 from synckit.monoid import IntegerAdd, Monoid, monoid_by_name
-from synckit.network import Network
+from synckit.network import Network, row_color_sum
 from synckit.partition import Partition, meet, refines
 from synckit.synchrony import BalancedCertificate, cir_balanced, is_balanced
 
@@ -229,6 +230,20 @@ def oracle_cir(net: Network, upper: Partition) -> Partition:
             best = candidate
     assert best is not None, "balanced candidates below the bound have no maximum"
     return best
+
+
+def oracle_cir_rounds(net: Network, p: Partition) -> Partition:
+    """Coarsest balanced refinement by full signature rounds until nothing splits.
+
+    Each round re-keys every cell by (color, row_color_sum), so a chain of
+    n cells takes n rounds of O(n + m) each.
+    """
+    while True:
+        keys = ((k, row_color_sum(net, p, c)) for c, k in enumerate(p.colors))
+        refined = Partition.from_assignment(keys)
+        if refined == p:
+            return p
+        p = refined
 
 
 def oracle_covers(elements: Sequence[Partition]) -> frozenset[tuple[int, int]]:

@@ -268,6 +268,9 @@ def test_folded_edges_agree_with_dense_fold(doc, data):
         tuple((d, w) for d, w in enumerate(row) if w != zero) for row in matrix
     )
     n = net.n_cells
+    assert net.out_neighbours == tuple(
+        tuple(c for c, row in enumerate(matrix) if row[d] != zero) for d in range(n)
+    )
     cells = data.draw(st.permutations(range(n)))[:data.draw(st.integers(0, n))]
     assert net.subnetwork(cells) == from_matrix(
         [ids[c] for c in cells],

@@ -6,7 +6,8 @@ import pytest
 
 from synckit.errors import NotBalanced, NotInLattice, NotTypeRefining, SynckitError, TooLarge
 from synckit.monoid import IntegerAdd, TropicalMin
-from synckit.network import Network
+from synckit import synchrony
+from synckit.network import Network, parse_network
 from synckit.partition import (
     Partition,
     join,
@@ -32,6 +33,7 @@ from oracles import (
     lattice_meet,
     oracle_balanced,
     oracle_cir,
+    oracle_cir_rounds,
     oracle_color_rows,
     oracle_covers,
     oracle_exo_balanced,
@@ -171,6 +173,104 @@ class TestCir:
             ca, cb = cir_balanced(net, a), cir_balanced(net, b)
             assert cir_balanced(net, ca) == ca
             assert refines(ca, cb)
+
+
+def random_multigraph(rng: random.Random, n: int, num_types: int, tropical: bool) -> Network:
+    """Sparse network parsed from a document with self-loops and parallel edges.
+
+    About 3n edges at most, so refinements take many passes; under int-add
+    +1/-1 weights cancel across the senders of a color and some parallel
+    pairs cancel outright.
+    """
+    raw = [rng.randint(1, num_types) for _ in range(n)]
+    relabel = {t: i + 1 for i, t in enumerate(dict.fromkeys(raw))}
+    weights = (0.5, 1.0, 1.0, 2.0, -1.0) if tropical else (-1, 1, 1, 2)
+    edges = []
+    for _ in range(rng.randint(0, 3 * n)):
+        sender, receiver, w = rng.randrange(n), rng.randrange(n), rng.choice(weights)
+        edges.append((sender, receiver, w))
+        roll = rng.random()
+        if roll < 0.15:
+            edges.append((sender, receiver, w))
+        elif roll < 0.3 and not tropical:
+            edges.append((sender, receiver, -w))
+    return parse_network({
+        "monoid": "tropical-min" if tropical else "int-add",
+        "cells": [{"id": str(c), "type": relabel[t]} for c, t in enumerate(raw)],
+        "edges": [{"from": str(s), "to": str(r), "weight": w} for s, r, w in edges],
+    })
+
+
+def random_two_split(rng: random.Random, p: Partition) -> Partition:
+    """p with part of one color of two or more cells moved to a new color."""
+    block = rng.choice([b for b in p.blocks() if len(b) > 1])
+    colors = list(p.colors)
+    moved = rng.sample(block[1:], rng.randint(1, len(block) - 1))
+    for c in moved:
+        colors[c] = p.rank
+    return Partition.from_assignment(colors)
+
+
+class TestCirWorklist:
+    def test_matches_round_oracle(self):
+        # the worklist against full rounds to a fixed point, from the starts
+        # the library uses: types, trivial, any type refinement, and 2-splits
+        # of balanced partitions as enumeration makes them
+        rng = random.Random(71)
+        refined = split_starts = small = 0
+        for trial in range(400):
+            n = rng.randint(1, 6) if trial % 4 == 0 else rng.randint(2, 40)
+            net = random_multigraph(rng, n, 1 + trial % 3, tropical=trial % 2 == 1)
+            top = oracle_cir_rounds(net, net.type_partition())
+            starts = [
+                net.type_partition(),
+                Partition.trivial(n),
+                random_type_refinement(rng, net),
+                random_type_refinement(rng, net),
+            ]
+            if top.rank < n:
+                starts.append(random_two_split(rng, top))
+                split_starts += 1
+            for p in starts:
+                got = cir_balanced(net, p)
+                assert got == oracle_cir_rounds(net, p)
+                refined += got != p
+                if n <= 6:
+                    assert got == oracle_cir(net, p)
+                    small += 1
+        assert refined >= 500 and split_starts >= 100 and small >= 400
+
+    @staticmethod
+    def _count_keys(monkeypatch) -> list[int]:
+        calls = [0]
+        inner = synchrony._signature
+
+        def counted(*args):
+            calls[0] += 1
+            return inner(*args)
+
+        monkeypatch.setattr(synchrony, "_signature", counted)
+        return calls
+
+    @staticmethod
+    def _one_type(n: int, edges) -> Network:
+        return Network(tuple(map(str, range(n))), (1,) * n, tuple(sorted(edges)), IntegerAdd())
+
+    def test_chain_keys_each_cell_about_twice(self, monkeypatch):
+        # each cell is keyed once in the first pass and once when its
+        # sender is renamed; full rounds would key n cells n times
+        n = 2000
+        chain = self._one_type(n, ((c, c - 1, 1) for c in range(1, n)))
+        calls = self._count_keys(monkeypatch)
+        assert cir_balanced(chain, Partition((0,) * n)) == Partition.trivial(n)
+        assert calls[0] <= 3 * n
+
+    def test_balanced_ring_keys_each_cell_once(self, monkeypatch):
+        n = 500
+        ring = self._one_type(n, ((c, (c - 1) % n, 1) for c in range(n)))
+        calls = self._count_keys(monkeypatch)
+        assert cir_balanced(ring, Partition((0,) * n)) == Partition((0,) * n)
+        assert calls[0] == n
 
 
 class TestEnumerate:
