@@ -15,7 +15,8 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from functools import cached_property
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .connectivity import (
     condensation,
@@ -150,7 +151,7 @@ def top_nonweak(net: Network, max_cells: Optional[int] = None) -> tuple[Partitio
 
 
 def _rooted_reach_matched(
-    net: Network, lattice: BalancedLattice, classes: list[ColorClass]
+    net: Network, lattice: BalancedLattice, classes: Sequence[ColorClass]
 ) -> bool:
     """Whether every rooted element of the lattice is reach-in matched."""
     return all(
@@ -181,10 +182,36 @@ _TABLE2 = {
     (ColorClass.WEAK, ColorClass.WEAK): {ColorClass.WEAK},
 }
 
+# Closure of the non-weak elements under join: only a weak join of two
+# non-weak elements breaks it.
+_NONWEAK_CLOSED = {
+    (ColorClass.STRONG, ColorClass.STRONG): {ColorClass.STRONG, ColorClass.ROOTED},
+    (ColorClass.STRONG, ColorClass.ROOTED): {ColorClass.STRONG, ColorClass.ROOTED},
+    (ColorClass.STRONG, ColorClass.WEAK): set(ColorClass),
+    (ColorClass.ROOTED, ColorClass.ROOTED): {ColorClass.STRONG, ColorClass.ROOTED},
+    (ColorClass.ROOTED, ColorClass.WEAK): set(ColorClass),
+    (ColorClass.WEAK, ColorClass.WEAK): set(ColorClass),
+}
 
-def _pair_key(a: ColorClass, b: ColorClass) -> tuple[ColorClass, ColorClass]:
-    order = [ColorClass.STRONG, ColorClass.ROOTED, ColorClass.WEAK]
-    return (a, b) if order.index(a) <= order.index(b) else (b, a)
+_CLASSES = tuple(ColorClass)  # strong, rooted, weak
+_ORDER = {k: n for n, k in enumerate(_CLASSES)}
+
+
+def _fits(table: dict, left: ColorClass, right: ColorClass, joined: ColorClass) -> bool:
+    """Whether a (left, right, join) class triple is allowed by a class table."""
+    key = (left, right) if _ORDER[left] <= _ORDER[right] else (right, left)
+    return joined in table[key]
+
+
+def join_rows(up: tuple[int, ...]) -> Iterator[list[int]]:
+    """Per element i, the lattice index of i ∨ j for every j >= i, in order of j.
+
+    Elements are sorted coarse-first, so the join is the highest set bit
+    of the two up-sets' AND.  One row is held at a time: the pairs are
+    never stored.
+    """
+    for i, ui in enumerate(up):
+        yield [(ui & uj).bit_length() - 1 for uj in up[i:]]
 
 
 @dataclass(frozen=True)
@@ -199,77 +226,73 @@ class JoinEntry:
 
 @dataclass(frozen=True)
 class JoinTableReport:
+    """The classes of a lattice and the class triples its pairs' joins take.
+
+    The verdicts need only the set of (left, right, join) class triples
+    (at most 27), so no pair is stored; `entries` and the violation lists
+    walk the pairs again on first access.
+    """
+
     lattice: BalancedLattice
     classes: tuple[ColorClass, ...]
-    entries: tuple[JoinEntry, ...]
-    general_violations: tuple[JoinEntry, ...]
     rooted_all_reach_matched: bool
-    matched_violations: tuple[JoinEntry, ...]
-    nonweak_join_closed: bool
+    triples: frozenset[tuple[ColorClass, ColorClass, ColorClass]]
 
-    def to_json(self, cell_ids) -> dict:
-        from .partition import format_partition
+    @property
+    def general_table_ok(self) -> bool:
+        return all(_fits(_TABLE1, *t) for t in self.triples)
 
-        texts = [format_partition(p, cell_ids) for p in self.lattice.elements]
-        return {
-            "elements": [
-                {"partition": text, "class": k.value} for text, k in zip(texts, self.classes)
-            ],
-            "pairs": [
-                {
-                    "left": texts[e.left],
-                    "right": texts[e.right],
-                    "left_class": e.left_class.value,
-                    "right_class": e.right_class.value,
-                    "join": texts[e.join_in_lattice],
-                    "join_class": e.join_class.value,
-                }
-                for e in self.entries
-            ],
-            "general_table_ok": not self.general_violations,
-            "rooted_all_reach_matched": self.rooted_all_reach_matched,
-            "matched_table_ok": (
-                not self.matched_violations if self.rooted_all_reach_matched else None
-            ),
-            "nonweak_join_closed": self.nonweak_join_closed,
-        }
+    @property
+    def matched_table_ok(self) -> Optional[bool]:
+        """None when the stricter table does not apply (a rooted element is not reach-matched)."""
+        if not self.rooted_all_reach_matched:
+            return None
+        return all(_fits(_TABLE2, *t) for t in self.triples)
+
+    @property
+    def nonweak_join_closed(self) -> bool:
+        return all(_fits(_NONWEAK_CLOSED, *t) for t in self.triples)
+
+    @cached_property
+    def entries(self) -> tuple[JoinEntry, ...]:
+        k = self.classes
+        return tuple(
+            JoinEntry(i, j, k[i], k[j], k[jdx], jdx)
+            for i, row in enumerate(join_rows(self.lattice.up))
+            for j, jdx in enumerate(row, i)
+        )
+
+    @cached_property
+    def general_violations(self) -> tuple[JoinEntry, ...]:
+        return self._violations(_TABLE1)
+
+    @cached_property
+    def matched_violations(self) -> tuple[JoinEntry, ...]:
+        return self._violations(_TABLE2) if self.rooted_all_reach_matched else ()
+
+    def _violations(self, table: dict) -> tuple[JoinEntry, ...]:
+        return tuple(
+            e for e in self.entries if not _fits(table, e.left_class, e.right_class, e.join_class)
+        )
 
 
 def join_table_report(net: Network, max_cells: Optional[int] = None) -> JoinTableReport:
-    """Join every pair of balanced partitions and record the class algebra."""
+    """Join every pair of balanced partitions and collect the class triples."""
     lattice = enumerate_balanced(net, max_cells)
-    classes = [classify_partition(net, b) for b in lattice.elements]
+    classes = tuple(classify_partition(net, b) for b in lattice.elements)
     rooted_matched = _rooted_reach_matched(net, lattice, classes)
-    entries = []
-    general_bad = []
-    matched_bad = []
-    nonweak_closed = True
-    up = lattice.up
-    for i in range(len(up)):
-        for j in range(i, len(up)):
-            jdx = (up[i] & up[j]).bit_length() - 1
-            entry = JoinEntry(i, j, classes[i], classes[j], classes[jdx], jdx)
-            entries.append(entry)
-            key = _pair_key(classes[i], classes[j])
-            if classes[jdx] not in _TABLE1[key]:
-                general_bad.append(entry)
-            if rooted_matched and classes[jdx] not in _TABLE2[key]:
-                matched_bad.append(entry)
-            if (
-                classes[i] is not ColorClass.WEAK
-                and classes[j] is not ColorClass.WEAK
-                and classes[jdx] is ColorClass.WEAK
-            ):
-                nonweak_closed = False
-    return JoinTableReport(
-        lattice,
-        tuple(classes),
-        tuple(entries),
-        tuple(general_bad),
-        rooted_matched,
-        tuple(matched_bad),
-        nonweak_closed,
+    # per left class, the (right, join) class pairs seen; small int codes
+    # hash far faster than enum members
+    codes = [_ORDER[k] for k in classes]
+    seen: list[set[tuple[int, int]]] = [set() for _ in _CLASSES]
+    for i, row in enumerate(join_rows(lattice.up)):
+        seen[codes[i]].update(zip(codes[i:], map(codes.__getitem__, row)))
+    triples = frozenset(
+        (_CLASSES[left], _CLASSES[right], _CLASSES[joined])
+        for left, pairs in enumerate(seen)
+        for right, joined in pairs
     )
+    return JoinTableReport(lattice, classes, rooted_matched, triples)
 
 
 @dataclass(frozen=True)

@@ -299,22 +299,57 @@ def cmd_tables(args) -> int:
         _emit(payload, args, "\n".join(lines))
         return EXIT_OK if not report.violations else EXIT_FALSE
     report = cls.join_table_report(net, args.max_cells)
-    payload = report.to_json(net.cell_ids)
-    ok = not report.general_violations and not report.matched_violations
-    strict = (
-        str(not report.matched_violations)
-        if report.rooted_all_reach_matched
-        else "n/a"
-    )
+    ok = report.general_table_ok and report.matched_table_ok is not False
+    if args.format == "json":
+        _write_join_table(net, report)
+        return EXIT_OK if ok else EXIT_FALSE
+    strict = report.matched_table_ok
     lines = [
         f"elements: {len(report.lattice.elements)}",
-        f"general_table_ok: {not report.general_violations}",
+        f"general_table_ok: {report.general_table_ok}",
         f"rooted_all_reach_matched: {report.rooted_all_reach_matched}",
-        f"matched_table_ok: {strict}",
+        f"matched_table_ok: {'n/a' if strict is None else strict}",
         f"nonweak_join_closed: {report.nonweak_join_closed}",
     ]
-    _emit(payload, args, "\n".join(lines))
+    print("\n".join(lines))
     return EXIT_OK if ok else EXIT_FALSE
+
+
+# One pair of the join table as json.dumps(indent=2, sort_keys=True) lays it
+# out inside the top-level "pairs" list; each %s is an already encoded
+# '"key": value' run of one element.
+_PAIR = "    {\n      %s,\n      %s,\n      %s\n    }"
+
+
+def _write_join_table(net: Network, report: cls.JoinTableReport) -> None:
+    """Write the join table's JSON without holding its pairs.
+
+    Everything but the pair list goes through json.dumps; the pairs are
+    written row by row from each element's text and class, encoded once,
+    in the bytes json.dumps would give them.
+    """
+    texts = [_fmt(net, p) for p in report.lattice.elements]
+    payload = {
+        "elements": [{"partition": t, "class": k.value} for t, k in zip(texts, report.classes)],
+        "general_table_ok": report.general_table_ok,
+        "matched_table_ok": report.matched_table_ok,
+        "nonweak_join_closed": report.nonweak_join_closed,
+        "pairs": [],
+        "rooted_all_reach_matched": report.rooted_all_reach_matched,
+    }
+    # string values never hold a raw newline, so this is the key's own line
+    head, tail = json.dumps(payload, indent=2, sort_keys=True).split('\n  "pairs": []', 1)
+    encoded = [(json.dumps(t), json.dumps(k.value)) for t, k in zip(texts, report.classes)]
+    joins = [f'"join": {t},\n      "join_class": {k}' for t, k in encoded]
+    lefts = [f'"left": {t},\n      "left_class": {k}' for t, k in encoded]
+    rights = [f'"right": {t},\n      "right_class": {k}' for t, k in encoded]
+    out = sys.stdout
+    out.write(head + '\n  "pairs": [')
+    for i, row in enumerate(cls.join_rows(report.lattice.up)):
+        left = lefts[i]
+        pairs = [_PAIR % (joins[jdx], left, right) for jdx, right in zip(row, rights[i:])]
+        out.write(("\n" if i == 0 else ",\n") + ",\n".join(pairs))
+    out.write("\n  ]" + tail + "\n")
 
 
 def cmd_simulate(args) -> int:
@@ -476,6 +511,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Commands that print DOT for --format dot (quotient's text output is DOT;
+# export-dot prints DOT whatever the format); the others refuse it.
+_DOT_COMMANDS = {"condense", "quotient", "export-dot"}
+
+
 def run(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     try:
@@ -483,6 +523,9 @@ def run(argv: Optional[list[str]] = None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
+        if args.format == "dot" and args.command not in _DOT_COMMANDS:
+            hint = "; use --dot" if args.command == "lattice" else ""
+            raise SynckitError(f"{args.command} has no --format dot output{hint}")
         return args.handler(args)
     except SynckitError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -43,10 +43,15 @@ class BalancedCertificate:
 
 
 def _round(net: Network, p: Partition, exo: bool = False) -> Partition:
-    """Split every color of p by its cells' signatures (own color left out if exo)."""
+    """Split every color of p by its cells' signatures (own color left out if exo).
+
+    Callers check once that p is type-refining, which covers its size.
+    """
+    rows, colors = net.in_edges, p.colors
+    add, zero = net.monoid.add, net.monoid.zero()
     keys = []
-    for c, k in enumerate(p.colors):
-        signature = row_color_sum(net, p, c)
+    for c, k in enumerate(colors):
+        signature = _signature(rows[c], colors, add, zero)
         if exo:
             signature = tuple(kw for kw in signature if kw[0] != k)
         keys.append((k, signature))

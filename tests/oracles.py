@@ -8,13 +8,15 @@ refinement by full signature rounds instead of the worklist, least upper
 bounds by scanning every partition of the cell set, SCCs by pairwise mutual
 reachability, walks by boolean matrix powers, networks by folding every
 edge into a dense matrix, reach-based classes and matching from
-per-cell frozenset reach sets instead of condensation bitsets, and the
-admissible map cell by cell through a dict fold of each neighbourhood
-instead of the compiled sort-merge kernel.  It also holds the helpers
-only the tests need: networks to and from dense in-adjacency matrices,
-the one-color partition, 0/1 partition matrices, composition of
-partitions, the balanced-lattice meet, the polydiagonal test, and the
-numerical exo-balance verdict.
+per-cell frozenset reach sets instead of condensation bitsets, the join
+table pair by pair instead of from class triples and up-set bitsets,
+and the admissible map cell by cell through a dict fold of each
+neighbourhood instead of the compiled sort-merge kernel.  It also holds
+the helpers only the tests need: networks to and from dense
+in-adjacency matrices, the one-color partition, 0/1 partition matrices,
+composition of partitions, the balanced-lattice meet, the polydiagonal
+test, the numerical exo-balance verdict, and the seeded and complete
+networks the lattice tests share.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from typing import Any, Iterator, Optional, Sequence
 
 import numpy as np
 
+from synckit.classification import ColorClass, JoinEntry
 from synckit.dynamics import (
     AdmissibleFunctionSpec,
     CouplingParams,
@@ -35,7 +38,7 @@ from synckit.dynamics import (
 from synckit.errors import DomainMismatch, NotBalanced, SynckitError
 from synckit.monoid import IntegerAdd, Monoid, monoid_by_name
 from synckit.network import Network, row_color_sum
-from synckit.partition import Partition, meet, refines
+from synckit.partition import Partition, format_partition, meet, refines
 from synckit.synchrony import BalancedCertificate, cir_balanced, is_balanced
 
 Matrix = tuple[tuple[Any, ...], ...]
@@ -320,6 +323,72 @@ def oracle_reach_matched(reach: Sequence[frozenset[int]], p: Partition) -> bool:
     return True
 
 
+def _join_allowed(left: str, right: str, strict: bool) -> set[str]:
+    """Classes the join of two classes may take: the paper's general table,
+    or its stricter table when every rooted element is reach-in matched."""
+    worst = max(left, right, key=["strong", "rooted", "weak"].index)
+    if worst == "rooted" and not strict:
+        return {"rooted", "weak"}
+    return {worst}
+
+
+def oracle_join_table(net: Network, elements: Sequence[Partition]) -> dict[str, Any]:
+    """Join table of the balanced partitions in the given order, pair by pair.
+
+    Joins by chain closure, classes and reach-in matching from frozenset
+    reach sets.  Returns the `tables --format json` payload, the text
+    lines and exit code of `tables`, and every pair as a JoinEntry with
+    the violations of the general and the stricter table.
+    """
+    reach = oracle_reach_sets(net)
+    classes = [oracle_classify_partition(reach, b) for b in elements]
+    rooted_matched = all(
+        oracle_reach_matched(reach, b) for b, k in zip(elements, classes) if k == "rooted"
+    )
+    index = {b: k for k, b in enumerate(elements)}
+    texts = [format_partition(b, net.cell_ids) for b in elements]
+    entries, general_bad, matched_bad, pairs = [], [], [], []
+    nonweak_closed = True
+    for i in range(len(elements)):
+        for j in range(i, len(elements)):
+            jdx = index[oracle_join(elements[i], elements[j])]
+            left, right, joined = classes[i], classes[j], classes[jdx]
+            entry = JoinEntry(i, j, ColorClass(left), ColorClass(right), ColorClass(joined), jdx)
+            entries.append(entry)
+            if joined not in _join_allowed(left, right, strict=False):
+                general_bad.append(entry)
+            if rooted_matched and joined not in _join_allowed(left, right, strict=True):
+                matched_bad.append(entry)
+            if "weak" not in (left, right) and joined == "weak":
+                nonweak_closed = False
+            pairs.append({"left": texts[i], "right": texts[j], "left_class": left,
+                          "right_class": right, "join": texts[jdx], "join_class": joined})
+    matched_ok = not matched_bad if rooted_matched else None
+    payload = {
+        "elements": [{"partition": t, "class": k} for t, k in zip(texts, classes)],
+        "pairs": pairs,
+        "general_table_ok": not general_bad,
+        "rooted_all_reach_matched": rooted_matched,
+        "matched_table_ok": matched_ok,
+        "nonweak_join_closed": nonweak_closed,
+    }
+    text = [
+        f"elements: {len(elements)}",
+        f"general_table_ok: {not general_bad}",
+        f"rooted_all_reach_matched: {rooted_matched}",
+        f"matched_table_ok: {'n/a' if matched_ok is None else matched_ok}",
+        f"nonweak_join_closed: {nonweak_closed}",
+    ]
+    return {
+        "payload": payload,
+        "text": "\n".join(text) + "\n",
+        "exit_code": 0 if not general_bad and not matched_bad else 1,
+        "entries": tuple(entries),
+        "general_violations": tuple(general_bad),
+        "matched_violations": tuple(matched_bad),
+    }
+
+
 def oracle_reach_invariant(
     net: Network, cert: BalancedCertificate, reach: Sequence[frozenset[int]]
 ) -> bool:
@@ -543,3 +612,26 @@ def random_balanced_lift(
     ids = tuple(str(i + 1) for i in range(n))
     net = from_matrix(ids, types, matrix, IntegerAdd())
     return net, Partition.from_assignment(colors)
+
+
+def seeded_lattice_networks():
+    """260 seeded networks of up to 7 cells; sparse and cancelling weights
+    make nontrivial lattices common, and the last 60 are balanced lifts."""
+    rng = random.Random(3301)
+    weights = [(-1, 0, 1, 2), (0, 0, 0, 1), (0, 0, 0, 0, 1, -1)]
+    for trial in range(260):
+        if trial < 200:
+            yield random_network(rng, max_cells=7, num_types=1 + trial // 3 % 2,
+                                 weights=weights[trial % 3])
+        else:
+            yield random_balanced_lift(rng, max_cells=7)[0]
+
+
+def complete_graph(n: int) -> Network:
+    """K_n with unit weights: every partition of its cells is balanced."""
+    return from_matrix(
+        tuple(str(i + 1) for i in range(n)),
+        (1,) * n,
+        tuple(tuple(int(i != j) for j in range(n)) for i in range(n)),
+        IntegerAdd(),
+    )

@@ -1,3 +1,4 @@
+import json
 import random
 import tracemalloc
 from collections import Counter
@@ -27,16 +28,19 @@ from synckit.connectivity import (
 )
 from synckit.errors import EmptyColor, SynckitError
 from synckit.monoid import IntegerAdd
-from synckit.network import parse_network
+from synckit.cli import run
+from synckit.network import parse_network, save_network
 from synckit.partition import Partition, join, parse_partition, refines
 from synckit.synchrony import cir_balanced, enumerate_balanced, is_balanced
 
-from conftest import fixture_net
+from conftest import FIXTURE_NAMES, fixture_net
 from oracles import (
+    complete_graph,
     from_matrix,
     one_color,
     oracle_classify_color,
     oracle_classify_partition,
+    oracle_join_table,
     oracle_rdc,
     oracle_reach_invariant,
     oracle_reach_matched,
@@ -44,6 +48,7 @@ from oracles import (
     random_balanced_lift,
     random_network,
     random_type_refinement,
+    seeded_lattice_networks,
 )
 
 KINDS = (N_IN, V_IN, v_in_k(1), v_in_k(2), v_in_k(3), R_IN)
@@ -299,6 +304,38 @@ class TestJoinTable:
             assert not report.general_violations
             if report.rooted_all_reach_matched:
                 assert not report.matched_violations
+
+
+def _join_table_networks():
+    yield from seeded_lattice_networks()
+    for name in FIXTURE_NAMES:
+        yield fixture_net(name)
+    yield complete_graph(6)
+
+
+def test_join_table_matches_pairwise_oracle(tmp_path, capsys):
+    """Verdicts from class triples, lazy entries and streamed `tables` output
+    all agree with the pair-by-pair oracle, byte for byte."""
+    path = str(tmp_path / "net.json")
+    for net in _join_table_networks():
+        report = join_table_report(net)
+        want = oracle_join_table(net, report.lattice.elements)
+        payload = want["payload"]
+        assert report.triples == {
+            (e.left_class, e.right_class, e.join_class) for e in want["entries"]
+        }
+        assert report.general_table_ok == payload["general_table_ok"]
+        assert report.rooted_all_reach_matched == payload["rooted_all_reach_matched"]
+        assert report.matched_table_ok == payload["matched_table_ok"]
+        assert report.nonweak_join_closed == payload["nonweak_join_closed"]
+        assert report.entries == want["entries"]
+        assert report.general_violations == want["general_violations"]
+        assert report.matched_violations == want["matched_violations"]
+        save_network(net, path)
+        assert run(["tables", "--network", path]) == want["exit_code"]
+        assert capsys.readouterr().out == want["text"]
+        assert run(["tables", "--network", path, "--format", "json"]) == want["exit_code"]
+        assert capsys.readouterr().out == json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 class TestQuotientClassReport:

@@ -1,14 +1,17 @@
+import contextlib
 import json
+import os
+import tracemalloc
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from synckit.cli import run
-from synckit.network import load_network
+from synckit.network import load_network, save_network
 
 from conftest import FIXTURE_NAMES, fixture_path
-from oracles import dense
+from oracles import complete_graph, dense
 
 
 def fx(name):
@@ -310,13 +313,23 @@ class TestDynamicsCommands:
       "--mode", "rk4", "--dt", "1e300"], {}),
     (["verify", "subsystem", "--network", fx("chain4"), "--cell", "3",
       "--mode", "rk4", "--dt", "1e300"], {}),
+    # only condense, quotient and export-dot print DOT
+    (["scc", "--network", fx("triangle"), "--format", "dot"], {}),
+    (["lattice", "--network", fx("triangle"), "--format", "dot"], {}),
+    (["tables", "--network", fx("triangle"), "--format", "dot"], {}),
+    (["simulate", "--network", fx("triangle"), "--format", "dot"], {}),
+    (["verify", "quotient", "--network", fx("triangle"), "--partition", "12/3",
+      "--format", "dot"], {}),
+    (["classify", "--network", fx("triangle"), "--partition", "12/3",
+      "--format", "dot"], {}),
 ], ids=["vk-not-int", "max-cells-env", "x0-not-numbers", "simulate-steps",
         "verify-steps", "verify-trials", "locality-trials", "verify-dt-zero",
         "verify-tol-negative", "verify-tol-nan", "verify-dt-inf", "simulate-dt-nan",
         "simulate-dt-negative", "quotient-not-balanced", "invariant-not-balanced",
         "tables-quotient-not-balanced", "verify-quotient-not-balanced",
         "simulate-rk4-stage-overflow", "verify-quotient-rk4-stage-overflow",
-        "verify-subsystem-rk4-stage-overflow"])
+        "verify-subsystem-rk4-stage-overflow", "scc-dot", "lattice-dot", "tables-dot",
+        "simulate-dot", "verify-dot", "classify-dot"])
 def test_bad_input_exits_two_with_error_line(capsys, monkeypatch, argv, env):
     for key, value in env.items():
         monkeypatch.setenv(key, value)
@@ -388,6 +401,31 @@ def test_deep_chain_does_not_exhaust_the_stack(capsys, tmp_path, argv):
     code, out, err = invoke(capsys, *argv, "--network", str(path))
     assert (code, err) == (0, "")
     assert out
+
+
+def test_format_dot_where_dot_is_printed(capsys):
+    code, out, err = invoke(capsys, "lattice", "--network", fx("triangle"), "--format", "dot")
+    assert (code, out) == (2, "")
+    assert "--dot" in err
+    for argv in (["condense"], ["quotient", "--partition", "12/3"], ["export-dot"]):
+        code, out, err = invoke(capsys, *argv, "--network", fx("triangle"), "--format", "dot")
+        assert (code, err) == (0, "")
+        assert out.startswith("digraph")
+
+
+def test_tables_json_streams_pairs_in_small_memory(tmp_path):
+    """K6 has 20706 pairs (about 4 MB of JSON); none of them is held."""
+    path = tmp_path / "k6.json"
+    save_network(complete_graph(6), str(path))
+    with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+        tracemalloc.start()
+        try:
+            code = run(["tables", "--network", str(path), "--format", "json"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert code == 0
+    assert peak < 4 * 2**20
 
 
 class TestExportDot:

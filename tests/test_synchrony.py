@@ -28,6 +28,7 @@ from synckit.synchrony import (
 
 from conftest import fixture_net
 from oracles import (
+    complete_graph,
     dense,
     from_matrix,
     lattice_meet,
@@ -41,30 +42,8 @@ from oracles import (
     random_balanced_lift,
     random_network,
     random_type_refinement,
+    seeded_lattice_networks,
 )
-
-
-def seeded_lattice_networks():
-    """260 seeded networks of up to 7 cells; sparse and cancelling weights
-    make nontrivial lattices common, and the last 60 are balanced lifts."""
-    rng = random.Random(3301)
-    weights = [(-1, 0, 1, 2), (0, 0, 0, 1), (0, 0, 0, 0, 1, -1)]
-    for trial in range(260):
-        if trial < 200:
-            yield random_network(rng, max_cells=7, num_types=1 + trial // 3 % 2,
-                                 weights=weights[trial % 3])
-        else:
-            yield random_balanced_lift(rng, max_cells=7)[0]
-
-
-def complete_graph(n: int) -> Network:
-    """K_n with unit weights: every partition of its cells is balanced."""
-    return from_matrix(
-        tuple(str(i + 1) for i in range(n)),
-        (1,) * n,
-        tuple(tuple(int(i != j) for j in range(n)) for i in range(n)),
-        IntegerAdd(),
-    )
 
 
 def same_structure(a: Network, b: Network) -> bool:
