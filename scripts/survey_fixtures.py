@@ -8,7 +8,9 @@ Usage:
 from __future__ import annotations
 
 import argparse
+import sys
 from pathlib import Path
+from typing import Optional
 
 from synckit.classification import (
     ColorClass,
@@ -16,16 +18,18 @@ from synckit.classification import (
     classify_partition,
     is_invariant,
     is_matched,
+    join_rows,
     join_table_report,
     top_nonweak,
     top_strong,
 )
+from synckit.errors import SynckitError
 from synckit.network import load_network
 from synckit.partition import format_partition
 from synckit.synchrony import enumerate_balanced, is_balanced
 
 
-def survey(path: Path, max_cells: int) -> None:
+def survey(path: Path, max_cells: Optional[int]) -> None:
     net = load_network(str(path))
     ids = net.cell_ids
     print(f"== {path.stem} ({net.n_cells} cells, {net.num_types} types)")
@@ -43,17 +47,16 @@ def survey(path: Path, max_cells: int) -> None:
     print(f"   top non-weak: {format_partition(candidate, ids)} (valid: {valid})")
     table = join_table_report(net, max_cells)
     print(
-        f"   join table: general_ok={not table.general_violations} "
+        f"   join table: general_ok={table.general_table_ok} "
         f"strict_applies={table.rooted_all_reach_matched} "
-        f"strict_ok={not table.matched_violations} "
+        f"strict_ok={table.matched_table_ok is not False} "
         f"nonweak_closed={table.nonweak_join_closed}"
     )
+    k = table.classes
     rr_weak = sum(
-        1
-        for e in table.entries
-        if e.left_class is ColorClass.ROOTED
-        and e.right_class is ColorClass.ROOTED
-        and e.join_class is ColorClass.WEAK
+        k[i] is ColorClass.ROOTED and k[j] is ColorClass.ROOTED and k[jdx] is ColorClass.WEAK
+        for i, row in enumerate(join_rows(table.lattice.up))
+        for j, jdx in enumerate(row, i)
     )
     if rr_weak:
         print(f"   rooted-join-weak pairs: {rr_weak}")
@@ -66,10 +69,15 @@ def main() -> None:
         "--fixtures",
         default=str(Path(__file__).resolve().parent.parent / "fixtures"),
     )
-    parser.add_argument("--max-cells", type=int, default=12)
+    # None leaves the cap to enumerate_balanced: SYNCKIT_MAX_CELLS, else its default
+    parser.add_argument("--max-cells", type=int, default=None)
     args = parser.parse_args()
-    for path in sorted(Path(args.fixtures).glob("*.json")):
-        survey(path, args.max_cells)
+    try:
+        for path in sorted(Path(args.fixtures).glob("*.json")):
+            survey(path, args.max_cells)
+    except SynckitError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        sys.exit(2)
 
 
 if __name__ == "__main__":

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .connectivity import (
@@ -215,22 +214,12 @@ def join_rows(up: tuple[int, ...]) -> Iterator[list[int]]:
 
 
 @dataclass(frozen=True)
-class JoinEntry:
-    left: int
-    right: int
-    left_class: ColorClass
-    right_class: ColorClass
-    join_class: ColorClass
-    join_in_lattice: int
-
-
-@dataclass(frozen=True)
 class JoinTableReport:
     """The classes of a lattice and the class triples its pairs' joins take.
 
     The verdicts need only the set of (left, right, join) class triples
-    (at most 27), so no pair is stored; `entries` and the violation lists
-    walk the pairs again on first access.
+    (at most 27), so no pair is stored; `join_rows(lattice.up)` yields
+    the pairs' joins row by row.
     """
 
     lattice: BalancedLattice
@@ -252,28 +241,6 @@ class JoinTableReport:
     @property
     def nonweak_join_closed(self) -> bool:
         return all(_fits(_NONWEAK_CLOSED, *t) for t in self.triples)
-
-    @cached_property
-    def entries(self) -> tuple[JoinEntry, ...]:
-        k = self.classes
-        return tuple(
-            JoinEntry(i, j, k[i], k[j], k[jdx], jdx)
-            for i, row in enumerate(join_rows(self.lattice.up))
-            for j, jdx in enumerate(row, i)
-        )
-
-    @cached_property
-    def general_violations(self) -> tuple[JoinEntry, ...]:
-        return self._violations(_TABLE1)
-
-    @cached_property
-    def matched_violations(self) -> tuple[JoinEntry, ...]:
-        return self._violations(_TABLE2) if self.rooted_all_reach_matched else ()
-
-    def _violations(self, table: dict) -> tuple[JoinEntry, ...]:
-        return tuple(
-            e for e in self.entries if not _fits(table, e.left_class, e.right_class, e.join_class)
-        )
 
 
 def join_table_report(net: Network, max_cells: Optional[int] = None) -> JoinTableReport:
@@ -309,26 +276,6 @@ class QuotientClassReport:
     precondition_met: bool
     entries: tuple[QuotientClassEntry, ...]
     violations: tuple[QuotientClassEntry, ...]
-
-    def to_json(self, cell_ids, quotient_ids) -> dict:
-        from .partition import format_partition
-
-        return {
-            "over": format_partition(self.base_partition, cell_ids),
-            "reach_invariant": self.precondition_met,
-            "entries": [
-                {
-                    "partition": format_partition(e.partition, cell_ids),
-                    "class": e.class_in_base.value,
-                    "quotient_partition": format_partition(
-                        e.quotient_partition, quotient_ids
-                    ),
-                    "quotient_class": e.class_in_quotient.value,
-                }
-                for e in self.entries
-            ],
-            "table_ok": not self.violations,
-        }
 
 
 _ALLOWED_QUOTIENT = {

@@ -105,7 +105,7 @@ def cmd_condense(args) -> int:
     net = _net(args)
     cond = conn.condensation(net)
     blocks = _blocks_as_ids(net, cond.scc_partition)
-    edges = sorted(cond.dag_edges)
+    edges = sorted((s, t) for t, ps in enumerate(cond.preds) for s in ps)
     payload = {
         "sccs": blocks,
         "edges": [[s, t] for s, t in edges],
@@ -191,6 +191,8 @@ def cmd_cir(args) -> int:
 
 
 def cmd_lattice(args) -> int:
+    if args.dot and args.format == "json":
+        raise SynckitError("lattice --dot has no --format json output; drop one of them")
     net = _net(args)
     lattice = syn.enumerate_balanced(net, args.max_cells)
     texts = [_fmt(net, p) for p in lattice.elements]
@@ -287,15 +289,13 @@ def cmd_tables(args) -> int:
         cert = _certificate(net, p, "no quotient class table")
         report = cls.quotient_class_report(net, cert, args.max_cells)
         qnet = syn.quotient_network(net, cert)
-        payload = report.to_json(net.cell_ids, qnet.cell_ids)
+        payload = _quotient_table(report, net.cell_ids, qnet.cell_ids)
         lines = [f"over {payload['over']} (reach-invariant: {report.precondition_met})"]
-        for e in report.entries:
-            lines.append(
-                f"{_fmt(net, e.partition)} [{e.class_in_base.value}] -> "
-                f"{format_partition(e.quotient_partition, qnet.cell_ids)} "
-                f"[{e.class_in_quotient.value}]"
-            )
-        lines.append(f"table_ok: {not report.violations}")
+        lines += [
+            f"{e['partition']} [{e['class']}] -> {e['quotient_partition']} [{e['quotient_class']}]"
+            for e in payload["entries"]
+        ]
+        lines.append(f"table_ok: {payload['table_ok']}")
         _emit(payload, args, "\n".join(lines))
         return EXIT_OK if not report.violations else EXIT_FALSE
     report = cls.join_table_report(net, args.max_cells)
@@ -313,6 +313,24 @@ def cmd_tables(args) -> int:
     ]
     print("\n".join(lines))
     return EXIT_OK if ok else EXIT_FALSE
+
+
+def _quotient_table(report: cls.QuotientClassReport, cell_ids, quotient_ids) -> dict:
+    """The `tables --quotient` JSON payload; its text lines reuse the formatted partitions."""
+    return {
+        "over": format_partition(report.base_partition, cell_ids),
+        "reach_invariant": report.precondition_met,
+        "entries": [
+            {
+                "partition": format_partition(e.partition, cell_ids),
+                "class": e.class_in_base.value,
+                "quotient_partition": format_partition(e.quotient_partition, quotient_ids),
+                "quotient_class": e.class_in_quotient.value,
+            }
+            for e in report.entries
+        ],
+        "table_ok": not report.violations,
+    }
 
 
 # One pair of the join table as json.dumps(indent=2, sort_keys=True) lays it

@@ -110,10 +110,9 @@ def scc_decomposition(net: Network) -> Partition:
 
 @dataclass(frozen=True)
 class Condensation:
-    """SCC blocks, the block DAG, its roots, each block's predecessors, a topological order."""
+    """SCC blocks, the block DAG's roots, each block's predecessors, a topological order."""
 
     scc_partition: Partition
-    dag_edges: frozenset[tuple[int, int]]
     roots: frozenset[int]
     preds: tuple[tuple[int, ...], ...]
     order: tuple[int, ...]
@@ -149,7 +148,7 @@ def _build_condensation(net: Network) -> Condensation:
         preds[t].append(s)
     order = TopologicalSorter(dict(enumerate(preds))).static_order()
     roots = frozenset(k for k in range(sccs.rank) if not preds[k])
-    return Condensation(sccs, frozenset(edges), roots, tuple(map(tuple, preds)), tuple(order))
+    return Condensation(sccs, roots, tuple(map(tuple, preds)), tuple(order))
 
 
 def reach_colors(net: Network, p: Partition) -> tuple[int, ...]:

@@ -347,12 +347,8 @@ def expand_state(xbar: tuple[float, ...], p: Partition) -> tuple[float, ...]:
     return tuple(xbar[k] for k in p.colors)
 
 
-def color_spread(x: tuple[float, ...], p: Partition) -> float:
-    """Largest within-color state spread."""
-    return _spread(x, p.blocks())
-
-
 def _spread(x: tuple[float, ...], blocks: tuple[tuple[int, ...], ...]) -> float:
+    """Largest within-block state spread."""
     worst = 0.0
     for block in blocks:
         if len(block) < 2:

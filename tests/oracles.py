@@ -23,16 +23,15 @@ from __future__ import annotations
 
 import math
 import random
-from typing import Any, Iterator, Optional, Sequence
+from typing import Any, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from synckit.classification import ColorClass, JoinEntry
+from synckit.classification import ColorClass
 from synckit.dynamics import (
     AdmissibleFunctionSpec,
     CouplingParams,
     check_invariance,
-    color_spread,
     sample_admissible,
 )
 from synckit.errors import DomainMismatch, NotBalanced, SynckitError
@@ -104,7 +103,8 @@ def lattice_meet(net: Network, b1: Partition, b2: Partition) -> Partition:
 
 def in_polydiagonal(x: tuple[float, ...], p: Partition, tol: float = 0.0) -> bool:
     """True iff same-colored entries agree within tol."""
-    return color_spread(x, p) <= tol
+    values = ([x[c] for c in block] for block in p.blocks())
+    return all(max(v) - min(v) <= tol for v in values)
 
 
 def partition_matrix(a: Partition) -> np.ndarray:
@@ -332,13 +332,23 @@ def _join_allowed(left: str, right: str, strict: bool) -> set[str]:
     return {worst}
 
 
+class OraclePair(NamedTuple):
+    """One pair of the join table: element indices and classes, and the join's."""
+
+    left: int
+    right: int
+    left_class: ColorClass
+    right_class: ColorClass
+    join_class: ColorClass
+    join: int
+
+
 def oracle_join_table(net: Network, elements: Sequence[Partition]) -> dict[str, Any]:
     """Join table of the balanced partitions in the given order, pair by pair.
 
     Joins by chain closure, classes and reach-in matching from frozenset
     reach sets.  Returns the `tables --format json` payload, the text
-    lines and exit code of `tables`, and every pair as a JoinEntry with
-    the violations of the general and the stricter table.
+    lines and exit code of `tables`, and every pair as an OraclePair.
     """
     reach = oracle_reach_sets(net)
     classes = [oracle_classify_partition(reach, b) for b in elements]
@@ -347,45 +357,42 @@ def oracle_join_table(net: Network, elements: Sequence[Partition]) -> dict[str, 
     )
     index = {b: k for k, b in enumerate(elements)}
     texts = [format_partition(b, net.cell_ids) for b in elements]
-    entries, general_bad, matched_bad, pairs = [], [], [], []
+    entries, pairs = [], []
+    general_ok = matched_ok = True
     nonweak_closed = True
     for i in range(len(elements)):
         for j in range(i, len(elements)):
             jdx = index[oracle_join(elements[i], elements[j])]
             left, right, joined = classes[i], classes[j], classes[jdx]
-            entry = JoinEntry(i, j, ColorClass(left), ColorClass(right), ColorClass(joined), jdx)
-            entries.append(entry)
-            if joined not in _join_allowed(left, right, strict=False):
-                general_bad.append(entry)
-            if rooted_matched and joined not in _join_allowed(left, right, strict=True):
-                matched_bad.append(entry)
+            entries.append(OraclePair(
+                i, j, ColorClass(left), ColorClass(right), ColorClass(joined), jdx))
+            general_ok &= joined in _join_allowed(left, right, strict=False)
+            matched_ok &= joined in _join_allowed(left, right, strict=True)
             if "weak" not in (left, right) and joined == "weak":
                 nonweak_closed = False
             pairs.append({"left": texts[i], "right": texts[j], "left_class": left,
                           "right_class": right, "join": texts[jdx], "join_class": joined})
-    matched_ok = not matched_bad if rooted_matched else None
+    strict = matched_ok if rooted_matched else None
     payload = {
         "elements": [{"partition": t, "class": k} for t, k in zip(texts, classes)],
         "pairs": pairs,
-        "general_table_ok": not general_bad,
+        "general_table_ok": general_ok,
         "rooted_all_reach_matched": rooted_matched,
-        "matched_table_ok": matched_ok,
+        "matched_table_ok": strict,
         "nonweak_join_closed": nonweak_closed,
     }
     text = [
         f"elements: {len(elements)}",
-        f"general_table_ok: {not general_bad}",
+        f"general_table_ok: {general_ok}",
         f"rooted_all_reach_matched: {rooted_matched}",
-        f"matched_table_ok: {'n/a' if matched_ok is None else matched_ok}",
+        f"matched_table_ok: {'n/a' if strict is None else strict}",
         f"nonweak_join_closed: {nonweak_closed}",
     ]
     return {
         "payload": payload,
         "text": "\n".join(text) + "\n",
-        "exit_code": 0 if not general_bad and not matched_bad else 1,
+        "exit_code": 0 if general_ok and strict is not False else 1,
         "entries": tuple(entries),
-        "general_violations": tuple(general_bad),
-        "matched_violations": tuple(matched_bad),
     }
 
 

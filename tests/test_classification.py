@@ -265,23 +265,16 @@ class TestJoinTable:
     def test_driven_chain_matches_stricter_table(self):
         net = fixture_net("driven_chain")
         report = join_table_report(net)
-        assert not report.general_violations
+        assert report.general_table_ok
         assert report.rooted_all_reach_matched
-        assert not report.matched_violations
+        assert report.matched_table_ok
         assert report.nonweak_join_closed
 
     def test_hub_fixture_shows_rooted_join_weak(self):
         net = fixture_net("twin_cycles_hub")
         report = join_table_report(net)
-        assert not report.general_violations
-        rr_weak = [
-            e
-            for e in report.entries
-            if e.left_class is ColorClass.ROOTED
-            and e.right_class is ColorClass.ROOTED
-            and e.join_class is ColorClass.WEAK
-        ]
-        assert rr_weak
+        assert report.general_table_ok
+        assert (ColorClass.ROOTED, ColorClass.ROOTED, ColorClass.WEAK) in report.triples
         assert not report.nonweak_join_closed
 
     def test_singleton_lattice_vacuous(self):
@@ -293,17 +286,17 @@ class TestJoinTable:
         )
         report = join_table_report(net)
         assert len(report.lattice.elements) == 1
-        assert not report.general_violations
-        assert not report.matched_violations
+        assert report.general_table_ok
+        assert report.matched_table_ok is not False
 
     def test_general_table_on_random_networks(self):
         rng = random.Random(361)
         for _ in range(30):
             net = random_network(rng, max_cells=6)
             report = join_table_report(net)
-            assert not report.general_violations
+            assert report.general_table_ok
             if report.rooted_all_reach_matched:
-                assert not report.matched_violations
+                assert report.matched_table_ok
 
 
 def _join_table_networks():
@@ -314,8 +307,8 @@ def _join_table_networks():
 
 
 def test_join_table_matches_pairwise_oracle(tmp_path, capsys):
-    """Verdicts from class triples, lazy entries and streamed `tables` output
-    all agree with the pair-by-pair oracle, byte for byte."""
+    """Class triples, verdicts and streamed `tables` output all agree with
+    the pair-by-pair oracle, byte for byte."""
     path = str(tmp_path / "net.json")
     for net in _join_table_networks():
         report = join_table_report(net)
@@ -328,9 +321,6 @@ def test_join_table_matches_pairwise_oracle(tmp_path, capsys):
         assert report.rooted_all_reach_matched == payload["rooted_all_reach_matched"]
         assert report.matched_table_ok == payload["matched_table_ok"]
         assert report.nonweak_join_closed == payload["nonweak_join_closed"]
-        assert report.entries == want["entries"]
-        assert report.general_violations == want["general_violations"]
-        assert report.matched_violations == want["matched_violations"]
         save_network(net, path)
         assert run(["tables", "--network", path]) == want["exit_code"]
         assert capsys.readouterr().out == want["text"]

@@ -316,6 +316,8 @@ class TestDynamicsCommands:
     # only condense, quotient and export-dot print DOT
     (["scc", "--network", fx("triangle"), "--format", "dot"], {}),
     (["lattice", "--network", fx("triangle"), "--format", "dot"], {}),
+    # lattice --dot prints DOT, so it has no JSON mode to honour
+    (["lattice", "--network", fx("triangle"), "--dot", "--format", "json"], {}),
     (["tables", "--network", fx("triangle"), "--format", "dot"], {}),
     (["simulate", "--network", fx("triangle"), "--format", "dot"], {}),
     (["verify", "quotient", "--network", fx("triangle"), "--partition", "12/3",
@@ -328,8 +330,8 @@ class TestDynamicsCommands:
         "simulate-dt-negative", "quotient-not-balanced", "invariant-not-balanced",
         "tables-quotient-not-balanced", "verify-quotient-not-balanced",
         "simulate-rk4-stage-overflow", "verify-quotient-rk4-stage-overflow",
-        "verify-subsystem-rk4-stage-overflow", "scc-dot", "lattice-dot", "tables-dot",
-        "simulate-dot", "verify-dot", "classify-dot"])
+        "verify-subsystem-rk4-stage-overflow", "scc-dot", "lattice-dot", "lattice-dot-json",
+        "tables-dot", "simulate-dot", "verify-dot", "classify-dot"])
 def test_bad_input_exits_two_with_error_line(capsys, monkeypatch, argv, env):
     for key, value in env.items():
         monkeypatch.setenv(key, value)
@@ -454,6 +456,7 @@ _GOLDEN_COMMANDS = {
     "lattice.json": ["lattice", "--format", "json"],
     "lattice.dot": ["lattice", "--dot"],
     "tables.json": ["tables", "--format", "json"],
+    "tables_quotient.json": ["tables", "--format", "json", "--quotient", "-"],
     "quotient.json": ["quotient", "--format", "json", "--partition", "-"],
     "export.dot": ["export-dot"],
     "condense.json": ["condense", "--format", "json"],
@@ -468,7 +471,9 @@ def test_lattice_output_matches_golden(capsys, name, golden):
 
     The lattice goldens pin element order and cover indices; the quotient
     over the trivial partition and the plain DOT export pin the edge order
-    of a network written back out; condense and rdc pin the block order.
+    of a network written back out; condense and rdc pin the block order;
+    the quotient class table over the trivial partition pins every
+    coarsening's text and classes.
 
     Regenerate a golden only when the output is meant to change, e.g.
     `synckit lattice --network fixtures/NAME.json --dot > tests/golden/NAME/lattice.dot`.

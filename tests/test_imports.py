@@ -1,0 +1,32 @@
+"""The library imports only the standard library and itself.
+
+pyproject.toml declares `dependencies = []`, and numpy is a test-only
+dependency; this keeps both true for every module under src/synckit.
+"""
+
+import ast
+import sys
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "synckit"
+
+
+def _imported_roots(tree: ast.Module):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.name.split(".")[0]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.module.split(".")[0]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_library_imports_only_stdlib_and_itself(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    foreign = {
+        root for root in _imported_roots(tree)
+        if root != "synckit" and root not in sys.stdlib_module_names
+    }
+    assert not foreign, f"{path.name} imports {sorted(foreign)}"

@@ -17,10 +17,21 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 ], ids=["survey_fixtures", "verify_dynamics"])
 def test_script_exits_zero(argv, golden):
     """Both scripts exit 0; the survey's classes, reach verdicts and tops match the golden."""
-    path = filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
-    done = subprocess.run([sys.executable, *argv], cwd=ROOT, env=env,
-                          capture_output=True, text=True, timeout=300)
+    done = _run_script(argv)
     assert done.returncode == 0, done.stdout + done.stderr
     if golden is not None:
         assert done.stdout == (GOLDEN / golden).read_text()
+
+
+def test_survey_honours_max_cells_env():
+    """The survey's cap is the library's: SYNCKIT_MAX_CELLS=2 refuses the fixtures."""
+    done = _run_script(["scripts/survey_fixtures.py"], SYNCKIT_MAX_CELLS="2")
+    assert done.returncode == 2, done.stdout + done.stderr
+    assert "exceeds the enumeration cap of 2" in done.stderr
+
+
+def _run_script(argv, **env_vars):
+    path = filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path), **env_vars}
+    return subprocess.run([sys.executable, *argv], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=300)

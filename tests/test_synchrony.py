@@ -16,7 +16,12 @@ from synckit.partition import (
     quotient_partition,
     refines,
 )
-from synckit.classification import classify_partition, join_table_report, quotient_class_report
+from synckit.classification import (
+    classify_partition,
+    join_rows,
+    join_table_report,
+    quotient_class_report,
+)
 from synckit.synchrony import (
     cir_balanced,
     enumerate_balanced,
@@ -359,10 +364,11 @@ def _check_order(net: Network, quotient_every: int) -> int:
     assert report.classes == tuple(classify_partition(net, b) for b in elements)
     for i, p in enumerate(elements):
         assert lattice.up[i] == sum(1 << k for k, b in enumerate(elements) if refines(p, b))
-    for e in report.entries:
-        joined = join(elements[e.left], elements[e.right])
-        assert e.join_in_lattice == lattice.index_of(joined)
-    assert len(report.entries) == len(elements) * (len(elements) + 1) // 2
+    rows = list(join_rows(lattice.up))
+    assert [len(row) for row in rows] == list(range(len(elements), 0, -1))
+    for i, row in enumerate(rows):
+        for j, jdx in enumerate(row, i):
+            assert jdx == lattice.index_of(join(elements[i], elements[j]))
     for i, p in enumerate(elements):
         above = [b for b in elements if refines(p, b)]
         quotients = [quotient_partition(b, p) for b in above]
@@ -372,7 +378,7 @@ def _check_order(net: Network, quotient_every: int) -> int:
         entries = quotient_class_report(net, is_balanced(net, p)).entries
         assert [e.partition for e in entries] == above
         assert [e.quotient_partition for e in entries] == quotients
-    return sum(e.join_in_lattice not in (e.left, e.right) for e in report.entries)
+    return sum(jdx not in (i, j) for i, row in enumerate(rows) for j, jdx in enumerate(row, i))
 
 
 class TestUpSetOrder:
