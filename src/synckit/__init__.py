@@ -31,7 +31,6 @@ from .synchrony import (
     enumerate_balanced,
     is_balanced,
     is_exo_balanced,
-    lattice_quotient,
     quotient_network,
 )
 from .classification import (

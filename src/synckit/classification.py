@@ -32,7 +32,6 @@ from .partition import Partition, iter_bits, meet, quotient_partition
 from .synchrony import (
     BalancedCertificate,
     BalancedLattice,
-    _quotient,
     cir_balanced,
     enumerate_balanced,
 )
@@ -124,9 +123,8 @@ def is_matched(net: Network, p: Partition, kind: NeighborhoodKind) -> bool:
 def is_invariant(net: Network, cert: BalancedCertificate, kind: NeighborhoodKind) -> bool:
     """Colorwise neighborhoods commute with taking the quotient network (cell k is color k)."""
     p = cert.partition
-    quotient = _quotient(net, cert)
     hoods_g = _hood_colors(net, p, kind)
-    hoods_q = _hood_colors(quotient, Partition.trivial(p.rank), kind)
+    hoods_q = _hood_colors(cert.quotient, Partition.trivial(p.rank), kind)
     return all(hoods_g[c] == hoods_q[k] for c, k in enumerate(p.colors))
 
 
@@ -295,7 +293,6 @@ def quotient_class_report(
     emitted but carries no table verdict.
     """
     precondition = is_invariant(net, cert, R_IN)
-    quotient = _quotient(net, cert)
     lattice = enumerate_balanced(net, max_cells)
     entries = []
     violations = []
@@ -306,7 +303,7 @@ def quotient_class_report(
             b,
             classify_partition(net, b),
             q,
-            classify_partition(quotient, q),
+            classify_partition(cert.quotient, q),
         )
         entries.append(entry)
         if precondition and entry.class_in_quotient not in _ALLOWED_QUOTIENT[

@@ -19,7 +19,7 @@ from . import connectivity as conn
 from . import dynamics as dyn
 from . import synchrony as syn
 from .errors import NotBalanced, SynckitError
-from .network import Network, export_dot, load_network, save_network
+from .network import Network, export_dot, load_network, network_to_doc, save_network
 from .partition import Partition, format_partition, parse_partition
 
 EXIT_OK = 0
@@ -171,8 +171,9 @@ def cmd_balanced(args) -> int:
     cert = syn.is_balanced(net, p)
     payload = {"partition": _fmt(net, p), "balanced": cert is not None}
     if cert is not None:
-        payload["quotient_matrix"] = [list(row) for row in cert.quotient_matrix]
-        _emit(payload, args, "balanced\n" + _matrix_text(cert.quotient_matrix))
+        matrix = cert.quotient_matrix
+        payload["quotient_matrix"] = [list(row) for row in matrix]
+        _emit(payload, args, "balanced\n" + _matrix_text(matrix))
         return EXIT_OK
     _emit(payload, args, "not balanced")
     return EXIT_FALSE
@@ -215,14 +216,12 @@ def cmd_lattice(args) -> int:
     return EXIT_OK
 
 
-def cmd_quotient(args) -> int:
+def cmd_quotient_network(args) -> int:
     net = _net(args)
     cert = _certificate(net, _partition(args, net), "no quotient network")
     q = syn.quotient_network(net, cert)
     if args.out:
         save_network(q, args.out)
-    from .network import network_to_doc
-
     _emit(network_to_doc(q), args, export_dot(q).rstrip("\n"))
     return EXIT_OK
 
@@ -418,6 +417,8 @@ def cmd_verify(args) -> int:
         raise SynckitError(f"verify {args.what} needs --partition")
     if args.what in ("locality", "subsystem") and args.cell is None:
         raise SynckitError(f"verify {args.what} needs --cell")
+    if args.what == "locality" and args.mode != "discrete":
+        raise SynckitError("verify locality compares discrete map steps; it has no --mode rk4")
     if args.what == "invariance":
         p = _partition(args, net)
         report = dyn.check_invariance(
@@ -435,7 +436,7 @@ def cmd_verify(args) -> int:
         report = dyn.check_locality(
             net, spec, c, args.k, trials=args.trials, rng_seed=args.seed
         )
-        _emit(report.to_json(), args, f"locality agreed: {report.all_agreed}")
+        _emit(report.to_json(net.cell_ids), args, f"locality agreed: {report.all_agreed}")
         return EXIT_OK if report.all_agreed else EXIT_FALSE
     if args.what == "subsystem":
         c = net.index_of(args.cell)
@@ -495,7 +496,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("lattice", cmd_lattice)
     p.add_argument("--dot", action="store_true")
     p.add_argument("--max-cells", type=int, default=None)
-    p = add("quotient", cmd_quotient, partition=True)
+    p = add("quotient", cmd_quotient_network, partition=True)
     p.add_argument("--out", default=None)
     add("exo", cmd_exo, partition=True)
     add("classify", cmd_classify, partition=True)

@@ -1,8 +1,8 @@
 """Balanced partitions, coarsest balanced refinement, lattices, quotients.
 
 A type-refining partition is balanced when cells of one color see the
-same monoid-summed in-weight per color; the witnessing color-by-color
-matrix is the in-adjacency of the quotient network.  One O(n + m)
+same monoid-summed in-weight per color; those sums are the in-edges of
+the quotient network, which the balance certificate carries.  One O(n + m)
 refinement round regroups the cells by color and sparse signature (the
 nonzero per-color sums of their in-edges, `row_color_sum`): a partition
 is balanced when the round leaves it unchanged, and exo-balanced when the
@@ -18,13 +18,13 @@ than with the number of type-refining ones.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Any, Iterable, Iterator, Optional
 
 from .errors import NotInLattice, NotTypeRefining, SynckitError, TooLarge
 from .network import Network, _signature, row_color_sum
-from .partition import Partition, iter_bits, quotient_partition, refines
+from .partition import Partition, iter_bits, refines
 
 DEFAULT_MAX_CELLS = 12
 
@@ -36,10 +36,22 @@ def _check_type_refining(net: Network, p: Partition) -> None:
 
 @dataclass(frozen=True)
 class BalancedCertificate:
-    """A balanced partition together with its quotient in-adjacency matrix."""
+    """A balanced partition and its quotient network, whose cell k is color k, named str(k).
+
+    A color's in-edges in the quotient are its first cell's signature.
+    """
 
     partition: Partition
-    quotient_matrix: tuple[tuple[Any, ...], ...]
+    quotient: Network
+
+    @property
+    def quotient_matrix(self) -> tuple[tuple[Any, ...], ...]:
+        """The quotient's dense rank x rank in-adjacency, zero where no edge is."""
+        q = self.quotient
+        rows = [[q.monoid.zero()] * q.n_cells for _ in range(q.n_cells)]
+        for k, l, w in q.edges:
+            rows[k][l] = w
+        return tuple(map(tuple, rows))
 
 
 def _round(net: Network, p: Partition, exo: bool = False) -> Partition:
@@ -59,18 +71,20 @@ def _round(net: Network, p: Partition, exo: bool = False) -> Partition:
 
 
 def is_balanced(net: Network, p: Partition) -> Optional[BalancedCertificate]:
-    """Certificate with the quotient matrix, or None if rows disagree."""
+    """Certificate with the quotient network, built in O(n + m), or None if rows disagree."""
     _check_type_refining(net, p)
     if _round(net, p) != p:
         return None
-    zero = net.monoid.zero()
-    rows = (dict(row_color_sum(net, p, block[0])) for block in p.blocks())
-    matrix = tuple(tuple(row.get(k, zero) for k in range(p.rank)) for row in rows)
-    return BalancedCertificate(p, matrix)
+    blocks = p.blocks()
+    types = tuple(net.cell_types[block[0]] for block in blocks)
+    edges = tuple(
+        (k, l, w) for k, block in enumerate(blocks) for l, w in row_color_sum(net, p, block[0])
+    )
+    return BalancedCertificate(p, Network(tuple(map(str, range(p.rank))), types, edges, net.monoid))
 
 
 def quotient_network(net: Network, cert: BalancedCertificate) -> Network:
-    """The smaller network on colors whose in-adjacency is the certificate's.
+    """The certificate's quotient, each color named after its cells.
 
     A color's id joins its cells' ids with "+" (or "" if all are one
     character); two colors whose joined ids collide are an input error.
@@ -81,21 +95,7 @@ def quotient_network(net: Network, cert: BalancedCertificate) -> Network:
     if len(set(ids)) < len(ids):
         clash = next(i for i in ids if ids.count(i) > 1)
         raise SynckitError(f"quotient cell id {clash!r} would name two colors")
-    return _quotient(net, cert, ids)
-
-
-def _quotient(
-    net: Network, cert: BalancedCertificate, ids: Optional[tuple[str, ...]] = None
-) -> Network:
-    """Quotient network, color k named str(k) unless ids are given: ids never collide."""
-    p = cert.partition
-    if ids is None:
-        ids = tuple(map(str, range(p.rank)))
-    types = tuple(net.cell_types[block[0]] for block in p.blocks())
-    zero = net.monoid.zero()
-    matrix = cert.quotient_matrix
-    edges = tuple((k, l, w) for k, row in enumerate(matrix) for l, w in enumerate(row) if w != zero)
-    return Network(ids, types, edges, net.monoid)
+    return replace(cert.quotient, cell_ids=ids)
 
 
 def cir_balanced(net: Network, p: Partition) -> Partition:
@@ -297,12 +297,6 @@ def enumerate_balanced(net: Network, max_cells: Optional[int] = None) -> Balance
     return _build_lattice(list(found))
 
 
-def lattice_quotient(lattice: BalancedLattice, p: Partition) -> BalancedLattice:
-    """The lattice {B/p : B >= p} on the colors of p; bottom is p/p."""
-    above = lattice.up[lattice.index_of(p)]
-    return _build_lattice([quotient_partition(lattice.elements[k], p) for k in iter_bits(above)])
-
-
 def is_exo_balanced(net: Network, p: Partition) -> bool:
     """Balance up to each color's own column.
 
@@ -323,6 +317,5 @@ __all__ = [
     "enumerate_balanced",
     "is_balanced",
     "is_exo_balanced",
-    "lattice_quotient",
     "quotient_network",
 ]

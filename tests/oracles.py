@@ -13,10 +13,11 @@ table pair by pair instead of from class triples and up-set bitsets,
 and the admissible map cell by cell through a dict fold of each
 neighbourhood instead of the compiled sort-merge kernel.  It also holds
 the helpers only the tests need: networks to and from dense
-in-adjacency matrices, the one-color partition, 0/1 partition matrices,
-composition of partitions, the balanced-lattice meet, the polydiagonal
-test, the numerical exo-balance verdict, and the seeded and complete
-networks the lattice tests share.
+in-adjacency matrices, quotients from the dense rows of M @ P, the
+one-color partition, 0/1 partition matrices, composition of partitions,
+the balanced-lattice meet, the lattice above an element on its colors,
+the polydiagonal test, the numerical exo-balance verdict, and the seeded
+and complete networks the lattice tests share.
 """
 
 from __future__ import annotations
@@ -37,8 +38,21 @@ from synckit.dynamics import (
 from synckit.errors import DomainMismatch, NotBalanced, SynckitError
 from synckit.monoid import IntegerAdd, Monoid, monoid_by_name
 from synckit.network import Network, row_color_sum
-from synckit.partition import Partition, format_partition, meet, refines
-from synckit.synchrony import BalancedCertificate, cir_balanced, is_balanced
+from synckit.partition import (
+    Partition,
+    format_partition,
+    iter_bits,
+    meet,
+    quotient_partition,
+    refines,
+)
+from synckit.synchrony import (
+    BalancedCertificate,
+    BalancedLattice,
+    _build_lattice,
+    cir_balanced,
+    is_balanced,
+)
 
 Matrix = tuple[tuple[Any, ...], ...]
 
@@ -99,6 +113,12 @@ def lattice_meet(net: Network, b1: Partition, b2: Partition) -> Partition:
         if is_balanced(net, b) is None:
             raise NotBalanced("lattice meet is defined for balanced partitions only")
     return cir_balanced(net, meet(b1, b2))
+
+
+def lattice_quotient(lattice: BalancedLattice, p: Partition) -> BalancedLattice:
+    """The lattice {B/p : B >= p} on the colors of p; bottom is p/p."""
+    above = lattice.up[lattice.index_of(p)]
+    return _build_lattice([quotient_partition(lattice.elements[k], p) for k in iter_bits(above)])
 
 
 def in_polydiagonal(x: tuple[float, ...], p: Partition, tol: float = 0.0) -> bool:
@@ -195,6 +215,15 @@ def oracle_color_rows(net: Network, p: Partition) -> list[list[Any]]:
             row[p.colors[d]] = add(row[p.colors[d]], w)
         rows.append(row)
     return rows
+
+
+def oracle_quotient(net: Network, p: Partition, ids: Optional[Sequence[str]] = None) -> Network:
+    """Quotient from the dense rows of M @ P: color k is cell k, named ids[k] or str(k)."""
+    rows = oracle_color_rows(net, p)
+    blocks = p.blocks()
+    ids = [str(k) for k in range(p.rank)] if ids is None else ids
+    types = [net.cell_types[block[0]] for block in blocks]
+    return from_matrix(ids, types, [rows[block[0]] for block in blocks], net.monoid)
 
 
 def oracle_balanced(net: Network, p: Partition) -> bool:
@@ -401,12 +430,11 @@ def oracle_reach_invariant(
 ) -> bool:
     """Each cell's reach colors are its color's reach set in the quotient.
 
-    The quotient is built from the certificate's dense matrix, color k
-    named str(k), so it shares no code with the library's quotient.
+    The quotient is built from the dense rows of M @ P, color k named
+    str(k), so it shares no code with the certificate's quotient.
     """
     p = cert.partition
-    types = [net.cell_types[block[0]] for block in p.blocks()]
-    quotient = from_matrix([str(k) for k in range(p.rank)], types, cert.quotient_matrix, net.monoid)
+    quotient = oracle_quotient(net, p)
     qreach = oracle_reach_sets(quotient)
     return all(p.color_of_set(reach[c]) == qreach[k] for c, k in enumerate(p.colors))
 

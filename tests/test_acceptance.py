@@ -45,13 +45,13 @@ from synckit.synchrony import (
     enumerate_balanced,
     is_balanced,
     is_exo_balanced,
-    lattice_quotient,
     quotient_network,
 )
 
 from conftest import FIXTURE_NAMES, fixture_net
 from oracles import (
     dense,
+    lattice_quotient,
     numeric_exo_verdict,
     one_color,
     oracle_cir,

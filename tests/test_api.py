@@ -1,4 +1,5 @@
-"""Every function the benchmark traces still exists under its traced name.
+"""Every function the benchmark traces still exists under its traced name,
+and every public name has a user outside the tests.
 
 `bench/spans.py` wraps synckit functions by (module, attribute path) and
 reports a missing one as absent, so a refactor that renames or deletes a
@@ -9,13 +10,15 @@ way the tracer does.
 
 from __future__ import annotations
 
+import ast
 import importlib
 import importlib.util
 from pathlib import Path
 
 import pytest
 
-SPANS = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
+ROOT = Path(__file__).resolve().parent.parent
+SPANS = ROOT / "bench" / "spans.py"
 
 
 def _targets() -> list[tuple[str, str]]:
@@ -41,3 +44,32 @@ def test_traced_name_exists(module, path):
     # the tracer looks in the owner's own namespace, not in inherited ones
     assert attr in vars(owner), f"synckit.{module}.{path} is gone"
     assert callable(vars(owner)[attr]) or hasattr(vars(owner)[attr], "func")
+
+
+def _names_used(path: Path) -> set[str]:
+    """Names a file reads or imports: AST names, attributes and import aliases."""
+    used = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif isinstance(node, ast.alias):
+            used.update((node.name, node.asname or node.name))
+    return used
+
+
+def test_every_export_has_a_user_outside_the_tests():
+    """Public API that only the tests use belongs in tests/oracles.py."""
+    package = ROOT / "src" / "synckit"
+    init = ast.parse((package / "__init__.py").read_text(encoding="utf-8"))
+    exported = {
+        alias.asname or alias.name
+        for node in init.body if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    files = [f for f in package.glob("*.py") if f.name != "__init__.py"]
+    files += [*(ROOT / "scripts").glob("*.py"), *(ROOT / "bench").glob("*.py")]
+    used = set().union(*map(_names_used, files))
+    used.update(part for _, path in TARGETS for part in path.split("."))
+    assert sorted(exported - used) == []

@@ -267,6 +267,7 @@ class TestDynamicsCommands:
         code, out, _ = invoke(capsys, "verify", "locality", "--network", fx("chain4"),
                               "--cell", "3", "--k", "2", "--format", "json")
         assert code == 0 and json.loads(out)["all_agreed"]
+        assert json.loads(out)["cell"] == "3"  # the id, as every payload names cells
         code, out, _ = invoke(capsys, "verify", "subsystem", "--network", fx("chain4"),
                               "--cell", "4", "--format", "json")
         assert code == 0 and json.loads(out)["exact"]
@@ -295,6 +296,8 @@ class TestDynamicsCommands:
       "--trials", "-2"], {}),
     (["verify", "invariance", "--network", fx("chain4"), "--partition", "1234",
       "--mode", "rk4", "--dt", "0"], {}),
+    # locality compares discrete map steps bit for bit; an RK4 run is not what it checks
+    (["verify", "locality", "--network", fx("chain4"), "--cell", "3", "--mode", "rk4"], {}),
     (["verify", "invariance", "--network", fx("triangle"), "--partition", "1/2/3",
       "--tol", "-1"], {}),
     (["verify", "quotient", "--network", fx("triangle"), "--partition", "12/3",
@@ -325,7 +328,7 @@ class TestDynamicsCommands:
     (["classify", "--network", fx("triangle"), "--partition", "12/3",
       "--format", "dot"], {}),
 ], ids=["vk-not-int", "max-cells-env", "x0-not-numbers", "simulate-steps",
-        "verify-steps", "verify-trials", "locality-trials", "verify-dt-zero",
+        "verify-steps", "verify-trials", "locality-trials", "verify-dt-zero", "locality-rk4",
         "verify-tol-negative", "verify-tol-nan", "verify-dt-inf", "simulate-dt-nan",
         "simulate-dt-negative", "quotient-not-balanced", "invariant-not-balanced",
         "tables-quotient-not-balanced", "verify-quotient-not-balanced",
@@ -428,6 +431,31 @@ def test_tables_json_streams_pairs_in_small_memory(tmp_path):
             tracemalloc.stop()
     assert code == 0
     assert peak < 4 * 2**20
+
+
+@pytest.mark.parametrize("argv", [
+    ["invariant", "--kind", "r"],
+    ["quotient", "--format", "json"],
+    ["verify", "quotient", "--steps", "2", "--trials", "1"],
+], ids=["invariant", "quotient", "verify-quotient"])
+def test_trivial_quotient_of_long_chain_in_small_memory(tmp_path, argv):
+    """The quotient by the trivial partition of a 2000-cell chain is the chain
+    itself: 1999 edges, never a 2000 x 2000 matrix (about 32 MB of slots)."""
+    n = 2000
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps({
+        "cells": [{"id": str(c), "type": 1} for c in range(n)],
+        "edges": [{"from": str(c), "to": str(c + 1), "weight": 1} for c in range(n - 1)],
+    }))
+    with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+        tracemalloc.start()
+        try:
+            code = run([*argv, "--network", str(path), "--partition", "-"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert code == 0
+    assert peak < 8 * 2**20
 
 
 class TestExportDot:

@@ -1,6 +1,7 @@
 import math
 import random
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 
@@ -27,7 +28,6 @@ from synckit.synchrony import (
     enumerate_balanced,
     is_balanced,
     is_exo_balanced,
-    lattice_quotient,
     quotient_network,
 )
 
@@ -37,12 +37,14 @@ from oracles import (
     dense,
     from_matrix,
     lattice_meet,
+    lattice_quotient,
     oracle_balanced,
     oracle_cir,
     oracle_cir_rounds,
     oracle_color_rows,
     oracle_covers,
     oracle_exo_balanced,
+    oracle_quotient,
     oracle_type_refining,
     random_balanced_lift,
     random_network,
@@ -586,6 +588,36 @@ def test_signature_round_matches_dense_oracles(monoid, weights):
     # some balanced partitions merge cells, so their quotient matrix is checked
     assert verdicts[True, False] == 0
     assert verdicts[True, True] and verdicts[False, True] and verdicts[False, False]
+    assert merged >= 20
+
+
+@pytest.mark.parametrize(
+    "monoid, weights",
+    [(IntegerAdd(), (-1, 0, 0, 1, 2)), (TropicalMin(), (1, 2.5, math.inf, math.inf))],
+    ids=["int-add", "tropical-min"],
+)
+def test_certificate_quotient_matches_dense_oracle(monoid, weights):
+    # the certificate's sparse quotient against the quotient built from the
+    # dense rows of M @ P, and quotient_network against the same with the
+    # colors' joined ids; every other network has multi-character ids
+    rng = random.Random(67)
+    merged = 0
+    for trial in range(150):
+        net = random_network(
+            rng, max_cells=6, num_types=1 + trial % 2, weights=weights, monoid=monoid
+        )
+        if trial % 2:
+            net = replace(net, cell_ids=tuple(f"c{i}" for i in net.cell_ids))
+        joiner = "" if all(len(i) == 1 for i in net.cell_ids) else "+"
+        for upper in (random_type_refinement(rng, net), net.type_partition()):
+            p = cir_balanced(net, upper)
+            cert = is_balanced(net, p)
+            assert cert is not None
+            assert cert.quotient == oracle_quotient(net, p)
+            ids = [joiner.join(net.cell_ids[c] for c in block) for block in p.blocks()]
+            assert quotient_network(net, cert) == oracle_quotient(net, p, ids)
+            assert cert.quotient_matrix == dense(cert.quotient)
+            merged += p.rank < net.n_cells
     assert merged >= 20
 
 
