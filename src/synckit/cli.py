@@ -12,7 +12,7 @@ import argparse
 import json
 import random
 import sys
-from typing import Optional
+from typing import Iterable, Optional
 
 from . import classification as cls
 from . import connectivity as conn
@@ -332,6 +332,21 @@ def _quotient_table(report: cls.QuotientClassReport, cell_ids, quotient_ids) -> 
     }
 
 
+def _write_json(payload: dict, key: str, runs: Iterable[str]) -> None:
+    """Print payload as json.dumps(payload, indent=2, sort_keys=True) would,
+    with the top-level list under `key` (empty in payload) written from runs
+    of its items, each run already encoded and indented, as they come."""
+    # string values never hold a raw newline, so this is the key's own line
+    head, tail = json.dumps(payload, indent=2, sort_keys=True).split(f'\n  "{key}": []', 1)
+    out = sys.stdout
+    out.write(head + f'\n  "{key}": [')
+    sep = "\n"
+    for run in runs:
+        out.write(sep + run)
+        sep = ",\n"
+    out.write(("]" if sep == "\n" else "\n  ]") + tail + "\n")
+
+
 # One pair of the join table as json.dumps(indent=2, sort_keys=True) lays it
 # out inside the top-level "pairs" list; each %s is an already encoded
 # '"key": value' run of one element.
@@ -354,19 +369,15 @@ def _write_join_table(net: Network, report: cls.JoinTableReport) -> None:
         "pairs": [],
         "rooted_all_reach_matched": report.rooted_all_reach_matched,
     }
-    # string values never hold a raw newline, so this is the key's own line
-    head, tail = json.dumps(payload, indent=2, sort_keys=True).split('\n  "pairs": []', 1)
     encoded = [(json.dumps(t), json.dumps(k.value)) for t, k in zip(texts, report.classes)]
     joins = [f'"join": {t},\n      "join_class": {k}' for t, k in encoded]
     lefts = [f'"left": {t},\n      "left_class": {k}' for t, k in encoded]
     rights = [f'"right": {t},\n      "right_class": {k}' for t, k in encoded]
-    out = sys.stdout
-    out.write(head + '\n  "pairs": [')
-    for i, row in enumerate(cls.join_rows(report.lattice.up)):
-        left = lefts[i]
-        pairs = [_PAIR % (joins[jdx], left, right) for jdx, right in zip(row, rights[i:])]
-        out.write(("\n" if i == 0 else ",\n") + ",\n".join(pairs))
-    out.write("\n  ]" + tail + "\n")
+    rows = (
+        ",\n".join([_PAIR % (joins[jdx], lefts[i], right) for jdx, right in zip(row, rights[i:])])
+        for i, row in enumerate(cls.join_rows(report.lattice.up))
+    )
+    _write_json(payload, "pairs", rows)
 
 
 def cmd_simulate(args) -> int:
@@ -389,23 +400,36 @@ def cmd_simulate(args) -> int:
             )
         x0 = tuple(values)
     traj = dyn.evolve(net, spec, x0, steps, mode=args.mode, dt=args.dt)
-    payload = {
-        "cells": list(net.cell_ids),
-        "mode": traj.mode,
-        "times": list(traj.times),
-        "states": [list(s) for s in traj.states],
-    }
-    # json output never shows the text, and formatting every state value is costly
-    text = "" if args.format == "json" else "\n".join(
-        f"t={t:g} " + " ".join(f"{v:+.6f}" for v in s)
-        for t, s in zip(traj.times, traj.states)
-    )
-    _emit(payload, args, text)
+    if args.format == "json":
+        payload = {"cells": list(net.cell_ids), "mode": traj.mode, "times": list(traj.times),
+                   "states": []}
+        # every state value is a finite float, which json.dumps writes as its repr
+        _write_json(payload, "states", (
+            "    [\n      " + ",\n      ".join(map(float.__repr__, s)) + "\n    ]" if s else "    []"
+            for s in traj.states
+        ))
+        return EXIT_OK
+    print("\n".join(
+        f"t={t:g} " + " ".join(f"{v:+.6f}" for v in s) for t, s in zip(traj.times, traj.states)
+    ))
     return EXIT_OK
+
+
+# verify's defaults for the flags that `verify locality` refuses: it runs --k
+# discrete map steps and compares them bit for bit, so these would change nothing
+_VERIFY_DEFAULTS = {"steps": 50, "tol": 1e-9, "dt": 1e-3}
 
 
 def cmd_verify(args) -> int:
     net = _net(args)
+    for name, default in _VERIFY_DEFAULTS.items():
+        if getattr(args, name) is None:
+            setattr(args, name, default)
+        elif args.what == "locality":
+            raise SynckitError(
+                f"verify locality runs --k map steps and compares them bit for bit; "
+                f"it has no --{name}"
+            )
     # a run of no trials or no steps would be vacuous evidence
     _at_least(args, "trials", 1)
     _at_least(args, "steps", 1)
@@ -520,10 +544,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=2)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trials", type=int, default=5)
-    p.add_argument("--steps", type=int, default=50)
-    p.add_argument("--tol", type=float, default=1e-9)
+    # None marks a flag not given; cmd_verify fills in _VERIFY_DEFAULTS
+    p.add_argument("--steps", type=int, default=None)
+    p.add_argument("--tol", type=float, default=None)
     p.add_argument("--mode", choices=["discrete", "rk4"], default="discrete")
-    p.add_argument("--dt", type=float, default=1e-3)
+    p.add_argument("--dt", type=float, default=None)
     p.add_argument("--exo", action="store_true")
     p = add("export-dot", cmd_export_dot, optional_partition=True)
 

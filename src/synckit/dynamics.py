@@ -16,6 +16,19 @@ the (network, spec) pair once into per-cell records of floats and
 sender tuples, and folds every cell's inputs with one sort and a merge
 of adjacent equal inputs.
 
+An orbit whose start gives several cells one state evaluates one cell
+per synchronized class.  The classes, found once per orbit, are the
+coarsest balanced refinement of the start's partition by (cell type,
+state).  On the polydiagonal of a balanced partition, cells of one class
+have one type, one state and the same weight sum per fold group, so the
+fold gives them the same bits and the orbit, RK4 stages included, stays
+there; each class's first cell is evaluated on its own full-network
+record against the full state and its value copied to the class.  A
+group merging 0.0 with -0.0 takes the first zero sender in each cell's
+own input order, which two cells of a class need not share, so once a
+state handed to the map holds a zero of either sign, the rest of the
+orbit evaluates every cell.
+
 The intrinsic term is an affine map plus a sinusoid and the coupling is
 a degree-one polynomial in the sender state plus sinusoids; the linear
 gains are scaled so every sampled system is globally bounded, which
@@ -32,12 +45,12 @@ from dataclasses import dataclass
 from itertools import chain
 from math import sin
 from operator import sub
-from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .errors import NumericalBlowup, SynckitError, UnsupportedMonoid
 from .network import Network
 from .partition import Partition
-from .synchrony import BalancedCertificate
+from .synchrony import BalancedCertificate, cir_balanced
 from .connectivity import cumulative_in_k, in_reachability
 
 OVERFLOW_GUARD = 1e12
@@ -137,10 +150,12 @@ def sample_admissible(net: Network, seed: int, exo: bool = False) -> AdmissibleF
 #
 # where the coefficients are the spec's floats in field order, the coupling
 # rows are the receiver type's rows indexed by sender type - 1, and the last
-# three are parallel tuples over the cell's folded in-edges.
+# three are parallel tuples over the cell's folded in-edges.  The system
+# keeps its network, from which an orbit finds its synchronized classes.
 
 
 class _System(NamedTuple):
+    net: Network
     exo: bool
     cells: tuple[tuple, ...]
 
@@ -168,14 +183,17 @@ def _compile(net: Network, spec: AdmissibleFunctionSpec) -> _System:
     for t, edges in zip(net.cell_types, net.in_edges):
         senders, weights = tuple(zip(*edges)) or ((), ())
         cells.append((*by_type[t], senders, tuple(map(sender_type, senders)), weights))
-    return _System(spec.exo, tuple(cells))
+    return _System(net, spec.exo, tuple(cells))
 
 
 _FLUSH = ((None, None, 0),)  # a last input that joins no run, so the final run is added
 
 
-def _apply(system: _System, x: tuple[float, ...]) -> tuple[float, ...]:
-    """One application of the compiled map: the multiset fold, cell by cell.
+def _apply(
+    exo: bool, records: Iterable[tuple], own: Iterable[float], x: tuple[float, ...]
+) -> list[float]:
+    """The compiled map at the cells of `records`, each at its own state in `own`,
+    its senders read from the full state x.
 
     Sorting a cell's (sender type, state, weight) inputs brings equal
     (type, state) pairs together, so each run is one group of the fold,
@@ -184,12 +202,9 @@ def _apply(system: _System, x: tuple[float, ...]) -> tuple[float, ...]:
     state of its first sender in input order, so the sign of a zero does
     not hang on the weights that order the run.
     """
-    exo = system.exo
     state = x.__getitem__
     out = []
-    for ((bias, gain, amp, freq, phase), rows, senders, types, weights), xc in zip(
-        system.cells, x
-    ):
+    for ((bias, gain, amp, freq, phase), rows, senders, types, weights), xc in zip(records, own):
         total = bias + gain * xc + amp * sin(freq * xc + phase)
         t0, y0, acc = -1, None, 0  # types count from 0, so no input joins this run
         for t, y, w in chain(sorted(zip(types, map(state, senders), weights)), _FLUSH):
@@ -216,7 +231,45 @@ def _apply(system: _System, x: tuple[float, ...]) -> tuple[float, ...]:
                 total += acc * v
             t0, y0, acc = t, y, w
         out.append(total)
-    return tuple(out)
+    return out
+
+
+def _orbit_map(
+    system: _System, x0: tuple[float, ...]
+) -> Callable[[tuple[float, ...]], tuple[float, ...]]:
+    """The compiled map for the orbit from x0, evaluated once per synchronized class.
+
+    The classes are the coarsest balanced refinement of x0's partition by
+    (cell type, state); each class's first cell is evaluated and its value
+    copied to the class, which gives the full map's bits while no state
+    handed to the map holds a zero (see the module docstring).  A start
+    whose states are all distinct costs one grouping and no more.
+    """
+    net, exo, records = system
+
+    def full(x: tuple[float, ...]) -> tuple[float, ...]:
+        return tuple(_apply(exo, records, x, x))
+
+    if 0.0 in x0:  # -0.0 == 0.0
+        return full
+    start = Partition.from_assignment(zip(net.cell_types, x0))
+    classes = start if start.rank == net.n_cells else cir_balanced(net, start)
+    if classes.rank == net.n_cells:
+        return full
+    colors = classes.colors
+    firsts = [block[0] for block in classes.blocks()]
+    first_records = [records[c] for c in firsts]
+    lumped = True
+
+    def step(x: tuple[float, ...]) -> tuple[float, ...]:
+        nonlocal lumped
+        lumped = lumped and 0.0 not in x
+        if not lumped:
+            return full(x)
+        values = _apply(exo, first_records, map(x.__getitem__, firsts), x)
+        return tuple(map(values.__getitem__, colors))
+
+    return step
 
 
 def eval_on_neighborhood(
@@ -231,15 +284,15 @@ def eval_on_neighborhood(
     The fold by (type, state) with exact integer weight sums is what
     gives the multiset semantics.
     """
-    # a one-cell system whose senders index the state (x_self, *input states)
-    cell = (
+    # one record whose senders index the state (x_self, *input states)
+    record = (
         _self_coeffs(spec, cell_type),
         _coupling_rows(spec, cell_type),
         tuple(range(1, len(inputs) + 1)),
         tuple(t - 1 for t, _, _ in inputs),
         tuple(w for _, w, _ in inputs),
     )
-    return _apply(_System(spec.exo, (cell,)), (x_self, *(y for _, _, y in inputs)))[0]
+    return _apply(spec.exo, (record,), (x_self,), (x_self, *(y for _, _, y in inputs)))[0]
 
 
 def component_value(
@@ -251,7 +304,8 @@ def component_value(
 
 def evaluate(net: Network, spec: AdmissibleFunctionSpec, x: tuple[float, ...]) -> tuple[float, ...]:
     """One application of the admissible function to a full state."""
-    return _apply(_compile(net, spec), x)
+    _, exo, records = _compile(net, spec)
+    return tuple(_apply(exo, records, x, x))
 
 
 @dataclass(frozen=True)
@@ -298,18 +352,23 @@ def _orbit(
     """x, then the state after each map application or RK4 step; all guarded, mode unchecked."""
     _guard(x)
     yield x
+    if not steps:
+        return
+    f = _orbit_map(system, x)
     for _ in range(steps):
-        x = _apply(system, x) if mode == "discrete" else _rk4_step(system, x, dt)
+        x = f(x) if mode == "discrete" else _rk4_step(f, x, dt)
         _guard(x)
         yield x
 
 
-def _rk4_step(system: _System, x: tuple[float, ...], dt: float) -> tuple[float, ...]:
+def _rk4_step(
+    f: Callable[[tuple[float, ...]], tuple[float, ...]], x: tuple[float, ...], dt: float
+) -> tuple[float, ...]:
     half = 0.5 * dt
-    k1 = _apply(system, x)
-    k2 = _apply(system, _stage(x, half, k1))
-    k3 = _apply(system, _stage(x, half, k2))
-    k4 = _apply(system, _stage(x, dt, k3))
+    k1 = f(x)
+    k2 = f(_stage(x, half, k1))
+    k3 = f(_stage(x, half, k2))
+    k4 = f(_stage(x, dt, k3))
     sixth = dt / 6.0
     return tuple([
         xi + sixth * (a + 2.0 * b + 2.0 * c + d) for xi, a, b, c, d in zip(x, k1, k2, k3, k4)

@@ -16,8 +16,9 @@ the helpers only the tests need: networks to and from dense
 in-adjacency matrices, quotients from the dense rows of M @ P, the
 one-color partition, 0/1 partition matrices, composition of partitions,
 the balanced-lattice meet, the lattice above an element on its colors,
-the polydiagonal test, the numerical exo-balance verdict, and the seeded
-and complete networks the lattice tests share.
+the polydiagonal test, the numerical exo-balance verdict, the seeded
+and complete networks the lattice tests share, and a large planted lift
+for the dynamics tests.
 """
 
 from __future__ import annotations
@@ -669,4 +670,24 @@ def complete_graph(n: int) -> Network:
         (1,) * n,
         tuple(tuple(int(i != j) for j in range(n)) for i in range(n)),
         IntegerAdd(),
+    )
+
+
+def ring_lift_doc(colors: int, size: int) -> tuple[dict, Partition]:
+    """A network document of colors x size cells and its planted balanced partition.
+
+    Cell j of color k hears cell j of color k+1 with weight 1 and cell j+1
+    of color k+3 with weight 2 (indices mod colors and mod size), so every
+    cell of a color has the same color sums; types alternate by color.
+    """
+    def cell(k: int, j: int) -> str:
+        return f"c{k % colors}_{j % size}"
+
+    cells = [{"id": cell(k, j), "type": 1 + k % 2} for k in range(colors) for j in range(size)]
+    edges = [
+        {"from": cell(k + dk, j + dj), "to": cell(k, j), "weight": w}
+        for k in range(colors) for j in range(size) for dk, dj, w in ((1, 0, 1), (3, 1, 2))
+    ]
+    return {"cells": cells, "edges": edges}, Partition.from_assignment(
+        [k for k in range(colors) for _ in range(size)]
     )

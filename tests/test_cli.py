@@ -1,6 +1,7 @@
 import contextlib
 import json
 import os
+import random
 import tracemalloc
 from pathlib import Path
 
@@ -8,10 +9,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from synckit.cli import run
+from synckit.dynamics import evolve, expand_state, sample_admissible
 from synckit.network import load_network, save_network
 
 from conftest import FIXTURE_NAMES, fixture_path
-from oracles import complete_graph, dense
+from oracles import complete_graph, dense, ring_lift_doc
 
 
 def fx(name):
@@ -275,11 +277,55 @@ class TestDynamicsCommands:
                               "--partition", "12/3", "--format", "json")
         assert code == 0 and json.loads(out)["exact"]
 
+    def test_verify_defaults_of_the_other_checks(self, capsys):
+        # locality refuses --steps, --tol and --dt; the checks that read them keep defaults
+        code, out, _ = invoke(capsys, "verify", "subsystem", "--network", fx("chain4"),
+                              "--cell", "4", "--format", "json")
+        assert code == 0 and json.loads(out)["tol"] == 1e-9
+        code, out, _ = invoke(capsys, "verify", "invariance", "--network", fx("triangle"),
+                              "--partition", "12/3", "--trials", "1", "--format", "json")
+        assert code == 0 and json.loads(out)["trials"][0]["steps"] == 50
+
     def test_verify_missing_arguments(self, capsys):
         code, _, err = invoke(capsys, "verify", "invariance", "--network", fx("triangle"))
         assert code == 2
         code, _, err = invoke(capsys, "verify", "locality", "--network", fx("triangle"))
         assert code == 2
+
+
+def _simulate_bytes(capsys, path, net, x0, steps, mode):
+    """simulate --format json output next to json.dumps of the same trajectory."""
+    code, out, err = invoke(capsys, "simulate", "--network", path, "--seed", "4",
+                            "--steps", str(steps), "--mode", mode, "--dt", "0.01",
+                            "--x0=" + ",".join(map(repr, x0)), "--format", "json")
+    assert (code, err) == (0, "")
+    traj = evolve(net, sample_admissible(net, 4), x0, steps, mode=mode, dt=0.01)
+    payload = {"cells": list(net.cell_ids), "mode": mode, "times": list(traj.times),
+               "states": [list(s) for s in traj.states]}
+    return out, json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_simulate_json_is_json_dumps_bytes(capsys, name):
+    """The streamed states give the bytes of json.dumps(indent=2, sort_keys=True)."""
+    net = load_network(fx(name))
+    rng = random.Random(name)
+    x0 = tuple(rng.uniform(-1.5, 1.5) for _ in range(net.n_cells))
+    for mode, steps in (("discrete", 12), ("rk4", 5), ("discrete", 0)):
+        out, want = _simulate_bytes(capsys, fx(name), net, x0, steps, mode)
+        assert out == want
+
+
+def test_simulate_json_of_300_cell_lift_is_json_dumps_bytes(capsys, tmp_path):
+    doc, planted = ring_lift_doc(50, 6)
+    path = tmp_path / "lift.json"
+    path.write_text(json.dumps(doc))
+    net = load_network(str(path))
+    rng = random.Random(300)
+    x0 = expand_state(tuple(rng.uniform(-1.5, 1.5) for _ in range(planted.rank)), planted)
+    for mode, steps in (("discrete", 100), ("rk4", 10)):
+        out, want = _simulate_bytes(capsys, str(path), net, x0, steps, mode)
+        assert out == want
 
 
 @pytest.mark.parametrize("argv,env", [
@@ -298,6 +344,10 @@ class TestDynamicsCommands:
       "--mode", "rk4", "--dt", "0"], {}),
     # locality compares discrete map steps bit for bit; an RK4 run is not what it checks
     (["verify", "locality", "--network", fx("chain4"), "--cell", "3", "--mode", "rk4"], {}),
+    # it runs --k map steps and compares bit for bit, so these flags would change nothing
+    (["verify", "locality", "--network", fx("chain4"), "--cell", "3", "--steps", "1000"], {}),
+    (["verify", "locality", "--network", fx("chain4"), "--cell", "3", "--tol", "5"], {}),
+    (["verify", "locality", "--network", fx("chain4"), "--cell", "3", "--dt", "0.5"], {}),
     (["verify", "invariance", "--network", fx("triangle"), "--partition", "1/2/3",
       "--tol", "-1"], {}),
     (["verify", "quotient", "--network", fx("triangle"), "--partition", "12/3",
@@ -329,6 +379,7 @@ class TestDynamicsCommands:
       "--format", "dot"], {}),
 ], ids=["vk-not-int", "max-cells-env", "x0-not-numbers", "simulate-steps",
         "verify-steps", "verify-trials", "locality-trials", "verify-dt-zero", "locality-rk4",
+        "locality-steps", "locality-tol", "locality-dt",
         "verify-tol-negative", "verify-tol-nan", "verify-dt-inf", "simulate-dt-nan",
         "simulate-dt-negative", "quotient-not-balanced", "invariant-not-balanced",
         "tables-quotient-not-balanced", "verify-quotient-not-balanced",

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+import synckit.dynamics
 from synckit.dynamics import (
     AdmissibleFunctionSpec,
     CouplingParams,
@@ -24,7 +25,7 @@ from synckit.connectivity import in_reachability
 from synckit.monoid import IntegerAdd, TropicalMin
 from synckit.network import parse_network
 from synckit.partition import Partition, join, parse_partition, refines
-from synckit.synchrony import enumerate_balanced, is_balanced
+from synckit.synchrony import cir_balanced, enumerate_balanced, is_balanced
 
 from conftest import fixture_net
 from oracles import (
@@ -38,6 +39,7 @@ from oracles import (
     oracle_type_refining,
     random_network,
     random_type_refinement,
+    ring_lift_doc,
 )
 
 
@@ -421,10 +423,15 @@ def random_doc_network(rng):
 
 
 def random_states(rng, n):
-    """A generic state, then one whose cells share a few values, 0.0 and -0.0 among them."""
+    """A generic state, one whose cells share a few values, 0.0 and -0.0 among
+    them, and one whose cells share a few nonzero values, so that an orbit
+    from it evaluates one cell per synchronized class."""
     pool = [0.0, -0.0, rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5)]
     yield tuple(rng.uniform(-1.5, 1.5) for _ in range(n))
     yield tuple(rng.choice(pool) for _ in range(n))
+    # drawn apart from rng, so every case drawn after this one stays as it was
+    local = random.Random(repr(pool))
+    yield tuple(local.choice(pool[2:]) for _ in range(n))
 
 
 # a(x) = -0.0 for x < 0 and h(x, y) = y + (-0.0) + (-0.0) near y = 0, so the
@@ -497,3 +504,75 @@ class TestKernelMatchesDictFold:
                     traj = evolve(net, spec, x0, steps, mode=mode, dt=dt)
                     want = oracle_evolve(net, spec, x0, steps, mode=mode, dt=dt)
                     assert [bits(s) for s in traj.states] == [bits(s) for s in want]
+
+
+def unbalanced_refinement(rng, net):
+    """A random type-refining partition that is not balanced, or None after a few draws."""
+    for _ in range(10):
+        p = random_type_refinement(rng, net)
+        if is_balanced(net, p) is None:
+            return p
+    return None
+
+
+class TestLumpedOrbits:
+    """An orbit whose start has equal cell states evaluates one cell per class
+    of the coarsest balanced refinement of that start, with the full map's bits."""
+
+    @pytest.mark.parametrize("mode, steps, dt", [("discrete", 15, 1e-3), ("rk4", 6, 0.05)])
+    def test_polydiagonal_starts_match_oracle_loop(self, mode, steps, dt):
+        rng = random.Random(f"lumped:{mode}")
+        strict = 0
+        for _ in range(60):
+            net = random_doc_network(rng)
+            starts = [cir_balanced(net, net.type_partition()), unbalanced_refinement(rng, net)]
+            for p in filter(None, starts):
+                x0 = expand_state(tuple(rng.uniform(-1.5, 1.5) for _ in range(p.rank)), p)
+                strict += cir_balanced(net, p) != p
+                for exo in (False, True):
+                    spec = sample_admissible(net, rng.randrange(1000), exo=exo)
+                    traj = evolve(net, spec, x0, steps, mode=mode, dt=dt)
+                    want = oracle_evolve(net, spec, x0, steps, mode=mode, dt=dt)
+                    assert [bits(s) for s in traj.states] == [bits(s) for s in want]
+        assert strict >= 10  # starts whose classes strictly refine them
+
+    @pytest.mark.parametrize("mode", ["discrete", "rk4"])
+    def test_zero_reached_mid_orbit_evaluates_every_cell(self, mode):
+        # Under SIGNED_ZERO a source maps to a zero of its own sign, so the
+        # zero-free start below reaches 0.0 at p1, p2 and -0.0 at m1, m2.  Cells
+        # a and b share a class, but a hears p1 before m2 and b hears m1 before
+        # p2, so their merged zero groups then take 0.0 and -0.0 respectively.
+        cells = ["p1", "m1", "p2", "m2", "a", "b"]
+        edges = [("p1", "a", 1), ("m2", "a", 2), ("m1", "b", 2), ("p2", "b", 1)]
+        net = parse_network({
+            "cells": [{"id": c, "type": 1} for c in cells],
+            "edges": [{"from": d, "to": c, "weight": w} for d, c, w in edges],
+        })
+        x0 = (0.5, -0.5, 0.5, -0.5, 0.7, 0.7)
+        assert cir_balanced(net, Partition.from_assignment(x0)) == Partition.from_assignment(x0)
+        traj = evolve(net, SIGNED_ZERO, x0, 4, mode=mode, dt=0.5)
+        want = oracle_evolve(net, SIGNED_ZERO, x0, 4, mode=mode, dt=0.5)
+        assert [bits(s) for s in traj.states] == [bits(s) for s in want]
+        if mode == "discrete":
+            assert bits(traj.states[1][:4]) == ["0x0.0p+0", "-0x0.0p+0"] * 2
+            assert bits(traj.states[2][4:]) == ["0x0.0p+0", "-0x0.0p+0"]
+
+    def test_polydiagonal_step_evaluates_one_cell_per_class(self, monkeypatch):
+        doc, planted = ring_lift_doc(10, 6)
+        net = parse_network(doc)
+        spec = sample_admissible(net, 1)
+        rng = random.Random(3)
+        calls = []
+        monkeypatch.setattr(synckit.dynamics, "sin", lambda v: calls.append(v) or math.sin(v))
+
+        def sines_in_one_step(x0):
+            calls.clear()
+            evolve(net, spec, x0, 1)
+            return len(calls)
+
+        generic = sines_in_one_step(tuple(rng.uniform(-1.5, 1.5) for _ in range(net.n_cells)))
+        xbar = tuple(rng.uniform(-1.5, 1.5) for _ in range(planted.rank))
+        lumped = sines_in_one_step(expand_state(xbar, planted))
+        # a generic start evaluates every cell once: its own sine and two per input
+        assert generic == net.n_cells + 2 * len(net.edges)
+        assert lumped * net.n_cells <= generic * planted.rank
