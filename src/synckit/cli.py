@@ -19,7 +19,7 @@ from . import connectivity as conn
 from . import dynamics as dyn
 from . import synchrony as syn
 from .errors import NotBalanced, SynckitError
-from .network import Network, export_dot, load_network, network_to_doc, save_network
+from .network import Network, export_dot, load_network, network_to_doc, quote_dot, save_network
 from .partition import Partition, format_partition, parse_partition
 
 EXIT_OK = 0
@@ -115,7 +115,7 @@ def cmd_condense(args) -> int:
         lines = ["digraph condensation {"]
         for k, block in enumerate(blocks):
             shape = "doublecircle" if k in cond.roots else "circle"
-            lines.append(f'  "S{k}" [label="{",".join(block)}", shape={shape}];')
+            lines.append(f'  "S{k}" [label={quote_dot(",".join(block))}, shape={shape}];')
         for s, t in edges:
             lines.append(f'  "S{s}" -> "S{t}";')
         lines.append("}")
@@ -199,10 +199,11 @@ def cmd_lattice(args) -> int:
     texts = [_fmt(net, p) for p in lattice.elements]
     if args.dot:
         lines = ["digraph lattice {", "  rankdir=BT;"]
-        for t in texts:
-            lines.append(f'  "{t}";')
+        quoted = [quote_dot(t) for t in texts]
+        for q in quoted:
+            lines.append(f"  {q};")
         for i, j in sorted(lattice.cover_edges):
-            lines.append(f'  "{texts[i]}" -> "{texts[j]}";')
+            lines.append(f"  {quoted[i]} -> {quoted[j]};")
         lines.append("}")
         print("\n".join(lines))
         return EXIT_OK

@@ -6,15 +6,13 @@ multiplier:
 
     f_c(x) = a_i(x_c) + sum_d m_cd * h_ij(x_c, x_d),   i = type(c), j = type(d)
 
-Evaluation first folds the incoming terms by (sender type, sender
-state), dropping zero totals and summing in sorted order.  That makes
-the value a function of the multiset of inputs, so neighbor permutation,
-same-state merging and zero-edge deletion hold bit for bit, and a
-quotient system or an induced reachability subsystem reproduces the
-full trajectory exactly in discrete mode.  Each run or check compiles
-the (network, spec) pair once into per-cell records of floats and
-sender tuples, and folds every cell's inputs with one sort and a merge
-of adjacent equal inputs.
+Evaluation reads states with zeros unsigned, then folds the incoming
+terms by (sender type, sender state), dropping zero totals and summing
+in sorted order.  That makes the value a function of the multiset of
+inputs, so neighbor permutation, same-state merging and zero-edge
+deletion hold bit for bit, and a quotient system or an induced
+reachability subsystem reproduces the full trajectory exactly in
+discrete mode.
 
 An orbit whose start gives several cells one state evaluates one cell
 per synchronized class.  The classes, found once per orbit, are the
@@ -23,11 +21,7 @@ state).  On the polydiagonal of a balanced partition, cells of one class
 have one type, one state and the same weight sum per fold group, so the
 fold gives them the same bits and the orbit, RK4 stages included, stays
 there; each class's first cell is evaluated on its own full-network
-record against the full state and its value copied to the class.  A
-group merging 0.0 with -0.0 takes the first zero sender in each cell's
-own input order, which two cells of a class need not share, so once a
-state handed to the map holds a zero of either sign, the rest of the
-orbit evaluates every cell.
+record against the full state and its value copied to the class.
 
 The intrinsic term is an affine map plus a sinusoid and the coupling is
 a degree-one polynomial in the sender state plus sinusoids; the linear
@@ -56,8 +50,7 @@ from .connectivity import cumulative_in_k, in_reachability
 OVERFLOW_GUARD = 1e12
 
 
-@dataclass(frozen=True)
-class SelfParams:
+class SelfParams(NamedTuple):
     bias: float
     gain: float
     amp: float
@@ -65,8 +58,7 @@ class SelfParams:
     phase: float
 
 
-@dataclass(frozen=True)
-class CouplingParams:
+class CouplingParams(NamedTuple):
     lin: float
     amp1: float
     freq1: float
@@ -148,10 +140,11 @@ def sample_admissible(net: Network, seed: int, exo: bool = False) -> AdmissibleF
 #
 #     (self coefficients, coupling rows, sender indices, sender types, weights)
 #
-# where the coefficients are the spec's floats in field order, the coupling
-# rows are the receiver type's rows indexed by sender type - 1, and the last
-# three are parallel tuples over the cell's folded in-edges.  The system
-# keeps its network, from which an orbit finds its synchronized classes.
+# where the coefficients and the coupling rows (indexed by sender type - 1)
+# are the receiver type's spec rows, copied to exact tuples, which unpack
+# faster than named ones, and the last three are parallel tuples over the
+# cell's folded in-edges.  The system keeps its network, from which an
+# orbit finds its synchronized classes.
 
 
 class _System(NamedTuple):
@@ -160,24 +153,13 @@ class _System(NamedTuple):
     cells: tuple[tuple, ...]
 
 
-def _self_coeffs(spec: AdmissibleFunctionSpec, cell_type: int) -> tuple[float, ...]:
-    p = spec.self_params[cell_type - 1]
-    return (p.bias, p.gain, p.amp, p.freq, p.phase)
-
-
-def _coupling_rows(
-    spec: AdmissibleFunctionSpec, receiver_type: int
-) -> tuple[tuple[float, ...], ...]:
-    return tuple(
-        (p.lin, p.amp1, p.freq1, p.phase1, p.amp2, p.freq_x, p.freq_y, p.phase2)
-        for p in spec.coupling_params[receiver_type - 1]
-    )
-
-
 def _compile(net: Network, spec: AdmissibleFunctionSpec) -> _System:
     if spec.num_types < net.num_types:
         raise SynckitError("spec was sampled for fewer cell types than the network has")
-    by_type = {t: (_self_coeffs(spec, t), _coupling_rows(spec, t)) for t in set(net.cell_types)}
+    by_type = {
+        t: (tuple(spec.self_params[t - 1]), tuple(map(tuple, spec.coupling_params[t - 1])))
+        for t in set(net.cell_types)
+    }
     sender_type = tuple(t - 1 for t in net.cell_types).__getitem__
     cells = []
     for t, edges in zip(net.cell_types, net.in_edges):
@@ -190,30 +172,27 @@ _FLUSH = ((None, None, 0),)  # a last input that joins no run, so the final run 
 
 
 def _apply(
-    exo: bool, records: Iterable[tuple], own: Iterable[float], x: tuple[float, ...]
+    exo: bool, records: Iterable[tuple], cells: Iterable[int], x: tuple[float, ...]
 ) -> list[float]:
-    """The compiled map at the cells of `records`, each at its own state in `own`,
-    its senders read from the full state x.
+    """The compiled map at `cells`, whose records are `records` in order, every
+    state read from the full state x with zeros unsigned.
 
     Sorting a cell's (sender type, state, weight) inputs brings equal
     (type, state) pairs together, so each run is one group of the fold,
     its integer weights summed exactly.  Runs are added in sorted order
-    and zero sums are skipped.  A run merging 0.0 with -0.0 takes the
-    state of its first sender in input order, so the sign of a zero does
-    not hang on the weights that order the run.
+    and zero sums are skipped.
     """
+    if 0.0 in x:  # -0.0 == 0.0
+        x = tuple([v + 0.0 for v in x])
     state = x.__getitem__
     out = []
-    for ((bias, gain, amp, freq, phase), rows, senders, types, weights), xc in zip(records, own):
+    for ((bias, gain, amp, freq, phase), rows, senders, types, weights), c in zip(records, cells):
+        xc = x[c]
         total = bias + gain * xc + amp * sin(freq * xc + phase)
         t0, y0, acc = -1, None, 0  # types count from 0, so no input joins this run
         for t, y, w in chain(sorted(zip(types, map(state, senders), weights)), _FLUSH):
             if t == t0 and y == y0:
                 acc += w
-                if not y:
-                    y0 = next(
-                        state(d) for d, s in zip(senders, types) if s == t and not state(d)
-                    )
                 continue
             if acc:
                 lin, amp1, freq1, phase1, amp2, freq_x, freq_y, phase2 = rows[t0]
@@ -241,71 +220,32 @@ def _orbit_map(
 
     The classes are the coarsest balanced refinement of x0's partition by
     (cell type, state); each class's first cell is evaluated and its value
-    copied to the class, which gives the full map's bits while no state
-    handed to the map holds a zero (see the module docstring).  A start
-    whose states are all distinct costs one grouping and no more.
+    copied to the class, which gives the full map's bits (see the module
+    docstring).  A start whose states are all distinct costs one grouping
+    and evaluates every cell.
     """
     net, exo, records = system
-
-    def full(x: tuple[float, ...]) -> tuple[float, ...]:
-        return tuple(_apply(exo, records, x, x))
-
-    if 0.0 in x0:  # -0.0 == 0.0
-        return full
     start = Partition.from_assignment(zip(net.cell_types, x0))
-    classes = start if start.rank == net.n_cells else cir_balanced(net, start)
-    if classes.rank == net.n_cells:
-        return full
-    colors = classes.colors
+    if start.rank == net.n_cells:
+        every = range(net.n_cells)
+        return lambda x: tuple(_apply(exo, records, every, x))
+    classes = cir_balanced(net, start)
     firsts = [block[0] for block in classes.blocks()]
     first_records = [records[c] for c in firsts]
-    lumped = True
-
-    def step(x: tuple[float, ...]) -> tuple[float, ...]:
-        nonlocal lumped
-        lumped = lumped and 0.0 not in x
-        if not lumped:
-            return full(x)
-        values = _apply(exo, first_records, map(x.__getitem__, firsts), x)
-        return tuple(map(values.__getitem__, colors))
-
-    return step
-
-
-def eval_on_neighborhood(
-    spec: AdmissibleFunctionSpec,
-    cell_type: int,
-    x_self: float,
-    inputs: list[tuple[int, int, float]],
-) -> float:
-    """Evaluate one cell on an explicit in-neighborhood.
-
-    inputs are (sender type, integer weight, sender state) triples.
-    The fold by (type, state) with exact integer weight sums is what
-    gives the multiset semantics.
-    """
-    # one record whose senders index the state (x_self, *input states)
-    record = (
-        _self_coeffs(spec, cell_type),
-        _coupling_rows(spec, cell_type),
-        tuple(range(1, len(inputs) + 1)),
-        tuple(t - 1 for t, _, _ in inputs),
-        tuple(w for _, w, _ in inputs),
-    )
-    return _apply(spec.exo, (record,), (x_self,), (x_self, *(y for _, _, y in inputs)))[0]
+    colors = classes.colors
+    return lambda x: tuple(map(_apply(exo, first_records, firsts, x).__getitem__, colors))
 
 
 def component_value(
     net: Network, spec: AdmissibleFunctionSpec, x: tuple[float, ...], c: int
 ) -> float:
-    inputs = [(net.cell_types[d], w, x[d]) for d, w in net.in_edges[c]]
-    return eval_on_neighborhood(spec, net.cell_types[c], x[c], inputs)
+    return evaluate(net, spec, x)[c]
 
 
 def evaluate(net: Network, spec: AdmissibleFunctionSpec, x: tuple[float, ...]) -> tuple[float, ...]:
     """One application of the admissible function to a full state."""
-    _, exo, records = _compile(net, spec)
-    return tuple(_apply(exo, records, x, x))
+    x = tuple(x)
+    return _orbit_map(_compile(net, spec), x)(x)
 
 
 @dataclass(frozen=True)

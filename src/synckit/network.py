@@ -228,6 +228,11 @@ def save_network(net: Network, path: str) -> None:
 # DOT export
 
 
+def quote_dot(text: str) -> str:
+    """text as a DOT double-quoted string, its backslashes and quotes escaped."""
+    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
 def _fill_color(k: int, rank: int) -> str:
     # evenly spaced hues, pale enough for black labels
     hue = (k / max(rank, 1)) % 1.0
@@ -239,14 +244,15 @@ def export_dot(net: Network, p: Optional[Partition] = None) -> str:
     if p is not None and p.size != net.n_cells:
         raise PartitionDomainMismatch("partition does not cover the network")
     lines = ["digraph network {", "  rankdir=LR;"]
-    for c, cid in enumerate(net.cell_ids):
+    ids = [quote_dot(cid) for cid in net.cell_ids]
+    for c, cid in enumerate(ids):
         shape = _DOT_SHAPES[(net.cell_types[c] - 1) % len(_DOT_SHAPES)]
         attrs = [f"shape={shape}"]
         if p is not None:
             attrs.append("style=filled")
             attrs.append(f'fillcolor="{_fill_color(p.colors[c], p.rank)}"')
-        lines.append(f'  "{cid}" [{", ".join(attrs)}];')
+        lines.append(f'  {cid} [{", ".join(attrs)}];')
     for c, d, w in net.edges:
-        lines.append(f'  "{net.cell_ids[d]}" -> "{net.cell_ids[c]}" [label="{w}"];')
+        lines.append(f'  {ids[d]} -> {ids[c]} [label="{w}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"

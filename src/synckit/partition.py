@@ -42,18 +42,6 @@ class Partition:
         return p
 
     @staticmethod
-    def from_blocks(blocks: Iterable[Iterable[int]], size: int) -> "Partition":
-        colors = [-1] * size
-        for k, block in enumerate(blocks):
-            for c in block:
-                if colors[c] != -1:
-                    raise ValueError(f"cell {c} assigned to two blocks")
-                colors[c] = k
-        if any(c == -1 for c in colors):
-            raise ValueError("blocks do not cover the cell set")
-        return Partition.from_assignment(colors)
-
-    @staticmethod
     def trivial(size: int) -> "Partition":
         """Finest partition: every cell its own color."""
         return Partition(tuple(range(size)))

@@ -14,18 +14,19 @@ and the admissible map cell by cell through a dict fold of each
 neighbourhood instead of the compiled sort-merge kernel.  It also holds
 the helpers only the tests need: networks to and from dense
 in-adjacency matrices, quotients from the dense rows of M @ P, the
-one-color partition, 0/1 partition matrices, composition of partitions,
-the balanced-lattice meet, the lattice above an element on its colors,
-the polydiagonal test, the numerical exo-balance verdict, the seeded
-and complete networks the lattice tests share, and a large planted lift
-for the dynamics tests.
+one-color partition, partitions from their blocks, one cell's component
+on an explicit neighbourhood, 0/1 partition matrices, composition of
+partitions, the balanced-lattice meet, the lattice above an element on
+its colors, the polydiagonal test, the numerical exo-balance verdict,
+the seeded and complete networks the lattice tests share, and a large
+planted lift for the dynamics tests.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from typing import Any, Iterator, NamedTuple, Optional, Sequence
+from typing import Any, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -34,6 +35,7 @@ from synckit.dynamics import (
     AdmissibleFunctionSpec,
     CouplingParams,
     check_invariance,
+    evaluate,
     sample_admissible,
 )
 from synckit.errors import DomainMismatch, NotBalanced, SynckitError
@@ -108,6 +110,19 @@ def one_color(size: int) -> Partition:
     return Partition((0,) * size)
 
 
+def partition_from_blocks(blocks: Iterable[Iterable[int]], size: int) -> Partition:
+    """The partition whose colors are the given blocks of cells 0..size-1."""
+    colors = [-1] * size
+    for k, block in enumerate(blocks):
+        for c in block:
+            if colors[c] != -1:
+                raise ValueError(f"cell {c} assigned to two blocks")
+            colors[c] = k
+    if -1 in colors:
+        raise ValueError("blocks do not cover the cell set")
+    return Partition.from_assignment(colors)
+
+
 def lattice_meet(net: Network, b1: Partition, b2: Partition) -> Partition:
     """Meet inside the balanced lattice: cir of the plain partition meet."""
     for b in (b1, b2):
@@ -180,7 +195,7 @@ def oracle_meet(a: Partition, b: Partition) -> Partition:
             if inter:
                 blocks.append(inter)
     blocks.sort(key=lambda blk: blk[0])
-    return Partition.from_blocks(blocks, a.size)
+    return partition_from_blocks(blocks, a.size)
 
 
 def oracle_lub(a: Partition, b: Partition) -> Optional[Partition]:
@@ -499,14 +514,15 @@ def oracle_eval_on_neighborhood(
 ) -> float:
     """One cell's component by the dict fold of its inputs.
 
-    inputs are (sender type, integer weight, sender state) triples.  They
-    are grouped by (type, state) in a dict, so 0.0 and -0.0 share a key
-    holding the first sender's state, with exact integer weight sums; the
-    groups are added in sorted key order and zero sums are skipped.
+    inputs are (sender type, integer weight, sender state) triples.  Every
+    state is read with zeros unsigned, and the inputs are grouped by (type,
+    state) in a dict with exact integer weight sums; the groups are added
+    in sorted key order and zero sums are skipped.
     """
+    x_self += 0.0
     groups: dict[tuple[int, float], int] = {}
     for sender_type, weight, state in inputs:
-        key = (sender_type, state)
+        key = (sender_type, state + 0.0)
         groups[key] = groups.get(key, 0) + weight
     s = spec.self_params[cell_type - 1]
     total = s.bias + s.gain * x_self + s.amp * math.sin(s.freq * x_self + s.phase)
@@ -560,6 +576,23 @@ def oracle_evolve(
             )
         states.append(x)
     return states
+
+
+def eval_on_neighborhood(
+    spec: AdmissibleFunctionSpec,
+    cell_type: int,
+    x_self: float,
+    inputs: Sequence[tuple[int, int, float]],
+) -> float:
+    """One cell's component by the library's map on a star network.
+
+    inputs are (sender type, integer weight, sender state) triples; each
+    becomes its own sender cell with one edge into cell 0.
+    """
+    types = (cell_type, *(t for t, _, _ in inputs))
+    edges = tuple((0, d, w) for d, (_, w, _) in enumerate(inputs, 1) if w != 0)
+    star = Network(tuple(map(str, range(len(types)))), types, edges, IntegerAdd())
+    return evaluate(star, spec, (x_self, *(y for _, _, y in inputs)))[0]
 
 
 def random_network(

@@ -2,6 +2,7 @@ import contextlib
 import json
 import os
 import random
+import re
 import tracemalloc
 from pathlib import Path
 
@@ -467,6 +468,33 @@ def test_format_dot_where_dot_is_printed(capsys):
         code, out, err = invoke(capsys, *argv, "--network", fx("triangle"), "--format", "dot")
         assert (code, err) == (0, "")
         assert out.startswith("digraph")
+
+
+def test_dot_quotes_ids_with_quotes_and_backslashes(capsys, tmp_path):
+    # a DOT quoted string escapes '"' and '\\'; an id ending in '\\' would
+    # otherwise escape its closing quote
+    ids = ['a"b', "c\\", "d"]
+    path = tmp_path / "quoted.json"
+    path.write_text(json.dumps({
+        "cells": [{"id": c, "type": 1} for c in ids],
+        "edges": [{"from": ids[0], "to": ids[1], "weight": 1},
+                  {"from": ids[1], "to": ids[0], "weight": 1},
+                  {"from": ids[1], "to": ids[2], "weight": 2}],
+    }))
+    _, elements, _ = invoke(capsys, "lattice", "--network", str(path))
+    expected = {
+        ("export-dot",): set(ids),
+        ("quotient", "--partition", 'a"b,c\\'): {'a"b+c\\', "d"},
+        ("condense", "--format", "dot"): {"S0", "S1", 'a"b,c\\', "d"},
+        ("lattice", "--dot"): set(elements.split()),
+    }
+    quoted = re.compile(r'"((?:[^"\\]|\\.)*)"')
+    for argv, strings in expected.items():
+        code, out, err = invoke(capsys, *argv, "--network", str(path))
+        assert (code, err) == (0, "")
+        assert not re.search(r'["\\]', quoted.sub("", out)), out
+        found = {re.sub(r"\\(.)", r"\1", m) for m in quoted.findall(out)}
+        assert found - {"1", "2"} == strings, out
 
 
 def test_tables_json_streams_pairs_in_small_memory(tmp_path):

@@ -16,7 +16,6 @@ from synckit.dynamics import (
     evaluate,
     evolve,
     expand_state,
-    eval_on_neighborhood,
     probe_non_invariance,
     sample_admissible,
 )
@@ -29,6 +28,7 @@ from synckit.synchrony import cir_balanced, enumerate_balanced, is_balanced
 
 from conftest import fixture_net
 from oracles import (
+    eval_on_neighborhood,
     from_matrix,
     in_polydiagonal,
     numeric_exo_verdict,
@@ -50,6 +50,16 @@ def decoupled(n=3):
         tuple(tuple(0 for _ in range(n)) for _ in range(n)),
         IntegerAdd(),
     )
+
+
+# a(x) = -0.0 for x < 0 and h(x, y) = y + (-0.0) + (-0.0) near y = 0, so the
+# result's sign shows whether a zero state was read as 0.0 or -0.0, and
+# whether a zero-sum group was added as 0 * h(x, y) = +0.0
+SIGNED_ZERO = AdmissibleFunctionSpec(
+    0, False, 1,
+    (SelfParams(-0.0, 0.0, 0.0, 1.0, 0.0),),
+    ((CouplingParams(1.0, 0.0, 1.0, -1.0, 0.0, 0.0, 1.0, -1.0),),),
+)
 
 
 class TestSampling:
@@ -88,14 +98,20 @@ class TestSampling:
 class TestOracleLaws:
     def test_permutation_invariance(self):
         net = fixture_net("two_roots")
-        spec = sample_admissible(net, 1)
         rng = random.Random(0)
-        inputs = [(1, rng.choice([1, 2, -1]), rng.uniform(-1, 1)) for _ in range(6)]
-        base = eval_on_neighborhood(spec, 1, 0.3, inputs)
-        for _ in range(10):
-            shuffled = inputs[:]
-            rng.shuffle(shuffled)
-            assert eval_on_neighborhood(spec, 1, 0.3, shuffled) == base
+        generic = [(1, rng.choice([1, 2, -1]), rng.uniform(-1, 1)) for _ in range(6)]
+        # under SIGNED_ZERO the result is a zero whose sign would show which
+        # zero a merged group read
+        zeros = [(1, 1, 0.0), (1, 2, -0.0), (1, -1, -0.0), (1, 1, 0.5), (1, -1, 0.5),
+                 (1, 3, 0.0)]
+        for spec, x_self, inputs in [
+            (sample_admissible(net, 1), 0.3, generic), (SIGNED_ZERO, -1.0, zeros),
+        ]:
+            base = eval_on_neighborhood(spec, 1, x_self, inputs)
+            for _ in range(10):
+                shuffled = inputs[:]
+                rng.shuffle(shuffled)
+                assert bits([eval_on_neighborhood(spec, 1, x_self, shuffled)]) == bits([base])
 
     def test_merging_same_state_inputs(self):
         net = fixture_net("two_roots")
@@ -424,24 +440,14 @@ def random_doc_network(rng):
 
 def random_states(rng, n):
     """A generic state, one whose cells share a few values, 0.0 and -0.0 among
-    them, and one whose cells share a few nonzero values, so that an orbit
-    from it evaluates one cell per synchronized class."""
+    them, and one whose cells share a few nonzero values; an orbit from
+    either of the last two evaluates one cell per synchronized class."""
     pool = [0.0, -0.0, rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5)]
     yield tuple(rng.uniform(-1.5, 1.5) for _ in range(n))
     yield tuple(rng.choice(pool) for _ in range(n))
     # drawn apart from rng, so every case drawn after this one stays as it was
     local = random.Random(repr(pool))
     yield tuple(local.choice(pool[2:]) for _ in range(n))
-
-
-# a(x) = -0.0 for x < 0 and h(x, y) = y + (-0.0) + (-0.0) near y = 0, so the
-# result's sign shows which zero stood for a merged group, and whether a
-# zero-sum group was added as 0 * h(x, y) = +0.0
-SIGNED_ZERO = AdmissibleFunctionSpec(
-    0, False, 1,
-    (SelfParams(-0.0, 0.0, 0.0, 1.0, 0.0),),
-    ((CouplingParams(1.0, 0.0, 1.0, -1.0, 0.0, 0.0, 1.0, -1.0),),),
-)
 
 
 class TestKernelMatchesDictFold:
@@ -480,13 +486,17 @@ class TestKernelMatchesDictFold:
             assert bits([got]) == bits([want])
 
     @pytest.mark.parametrize("inputs, sign", [
+        # a group of zero states reads 0.0, whatever its senders' signs,
+        # order and weights; a zero-sum group is skipped, so the intrinsic
+        # term's -0.0 stands
         ([(1, 1, 0.0), (1, 1, -0.0)], "0x0.0p+0"),
-        ([(1, 1, -0.0), (1, 1, 0.0)], "-0x0.0p+0"),
-        # a larger weight does not move the first sender's zero from the front
-        ([(1, 2, -0.0), (1, 1, 0.0)], "-0x0.0p+0"),
+        ([(1, 1, -0.0), (1, 1, 0.0)], "0x0.0p+0"),
+        ([(1, 2, -0.0), (1, 1, 0.0)], "0x0.0p+0"),
         ([(1, 3, 0.0), (1, 1, -0.0)], "0x0.0p+0"),
         ([(1, 1, 0.5), (1, -1, 0.5)], "-0x0.0p+0"),
-        ([(1, 2, 0.5), (1, -1, 0.5), (1, -1, 0.5), (1, 1, -0.0)], "-0x0.0p+0"),
+        ([(1, 2, 0.5), (1, -1, 0.5), (1, -1, 0.5), (1, 1, -0.0)], "0x0.0p+0"),
+        ([(1, 1, -0.0)], "0x0.0p+0"),
+        ([(1, 1, -0.0), (1, -1, 0.0)], "-0x0.0p+0"),
     ])
     def test_signed_zero_groups(self, inputs, sign):
         want = oracle_eval_on_neighborhood(SIGNED_ZERO, 1, -1.0, inputs)
@@ -537,25 +547,42 @@ class TestLumpedOrbits:
         assert strict >= 10  # starts whose classes strictly refine them
 
     @pytest.mark.parametrize("mode", ["discrete", "rk4"])
-    def test_zero_reached_mid_orbit_evaluates_every_cell(self, mode):
-        # Under SIGNED_ZERO a source maps to a zero of its own sign, so the
-        # zero-free start below reaches 0.0 at p1, p2 and -0.0 at m1, m2.  Cells
-        # a and b share a class, but a hears p1 before m2 and b hears m1 before
-        # p2, so their merged zero groups then take 0.0 and -0.0 respectively.
+    def test_zero_reached_mid_orbit_stays_lumped(self, monkeypatch, mode):
+        # a hears p1 before m2 and b hears m1 before p2, with swapped weights,
+        # so a and b share a class.  The map evaluates one cell per class: one
+        # sine per source class, and one for a plus two per group of its
+        # inputs; every cell would take 14 sines per map call with two groups
+        # and 10 with one.
         cells = ["p1", "m1", "p2", "m2", "a", "b"]
         edges = [("p1", "a", 1), ("m2", "a", 2), ("m1", "b", 2), ("p2", "b", 1)]
         net = parse_network({
             "cells": [{"id": c, "type": 1} for c in cells],
             "edges": [{"from": d, "to": c, "weight": w} for d, c, w in edges],
         })
-        x0 = (0.5, -0.5, 0.5, -0.5, 0.7, 0.7)
-        assert cir_balanced(net, Partition.from_assignment(x0)) == Partition.from_assignment(x0)
-        traj = evolve(net, SIGNED_ZERO, x0, 4, mode=mode, dt=0.5)
-        want = oracle_evolve(net, SIGNED_ZERO, x0, 4, mode=mode, dt=0.5)
-        assert [bits(s) for s in traj.states] == [bits(s) for s in want]
-        if mode == "discrete":
-            assert bits(traj.states[1][:4]) == ["0x0.0p+0", "-0x0.0p+0"] * 2
-            assert bits(traj.states[2][4:]) == ["0x0.0p+0", "-0x0.0p+0"]
+        calls = []
+        monkeypatch.setattr(synckit.dynamics, "sin", lambda v: calls.append(v) or math.sin(v))
+
+        def sines_to_step(x0, k):
+            calls.clear()
+            evolve(net, SIGNED_ZERO, x0, k, mode=mode, dt=0.5)
+            return len(calls)
+
+        starts = {
+            # in discrete mode the sources map to 0.0 (p1, p2) and -0.0 (m1,
+            # m2) at step 1; from step 2 on, a hears one merged zero group
+            (0.5, -0.5, 0.5, -0.5, 0.7, 0.7): {"discrete": [7, 5, 5, 5], "rk4": [28] * 4},
+            # both zeros at the start make one source class
+            (0.0, -0.0, 0.0, -0.0, 0.7, 0.7): {"discrete": [4] * 4, "rk4": [16] * 4},
+        }
+        for x0, sines in starts.items():
+            totals = [sines_to_step(x0, k) for k in range(5)]
+            assert [b - a for a, b in zip(totals, totals[1:])] == sines[mode]
+            states = evolve(net, SIGNED_ZERO, x0, 4, mode=mode, dt=0.5).states
+            want = oracle_evolve(net, SIGNED_ZERO, x0, 4, mode=mode, dt=0.5)
+            assert [bits(s) for s in states] == [bits(s) for s in want]
+            if mode == "discrete" and x0[0]:
+                assert bits(states[1][:4]) == ["0x0.0p+0", "-0x0.0p+0"] * 2
+                assert bits(states[2][4:5]) == bits(states[2][5:])
 
     def test_polydiagonal_step_evaluates_one_cell_per_class(self, monkeypatch):
         doc, planted = ring_lift_doc(10, 6)

@@ -23,12 +23,13 @@ from oracles import (
     oracle_join,
     oracle_lub,
     oracle_meet,
+    partition_from_blocks,
     partition_matrix,
 )
 
 
 def blocks(*groups, size):
-    return Partition.from_blocks(groups, size)
+    return partition_from_blocks(groups, size)
 
 
 # a,b,c,d,e -> 0..4
