@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
-from typing import Optional
 
 from synckit.classification import (
     ColorClass,
@@ -26,10 +25,10 @@ from synckit.classification import (
 from synckit.errors import SynckitError
 from synckit.network import load_network
 from synckit.partition import format_partition
-from synckit.synchrony import enumerate_balanced, is_balanced
+from synckit.synchrony import DEFAULT_MAX_CELLS, enumerate_balanced, is_balanced
 
 
-def survey(path: Path, max_cells: Optional[int]) -> None:
+def survey(path: Path, max_cells: int) -> None:
     net = load_network(str(path))
     ids = net.cell_ids
     print(f"== {path.stem} ({net.n_cells} cells, {net.num_types} types)")
@@ -69,8 +68,7 @@ def main() -> None:
         "--fixtures",
         default=str(Path(__file__).resolve().parent.parent / "fixtures"),
     )
-    # None leaves the cap to enumerate_balanced: SYNCKIT_MAX_CELLS, else its default
-    parser.add_argument("--max-cells", type=int, default=None)
+    parser.add_argument("--max-cells", type=int, default=DEFAULT_MAX_CELLS)
     args = parser.parse_args()
     try:
         for path in sorted(Path(args.fixtures).glob("*.json")):

@@ -30,6 +30,7 @@ from .errors import EmptyColor, SynckitError
 from .network import Network
 from .partition import Partition, iter_bits, meet, quotient_partition
 from .synchrony import (
+    DEFAULT_MAX_CELLS,
     BalancedCertificate,
     BalancedLattice,
     cir_balanced,
@@ -133,7 +134,7 @@ def top_strong(net: Network) -> Partition:
     return cir_balanced(net, meet(net.type_partition(), scc_decomposition(net)))
 
 
-def top_nonweak(net: Network, max_cells: Optional[int] = None) -> tuple[Partition, bool]:
+def top_nonweak(net: Network, max_cells: int = DEFAULT_MAX_CELLS) -> tuple[Partition, bool]:
     """Candidate top non-weak element plus a validity flag.
 
     The candidate is the coarsest balanced partition below types meet
@@ -241,7 +242,7 @@ class JoinTableReport:
         return all(_fits(_NONWEAK_CLOSED, *t) for t in self.triples)
 
 
-def join_table_report(net: Network, max_cells: Optional[int] = None) -> JoinTableReport:
+def join_table_report(net: Network, max_cells: int = DEFAULT_MAX_CELLS) -> JoinTableReport:
     """Join every pair of balanced partitions and collect the class triples."""
     lattice = enumerate_balanced(net, max_cells)
     classes = tuple(classify_partition(net, b) for b in lattice.elements)
@@ -284,7 +285,7 @@ _ALLOWED_QUOTIENT = {
 
 
 def quotient_class_report(
-    net: Network, cert: BalancedCertificate, max_cells: Optional[int] = None
+    net: Network, cert: BalancedCertificate, max_cells: int = DEFAULT_MAX_CELLS
 ) -> QuotientClassReport:
     """Compare classes of balanced coarsenings with their quotient classes.
 

@@ -221,15 +221,12 @@ def _orbit_map(
     The classes are the coarsest balanced refinement of x0's partition by
     (cell type, state); each class's first cell is evaluated and its value
     copied to the class, which gives the full map's bits (see the module
-    docstring).  A start whose states are all distinct costs one grouping
-    and evaluates every cell.
+    docstring).  A start whose states are all distinct is its own
+    refinement, which cir_balanced returns at once, and evaluates every
+    cell.
     """
     net, exo, records = system
-    start = Partition.from_assignment(zip(net.cell_types, x0))
-    if start.rank == net.n_cells:
-        every = range(net.n_cells)
-        return lambda x: tuple(_apply(exo, records, every, x))
-    classes = cir_balanced(net, start)
+    classes = cir_balanced(net, Partition.from_assignment(zip(net.cell_types, x0)))
     firsts = [block[0] for block in classes.blocks()]
     first_records = [records[c] for c in firsts]
     colors = classes.colors
@@ -273,7 +270,7 @@ def evolve(
     dt: float = 1e-3,
 ) -> Trajectory:
     """Iterate the map (discrete) or integrate with fixed-step RK4."""
-    _check_mode(mode)
+    _check_run(mode=mode, dt=dt, steps=steps, least_steps=0)
     if len(x0) != net.n_cells:
         raise SynckitError("initial state length does not match the network")
     states = tuple(_orbit(_compile(net, spec), tuple(x0), steps, mode, dt))
@@ -281,9 +278,27 @@ def evolve(
     return Trajectory(times, states, mode, dt if mode == "rk4" else None)
 
 
-def _check_mode(mode: str) -> None:
+def _check_run(
+    *, mode: str = "discrete", dt: float = 1.0, steps: int = 1, trials: int = 1,
+    tol: float = 0.0, least_steps: int = 1,
+) -> None:
+    """Refuse run settings under which a verdict would not rest on the run.
+
+    No trials or no steps pass vacuously, a zero step size never moves the
+    state, an infinite or NaN one cannot be integrated, and a negative or
+    NaN tolerance fails every comparison while an infinite one passes
+    every comparison.  A default stands for a setting the caller lacks.
+    """
     if mode not in ("discrete", "rk4"):
         raise SynckitError(f"unknown mode {mode!r}")
+    if trials < 1:
+        raise SynckitError(f"trials must be at least 1, got {trials}")
+    if steps < least_steps:
+        raise SynckitError(f"steps must be at least {least_steps}, got {steps}")
+    if not 0.0 < dt < math.inf:  # False for NaN
+        raise SynckitError(f"dt must be finite and positive, got {dt}")
+    if not 0.0 <= tol < math.inf:
+        raise SynckitError(f"tol must be finite and at least 0, got {tol}")
 
 
 def _orbit(
@@ -403,7 +418,7 @@ def check_invariance(
     The verdict is invariant only when every trial ran to the end: a trial
     aborted by the overflow guard shows nothing about the spread.
     """
-    _check_mode(mode)
+    _check_run(mode=mode, dt=dt, steps=steps, trials=trials, tol=tol)
     system = _compile(net, spec)
     blocks = p.blocks()
     results = []
@@ -487,18 +502,15 @@ def check_locality(
     k: int,
     trials: int = 5,
     rng_seed: int = 0,
-    perturb_inside: bool = False,
 ) -> LocalityReport:
-    """Perturb cells outside (or inside) the k-step neighborhood of c.
+    """Perturb cells outside the k-step neighborhood of c.
 
-    Outside perturbations must leave x_c through step k bit-for-bit
-    unchanged in discrete mode; inside perturbations are the
-    falsification direction.  Trials with an empty perturbation support
-    count as agreeing runs.
+    The perturbations must leave x_c through step k bit-for-bit unchanged
+    in discrete mode.  Trials with an empty perturbation support count as
+    agreeing runs.
     """
-    net.check_cell(c)
-    cone = cumulative_in_k(net, c, k)
-    support = sorted(cone - {c} if perturb_inside else set(range(net.n_cells)) - cone)
+    _check_run(trials=trials)
+    support = sorted(set(range(net.n_cells)) - cumulative_in_k(net, c, k))
     system = _compile(net, spec)
     results = []
     for t in range(trials):
@@ -519,10 +531,17 @@ def check_locality(
 
 @dataclass(frozen=True)
 class ComparisonReport:
+    """How far a smaller system strayed from the full one.
+
+    `agreed` is the verdict: exact agreement in discrete mode, a deviation
+    within `tol` in RK4 mode.
+    """
+
     label: str
     max_deviation: float
     exact: bool
     tol: float
+    agreed: bool
 
     def to_json(self) -> dict:
         return {
@@ -531,6 +550,11 @@ class ComparisonReport:
             "exact": self.exact,
             "tol": self.tol,
         }
+
+
+def _comparison(label: str, worst: float, mode: str, tol: float) -> ComparisonReport:
+    exact = worst == 0.0
+    return ComparisonReport(label, worst, exact, tol, exact if mode == "discrete" else worst <= tol)
 
 
 def check_subsystem(
@@ -545,7 +569,7 @@ def check_subsystem(
     rng_seed: int = 0,
 ) -> ComparisonReport:
     """Restricting a trajectory to the reach-in set solves the subsystem."""
-    _check_mode(mode)
+    _check_run(mode=mode, dt=dt, steps=steps, trials=trials, tol=tol)
     net.check_cell(c)
     cells = sorted(in_reachability(net, c))
     x0s = (_random_state(random.Random(f"subsystem:{rng_seed}:{t}"), net.n_cells)
@@ -555,7 +579,7 @@ def check_subsystem(
         _compile(net, spec), _compile(net.subnetwork(cells), spec), starts,
         cells, range(len(cells)), steps, mode, dt,
     )
-    return ComparisonReport("subsystem", worst, worst == 0.0, tol)
+    return _comparison("subsystem", worst, mode, tol)
 
 
 def check_quotient_consistency(
@@ -570,7 +594,7 @@ def check_quotient_consistency(
     rng_seed: int = 0,
 ) -> ComparisonReport:
     """The quotient system reproduces the full system on the polydiagonal."""
-    _check_mode(mode)
+    _check_run(mode=mode, dt=dt, steps=steps, trials=trials, tol=tol)
     p = cert.partition
     xbars = (_random_state(random.Random(f"quotient:{rng_seed}:{t}"), p.rank)
              for t in range(trials))
@@ -579,7 +603,7 @@ def check_quotient_consistency(
         _compile(net, spec), _compile(cert.quotient, spec), starts,
         range(net.n_cells), p.colors, steps, mode, dt,
     )
-    return ComparisonReport("quotient", worst, worst == 0.0, tol)
+    return _comparison("quotient", worst, mode, tol)
 
 
 def _deviation(

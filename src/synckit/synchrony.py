@@ -17,7 +17,6 @@ than with the number of type-refining ones.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Any, Iterable, Iterator, Optional
@@ -112,6 +111,8 @@ def cir_balanced(net: Network, p: Partition) -> Partition:
     color with one signature: balanced.
     """
     _check_type_refining(net, p)
+    if p.rank == net.n_cells:  # one cell per color: balanced
+        return p
     rows, receivers = net.in_edges, net.out_neighbours
     add, zero = net.monoid.add, net.monoid.zero()
     color = list(p.colors)
@@ -164,18 +165,6 @@ def cir_balanced(net: Network, p: Partition) -> Partition:
                     renamed.extend(part)
         rekey = {c for d in renamed for c in receivers[d]}
     return Partition.from_assignment(color)
-
-
-def _resolve_cap(max_cells: Optional[int]) -> int:
-    if max_cells is not None:
-        return max_cells
-    env = os.environ.get("SYNCKIT_MAX_CELLS")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise SynckitError(f"SYNCKIT_MAX_CELLS must be an integer, got {env!r}") from None
-    return DEFAULT_MAX_CELLS
 
 
 @dataclass(frozen=True)
@@ -269,7 +258,7 @@ def _two_splits(p: Partition) -> Iterator[Partition]:
             yield Partition.from_assignment(colors)
 
 
-def enumerate_balanced(net: Network, max_cells: Optional[int] = None) -> BalancedLattice:
+def enumerate_balanced(net: Network, max_cells: int = DEFAULT_MAX_CELLS) -> BalancedLattice:
     """Full balanced lattice by split-and-cir; refuses large networks.
 
     Every balanced B strictly below a balanced P lies below some 2-split
@@ -277,11 +266,10 @@ def enumerate_balanced(net: Network, max_cells: Optional[int] = None) -> Balance
     cir of every 2-split reaches each balanced partition.  A split that
     is already known is balanced, and cir would return it unchanged.
     """
-    cap = _resolve_cap(max_cells)
-    if net.n_cells > cap:
+    if net.n_cells > max_cells:
         raise TooLarge(
-            f"{net.n_cells} cells exceeds the enumeration cap of {cap}; "
-            "raise it explicitly or via SYNCKIT_MAX_CELLS"
+            f"{net.n_cells} cells exceeds the enumeration cap of {max_cells}; "
+            "raise it with max_cells (--max-cells)"
         )
     top = cir_balanced(net, net.type_partition())
     found = {top}

@@ -104,7 +104,8 @@ class TestAnalysisCommands:
         code, out, _ = invoke(capsys, "lattice", "--network", fx("driven_chain"))
         assert code == 0
         assert set(out.split()) == {"13/24", "13/2/4", "1/2/3/4"}
-        code, out, _ = invoke(capsys, "lattice", "--network", fx("driven_chain"), "--dot")
+        code, out, _ = invoke(capsys, "lattice", "--network", fx("driven_chain"),
+                              "--format", "dot")
         assert out.startswith("digraph")
         assert '"1/2/3/4" -> "13/2/4"' in out
 
@@ -329,67 +330,63 @@ def test_simulate_json_of_300_cell_lift_is_json_dumps_bytes(capsys, tmp_path):
         assert out == want
 
 
-@pytest.mark.parametrize("argv,env", [
-    (["matched", "--network", fx("chorded_cycle"), "--partition", "14/23",
-      "--kind", "vk:x"], {}),
-    (["lattice", "--network", fx("triangle")], {"SYNCKIT_MAX_CELLS": "abc"}),
-    (["simulate", "--network", fx("chain4"), "--x0", "a,b,c,d"], {}),
-    (["simulate", "--network", fx("chain4"), "--steps", "-5"], {}),
-    (["verify", "invariance", "--network", fx("triangle"), "--partition", "12/3",
-      "--steps", "-1"], {}),
-    (["verify", "invariance", "--network", fx("triangle"), "--partition", "12/3",
-      "--trials", "0"], {}),
-    (["verify", "locality", "--network", fx("chain4"), "--cell", "3",
-      "--trials", "-2"], {}),
-    (["verify", "invariance", "--network", fx("chain4"), "--partition", "1234",
-      "--mode", "rk4", "--dt", "0"], {}),
+@pytest.mark.parametrize("argv", [
+    ["matched", "--network", fx("chorded_cycle"), "--partition", "14/23",
+     "--kind", "vk:x"],
+    ["simulate", "--network", fx("chain4"), "--x0", "a,b,c,d"],
+    ["simulate", "--network", fx("chain4"), "--steps", "-5"],
+    ["verify", "invariance", "--network", fx("triangle"), "--partition", "12/3",
+     "--steps", "-1"],
+    ["verify", "invariance", "--network", fx("triangle"), "--partition", "12/3",
+     "--trials", "0"],
+    ["verify", "locality", "--network", fx("chain4"), "--cell", "3",
+     "--trials", "-2"],
+    ["verify", "invariance", "--network", fx("chain4"), "--partition", "1234",
+     "--mode", "rk4", "--dt", "0"],
     # locality compares discrete map steps bit for bit; an RK4 run is not what it checks
-    (["verify", "locality", "--network", fx("chain4"), "--cell", "3", "--mode", "rk4"], {}),
+    ["verify", "locality", "--network", fx("chain4"), "--cell", "3", "--mode", "rk4"],
     # it runs --k map steps and compares bit for bit, so these flags would change nothing
-    (["verify", "locality", "--network", fx("chain4"), "--cell", "3", "--steps", "1000"], {}),
-    (["verify", "locality", "--network", fx("chain4"), "--cell", "3", "--tol", "5"], {}),
-    (["verify", "locality", "--network", fx("chain4"), "--cell", "3", "--dt", "0.5"], {}),
-    (["verify", "invariance", "--network", fx("triangle"), "--partition", "1/2/3",
-      "--tol", "-1"], {}),
-    (["verify", "quotient", "--network", fx("triangle"), "--partition", "12/3",
-      "--tol", "nan"], {}),
-    (["verify", "subsystem", "--network", fx("chain4"), "--cell", "3",
-      "--mode", "rk4", "--dt", "inf"], {}),
-    (["simulate", "--network", fx("chain4"), "--mode", "rk4", "--dt", "nan"], {}),
-    (["simulate", "--network", fx("chain4"), "--dt", "-1"], {}),
-    (["quotient", "--network", fx("chain4"), "--partition", "1234"], {}),
-    (["invariant", "--network", fx("chain4"), "--partition", "1234", "--kind", "r"], {}),
-    (["tables", "--network", fx("chain4"), "--quotient", "1234"], {}),
-    (["verify", "quotient", "--network", fx("chain4"), "--partition", "1234"], {}),
+    ["verify", "locality", "--network", fx("chain4"), "--cell", "3", "--steps", "1000"],
+    ["verify", "locality", "--network", fx("chain4"), "--cell", "3", "--tol", "5"],
+    ["verify", "locality", "--network", fx("chain4"), "--cell", "3", "--dt", "0.5"],
+    ["verify", "invariance", "--network", fx("triangle"), "--partition", "1/2/3",
+     "--tol", "-1"],
+    ["verify", "quotient", "--network", fx("triangle"), "--partition", "12/3",
+     "--tol", "nan"],
+    ["verify", "subsystem", "--network", fx("chain4"), "--cell", "3",
+     "--mode", "rk4", "--dt", "inf"],
+    ["simulate", "--network", fx("chain4"), "--mode", "rk4", "--dt", "nan"],
+    ["simulate", "--network", fx("chain4"), "--dt", "-1"],
+    ["quotient", "--network", fx("chain4"), "--partition", "1234"],
+    ["invariant", "--network", fx("chain4"), "--partition", "1234", "--kind", "r"],
+    ["tables", "--network", fx("chain4"), "--quotient", "1234"],
+    ["verify", "quotient", "--network", fx("chain4"), "--partition", "1234"],
     # an RK4 stage past the float range blows up before the step is taken
-    (["simulate", "--network", fx("triangle"), "--mode", "rk4", "--dt", "1e300"], {}),
-    (["verify", "quotient", "--network", fx("triangle"), "--partition", "12/3",
-      "--mode", "rk4", "--dt", "1e300"], {}),
-    (["verify", "subsystem", "--network", fx("chain4"), "--cell", "3",
-      "--mode", "rk4", "--dt", "1e300"], {}),
-    # only condense, quotient and export-dot print DOT
-    (["scc", "--network", fx("triangle"), "--format", "dot"], {}),
-    (["lattice", "--network", fx("triangle"), "--format", "dot"], {}),
-    # lattice --dot prints DOT, so it has no JSON mode to honour
-    (["lattice", "--network", fx("triangle"), "--dot", "--format", "json"], {}),
-    (["tables", "--network", fx("triangle"), "--format", "dot"], {}),
-    (["simulate", "--network", fx("triangle"), "--format", "dot"], {}),
-    (["verify", "quotient", "--network", fx("triangle"), "--partition", "12/3",
-      "--format", "dot"], {}),
-    (["classify", "--network", fx("triangle"), "--partition", "12/3",
-      "--format", "dot"], {}),
-], ids=["vk-not-int", "max-cells-env", "x0-not-numbers", "simulate-steps",
+    ["simulate", "--network", fx("triangle"), "--mode", "rk4", "--dt", "1e300"],
+    ["verify", "quotient", "--network", fx("triangle"), "--partition", "12/3",
+     "--mode", "rk4", "--dt", "1e300"],
+    ["verify", "subsystem", "--network", fx("chain4"), "--cell", "3",
+     "--mode", "rk4", "--dt", "1e300"],
+    # only condense, lattice, quotient and export-dot print DOT
+    ["scc", "--network", fx("triangle"), "--format", "dot"],
+    ["tables", "--network", fx("triangle"), "--format", "dot"],
+    ["simulate", "--network", fx("triangle"), "--format", "dot"],
+    ["verify", "quotient", "--network", fx("triangle"), "--partition", "12/3",
+     "--format", "dot"],
+    ["classify", "--network", fx("triangle"), "--partition", "12/3",
+     "--format", "dot"],
+    # export-dot prints DOT only, so it has no JSON mode to honour
+    ["export-dot", "--network", fx("triangle"), "--format", "json"],
+], ids=["vk-not-int", "x0-not-numbers", "simulate-steps",
         "verify-steps", "verify-trials", "locality-trials", "verify-dt-zero", "locality-rk4",
         "locality-steps", "locality-tol", "locality-dt",
         "verify-tol-negative", "verify-tol-nan", "verify-dt-inf", "simulate-dt-nan",
         "simulate-dt-negative", "quotient-not-balanced", "invariant-not-balanced",
         "tables-quotient-not-balanced", "verify-quotient-not-balanced",
         "simulate-rk4-stage-overflow", "verify-quotient-rk4-stage-overflow",
-        "verify-subsystem-rk4-stage-overflow", "scc-dot", "lattice-dot", "lattice-dot-json",
-        "tables-dot", "simulate-dot", "verify-dot", "classify-dot"])
-def test_bad_input_exits_two_with_error_line(capsys, monkeypatch, argv, env):
-    for key, value in env.items():
-        monkeypatch.setenv(key, value)
+        "verify-subsystem-rk4-stage-overflow", "scc-dot",
+        "tables-dot", "simulate-dot", "verify-dot", "classify-dot", "export-dot-json"])
+def test_bad_input_exits_two_with_error_line(capsys, argv):
     code, out, err = invoke(capsys, *argv)
     assert code == 2
     assert out == ""
@@ -461,10 +458,7 @@ def test_deep_chain_does_not_exhaust_the_stack(capsys, tmp_path, argv):
 
 
 def test_format_dot_where_dot_is_printed(capsys):
-    code, out, err = invoke(capsys, "lattice", "--network", fx("triangle"), "--format", "dot")
-    assert (code, out) == (2, "")
-    assert "--dot" in err
-    for argv in (["condense"], ["quotient", "--partition", "12/3"], ["export-dot"]):
+    for argv in (["condense"], ["lattice"], ["quotient", "--partition", "12/3"], ["export-dot"]):
         code, out, err = invoke(capsys, *argv, "--network", fx("triangle"), "--format", "dot")
         assert (code, err) == (0, "")
         assert out.startswith("digraph")
@@ -486,7 +480,7 @@ def test_dot_quotes_ids_with_quotes_and_backslashes(capsys, tmp_path):
         ("export-dot",): set(ids),
         ("quotient", "--partition", 'a"b,c\\'): {'a"b+c\\', "d"},
         ("condense", "--format", "dot"): {"S0", "S1", 'a"b,c\\', "d"},
-        ("lattice", "--dot"): set(elements.split()),
+        ("lattice", "--format", "dot"): set(elements.split()),
     }
     quoted = re.compile(r'"((?:[^"\\]|\\.)*)"')
     for argv, strings in expected.items():
@@ -561,7 +555,7 @@ def test_byte_identical_reruns(capsys):
 GOLDEN = Path(__file__).resolve().parent / "golden"
 _GOLDEN_COMMANDS = {
     "lattice.json": ["lattice", "--format", "json"],
-    "lattice.dot": ["lattice", "--dot"],
+    "lattice.dot": ["lattice", "--format", "dot"],
     "tables.json": ["tables", "--format", "json"],
     "tables_quotient.json": ["tables", "--format", "json", "--quotient", "-"],
     "quotient.json": ["quotient", "--format", "json", "--partition", "-"],
@@ -583,7 +577,7 @@ def test_lattice_output_matches_golden(capsys, name, golden):
     coarsening's text and classes.
 
     Regenerate a golden only when the output is meant to change, e.g.
-    `synckit lattice --network fixtures/NAME.json --dot > tests/golden/NAME/lattice.dot`.
+    `synckit lattice --network fixtures/NAME.json --format dot > tests/golden/NAME/lattice.dot`.
     """
     command, *flags = _GOLDEN_COMMANDS[golden]
     code, out, err = invoke(capsys, command, "--network", fx(name), *flags)

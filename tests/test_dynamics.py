@@ -20,7 +20,7 @@ from synckit.dynamics import (
     sample_admissible,
 )
 from synckit.errors import NumericalBlowup, SynckitError, UnsupportedMonoid
-from synckit.connectivity import in_reachability
+from synckit.connectivity import cumulative_in_k, in_reachability
 from synckit.monoid import IntegerAdd, TropicalMin
 from synckit.network import parse_network
 from synckit.partition import Partition, join, parse_partition, refines
@@ -236,6 +236,47 @@ def test_unknown_mode_is_refused_before_any_step(triangle):
             call()
 
 
+_CHAIN_ALL = one_color(4)  # not balanced on the chain: a real run is not invariant
+_VACUOUS = {
+    "invariance-trials-0": lambda net, spec: check_invariance(net, spec, _CHAIN_ALL, trials=0),
+    "invariance-steps-0": lambda net, spec: check_invariance(net, spec, _CHAIN_ALL, steps=0),
+    "invariance-rk4-dt-0": lambda net, spec: check_invariance(
+        net, spec, _CHAIN_ALL, mode="rk4", dt=0.0),
+    "invariance-dt-nan": lambda net, spec: check_invariance(net, spec, _CHAIN_ALL, dt=math.nan),
+    "invariance-tol-negative": lambda net, spec: check_invariance(
+        net, spec, _CHAIN_ALL, tol=-1.0),
+    "invariance-tol-inf": lambda net, spec: check_invariance(
+        net, spec, _CHAIN_ALL, tol=math.inf),
+    "subsystem-steps-0": lambda net, spec: check_subsystem(net, spec, 3, steps=0),
+    "subsystem-tol-nan": lambda net, spec: check_subsystem(net, spec, 3, tol=math.nan),
+    "quotient-trials-0": lambda net, spec: check_quotient_consistency(
+        net, spec, is_balanced(net, Partition.trivial(4)), trials=0),
+    "locality-trials-0": lambda net, spec: check_locality(net, spec, 3, 2, trials=0),
+    "evolve-steps-minus-5": lambda net, spec: evolve(net, spec, (0.1,) * 4, -5),
+    "evolve-steps-minus-1": lambda net, spec: evolve(net, spec, (0.1,) * 4, -1),
+    "evolve-dt-inf": lambda net, spec: evolve(net, spec, (0.1,) * 4, 1, mode="rk4",
+                                              dt=math.inf),
+}
+
+
+@pytest.mark.parametrize("call", _VACUOUS.values(), ids=_VACUOUS.keys())
+def test_vacuous_runs_are_refused(chain4, call):
+    """No trials, no steps, a step size that never moves the state or a
+    tolerance no comparison meets is an error, never a passing verdict."""
+    spec = sample_admissible(chain4, 0)
+    assert not check_invariance(chain4, spec, _CHAIN_ALL).invariant
+    with pytest.raises(SynckitError):
+        call(chain4, spec)
+
+
+def test_comparison_verdict_is_exact_in_discrete_mode_and_within_tol_in_rk4():
+    close = synckit.dynamics._comparison("quotient", 1e-12, "rk4", 1e-9)
+    assert (close.exact, close.agreed) == (False, True)
+    assert not synckit.dynamics._comparison("quotient", 1e-12, "discrete", 1e-9).agreed
+    assert not synckit.dynamics._comparison("quotient", 1e-6, "rk4", 1e-9).agreed
+    assert "agreed" not in close.to_json()
+
+
 class TestInvariance:
     def test_balanced_partitions_have_zero_spread(self, any_fixture):
         net = any_fixture
@@ -337,9 +378,21 @@ class TestLocality:
         assert report.all_agreed
 
     def test_inside_perturbation_shows_up(self, chain4):
+        """Bumping the cells inside the 2-step cone of cell 3 moves x_3 by step 2."""
         spec = sample_admissible(chain4, 3)
-        report = check_locality(chain4, spec, 2, 2, trials=8, perturb_inside=True)
-        assert not report.all_agreed
+        inside = sorted(cumulative_in_k(chain4, 2, 2) - {2})
+        assert inside == [0, 1]
+        moved = 0
+        for t in range(8):
+            rng = random.Random(f"locality:0:{t}")
+            x0 = tuple(rng.uniform(-1.5, 1.5) for _ in range(chain4.n_cells))
+            bumped = list(x0)
+            for d in inside:
+                bumped[d] += rng.uniform(0.1, 1.0)
+            base = evolve(chain4, spec, x0, 2).states
+            other = evolve(chain4, spec, tuple(bumped), 2).states
+            moved += any(x[2] != y[2] for x, y in zip(base, other))
+        assert moved
 
     def test_all_fixture_cells_small_k(self, any_fixture):
         net = any_fixture

@@ -1,7 +1,9 @@
-"""The library imports only the standard library and itself.
+"""The library imports only the standard library and itself, and reads
+no environment variable.
 
 pyproject.toml declares `dependencies = []`, and numpy is a test-only
 dependency; this keeps both true for every module under src/synckit.
+The library's settings are parameters and command-line flags.
 """
 
 import ast
@@ -30,3 +32,18 @@ def test_library_imports_only_stdlib_and_itself(path):
         if root != "synckit" and root not in sys.stdlib_module_names
     }
     assert not foreign, f"{path.name} imports {sorted(foreign)}"
+
+
+_ENVIRONMENT = {"environ", "environb", "getenv", "getenvb"}
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_library_reads_no_environment(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    reads = [
+        node.lineno for node in ast.walk(tree)
+        if (isinstance(node, ast.Attribute) and node.attr in _ENVIRONMENT)
+        or (isinstance(node, ast.ImportFrom) and node.module == "os"
+            and any(alias.name in _ENVIRONMENT for alias in node.names))
+    ]
+    assert not reads, f"{path.name} reads the environment at lines {reads}"

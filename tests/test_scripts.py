@@ -23,15 +23,23 @@ def test_script_exits_zero(argv, golden):
         assert done.stdout == (GOLDEN / golden).read_text()
 
 
-def test_survey_honours_max_cells_env():
-    """The survey's cap is the library's: SYNCKIT_MAX_CELLS=2 refuses the fixtures."""
-    done = _run_script(["scripts/survey_fixtures.py"], SYNCKIT_MAX_CELLS="2")
+def test_survey_honours_max_cells():
+    """The survey passes --max-cells to the library: a cap of 2 refuses the fixtures."""
+    done = _run_script(["scripts/survey_fixtures.py", "--max-cells", "2"])
     assert done.returncode == 2, done.stdout + done.stderr
     assert "exceeds the enumeration cap of 2" in done.stderr
 
 
-def _run_script(argv, **env_vars):
+def test_verify_dynamics_refuses_zero_steps():
+    """A run of no steps is refused before any check reports "ok"."""
+    done = _run_script(["scripts/verify_dynamics.py", "--seeds", "1", "--steps", "0"])
+    assert done.returncode != 0, done.stdout + done.stderr
+    assert " ok" not in done.stdout
+    assert "steps must be at least 1" in done.stderr
+
+
+def _run_script(argv):
     path = filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path), **env_vars}
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
     return subprocess.run([sys.executable, *argv], cwd=ROOT, env=env,
                           capture_output=True, text=True, timeout=300)

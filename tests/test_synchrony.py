@@ -24,6 +24,7 @@ from synckit.classification import (
     quotient_class_report,
 )
 from synckit.synchrony import (
+    DEFAULT_MAX_CELLS,
     cir_balanced,
     enumerate_balanced,
     is_balanced,
@@ -294,14 +295,15 @@ class TestEnumerate:
             enumerate_balanced(net, max_cells=4)
         enumerate_balanced(net, max_cells=5)
 
-    def test_env_cap(self, monkeypatch):
-        rng = random.Random(6)
-        net = random_network(rng, n=4)
-        monkeypatch.setenv("SYNCKIT_MAX_CELLS", "3")
-        with pytest.raises(TooLarge):
+    def test_default_cap(self):
+        """Without max_cells the cap is DEFAULT_MAX_CELLS; only the argument raises it."""
+        n = DEFAULT_MAX_CELLS + 1
+        # one type per cell: the lattice is the trivial partition alone
+        net = parse_network({"cells": [{"id": f"c{c}", "type": c + 1} for c in range(n)],
+                             "edges": []})
+        with pytest.raises(TooLarge, match=f"cap of {DEFAULT_MAX_CELLS}"):
             enumerate_balanced(net)
-        monkeypatch.setenv("SYNCKIT_MAX_CELLS", "12")
-        enumerate_balanced(net)
+        assert enumerate_balanced(net, max_cells=n).elements == (Partition.trivial(n),)
 
     def test_join_closure(self):
         rng = random.Random(51)
