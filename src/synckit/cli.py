@@ -396,34 +396,42 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-# verify's defaults for the flags that `verify locality` refuses: it runs --k
-# discrete map steps and compares them bit for bit, so these would change nothing
-_VERIFY_DEFAULTS = {"steps": 50, "tol": 1e-9, "dt": 1e-3}
+# Each verify check's flags: the one it requires, and its own others with their
+# defaults, which name the check's keyword arguments.  --network, --format,
+# --seed and --exo are shared; a check refuses every other flag that is given.
+_RUN_FLAGS = {"trials": 5, "steps": 50, "mode": "discrete", "dt": 1e-3}
+_VERIFY_FLAGS = {
+    "invariance": ("partition", {**_RUN_FLAGS, "tol": 1e-9}),
+    "locality": ("cell", {"k": 2, "trials": 5}),
+    "subsystem": ("cell", _RUN_FLAGS),
+    "quotient": ("partition", _RUN_FLAGS),
+}
+_VERIFY_FLAG_NAMES = tuple(dict.fromkeys(
+    name for required, own in _VERIFY_FLAGS.values() for name in (required, *own)
+))
+
+
+def _own_flags(what: str) -> str:
+    required, own = _VERIFY_FLAGS[what]
+    return f"--{required} (required) " + " ".join(f"--{name}" for name in own)
 
 
 def cmd_verify(args) -> int:
-    net = _net(args)
-    for name, default in _VERIFY_DEFAULTS.items():
-        if getattr(args, name) is None:
-            setattr(args, name, default)
-        elif args.what == "locality":
+    required, own = _VERIFY_FLAGS[args.what]
+    for name in _VERIFY_FLAG_NAMES:
+        if name != required and name not in own and getattr(args, name) is not None:
             raise SynckitError(
-                f"verify locality runs --k map steps and compares them bit for bit; "
-                f"it has no --{name}"
+                f"verify {args.what} has no --{name}; it takes {_own_flags(args.what)}"
             )
+    if getattr(args, required) is None:
+        raise SynckitError(f"verify {args.what} needs --{required}")
+    settings = {name: default if getattr(args, name) is None else getattr(args, name)
+                for name, default in own.items()}
+    net = _net(args)
     spec = dyn.sample_admissible(net, args.seed, exo=args.exo)
-    if args.what in ("invariance", "quotient") and args.partition is None:
-        raise SynckitError(f"verify {args.what} needs --partition")
-    if args.what in ("locality", "subsystem") and args.cell is None:
-        raise SynckitError(f"verify {args.what} needs --cell")
-    if args.what == "locality" and args.mode != "discrete":
-        raise SynckitError("verify locality compares discrete map steps; it has no --mode rk4")
     if args.what == "invariance":
-        p = _partition(args, net)
-        report = dyn.check_invariance(
-            net, spec, p, trials=args.trials, steps=args.steps,
-            tol=args.tol, mode=args.mode, dt=args.dt, rng_seed=args.seed,
-        )
+        report = dyn.check_invariance(net, spec, _partition(args, net), **settings,
+                                      rng_seed=args.seed)
         text = f"max spread {report.max_spread:.3e} (tol {report.tol:g}): " + (
             "invariant" if report.invariant else "not invariant")
         if report.aborted_trials:
@@ -432,26 +440,18 @@ def cmd_verify(args) -> int:
         return EXIT_OK if report.invariant else EXIT_FALSE
     if args.what == "locality":
         c = net.index_of(args.cell)
-        report = dyn.check_locality(
-            net, spec, c, args.k, trials=args.trials, rng_seed=args.seed
-        )
+        report = dyn.check_locality(net, spec, c, **settings, rng_seed=args.seed)
         _emit(report.to_json(net.cell_ids), args, f"locality agreed: {report.all_agreed}")
         return EXIT_OK if report.all_agreed else EXIT_FALSE
     if args.what == "subsystem":
         c = net.index_of(args.cell)
-        report = dyn.check_subsystem(
-            net, spec, c, trials=args.trials, steps=args.steps,
-            mode=args.mode, dt=args.dt, tol=args.tol, rng_seed=args.seed,
-        )
+        report = dyn.check_subsystem(net, spec, c, **settings, rng_seed=args.seed)
     else:  # quotient
         cert = _certificate(net, _partition(args, net), "no quotient system")
-        report = dyn.check_quotient_consistency(
-            net, spec, cert, trials=args.trials, steps=args.steps,
-            mode=args.mode, dt=args.dt, tol=args.tol, rng_seed=args.seed,
-        )
+        report = dyn.check_quotient_consistency(net, spec, cert, **settings, rng_seed=args.seed)
     _emit(report.to_json(), args,
-          f"max deviation {report.max_deviation:.3e}: {'ok' if report.agreed else 'mismatch'}")
-    return EXIT_OK if report.agreed else EXIT_FALSE
+          f"max deviation {report.max_deviation:.3e}: {'ok' if report.exact else 'mismatch'}")
+    return EXIT_OK if report.exact else EXIT_FALSE
 
 
 def cmd_export_dot(args) -> int:
@@ -514,17 +514,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dt", type=float, default=1e-3)
     p.add_argument("--exo", action="store_true")
     p = add("verify", cmd_verify, optional_partition=True)
-    p.add_argument("what", choices=["invariance", "locality", "subsystem", "quotient"])
-    p.add_argument("--cell", default=None)
-    p.add_argument("--k", type=int, default=2)
+    p.epilog = "Each check takes only its own flags besides --network, --format, --seed " + (
+        "and --exo: " + "; ".join(f"{what} {_own_flags(what)}" for what in _VERIFY_FLAGS) + ".")
+    p.add_argument("what", choices=list(_VERIFY_FLAGS))
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--trials", type=int, default=5)
-    # None marks a flag not given; cmd_verify fills in _VERIFY_DEFAULTS
-    p.add_argument("--steps", type=int, default=None)
-    p.add_argument("--tol", type=float, default=None)
-    p.add_argument("--mode", choices=["discrete", "rk4"], default="discrete")
-    p.add_argument("--dt", type=float, default=None)
     p.add_argument("--exo", action="store_true")
+    # None marks a flag not given; cmd_verify reads _VERIFY_FLAGS for the rest
+    p.add_argument("--cell")
+    p.add_argument("--k", type=int)
+    p.add_argument("--trials", type=int)
+    p.add_argument("--steps", type=int)
+    p.add_argument("--tol", type=float)
+    p.add_argument("--mode", choices=["discrete", "rk4"])
+    p.add_argument("--dt", type=float)
     p = add("export-dot", cmd_export_dot, optional_partition=True)
 
     return parser

@@ -213,8 +213,12 @@ def load_network(path: str) -> Network:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        # bad JSON, bad UTF-8 and an integer past Python's int-string digit
+        # limit raise ValueError; nesting too deep raises RecursionError
+        except ValueError as exc:
             raise MalformedDocument(f"{path}: {exc}") from None
+        except RecursionError:
+            raise MalformedDocument(f"{path}: nested too deeply to decode") from None
     return parse_network(doc)
 
 

@@ -273,20 +273,23 @@ class TestDynamicsCommands:
         assert code == 0 and json.loads(out)["all_agreed"]
         assert json.loads(out)["cell"] == "3"  # the id, as every payload names cells
         code, out, _ = invoke(capsys, "verify", "subsystem", "--network", fx("chain4"),
-                              "--cell", "4", "--format", "json")
-        assert code == 0 and json.loads(out)["exact"]
+                              "--cell", "4", "--mode", "rk4", "--dt", "0.05", "--format", "json")
+        assert code == 0
+        assert json.loads(out) == {"check": "subsystem", "max_deviation": 0.0, "exact": True}
         code, out, _ = invoke(capsys, "verify", "quotient", "--network", fx("triangle"),
                               "--partition", "12/3", "--format", "json")
         assert code == 0 and json.loads(out)["exact"]
 
     def test_verify_defaults_of_the_other_checks(self, capsys):
-        # locality refuses --steps, --tol and --dt; the checks that read them keep defaults
-        code, out, _ = invoke(capsys, "verify", "subsystem", "--network", fx("chain4"),
-                              "--cell", "4", "--format", "json")
-        assert code == 0 and json.loads(out)["tol"] == 1e-9
+        # each check fills in the defaults of its own flags
         code, out, _ = invoke(capsys, "verify", "invariance", "--network", fx("triangle"),
                               "--partition", "12/3", "--trials", "1", "--format", "json")
-        assert code == 0 and json.loads(out)["trials"][0]["steps"] == 50
+        payload = json.loads(out)
+        assert code == 0 and payload["tol"] == 1e-9 and payload["trials"][0]["steps"] == 50
+        code, out, _ = invoke(capsys, "verify", "locality", "--network", fx("chain4"),
+                              "--cell", "3", "--format", "json")
+        payload = json.loads(out)
+        assert code == 0 and payload["k"] == 2 and len(payload["trials"]) == 5
 
     def test_verify_missing_arguments(self, capsys):
         code, _, err = invoke(capsys, "verify", "invariance", "--network", fx("triangle"))
@@ -351,7 +354,7 @@ def test_simulate_json_of_300_cell_lift_is_json_dumps_bytes(capsys, tmp_path):
     ["verify", "locality", "--network", fx("chain4"), "--cell", "3", "--dt", "0.5"],
     ["verify", "invariance", "--network", fx("triangle"), "--partition", "1/2/3",
      "--tol", "-1"],
-    ["verify", "quotient", "--network", fx("triangle"), "--partition", "12/3",
+    ["verify", "invariance", "--network", fx("triangle"), "--partition", "12/3",
      "--tol", "nan"],
     ["verify", "subsystem", "--network", fx("chain4"), "--cell", "3",
      "--mode", "rk4", "--dt", "inf"],
@@ -391,6 +394,40 @@ def test_bad_input_exits_two_with_error_line(capsys, argv):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ")
+
+
+_VERIFY_ARGS = {
+    "invariance": ["--network", fx("triangle"), "--partition", "12/3"],
+    "locality": ["--network", fx("chain4"), "--cell", "3"],
+    "subsystem": ["--network", fx("chain4"), "--cell", "3"],
+    "quotient": ["--network", fx("triangle"), "--partition", "12/3"],
+}
+
+
+@pytest.mark.parametrize("check, flag", [
+    ("invariance", ["--cell", "2"]),
+    ("invariance", ["--k", "7"]),
+    ("locality", ["--partition", "12"]),
+    ("locality", ["--steps", "1000"]),
+    ("locality", ["--tol", "5"]),
+    ("locality", ["--mode", "discrete"]),
+    ("locality", ["--mode", "rk4"]),
+    ("locality", ["--dt", "0.5"]),
+    ("subsystem", ["--tol", "1e-6"]),
+    ("subsystem", ["--k", "2"]),
+    ("subsystem", ["--partition", "12"]),
+    ("quotient", ["--tol", "1e-6"]),
+    ("quotient", ["--k", "2"]),
+    ("quotient", ["--cell", "3"]),
+], ids=lambda v: v if isinstance(v, str) else f"{v[0][2:]}-{v[1]}")
+@pytest.mark.parametrize("before", [False, True], ids=["after-check", "before-check"])
+def test_verify_refuses_the_flags_of_other_checks(capsys, check, flag, before):
+    """Each check takes only its own flags, given before or after its name."""
+    argv = [*flag, check] if before else [check, *flag]
+    code, out, err = invoke(capsys, "verify", *argv, *_VERIFY_ARGS[check])
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: verify {check} has no {flag[0]};")
 
 
 _IDS = st.sampled_from(["1", "2", "3", "a"])

@@ -248,7 +248,8 @@ _VACUOUS = {
     "invariance-tol-inf": lambda net, spec: check_invariance(
         net, spec, _CHAIN_ALL, tol=math.inf),
     "subsystem-steps-0": lambda net, spec: check_subsystem(net, spec, 3, steps=0),
-    "subsystem-tol-nan": lambda net, spec: check_subsystem(net, spec, 3, tol=math.nan),
+    "invariance-tol-nan": lambda net, spec: check_invariance(
+        net, spec, _CHAIN_ALL, tol=math.nan),
     "quotient-trials-0": lambda net, spec: check_quotient_consistency(
         net, spec, is_balanced(net, Partition.trivial(4)), trials=0),
     "locality-trials-0": lambda net, spec: check_locality(net, spec, 3, 2, trials=0),
@@ -267,14 +268,6 @@ def test_vacuous_runs_are_refused(chain4, call):
     assert not check_invariance(chain4, spec, _CHAIN_ALL).invariant
     with pytest.raises(SynckitError):
         call(chain4, spec)
-
-
-def test_comparison_verdict_is_exact_in_discrete_mode_and_within_tol_in_rk4():
-    close = synckit.dynamics._comparison("quotient", 1e-12, "rk4", 1e-9)
-    assert (close.exact, close.agreed) == (False, True)
-    assert not synckit.dynamics._comparison("quotient", 1e-12, "discrete", 1e-9).agreed
-    assert not synckit.dynamics._comparison("quotient", 1e-6, "rk4", 1e-9).agreed
-    assert "agreed" not in close.to_json()
 
 
 class TestInvariance:
@@ -419,12 +412,10 @@ class TestSubsystem:
         report = check_subsystem(two_roots, spec, 0, trials=3, steps=30)
         assert report.exact
 
-    def test_rk4_mode_stays_within_tolerance(self, chain4):
+    def test_rk4_mode_is_exact(self, chain4):
         spec = sample_admissible(chain4, 8)
-        report = check_subsystem(
-            chain4, spec, 3, trials=1, steps=100, mode="rk4", tol=1e-6
-        )
-        assert report.max_deviation <= 1e-6
+        report = check_subsystem(chain4, spec, 3, trials=1, steps=100, mode="rk4")
+        assert report.max_deviation == 0.0 and report.exact
 
 
 class TestQuotientConsistency:

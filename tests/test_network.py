@@ -62,7 +62,7 @@ class TestParse:
         with pytest.raises(UnknownCellInEdge):
             parse_network(doc_for([{"from": "zz", "to": "a", "weight": 1}]))
 
-    def test_malformed_documents(self):
+    def test_malformed_documents(self, tmp_path):
         with pytest.raises(MalformedDocument):
             parse_network([])
         with pytest.raises(MalformedDocument):
@@ -79,6 +79,12 @@ class TestParse:
             parse_network({"cells": [{"id": "a", "type": 1}], "edges": 5})
         with pytest.raises(UnknownMonoid):
             parse_network(doc_for([], monoid=["int-add"]))
+        # past Python's int-string digit limit, and nested past the recursion limit
+        for text in ('{"cells": [{"id": "a", "type": %s}]}' % ("1" * 5000), "[" * 200000):
+            path = tmp_path / "doc.json"
+            path.write_text(text)
+            with pytest.raises(MalformedDocument):
+                load_network(str(path))
 
     def test_tropical_weights(self):
         net = parse_network(doc_for([{"from": "a", "to": "b", "weight": 4}],
