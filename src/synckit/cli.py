@@ -466,69 +466,84 @@ def cmd_export_dot(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
+_PARTITION = ("--partition", {"required": True, "help": "partition spec, e.g. 12/45"})
+_OPTIONAL_PARTITION = ("--partition", {"default": None})
+_MAX_CELLS = ("--max-cells", {"type": int, "default": syn.DEFAULT_MAX_CELLS})
+_KIND = ("--kind", {"required": True})
+
+# Each subcommand's handler and its arguments after --network and --format,
+# which all take, as (name, add_argument keywords) pairs.
+_COMMANDS = {
+    "scc": (cmd_scc, ()),
+    "condense": (cmd_condense, ()),
+    "roots": (cmd_roots, ()),
+    "rdc": (cmd_rdc, ()),
+    "reach": (cmd_reach, (("--cell", {"required": True}),
+                          ("--k", {"type": int, "default": None}))),
+    "balanced": (cmd_balanced, (_PARTITION,)),
+    "cir": (cmd_cir, (_PARTITION,)),
+    "lattice": (cmd_lattice, (_MAX_CELLS,)),
+    "quotient": (cmd_quotient_network, (_PARTITION, ("--out", {"default": None}))),
+    "exo": (cmd_exo, (_PARTITION,)),
+    "classify": (cmd_classify, (_PARTITION,)),
+    "matched": (cmd_matched, (_PARTITION, _KIND)),
+    "invariant": (cmd_invariant, (_PARTITION, _KIND)),
+    "tables": (cmd_tables, (("--quotient", {"default": None}), _MAX_CELLS)),
+    "simulate": (cmd_simulate, (
+        ("--seed", {"type": int, "default": 0}),
+        ("--steps", {"type": int, "default": 20}),
+        ("--x0", {"default": "random"}),
+        ("--mode", {"choices": ["discrete", "rk4"], "default": "discrete"}),
+        ("--dt", {"type": float, "default": 1e-3}),
+        ("--exo", {"action": "store_true"}),
+    )),
+    "verify": (cmd_verify, (
+        _OPTIONAL_PARTITION,
+        ("what", {"choices": list(_VERIFY_FLAGS)}),
+        ("--seed", {"type": int, "default": 0}),
+        ("--exo", {"action": "store_true"}),
+        # None marks a flag not given; cmd_verify reads _VERIFY_FLAGS for the rest
+        ("--cell", {}),
+        ("--k", {"type": int}),
+        ("--trials", {"type": int}),
+        ("--steps", {"type": int}),
+        ("--tol", {"type": float}),
+        ("--mode", {"choices": ["discrete", "rk4"]}),
+        ("--dt", {"type": float}),
+    )),
+    "export-dot": (cmd_export_dot, (_OPTIONAL_PARTITION,)),
+}
+_EPILOGS = {
+    "verify": "Each check takes only its own flags besides --network, --format, --seed and "
+              "--exo: " + "; ".join(f"{what} {_own_flags(what)}" for what in _VERIFY_FLAGS) + ".",
+}
+
+
+def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+    """The synckit parser with every subcommand, or with `command`'s alone.
+
+    A parser of one subcommand is given the metavar that argparse would
+    derive from all of them, so its usage line for unrecognized arguments
+    lists every command, as the full parser's does.  The full parser keeps
+    no metavar: its errors name the argument "command".
+    """
     parser = argparse.ArgumentParser(
         prog="synckit",
         description="Synchrony analysis for weighted coupled cell networks.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name: str, handler, *, partition: bool = False, optional_partition: bool = False):
-        p = sub.add_parser(name)
+    sub = parser.add_subparsers(
+        dest="command", required=True,
+        metavar=None if command is None else "{" + ",".join(_COMMANDS) + "}",
+    )
+    for name, (handler, own) in _COMMANDS.items():
+        if command is not None and name != command:
+            continue
+        p = sub.add_parser(name, epilog=_EPILOGS.get(name))
         p.add_argument("--network", required=True, help="path to a network JSON file")
         p.add_argument("--format", choices=["text", "json", "dot"], default="text")
-        if partition:
-            p.add_argument("--partition", required=True, help="partition spec, e.g. 12/45")
-        elif optional_partition:
-            p.add_argument("--partition", default=None)
+        for flag, options in own:
+            p.add_argument(flag, **options)
         p.set_defaults(handler=handler)
-        return p
-
-    add("scc", cmd_scc)
-    add("condense", cmd_condense)
-    add("roots", cmd_roots)
-    add("rdc", cmd_rdc)
-    p = add("reach", cmd_reach)
-    p.add_argument("--cell", required=True)
-    p.add_argument("--k", type=int, default=None)
-    add("balanced", cmd_balanced, partition=True)
-    add("cir", cmd_cir, partition=True)
-    p = add("lattice", cmd_lattice)
-    p.add_argument("--max-cells", type=int, default=syn.DEFAULT_MAX_CELLS)
-    p = add("quotient", cmd_quotient_network, partition=True)
-    p.add_argument("--out", default=None)
-    add("exo", cmd_exo, partition=True)
-    add("classify", cmd_classify, partition=True)
-    p = add("matched", cmd_matched, partition=True)
-    p.add_argument("--kind", required=True)
-    p = add("invariant", cmd_invariant, partition=True)
-    p.add_argument("--kind", required=True)
-    p = add("tables", cmd_tables)
-    p.add_argument("--quotient", default=None)
-    p.add_argument("--max-cells", type=int, default=syn.DEFAULT_MAX_CELLS)
-    p = add("simulate", cmd_simulate)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--steps", type=int, default=20)
-    p.add_argument("--x0", default="random")
-    p.add_argument("--mode", choices=["discrete", "rk4"], default="discrete")
-    p.add_argument("--dt", type=float, default=1e-3)
-    p.add_argument("--exo", action="store_true")
-    p = add("verify", cmd_verify, optional_partition=True)
-    p.epilog = "Each check takes only its own flags besides --network, --format, --seed " + (
-        "and --exo: " + "; ".join(f"{what} {_own_flags(what)}" for what in _VERIFY_FLAGS) + ".")
-    p.add_argument("what", choices=list(_VERIFY_FLAGS))
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--exo", action="store_true")
-    # None marks a flag not given; cmd_verify reads _VERIFY_FLAGS for the rest
-    p.add_argument("--cell")
-    p.add_argument("--k", type=int)
-    p.add_argument("--trials", type=int)
-    p.add_argument("--steps", type=int)
-    p.add_argument("--tol", type=float)
-    p.add_argument("--mode", choices=["discrete", "rk4"])
-    p.add_argument("--dt", type=float)
-    p = add("export-dot", cmd_export_dot, optional_partition=True)
-
     return parser
 
 
@@ -538,7 +553,12 @@ _DOT_COMMANDS = {"condense", "lattice", "quotient", "export-dot"}
 
 
 def run(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    # a command's arguments are parsed by its subparser alone, so only that
+    # one is built; anything else (no command, an option first, an unknown
+    # command) gets every subcommand for its help or error
+    parser = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

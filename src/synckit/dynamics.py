@@ -518,9 +518,12 @@ def check_locality(
         bumped = list(x0)
         for d in support:
             bumped[d] += rng.uniform(0.1, 1.0)
-        base = list(_orbit(system, x0, k))
-        other = list(_orbit(system, tuple(bumped), k))
-        mismatch = next((s for s, (x, y) in enumerate(zip(base, other)) if x[c] != y[c]), None)
+        # the two orbits run side by side, one state of each held at a time;
+        # every step still runs, so a blowup after a mismatch aborts the check
+        mismatch = None
+        for s, (x, y) in enumerate(zip(_orbit(system, x0, k), _orbit(system, tuple(bumped), k))):
+            if mismatch is None and x[c] != y[c]:
+                mismatch = s
         results.append(LocalityTrial(mismatch is None, mismatch))
     return LocalityReport(c, k, tuple(results), all(t.agreed for t in results))
 

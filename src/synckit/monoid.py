@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, ClassVar, Optional
 
 from .errors import UnknownMonoid
 
@@ -21,6 +21,10 @@ class Monoid:
     """A named commutative monoid; subclasses supply the operations."""
 
     kind: str = "abstract"
+    # A raw weight of exactly this type is already an element, and the sum
+    # of such an element with any other is `+`: parse_network folds those
+    # weights without calling coerce and add.  None for no such type.
+    plus_type: ClassVar[Optional[type]] = None
 
     def zero(self) -> Any:
         raise NotImplementedError
@@ -38,6 +42,7 @@ class IntegerAdd(Monoid):
     """Integers under ordinary addition; identity 0."""
 
     kind: str = "int-add"
+    plus_type: ClassVar[Optional[type]] = int  # not bool, which coerce refuses
 
     def zero(self) -> int:
         return 0

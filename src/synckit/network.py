@@ -3,11 +3,12 @@
 A network is a list of typed cells plus (receiver, sender, weight) edges
 over one commutative monoid (many graph libraries put the sender first).
 Parallel edges in a document are folded with the monoid sum at parse
-time and folded weights equal to the monoid zero are dropped; the
-in-memory model only ever holds that folded nonzero edge list, never a
-dense matrix.  Every algorithm reads it through `Network.in_edges`, the
-per-receiver (sender, weight) pairs.  Cell ids are strings in files and
-dense indices internally.
+time, in one pass over the edge lines into a dict keyed by the int
+receiver * n + sender, and folded weights equal to the monoid zero are
+dropped; the in-memory model only ever holds that folded nonzero edge
+list, never a dense matrix.  Every algorithm reads it through
+`Network.in_edges`, the per-receiver (sender, weight) pairs.  Cell ids
+are strings in files and dense indices internally.
 """
 
 from __future__ import annotations
@@ -168,34 +169,43 @@ def parse_network(doc: Any) -> Network:
     if max(types) != len(set(types)):  # type ids are >= 1, so this means 1..k
         raise MalformedDocument("type ids must form a contiguous range starting at 1")
 
-    zero = monoid.zero()
-    folded: dict[tuple[int, int], Any] = {}
     edges = doc.get("edges", [])
     if not isinstance(edges, list):
         raise MalformedDocument("'edges' must be a list")
+    # the pair (receiver c, sender d) is keyed by the int c * n + d, which
+    # sorts as the pair does
+    n = len(index)
+    zero, coerce, add, plus_type = monoid.zero(), monoid.coerce, monoid.add, monoid.plus_type
+    folded: dict[int, Any] = {}
+    fget, iget = folded.get, index.get
     for edge in edges:
         if (not isinstance(edge, dict)
                 or "from" not in edge or "to" not in edge or "weight" not in edge):
             raise MalformedDocument(f"bad edge entry {edge!r}")
         # ids are nearly always strings already; str() of a str subclass
         # would copy it, so test the exact type
-        src, dst = edge["from"], edge["to"]
+        src, dst, w = edge["from"], edge["to"], edge["weight"]
         if type(src) is not str:
             src = str(src)
         if type(dst) is not str:
             dst = str(dst)
-        if src not in index:
+        d = iget(src)
+        if d is None:
             raise UnknownCellInEdge(f"edge references unknown cell {src!r}")
-        if dst not in index:
+        c = iget(dst)
+        if c is None:
             raise UnknownCellInEdge(f"edge references unknown cell {dst!r}")
-        c, d = index[dst], index[src]
-        try:
-            w = monoid.coerce(edge["weight"])
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise MalformedDocument(str(exc)) from None
-        folded[c, d] = monoid.add(folded.get((c, d), zero), w)
+        key = c * n + d
+        if type(w) is plus_type:
+            folded[key] = fget(key, zero) + w
+        else:
+            try:
+                w = coerce(w)
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise MalformedDocument(str(exc)) from None
+            folded[key] = add(fget(key, zero), w)
 
-    nonzero = tuple((c, d, w) for (c, d), w in sorted(folded.items()) if w != zero)
+    nonzero = tuple([(k // n, k % n, w) for k in sorted(folded) if (w := folded[k]) != zero])
     return Network(tuple(index), tuple(types), nonzero, monoid)
 
 

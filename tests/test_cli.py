@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from synckit import cli
 from synckit.cli import run
 from synckit.dynamics import evolve, expand_state, sample_admissible
 from synckit.network import load_network, save_network
@@ -428,6 +429,34 @@ def test_verify_refuses_the_flags_of_other_checks(capsys, check, flag, before):
     assert code == 2
     assert out == ""
     assert err.startswith(f"error: verify {check} has no {flag[0]};")
+
+
+SUBCOMMANDS = ["scc", "condense", "roots", "rdc", "reach", "balanced", "cir", "lattice",
+               "quotient", "exo", "classify", "matched", "invariant", "tables", "simulate",
+               "verify", "export-dot"]
+
+
+def _parser_argvs():
+    f = fx("triangle")
+    argvs = [[], ["--help"], ["bogus"], ["--network", f, "scc"],
+             ["verify", "--network", f, "invariance", "--partition", "12/3", "--mode", "euler"]]
+    for command in SUBCOMMANDS:
+        argvs += [[command, "--help"], [command], [command, "--network", f, "--bogus"],
+                  [command, "--network", f, "--format", "yaml"]]
+    return argvs
+
+
+@pytest.mark.parametrize("argv", _parser_argvs(), ids=lambda argv: " ".join(
+    "F" if a == fx("triangle") else a for a in argv) or "no-arguments")
+def test_run_answers_as_the_full_parser(capsys, monkeypatch, argv):
+    """run builds the named subcommand's parser alone; its exit code, help
+    and errors are those of the parser with every subcommand."""
+    got = invoke(capsys, *argv)
+    full = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda command=None: full())
+    assert invoke(capsys, *argv) == got
+    if not argv:
+        assert "{" + ",".join(SUBCOMMANDS) + "}" in got[2]
 
 
 _IDS = st.sampled_from(["1", "2", "3", "a"])

@@ -1,5 +1,7 @@
 import math
 import random
+import sys
+import tracemalloc
 
 import pytest
 
@@ -7,6 +9,7 @@ import synckit.dynamics
 from synckit.dynamics import (
     AdmissibleFunctionSpec,
     CouplingParams,
+    LocalityTrial,
     SelfParams,
     check_invariance,
     check_locality,
@@ -393,6 +396,21 @@ class TestLocality:
         for c in range(net.n_cells):
             for k in range(0, 4):
                 assert check_locality(net, spec, c, k, trials=2).all_agreed
+
+    def test_long_run_holds_no_orbit(self, chain4):
+        """The two orbits are compared as they run: a long run's peak stays far
+        below the k + 1 states of each orbit that holding them would take."""
+        spec = sample_admissible(chain4, 0)
+        k = 20000
+        tracemalloc.start()
+        try:
+            report = check_locality(chain4, spec, 2, k, trials=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.trials == (LocalityTrial(True, None),)  # cell 4 was bumped
+        held = 2 * (k + 1) * sys.getsizeof((0.0,) * chain4.n_cells)  # the state tuples alone
+        assert peak < held / 4
 
 
 class TestSubsystem:

@@ -79,6 +79,22 @@ class TestParse:
             parse_network({"cells": [{"id": "a", "type": 1}], "edges": 5})
         with pytest.raises(UnknownMonoid):
             parse_network(doc_for([], monoid=["int-add"]))
+        # a bool is no int-add weight, and an edge entry must be an object
+        with pytest.raises(MalformedDocument, match="integer, got True"):
+            parse_network(doc_for([{"from": "a", "to": "b", "weight": True}]))
+        for entry in (["a", "b", 1], "a->b"):
+            with pytest.raises(MalformedDocument, match="bad edge entry"):
+                parse_network(doc_for([entry]))
+        # the first bad edge is the one reported, whatever a later one does wrong
+        with pytest.raises(MalformedDocument) as first:
+            parse_network(doc_for([{"from": "a", "to": "b", "weight": 0.5},
+                                   {"from": "zz", "to": "a", "weight": 1}]))
+        assert type(first.value) is MalformedDocument
+        assert str(first.value) == "int-add weight must be an integer, got 0.5"
+        # but a JSON number "from": 5 names the cell "5", as cell ids are str()'d
+        net = parse_network(doc_for([{"from": 5, "to": "a", "weight": 2}],
+                                    cells=[{"id": "a", "type": 1}, {"id": "5", "type": 1}]))
+        assert net.edges == ((0, 1, 2),)
         # past Python's int-string digit limit, and nested past the recursion limit
         for text in ('{"cells": [{"id": "a", "type": %s}]}' % ("1" * 5000), "[" * 200000):
             path = tmp_path / "doc.json"

@@ -1,5 +1,6 @@
 """The scripts under scripts/ still run against the current library."""
 
+import importlib.util
 import os
 import subprocess
 import sys
@@ -37,6 +38,18 @@ def test_verify_dynamics_refuses_zero_steps():
     assert " ok" not in done.stdout
     assert "steps must be at least 1" in done.stderr
 
+
+def test_verify_dynamics_exactness_line_reads_the_comparisons_alone(monkeypatch, capsys):
+    """A falsification shortfall fails the fixture but not its exactness line."""
+    spec = importlib.util.spec_from_file_location(
+        "verify_dynamics", ROOT / "scripts" / "verify_dynamics.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    monkeypatch.setattr(script, "probe_non_invariance", lambda *args, **kwargs: "not falsified")
+    assert not script.verify(ROOT / "fixtures" / "edge_pair.json", 1, 5)
+    out = capsys.readouterr().out
+    assert "falsified 0/1 non-balanced candidates" in out
+    assert "locality exact: True" in out
 
 def _run_script(argv):
     path = filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])
