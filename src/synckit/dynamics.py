@@ -6,31 +6,47 @@ multiplier:
 
     f_c(x) = a_i(x_c) + sum_d m_cd * h_ij(x_c, x_d),   i = type(c), j = type(d)
 
-Evaluation reads states with zeros unsigned, then folds the incoming
-terms by (sender type, sender state), dropping zero totals and summing
-in sorted order.  That makes the value a function of the multiset of
-inputs, so neighbor permutation, same-state merging and zero-edge
+The map's value is defined by a fold: read states with zeros unsigned,
+group the incoming terms by (sender type, sender state) with exact
+integer weight sums, skip zero sums and add the groups in ascending
+(type, state) order.  That makes the value a function of the multiset
+of inputs, so neighbor permutation, same-state merging and zero-edge
 deletion hold bit for bit, and a quotient system or an induced
 reachability subsystem reproduces the full trajectory exactly.  That
 holds in RK4 mode too: each stage and the step's combination act on one
 cell at a time, so a cell whose map values carry the full bits carries
 them through every stage.
 
-An orbit whose start gives several cells one state evaluates one cell
-per synchronized class.  The classes, found once per orbit, are the
-coarsest balanced refinement of the start's partition by (cell type,
-state).  On the polydiagonal of a balanced partition, cells of one class
-have one type, one state and the same weight sum per fold group, so the
-fold gives them the same bits and the orbit, RK4 stages included, stays
-there; each class's first cell is evaluated on its own full-network
-record against the full state and its value copied to the class.
+An orbit is evaluated once per synchronized class.  The classes, found
+once per orbit, are the coarsest balanced refinement of the start's
+partition by (cell type, state).  On the polydiagonal of a balanced
+partition, cells of one class have one type, one state and the same
+weight sum per fold group, so the fold gives them the same bits and the
+orbit, RK4 stages included, stays there; a start whose states are all
+distinct has one cell per class.  Also once per orbit, the class
+quotient is read off each class's first cell: per sender class, the
+receiver classes with their exact weight sums, zero sums dropped,
+grouped by receiver type.
+
+Each step then pushes senders' terms to receivers.  Every class's total
+starts with its intrinsic term.  Per sender type in ascending order, the
+type's classes are sorted by state once and walked in that order; a run
+of equal states is one fold group, whose weights into each receiver are
+summed exactly and skipped when zero.  Per (group, receiver type),
+g = lin*y + amp1*sin(freq1*y + phase1) and freq_y*y are computed once,
+and each receiver c adds acc * (g + amp2*sin(freq_x*x_c + freq_y*y +
+phase2)).  So each receiver gains its groups' terms in ascending (sender
+type, state) order, the fold's order, and since Python adds a + b + c
+as (a + b) + c, hoisting g and freq_y*y changes no bit: the push gives
+the fold's bits exactly.
 
 The intrinsic term is an affine map plus a sinusoid and the coupling is
 a degree-one polynomial in the sender state plus sinusoids; the linear
 gains are scaled so every sampled system is globally bounded, which
 keeps long verification runs away from the overflow guard.  With the
 exo flag the coupling is replaced by h(x, y) - h(x, x), which vanishes
-exactly for same-state senders.
+exactly for same-state senders; each step computes h(x_c, x_c) once per
+(receiver class, sender type).
 """
 
 from __future__ import annotations
@@ -38,7 +54,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, groupby
 from math import sin
 from operator import itemgetter, sub
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
@@ -138,81 +154,37 @@ def sample_admissible(net: Network, seed: int, exo: bool = False) -> AdmissibleF
 # ---------------------------------------------------------------------------
 # Compiled evaluation
 #
-# A system is compiled once per (network, spec) into one record per cell:
-#
-#     (self coefficients, coupling rows, sender indices, sender types, weights)
-#
-# where the coefficients and the coupling rows (indexed by sender type - 1)
-# are the receiver type's spec rows, copied to exact tuples, which unpack
-# faster than named ones, and the last three are parallel tuples over the
-# cell's folded in-edges.  The system keeps its network, from which an
-# orbit finds its synchronized classes.
+# A system is compiled once per (network, spec) into the spec's coefficient
+# rows, copied to exact tuples, which unpack faster than named ones: the
+# intrinsic coefficients by cell type - 1 and the coupling's by (receiver
+# type - 1, sender type - 1).  The system keeps its network, from which each
+# orbit finds its synchronized classes and their quotient.
 
 
 class _System(NamedTuple):
     net: Network
     exo: bool
-    cells: tuple[tuple, ...]
+    selfs: tuple[tuple[float, ...], ...]
+    couplings: tuple[tuple[tuple[float, ...], ...], ...]
 
 
 def _compile(net: Network, spec: AdmissibleFunctionSpec) -> _System:
     if spec.num_types < net.num_types:
         raise SynckitError("spec was sampled for fewer cell types than the network has")
-    by_type = {
-        t: (tuple(spec.self_params[t - 1]), tuple(map(tuple, spec.coupling_params[t - 1])))
-        for t in set(net.cell_types)
-    }
-    sender_type = tuple(t - 1 for t in net.cell_types).__getitem__
-    cells = []
-    for t, edges in zip(net.cell_types, net.in_edges):
-        senders, weights = tuple(zip(*edges)) or ((), ())
-        cells.append((*by_type[t], senders, tuple(map(sender_type, senders)), weights))
-    return _System(net, spec.exo, tuple(cells))
+    couplings = tuple(tuple(map(tuple, row)) for row in spec.coupling_params)
+    return _System(net, spec.exo, tuple(map(tuple, spec.self_params)), couplings)
 
 
-_FLUSH = ((None, None, 0),)  # a last input that joins no run, so the final run is added
-
-
-def _apply(
-    exo: bool, records: Iterable[tuple], cells: Iterable[int], x: tuple[float, ...]
-) -> list[float]:
-    """The compiled map at `cells`, whose records are `records` in order, every
-    state read from the full state x with zeros unsigned.
-
-    Sorting a cell's (sender type, state, weight) inputs brings equal
-    (type, state) pairs together, so each run is one group of the fold,
-    its integer weights summed exactly.  Runs are added in sorted order
-    and zero sums are skipped.
-    """
-    if 0.0 in x:  # -0.0 == 0.0
-        x = tuple([v + 0.0 for v in x])
-    state = x.__getitem__
-    out = []
-    for ((bias, gain, amp, freq, phase), rows, senders, types, weights), c in zip(records, cells):
-        xc = x[c]
-        total = bias + gain * xc + amp * sin(freq * xc + phase)
-        t0, y0, acc = -1, None, 0  # types count from 0, so no input joins this run
-        for t, y, w in chain(sorted(zip(types, map(state, senders), weights)), _FLUSH):
-            if t == t0 and y == y0:
-                acc += w
-                continue
-            if acc:
-                lin, amp1, freq1, phase1, amp2, freq_x, freq_y, phase2 = rows[t0]
-                v = (
-                    lin * y0
-                    + amp1 * sin(freq1 * y0 + phase1)
-                    + amp2 * sin(freq_x * xc + freq_y * y0 + phase2)
-                )
-                if exo:
-                    v -= (
-                        lin * xc
-                        + amp1 * sin(freq1 * xc + phase1)
-                        + amp2 * sin(freq_x * xc + freq_y * xc + phase2)
-                    )
-                total += acc * v
-            t0, y0, acc = t, y, w
-        out.append(total)
-    return out
+def _merge(pushes: Iterable[tuple]) -> list[tuple]:
+    """One sender's pushes from the pushes of several same-state classes:
+    weights summed per receiver, zero sums dropped."""
+    sums: dict[int, tuple] = {}
+    for rt, coeffs, pairs in pushes:
+        row = sums.setdefault(rt, (coeffs, {}))[1]
+        for r, w in pairs:
+            row[r] = row.get(r, 0) + w
+    return [(rt, coeffs, pairs) for rt, (coeffs, row) in sums.items()
+            if (pairs := [(r, w) for r, w in row.items() if w])]
 
 
 def _orbit_map(
@@ -220,19 +192,75 @@ def _orbit_map(
 ) -> Callable[[tuple[float, ...]], tuple[float, ...]]:
     """The compiled map for the orbit from x0, evaluated once per synchronized class.
 
-    The classes are the coarsest balanced refinement of x0's partition by
-    (cell type, state); each class's first cell is evaluated and its value
-    copied to the class, which gives the full map's bits (see the module
-    docstring).  A start whose states are all distinct is its own
-    refinement, which cir_balanced returns at once, and evaluates every
-    cell.
+    Each step pushes every sender class's state along the class quotient
+    and copies each class's value to its cells, which gives the full map's
+    bits (see the module docstring).
     """
-    net, exo, records = system
+    net, exo, selfs, couplings = system
     classes = cir_balanced(net, Partition.from_assignment(zip(net.cell_types, x0)))
-    firsts = [block[0] for block in classes.blocks()]
-    first_records = [records[c] for c in firsts]
     colors = classes.colors
-    return lambda x: tuple(map(_apply(exo, first_records, firsts, x).__getitem__, colors))
+    firsts = [block[0] for block in classes.blocks()]
+    types = [net.cell_types[c] - 1 for c in firsts]
+    own = [selfs[t] for t in types]
+    # the class quotient, read off each receiver class's first cell: per sender
+    # class, per receiver type, (type, coefficients, (receiver class, weight) pairs)
+    pushes: list[list[tuple]] = [[] for _ in firsts]
+    for rt in sorted(set(types)):
+        sums: list[dict[int, int]] = [{} for _ in firsts]  # sender -> receiver -> weight
+        for r, c in enumerate(firsts):
+            if types[r] == rt:
+                for d, w in net.in_edges[c]:
+                    row = sums[colors[d]]
+                    row[r] = row.get(r, 0) + w
+        for s, row in enumerate(sums):
+            if pairs := [rw for rw in row.items() if rw[1]]:
+                pushes[s].append((rt, couplings[rt][types[s]], pairs))
+    # per sender type, ascending: its pushing classes and, for exo, each receiver's coefficients
+    by_type = []
+    for t in sorted(set(types)):
+        senders = [s for s, ts in enumerate(types) if ts == t and pushes[s]]
+        hearing = exo and {r: coeffs for s in senders for _, coeffs, pairs in pushes[s] for r, _ in pairs}
+        by_type.append((senders, hearing))
+
+    def step(x: tuple[float, ...]) -> tuple[float, ...]:
+        xbar = list(map(x.__getitem__, firsts))
+        if 0.0 in xbar:  # -0.0 == 0.0
+            xbar = [v + 0.0 for v in xbar]
+        state = xbar.__getitem__
+        totals = [
+            bias + gain * xc + amp * sin(freq * xc + phase)
+            for (bias, gain, amp, freq, phase), xc in zip(own, xbar)
+        ]
+        for senders, hearing in by_type:
+            if exo:
+                hx = {}
+                for r, (lin, amp1, freq1, phase1, amp2, freq_x, freq_y, phase2) in hearing.items():
+                    xc = xbar[r]
+                    hx[r] = (
+                        lin * xc
+                        + amp1 * sin(freq1 * xc + phase1)
+                        + amp2 * sin(freq_x * xc + freq_y * xc + phase2)
+                    )
+            order = sorted(senders, key=state)
+            ys = list(map(state, order))
+            if len(set(ys)) == len(ys):
+                runs = zip(ys, map(pushes.__getitem__, order))
+            else:  # merge the pushes of each run of same-state classes
+                runs = [(y, _merge(chain.from_iterable(map(pushes.__getitem__, run))))
+                        for y, run in groupby(order, state)]
+            for y, run_pushes in runs:
+                for _, (lin, amp1, freq1, phase1, amp2, freq_x, freq_y, phase2), pairs in run_pushes:
+                    g = lin * y + amp1 * sin(freq1 * y + phase1)
+                    fy = freq_y * y
+                    if exo:
+                        for r, w in pairs:
+                            totals[r] += w * (g + amp2 * sin(freq_x * xbar[r] + fy + phase2) - hx[r])
+                    else:
+                        for r, w in pairs:
+                            totals[r] += w * (g + amp2 * sin(freq_x * xbar[r] + fy + phase2))
+        return tuple(map(totals.__getitem__, colors))
+
+    return step
 
 
 def component_value(

@@ -11,7 +11,7 @@ edge into a dense matrix, reach-based classes and matching from
 per-cell frozenset reach sets instead of condensation bitsets, the join
 table pair by pair instead of from class triples and up-set bitsets,
 and the admissible map cell by cell through a dict fold of each
-neighbourhood instead of the compiled sort-merge kernel.  It also holds
+neighbourhood instead of the compiled push kernel.  It also holds
 the helpers only the tests need: networks to and from dense
 in-adjacency matrices, quotients from the dense rows of M @ P, the
 one-color partition, partitions from their blocks, one cell's component
@@ -638,15 +638,18 @@ def random_balanced_lift(
     rng: random.Random,
     max_quotient: int = 4,
     max_cells: int = 7,
+    type_range: tuple[int, int] = (1, 2),
 ) -> tuple[Network, Partition]:
     """Network built by expanding a random small network into color blocks.
 
     Each block's in-row is a random integer composition of the small
     network's entry, so the block partition is balanced by construction
     and the lattice is guaranteed not to collapse to the trivial element.
+    The number of types drawn for the small network lies in type_range;
+    fewer may occur.
     """
     m = rng.randint(2, max_quotient)
-    num_types = rng.randint(1, 2)
+    num_types = rng.randint(*type_range)
     raw = [rng.randint(1, num_types) for _ in range(m)]
     relabel: dict[int, int] = {}
     qtypes = []

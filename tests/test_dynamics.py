@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 import sys
@@ -40,6 +41,7 @@ from oracles import (
     oracle_evaluate,
     oracle_evolve,
     oracle_type_refining,
+    random_balanced_lift,
     random_network,
     random_type_refinement,
     ring_lift_doc,
@@ -513,7 +515,7 @@ def random_states(rng, n):
 
 
 class TestKernelMatchesDictFold:
-    """The compiled sort-merge kernel gives the dict fold's bits exactly."""
+    """The compiled push kernel gives the dict fold's bits exactly."""
 
     def test_evaluate_on_seeded_networks(self):
         rng = random.Random(800)
@@ -662,6 +664,84 @@ class TestLumpedOrbits:
         generic = sines_in_one_step(tuple(rng.uniform(-1.5, 1.5) for _ in range(net.n_cells)))
         xbar = tuple(rng.uniform(-1.5, 1.5) for _ in range(planted.rank))
         lumped = sines_in_one_step(expand_state(xbar, planted))
-        # a generic start evaluates every cell once: its own sine and two per input
-        assert generic == net.n_cells + 2 * len(net.edges)
+        # a generic start evaluates every cell once: its own sine, one per
+        # input and one per (sender, receiver type) pair
+        pushes = {(d, net.cell_types[c]) for c, d, _ in net.edges}
+        assert generic == net.n_cells + len(net.edges) + len(pushes) == 240
+        # a polydiagonal start evaluates the class quotient the same way
+        quotient = is_balanced(net, planted).quotient
+        class_pushes = {(d, quotient.cell_types[c]) for c, d, _ in quotient.edges}
+        assert lumped == planted.rank + len(quotient.edges) + len(class_pushes) == 40
         assert lumped * net.n_cells <= generic * planted.rank
+
+    @pytest.mark.parametrize("mode, dt", [("discrete", 1e-3), ("rk4", 0.05)])
+    @pytest.mark.parametrize("exo", [False, True])
+    def test_cancelling_senders_in_different_classes(self, mode, dt, exo):
+        # s1 and s2 share a type and a state but not a class, as only s1 hears
+        # u.  Into r they weigh +1 and -1, so at the start their one fold
+        # group has weight sum zero and is skipped, although neither class
+        # alone sums to zero.
+        net = parse_network({
+            "cells": [{"id": c, "type": 1} for c in ("u", "s1", "s2", "r")],
+            "edges": [{"from": d, "to": c, "weight": w}
+                      for d, c, w in (("u", "s1", 1), ("s1", "r", 1), ("s2", "r", -1))],
+        })
+        x0 = (0.9, 0.5, 0.5, -0.5)
+        assert cir_balanced(net, Partition.from_assignment(x0)).rank == 4
+        signed_zero = dataclasses.replace(SIGNED_ZERO, exo=exo)
+        for spec in [signed_zero, *(sample_admissible(net, seed, exo=exo) for seed in range(5))]:
+            states = evolve(net, spec, x0, 6, mode=mode, dt=dt).states
+            want = oracle_evolve(net, spec, x0, 6, mode=mode, dt=dt)
+            assert [bits(s) for s in states] == [bits(s) for s in want]
+        if mode == "discrete":
+            # a(r) = -0.0, which adding the group's +1 and -1 terms would make +0.0
+            assert bits(evolve(net, signed_zero, x0, 1).states[1][3:]) == ["-0x0.0p+0"]
+
+
+def larger_lifts(count):
+    """Seeded balanced lifts of 24 or more cells, with two and three cell types
+    in turn, each with a sender that feeds cells of two types."""
+    rng = random.Random(1818)
+    while count:
+        net, planted = random_balanced_lift(rng, max_quotient=6, max_cells=36, type_range=(2, 3))
+        feeds = {}
+        for c, d, _ in net.edges:
+            feeds.setdefault(d, set()).add(net.cell_types[c])
+        if net.n_cells >= 24 and net.num_types == 2 + count % 2 and max(map(len, feeds.values())) >= 2:
+            count -= 1
+            yield net, planted
+
+
+class TestLargerLifts:
+    """Generic, polydiagonal and pooled-value starts on lifts of 24 to 36 cells
+    give the dict fold's bits, and their quotients and subsystems are exact."""
+
+    @pytest.mark.parametrize("mode, steps, dt", [("discrete", 8, 1e-3), ("rk4", 3, 0.05)])
+    def test_evolve_matches_oracle_loop(self, mode, steps, dt):
+        rng = random.Random(f"larger:{mode}")
+        for net, planted in larger_lifts(8):
+            pool = [0.0, -0.0, rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5)]
+            starts = [
+                tuple(rng.uniform(-1.5, 1.5) for _ in range(net.n_cells)),
+                expand_state(tuple(rng.uniform(-1.5, 1.5) for _ in range(planted.rank)), planted),
+                tuple(rng.choice(pool) for _ in range(net.n_cells)),
+            ]
+            for exo in (False, True):
+                spec = sample_admissible(net, rng.randrange(1000), exo=exo)
+                for x0 in starts:
+                    traj = evolve(net, spec, x0, steps, mode=mode, dt=dt)
+                    want = oracle_evolve(net, spec, x0, steps, mode=mode, dt=dt)
+                    assert [bits(s) for s in traj.states] == [bits(s) for s in want]
+
+    @pytest.mark.parametrize("mode, dt", [("discrete", 1e-3), ("rk4", 0.05)])
+    def test_quotient_and_subsystem_are_exact(self, mode, dt):
+        rng = random.Random(f"larger-checks:{mode}")
+        for net, planted in larger_lifts(8):
+            cert = is_balanced(net, planted)
+            for exo in (False, True):
+                spec = sample_admissible(net, rng.randrange(1000), exo=exo)
+                run = {"trials": 2, "steps": 10, "mode": mode, "dt": dt}
+                report = check_quotient_consistency(net, spec, cert, rng_seed=1, **run)
+                assert report.max_deviation == 0.0
+                for c in rng.sample(range(net.n_cells), 2):
+                    assert check_subsystem(net, spec, c, rng_seed=c, **run).max_deviation == 0.0
