@@ -14,8 +14,7 @@ join-table and quotient-class reports used to validate how classes combine.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .connectivity import (
     condensation,
@@ -44,21 +43,20 @@ class ColorClass(enum.Enum):
     WEAK = "weak"
 
 
-@dataclass(frozen=True)
-class NeighborhoodKind:
+class NeighborhoodKind(NamedTuple("NeighborhoodKind", [("name", str), ("k", Optional[int])])):
     """One of the four neighborhood notions; k applies to the k-step kind."""
 
-    name: str
-    k: Optional[int] = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.name not in ("n", "v", "vk", "r"):
-            raise SynckitError(f"unknown neighborhood kind {self.name!r}")
-        if self.name == "vk":
-            if self.k is None or self.k < 1:
+    def __new__(cls, name: str, k: Optional[int] = None) -> "NeighborhoodKind":
+        if name not in ("n", "v", "vk", "r"):
+            raise SynckitError(f"unknown neighborhood kind {name!r}")
+        if name == "vk":
+            if k is None or k < 1:
                 raise SynckitError("k-step neighborhood needs k >= 1")
-        elif self.k is not None:
-            raise SynckitError(f"kind {self.name!r} takes no k")
+        elif k is not None:
+            raise SynckitError(f"kind {name!r} takes no k")
+        return tuple.__new__(cls, (name, k))
 
     def label(self) -> str:
         return {"n": "in", "v": "cumulative-in", "vk": f"cumulative-in-{self.k}",
@@ -212,8 +210,7 @@ def join_rows(up: tuple[int, ...]) -> Iterator[list[int]]:
         yield [(ui & uj).bit_length() - 1 for uj in up[i:]]
 
 
-@dataclass(frozen=True)
-class JoinTableReport:
+class JoinTableReport(NamedTuple):
     """The classes of a lattice and the class triples its pairs' joins take.
 
     The verdicts need only the set of (left, right, join) class triples
@@ -261,16 +258,14 @@ def join_table_report(net: Network, max_cells: int = DEFAULT_MAX_CELLS) -> JoinT
     return JoinTableReport(lattice, classes, rooted_matched, triples)
 
 
-@dataclass(frozen=True)
-class QuotientClassEntry:
+class QuotientClassEntry(NamedTuple):
     partition: Partition
     class_in_base: ColorClass
     quotient_partition: Partition
     class_in_quotient: ColorClass
 
 
-@dataclass(frozen=True)
-class QuotientClassReport:
+class QuotientClassReport(NamedTuple):
     base_partition: Partition
     precondition_met: bool
     entries: tuple[QuotientClassEntry, ...]

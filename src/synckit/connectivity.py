@@ -15,9 +15,9 @@ breadth-first search that builds no condensation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from graphlib import TopologicalSorter
+from typing import NamedTuple
 
 from .errors import DomainMismatch, SynckitError
 from .network import Network
@@ -108,14 +108,13 @@ def scc_decomposition(net: Network) -> Partition:
     return Partition.from_assignment(comp)
 
 
-@dataclass(frozen=True)
-class Condensation:
+class Condensation(NamedTuple("Condensation", [
+    ("scc_partition", Partition),
+    ("roots", frozenset[int]),
+    ("preds", tuple[tuple[int, ...], ...]),
+    ("order", tuple[int, ...]),
+])):
     """SCC blocks, the block DAG's roots, each block's predecessors, a topological order."""
-
-    scc_partition: Partition
-    roots: frozenset[int]
-    preds: tuple[tuple[int, ...], ...]
-    order: tuple[int, ...]
 
     def close_up(self, bits: list[int]) -> list[int]:
         """OR each block's bitset into every block downstream of it, in place."""

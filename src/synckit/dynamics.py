@@ -17,16 +17,17 @@ holds in RK4 mode too: each stage and the step's combination act on one
 cell at a time, so a cell whose map values carry the full bits carries
 them through every stage.
 
-An orbit is evaluated once per synchronized class.  The classes, found
-once per orbit, are the coarsest balanced refinement of the start's
-partition by (cell type, state).  On the polydiagonal of a balanced
-partition, cells of one class have one type, one state and the same
-weight sum per fold group, so the fold gives them the same bits and the
-orbit, RK4 stages included, stays there; a start whose states are all
-distinct has one cell per class.  Also once per orbit, the class
-quotient is read off each class's first cell: per sender class, the
-receiver classes with their exact weight sums, zero sums dropped,
-grouped by receiver type.
+An orbit is evaluated once per synchronized class.  The classes are the
+coarsest balanced refinement of the start's partition by (cell type,
+state).  On the polydiagonal of a balanced partition, cells of one class
+have one type, one state and the same weight sum per fold group, so the
+fold gives them the same bits and the orbit, RK4 stages included, stays
+there; a start whose states are all distinct has one cell per class.
+With the classes, the class quotient is read off each class's first
+cell: per sender class, the receiver classes with their exact weight
+sums, zero sums dropped, grouped by receiver type.  Both are built once
+per compiled system and start partition, so the orbits of one check
+share them.
 
 Each step then pushes senders' terms to receivers.  Every class's total
 starts with its intrinsic term.  Per sender type in ascending order, the
@@ -53,7 +54,6 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from itertools import chain, groupby
 from math import sin
 from operator import itemgetter, sub
@@ -87,8 +87,7 @@ class CouplingParams(NamedTuple):
     phase2: float
 
 
-@dataclass(frozen=True)
-class AdmissibleFunctionSpec:
+class AdmissibleFunctionSpec(NamedTuple):
     """Seeded coefficients for one admissible system over a type set."""
 
     seed: int
@@ -158,7 +157,9 @@ def sample_admissible(net: Network, seed: int, exo: bool = False) -> AdmissibleF
 # rows, copied to exact tuples, which unpack faster than named ones: the
 # intrinsic coefficients by cell type - 1 and the coupling's by (receiver
 # type - 1, sender type - 1).  The system keeps its network, from which each
-# orbit finds its synchronized classes and their quotient.
+# orbit finds its synchronized classes and their quotient, and keeps those
+# keyed by the start's (type, state) partition, which alone decides them:
+# a check's orbits from starts with the same shared states build them once.
 
 
 class _System(NamedTuple):
@@ -166,13 +167,14 @@ class _System(NamedTuple):
     exo: bool
     selfs: tuple[tuple[float, ...], ...]
     couplings: tuple[tuple[tuple[float, ...], ...], ...]
+    quotients: dict[Partition, tuple]
 
 
 def _compile(net: Network, spec: AdmissibleFunctionSpec) -> _System:
     if spec.num_types < net.num_types:
         raise SynckitError("spec was sampled for fewer cell types than the network has")
     couplings = tuple(tuple(map(tuple, row)) for row in spec.coupling_params)
-    return _System(net, spec.exo, tuple(map(tuple, spec.self_params)), couplings)
+    return _System(net, spec.exo, tuple(map(tuple, spec.self_params)), couplings, {})
 
 
 def _merge(pushes: Iterable[tuple]) -> list[tuple]:
@@ -187,17 +189,11 @@ def _merge(pushes: Iterable[tuple]) -> list[tuple]:
             if (pairs := [(r, w) for r, w in row.items() if w])]
 
 
-def _orbit_map(
-    system: _System, x0: tuple[float, ...]
-) -> Callable[[tuple[float, ...]], tuple[float, ...]]:
-    """The compiled map for the orbit from x0, evaluated once per synchronized class.
-
-    Each step pushes every sender class's state along the class quotient
-    and copies each class's value to its cells, which gives the full map's
-    bits (see the module docstring).
-    """
-    net, exo, selfs, couplings = system
-    classes = cir_balanced(net, Partition.from_assignment(zip(net.cell_types, x0)))
+def _class_quotient(system: _System, start: Partition) -> tuple:
+    """The synchronized classes of orbits from a start with the given
+    (type, state) partition, and the class quotient they push along."""
+    net, exo, selfs, couplings, _ = system
+    classes = cir_balanced(net, start)
     colors = classes.colors
     firsts = [block[0] for block in classes.blocks()]
     types = [net.cell_types[c] - 1 for c in firsts]
@@ -221,6 +217,23 @@ def _orbit_map(
         senders = [s for s, ts in enumerate(types) if ts == t and pushes[s]]
         hearing = exo and {r: coeffs for s in senders for _, coeffs, pairs in pushes[s] for r, _ in pairs}
         by_type.append((senders, hearing))
+    return colors, firsts, own, pushes, by_type
+
+
+def _orbit_map(
+    system: _System, x0: tuple[float, ...]
+) -> Callable[[tuple[float, ...]], tuple[float, ...]]:
+    """The compiled map for the orbit from x0, evaluated once per synchronized class.
+
+    Each step pushes every sender class's state along the class quotient
+    and copies each class's value to its cells, which gives the full map's
+    bits (see the module docstring).
+    """
+    exo, quotients = system.exo, system.quotients
+    start = Partition.from_assignment(zip(system.net.cell_types, x0))
+    if start not in quotients:
+        quotients[start] = _class_quotient(system, start)
+    colors, firsts, own, pushes, by_type = quotients[start]
 
     def step(x: tuple[float, ...]) -> tuple[float, ...]:
         xbar = list(map(x.__getitem__, firsts))
@@ -275,8 +288,7 @@ def evaluate(net: Network, spec: AdmissibleFunctionSpec, x: tuple[float, ...]) -
     return _orbit_map(_compile(net, spec), x)(x)
 
 
-@dataclass(frozen=True)
-class Trajectory:
+class Trajectory(NamedTuple):
     times: tuple[float, ...]
     states: tuple[tuple[float, ...], ...]
     mode: str
@@ -389,15 +401,13 @@ def _random_state(rng: random.Random, n: int) -> tuple[float, ...]:
 # Verification reports
 
 
-@dataclass(frozen=True)
-class TrialResult:
+class TrialResult(NamedTuple):
     max_spread: float
     steps_run: int
     aborted: bool
 
 
-@dataclass(frozen=True)
-class InvarianceReport:
+class InvarianceReport(NamedTuple):
     partition: Partition
     trials: tuple[TrialResult, ...]
     tol: float
@@ -494,14 +504,12 @@ def probe_non_invariance(
     return "inconclusive"
 
 
-@dataclass(frozen=True)
-class LocalityTrial:
+class LocalityTrial(NamedTuple):
     agreed: bool
     first_mismatch_step: Optional[int]
 
 
-@dataclass(frozen=True)
-class LocalityReport:
+class LocalityReport(NamedTuple):
     cell: int
     k: int
     trials: tuple[LocalityTrial, ...]
@@ -556,8 +564,7 @@ def check_locality(
     return LocalityReport(c, k, tuple(results), all(t.agreed for t in results))
 
 
-@dataclass(frozen=True)
-class ComparisonReport:
+class ComparisonReport(NamedTuple):
     """How far a smaller system strayed from the full one.
 
     The verdict is `exact`, agreement bit for bit, in both modes: the

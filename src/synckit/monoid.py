@@ -10,21 +10,33 @@ ships as the one alternative and as a template for further extensions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Any, ClassVar, Optional
+from typing import Any, Optional
 
 from .errors import UnknownMonoid
 
 
-@dataclass(frozen=True)
 class Monoid:
-    """A named commutative monoid; subclasses supply the operations."""
+    """A named commutative monoid; subclasses supply the operations.
 
-    kind: str = "abstract"
+    A monoid holds no state, so two monoids are equal when they have the
+    same type.
+    """
+
+    __slots__ = ()
+    kind = "abstract"
     # A raw weight of exactly this type is already an element, and the sum
     # of such an element with any other is `+`: parse_network folds those
     # weights without calling coerce and add.  None for no such type.
-    plus_type: ClassVar[Optional[type]] = None
+    plus_type: Optional[type] = None
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is type(self)
+
+    def __hash__(self) -> int:
+        return hash(type(self))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}()"
 
     def zero(self) -> Any:
         raise NotImplementedError
@@ -37,12 +49,12 @@ class Monoid:
         raise NotImplementedError
 
 
-@dataclass(frozen=True)
 class IntegerAdd(Monoid):
     """Integers under ordinary addition; identity 0."""
 
-    kind: str = "int-add"
-    plus_type: ClassVar[Optional[type]] = int  # not bool, which coerce refuses
+    __slots__ = ()
+    kind = "int-add"
+    plus_type = int  # not bool, which coerce refuses
 
     def zero(self) -> int:
         return 0
@@ -56,11 +68,11 @@ class IntegerAdd(Monoid):
         return raw
 
 
-@dataclass(frozen=True)
 class TropicalMin(Monoid):
     """Min-plus weights: parallel edges keep the minimum, identity +inf."""
 
-    kind: str = "tropical-min"
+    __slots__ = ()
+    kind = "tropical-min"
 
     def zero(self) -> float:
         return math.inf

@@ -14,9 +14,8 @@ are strings in files and dense indices internally.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING, Any, Callable, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Callable, NamedTuple, Optional, Sequence
 
 from .errors import (
     DuplicateCellId,
@@ -34,19 +33,19 @@ if TYPE_CHECKING:
 _DOT_SHAPES = ("circle", "box", "diamond", "hexagon", "ellipse", "triangle")
 
 
-@dataclass(frozen=True)
-class Network:
+class Network(NamedTuple("Network", [
+    ("cell_ids", tuple[str, ...]),
+    ("cell_types", tuple[int, ...]),
+    ("edges", tuple[tuple[int, int, Any], ...]),
+    ("monoid", Monoid),
+])):
     """Immutable network: typed cells and folded nonzero weighted edges.
 
     `edges` holds (receiver, sender, weight) triples sorted by receiver
     and then sender, one per connected pair, none with the zero weight,
-    so equal networks compare equal.
+    so equal networks compare equal.  The subclass of the fields' tuple
+    has a `__dict__` for the cached properties.
     """
-
-    cell_ids: tuple[str, ...]
-    cell_types: tuple[int, ...]
-    edges: tuple[tuple[int, int, Any], ...]
-    monoid: Monoid
 
     @property
     def n_cells(self) -> int:

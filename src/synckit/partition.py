@@ -10,9 +10,8 @@ by the CLI ("12/45": colors split by "/", cells within a color split by
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Hashable, Iterable, Iterator, Sequence
+from typing import Hashable, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import DomainMismatch, MalformedPartitionSpec, NotARefinement
 
@@ -23,23 +22,23 @@ def _canonical(labels: Iterable[Hashable]) -> tuple[int, ...]:
     return tuple([relabel.setdefault(label, len(relabel)) for label in labels])
 
 
-@dataclass(frozen=True)
-class Partition:
-    """Canonical color assignment over cells 0..n-1."""
+class Partition(NamedTuple("Partition", [("colors", tuple[int, ...])])):
+    """Canonical color assignment over cells 0..n-1.
 
-    colors: tuple[int, ...]
+    A one-field tuple, so hashing and equality run in C; the subclass
+    has a `__dict__` for the cached rank.
+    """
 
-    def __post_init__(self) -> None:
-        if self.colors != _canonical(self.colors):
+    def __new__(cls, colors: tuple[int, ...]) -> "Partition":
+        if colors != _canonical(colors):
             raise ValueError("partition assignment is not in canonical form")
+        return tuple.__new__(cls, (colors,))
 
     @staticmethod
     def from_assignment(labels: Iterable[Hashable]) -> "Partition":
         """Cells with equal labels share a color; any hashable labels will do."""
-        # canonical by construction, so __post_init__'s check is skipped
-        p = object.__new__(Partition)
-        object.__setattr__(p, "colors", _canonical(labels))
-        return p
+        # canonical by construction, so __new__'s check is skipped
+        return tuple.__new__(Partition, (_canonical(labels),))
 
     @staticmethod
     def trivial(size: int) -> "Partition":

@@ -17,9 +17,8 @@ than with the number of type-refining ones.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Any, Iterable, Iterator, Optional
+from typing import Any, Iterable, Iterator, NamedTuple, Optional
 
 from .errors import NotInLattice, NotTypeRefining, SynckitError, TooLarge
 from .network import Network, _signature, row_color_sum
@@ -33,8 +32,7 @@ def _check_type_refining(net: Network, p: Partition) -> None:
         raise NotTypeRefining("partition must refine the cell-type partition")
 
 
-@dataclass(frozen=True)
-class BalancedCertificate:
+class BalancedCertificate(NamedTuple):
     """A balanced partition and its quotient network, whose cell k is color k, named str(k).
 
     A color's in-edges in the quotient are its first cell's signature.
@@ -94,7 +92,7 @@ def quotient_network(net: Network, cert: BalancedCertificate) -> Network:
     if len(set(ids)) < len(ids):
         clash = next(i for i in ids if ids.count(i) > 1)
         raise SynckitError(f"quotient cell id {clash!r} would name two colors")
-    return replace(cert.quotient, cell_ids=ids)
+    return cert.quotient._replace(cell_ids=ids)
 
 
 def cir_balanced(net: Network, p: Partition) -> Partition:
@@ -167,8 +165,13 @@ def cir_balanced(net: Network, p: Partition) -> Partition:
     return Partition.from_assignment(color)
 
 
-@dataclass(frozen=True)
-class BalancedLattice:
+class BalancedLattice(NamedTuple("BalancedLattice", [
+    ("elements", tuple[Partition, ...]),
+    ("up", tuple[int, ...]),
+    ("cover_edges", frozenset[tuple[int, int]]),
+    ("bottom", int),
+    ("top", int),
+])):
     """All balanced partitions of a network with their refinement order.
 
     Elements are ordered by (rank, assignment), so coarser elements come
@@ -177,12 +180,6 @@ class BalancedLattice:
     element.  The join of i and j is the finest element above both, the
     highest set bit of up[i] & up[j].
     """
-
-    elements: tuple[Partition, ...]
-    up: tuple[int, ...]
-    cover_edges: frozenset[tuple[int, int]]
-    bottom: int
-    top: int
 
     @cached_property
     def _positions(self) -> dict[Partition, int]:

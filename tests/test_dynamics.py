@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import random
 import sys
@@ -674,6 +673,30 @@ class TestLumpedOrbits:
         assert lumped == planted.rank + len(quotient.edges) + len(class_pushes) == 40
         assert lumped * net.n_cells <= generic * planted.rank
 
+    def test_each_check_finds_a_systems_classes_once(self, monkeypatch):
+        # the trials of one check start from the same (type, state) partition,
+        # so each compiled system runs cir once for all its orbits
+        doc, planted = ring_lift_doc(10, 6)
+        net = parse_network(doc)
+        spec = sample_admissible(net, 1)
+        calls = []
+        monkeypatch.setattr(
+            synckit.dynamics, "cir_balanced", lambda *a: calls.append(a) or cir_balanced(*a)
+        )
+        cell = net.n_cells - 1
+        assert len(set(range(net.n_cells)) - cumulative_in_k(net, cell, 2)) > 0
+        checks = {
+            "subsystem": (lambda: check_subsystem(net, spec, cell, trials=5, steps=3), 2),
+            "locality": (lambda: check_locality(net, spec, cell, 2, trials=5), 1),
+            "invariance": (lambda: check_invariance(net, spec, planted, trials=5, steps=3), 1),
+            "quotient": (lambda: check_quotient_consistency(
+                net, spec, is_balanced(net, planted), trials=5, steps=3), 2),
+        }
+        for name, (check, want) in checks.items():
+            calls.clear()
+            check()
+            assert len(calls) == want, name
+
     @pytest.mark.parametrize("mode, dt", [("discrete", 1e-3), ("rk4", 0.05)])
     @pytest.mark.parametrize("exo", [False, True])
     def test_cancelling_senders_in_different_classes(self, mode, dt, exo):
@@ -688,7 +711,7 @@ class TestLumpedOrbits:
         })
         x0 = (0.9, 0.5, 0.5, -0.5)
         assert cir_balanced(net, Partition.from_assignment(x0)).rank == 4
-        signed_zero = dataclasses.replace(SIGNED_ZERO, exo=exo)
+        signed_zero = SIGNED_ZERO._replace(exo=exo)
         for spec in [signed_zero, *(sample_admissible(net, seed, exo=exo) for seed in range(5))]:
             states = evolve(net, spec, x0, 6, mode=mode, dt=dt).states
             want = oracle_evolve(net, spec, x0, 6, mode=mode, dt=dt)

@@ -7,6 +7,7 @@ The library's settings are parameters and command-line flags.
 """
 
 import ast
+import subprocess
 import sys
 from pathlib import Path
 
@@ -47,3 +48,21 @@ def test_library_reads_no_environment(path):
             and any(alias.name in _ENVIRONMENT for alias in node.names))
     ]
     assert not reads, f"{path.name} reads the environment at lines {reads}"
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_library_does_not_import_dataclasses(path):
+    # dataclasses loads inspect, ast, dis and tokenize and builds each class
+    # with exec: most of the CLI's import time
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert "dataclasses" not in set(_imported_roots(tree)), f"{path.name} imports dataclasses"
+
+
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import synckit.cli; "
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    )
+    done = subprocess.run([sys.executable, "-I", "-c", code, str(SRC.parent)],
+                          capture_output=True, text=True, timeout=60, check=True)
+    assert done.stdout.strip() == "[]"

@@ -1,7 +1,6 @@
 import math
 import random
 from collections import Counter
-from dataclasses import replace
 
 import pytest
 
@@ -609,7 +608,7 @@ def test_certificate_quotient_matches_dense_oracle(monoid, weights):
             rng, max_cells=6, num_types=1 + trial % 2, weights=weights, monoid=monoid
         )
         if trial % 2:
-            net = replace(net, cell_ids=tuple(f"c{i}" for i in net.cell_ids))
+            net = net._replace(cell_ids=tuple(f"c{i}" for i in net.cell_ids))
         joiner = "" if all(len(i) == 1 for i in net.cell_ids) else "+"
         for upper in (random_type_refinement(rng, net), net.type_partition()):
             p = cir_balanced(net, upper)
