@@ -363,6 +363,19 @@ def _write_join_table(net: Network, report: cls.JoinTableReport) -> None:
     _write_json(payload, "pairs", rows)
 
 
+def _reprs(state: tuple[float, ...]) -> Iterable[str]:
+    """Each value's repr, which json.dumps writes for a finite float, made
+    once per distinct value; 0.0 and -0.0 are one dict key, so zeros are
+    written one by one."""
+    distinct = set(state)
+    if len(distinct) == len(state):
+        return map(float.__repr__, state)
+    reprs = dict(zip(distinct, map(float.__repr__, distinct)))
+    if 0.0 in reprs:
+        return [reprs[v] if v else float.__repr__(v) for v in state]
+    return map(reprs.__getitem__, state)
+
+
 def cmd_simulate(args) -> int:
     net = _net(args)
     spec = dyn.sample_admissible(net, args.seed, exo=args.exo)
@@ -384,9 +397,8 @@ def cmd_simulate(args) -> int:
     if args.format == "json":
         payload = {"cells": list(net.cell_ids), "mode": traj.mode, "times": list(traj.times),
                    "states": []}
-        # every state value is a finite float, which json.dumps writes as its repr
         _write_json(payload, "states", (
-            "    [\n      " + ",\n      ".join(map(float.__repr__, s)) + "\n    ]" if s else "    []"
+            "    [\n      " + ",\n      ".join(_reprs(s)) + "\n    ]" if s else "    []"
             for s in traj.states
         ))
         return EXIT_OK

@@ -52,8 +52,11 @@ exactly for same-state senders; each step computes h(x_c, x_c) once per
 
 from __future__ import annotations
 
+import marshal
 import math
+import os
 import random
+import threading
 from itertools import chain, groupby
 from math import sin
 from operator import itemgetter, sub
@@ -398,6 +401,120 @@ def _random_state(rng: random.Random, n: int) -> tuple[float, ...]:
 
 
 # ---------------------------------------------------------------------------
+# Trials
+#
+# A check's trials are seeded by index and share nothing but the compiled
+# systems, so each is a function of its index that returns plain data, and
+# one generator runs them in order, in-process or split with forked workers.
+# Each worker needs _FORK_WORK units of estimated work, trials x steps x
+# (cells + edges), so below it the trials stay in-process; the choice never
+# depends on timing.  Forking a worker, reading its pipe and reaping it took
+# 2.4-3.1 ms in an 18 MB CLI process on a 2-CPU Xeon, where an orbit step
+# that evaluates every cell took 0.6-1.1 us per cell or edge.  A worker's
+# block then holds a third of _FORK_WORK units or more, over 4 ms of such
+# steps.  Orbits lumped to one cell per class cost about 0.17 us per unit
+# and gain only from about 50000.
+
+_FORK_WORK = 20_000
+_SIGKILL = 9  # signal.SIGKILL, without loading the signal module
+
+
+def _trial_results(
+    trial: Callable[[int], object], trials: int, net: Network, steps: int
+) -> Iterator:
+    """trial(t) for t in range(trials), in order, as the in-process loop gives them.
+
+    Trial 0 runs here first, building the compiled systems' class quotients
+    that the workers then inherit.  When it pays, one worker per further
+    CPU, up to one per _FORK_WORK units of work, runs a contiguous block of
+    the upper trials while this process runs the lower block.  A trial that
+    a worker did not return (it raised, the worker died or its output was
+    cut short) is run again here, so the bits, the exception and the trial
+    that raises are the in-process loop's.  Closing the generator kills and
+    reaps every worker still running.
+    """
+    yield trial(0)
+    blocks = 1
+    if threading.active_count() == 1 and hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
+        work = trials * steps * (net.n_cells + len(net.edges))
+        blocks = min(len(os.sched_getaffinity(0)), trials, work // _FORK_WORK + 1)
+    # block k runs trials bounds[k] .. bounds[k + 1] - 1; block 0 is this process's
+    bounds = [1 + (trials - 1) * k // blocks for k in range(blocks + 1)]
+    workers: dict[int, tuple[int, int]] = {}  # block -> (pid, read end)
+    try:
+        for k in range(1, blocks):
+            if (worker := _fork(trial, bounds[k], bounds[k + 1])) is not None:
+                workers[k] = worker
+        for t in range(1, bounds[1]):
+            yield trial(t)
+        for k in range(1, blocks):
+            returned = []
+            if k in workers:
+                returned = _read(workers[k][1])
+                _reap(*workers.pop(k))
+            for t in range(bounds[k], bounds[k + 1]):
+                i = t - bounds[k]
+                yield returned[i] if i < len(returned) else trial(t)
+    finally:
+        for pid, fd in workers.values():
+            os.kill(pid, _SIGKILL)
+            _reap(pid, fd)
+
+
+def _fork(trial: Callable[[int], object], lo: int, hi: int) -> Optional[tuple[int, int]]:
+    """A worker running trials lo .. hi - 1, as (pid, read end), or None if none started."""
+    try:
+        r, w = os.pipe()
+    except OSError:
+        return None
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(r)
+        os.close(w)
+        return None
+    if pid == 0:
+        # leave only through _exit: no inherited buffer is flushed, no atexit handler runs
+        try:
+            os.close(r)
+            _work(trial, lo, hi, w)
+        finally:
+            os._exit(0)
+    os.close(w)
+    return pid, r
+
+
+def _work(trial: Callable[[int], object], lo: int, hi: int, fd: int) -> None:
+    """Write the marshalled list of trial(lo), trial(lo + 1), ... up to the
+    first that raises, which the parent runs again."""
+    done = []
+    try:
+        for t in range(lo, hi):
+            done.append(trial(t))
+    finally:
+        data = memoryview(marshal.dumps(done))
+        while data:
+            data = data[os.write(fd, data):]
+
+
+def _read(fd: int) -> list:
+    """A worker's returned trials, read to the end of its pipe; [] if cut short."""
+    chunks = []
+    while chunk := os.read(fd, 1 << 16):
+        chunks.append(chunk)
+    try:
+        returned = marshal.loads(b"".join(chunks))
+    except (EOFError, ValueError, TypeError):
+        return []
+    return returned if isinstance(returned, list) else []
+
+
+def _reap(pid: int, fd: int) -> None:
+    os.close(fd)
+    os.waitpid(pid, 0)
+
+
+# ---------------------------------------------------------------------------
 # Verification reports
 
 
@@ -451,9 +568,8 @@ def check_invariance(
     system = _compile(net, spec)
     # a getter per color of two or more cells, which returns its states as a tuple
     picks = [itemgetter(*block) for block in p.blocks() if len(block) > 1]
-    results = []
-    worst = 0.0
-    for t in range(trials):
+
+    def trial(t: int) -> tuple[float, int, bool]:
         rng = random.Random(f"invariance:{rng_seed}:{t}")
         orbit = _orbit(system, expand_state(_random_state(rng, p.rank), p), steps, mode, dt)
         next(orbit)  # the start, on the polydiagonal
@@ -469,10 +585,19 @@ def check_invariance(
                     break
         except NumericalBlowup:
             aborted = True
-        results.append(TrialResult(spread, ran, aborted))
-        worst = max(worst, spread)
-        if stop_above is not None and worst > stop_above:
-            break
+        return spread, ran, aborted
+
+    results = []
+    worst = 0.0
+    runs = _trial_results(trial, trials, net, steps)
+    try:
+        for run in runs:
+            results.append(TrialResult(*run))
+            worst = max(worst, run[0])
+            if stop_above is not None and worst > stop_above:
+                break
+    finally:
+        runs.close()  # stops the workers of an early stop
     invariant = worst <= tol and not any(r.aborted for r in results)
     return InvarianceReport(p, tuple(results), tol, worst, invariant)
 
@@ -544,13 +669,12 @@ def check_locality(
     _check_run(trials=trials)
     support = sorted(set(range(net.n_cells)) - cumulative_in_k(net, c, k))
     system = _compile(net, spec)
-    results = []
-    for t in range(trials):
+
+    def trial(t: int) -> tuple[bool, Optional[int]]:
+        if not support:
+            return True, None
         rng = random.Random(f"locality:{rng_seed}:{t}")
         x0 = _random_state(rng, net.n_cells)
-        if not support:
-            results.append(LocalityTrial(True, None))
-            continue
         bumped = list(x0)
         for d in support:
             bumped[d] += rng.uniform(0.1, 1.0)
@@ -560,7 +684,10 @@ def check_locality(
         for s, (x, y) in enumerate(zip(_orbit(system, x0, k), _orbit(system, tuple(bumped), k))):
             if mismatch is None and x[c] != y[c]:
                 mismatch = s
-        results.append(LocalityTrial(mismatch is None, mismatch))
+        return mismatch is None, mismatch
+
+    runs = _trial_results(trial, trials, net, k if support else 0)
+    results = [LocalityTrial(*run) for run in runs]
     return LocalityReport(c, k, tuple(results), all(t.agreed for t in results))
 
 
@@ -597,11 +724,13 @@ def check_subsystem(
     _check_run(mode=mode, dt=dt, steps=steps, trials=trials)
     net.check_cell(c)
     cells = sorted(in_reachability(net, c))
-    x0s = (_random_state(random.Random(f"subsystem:{rng_seed}:{t}"), net.n_cells)
-           for t in range(trials))
-    starts = ((x0, tuple(x0[d] for d in cells)) for x0 in x0s)
+
+    def start(t: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
+        x0 = _random_state(random.Random(f"subsystem:{rng_seed}:{t}"), net.n_cells)
+        return x0, tuple(x0[d] for d in cells)
+
     worst = _deviation(
-        _compile(net, spec), _compile(net.subnetwork(cells), spec), starts,
+        _compile(net, spec), _compile(net.subnetwork(cells), spec), start, trials,
         cells, range(len(cells)), steps, mode, dt,
     )
     return ComparisonReport("subsystem", worst)
@@ -620,11 +749,13 @@ def check_quotient_consistency(
     """The quotient system reproduces the full system on the polydiagonal."""
     _check_run(mode=mode, dt=dt, steps=steps, trials=trials)
     p = cert.partition
-    xbars = (_random_state(random.Random(f"quotient:{rng_seed}:{t}"), p.rank)
-             for t in range(trials))
-    starts = ((expand_state(xbar, p), xbar) for xbar in xbars)
+
+    def start(t: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
+        xbar = _random_state(random.Random(f"quotient:{rng_seed}:{t}"), p.rank)
+        return expand_state(xbar, p), xbar
+
     worst = _deviation(
-        _compile(net, spec), _compile(cert.quotient, spec), starts,
+        _compile(net, spec), _compile(cert.quotient, spec), start, trials,
         range(net.n_cells), p.colors, steps, mode, dt,
     )
     return ComparisonReport("quotient", worst)
@@ -633,23 +764,28 @@ def check_quotient_consistency(
 def _deviation(
     full_system: _System,
     small_system: _System,
-    starts: Iterable[tuple[tuple[float, ...], tuple[float, ...]]],
+    start: Callable[[int], tuple[tuple[float, ...], tuple[float, ...]]],
+    trials: int,
     full_at: Sequence[int],
     small_at: Sequence[int],
     steps: int,
     mode: str,
     dt: float,
 ) -> float:
-    """Largest |full[full_at[i]] - small[small_at[i]]| over the paired orbits.
+    """Largest |full[full_at[i]] - small[small_at[i]]| over the paired orbits
+    from start(0), ..., start(trials - 1).
 
     Each full orbit is run to the end before its smaller one, so a
     blowup in both is reported from the full system.
     """
-    worst = 0.0
-    for x0, y0 in starts:
+    def trial(t: int) -> float:
+        x0, y0 = start(t)
         full = list(_orbit(full_system, x0, steps, mode, dt))
         small = list(_orbit(small_system, y0, steps, mode, dt))
+        worst = 0.0
         for x, y in zip(full, small):
             gaps = map(sub, map(x.__getitem__, full_at), map(y.__getitem__, small_at))
             worst = max(worst, max(map(abs, gaps)))
-    return worst
+        return worst
+
+    return max(_trial_results(trial, trials, full_system.net, steps))

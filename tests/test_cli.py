@@ -1,5 +1,6 @@
 import contextlib
 import json
+import math
 import os
 import random
 import re
@@ -332,6 +333,16 @@ def test_simulate_json_of_300_cell_lift_is_json_dumps_bytes(capsys, tmp_path):
     for mode, steps in (("discrete", 100), ("rk4", 10)):
         out, want = _simulate_bytes(capsys, str(path), net, x0, steps, mode)
         assert out == want
+
+
+def test_simulate_json_keeps_both_zeros_of_one_state(capsys):
+    """0.0 and -0.0 are one dict key, yet each keeps its own repr."""
+    net = load_network(fx("chain4"))
+    for x0 in [(0.0, -0.0, 0.5, 0.0), (-0.0, 0.5, 0.0, 0.5)]:
+        out, want = _simulate_bytes(capsys, fx("chain4"), net, x0, 2, "discrete")
+        assert out == want
+        first = json.loads(out)["states"][0]
+        assert [math.copysign(1.0, v) for v in first] == [math.copysign(1.0, v) for v in x0]
 
 
 @pytest.mark.parametrize("argv", [

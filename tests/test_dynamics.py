@@ -1,6 +1,10 @@
+import marshal
 import math
+import os
 import random
 import sys
+import threading
+import time
 import tracemalloc
 
 import pytest
@@ -768,3 +772,197 @@ class TestLargerLifts:
                 assert report.max_deviation == 0.0
                 for c in rng.sample(range(net.n_cells), 2):
                     assert check_subsystem(net, spec, c, rng_seed=c, **run).max_deviation == 0.0
+
+
+def hexed(value):
+    """A report or verdict with every float as its hex form, so == compares bits."""
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, tuple):
+        return tuple(map(hexed, value))
+    return value
+
+
+@pytest.fixture
+def workers(monkeypatch):
+    """Split every check's trials that have any work over three CPUs; the
+    returned list gains one entry per fork."""
+    dyn = synckit.dynamics
+    monkeypatch.setattr(dyn, "_FORK_WORK", 1)
+    monkeypatch.setattr(dyn.os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    forks = []
+    fork = os.fork
+    monkeypatch.setattr(dyn.os, "fork", lambda: forks.append(1) or fork())
+    return forks
+
+
+def in_process(monkeypatch, check):
+    """check() with every trial run in this process."""
+    monkeypatch.setattr(synckit.dynamics, "_FORK_WORK", sys.maxsize)
+    try:
+        return check()
+    finally:
+        monkeypatch.setattr(synckit.dynamics, "_FORK_WORK", 1)
+
+
+def no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    return True
+
+
+def worker_lifts(count):
+    """Seeded lifts with a planted and a non-balanced partition, whose last
+    cell has cells outside its 1-step neighborhood for locality to perturb."""
+    rng = random.Random(2020)
+    while count:
+        net, planted = random_balanced_lift(rng, max_quotient=5, max_cells=12, type_range=(1, 3))
+        bad = unbalanced_refinement(rng, net)
+        last = net.n_cells - 1
+        if bad is not None and set(range(net.n_cells)) - cumulative_in_k(net, last, 1):
+            count -= 1
+            yield net, planted, bad
+
+
+class TestTrialWorkers:
+    """Trials split over forked workers give the in-process loop's results,
+    exceptions and early stops, bit for bit, and leave no child behind."""
+
+    @pytest.mark.parametrize("mode, dt", [("discrete", 1e-3), ("rk4", 0.05)])
+    def test_reports_match_in_process(self, workers, monkeypatch, mode, dt):
+        run = {"trials": 5, "steps": 8, "mode": mode, "dt": dt}
+        for net, planted, bad in worker_lifts(4):
+            cert = is_balanced(net, planted)
+            c = net.n_cells - 1
+            for exo in (False, True):
+                spec = sample_admissible(net, 7, exo=exo)
+                checks = [
+                    lambda: check_invariance(net, spec, planted, rng_seed=1, **run),
+                    lambda: check_invariance(net, spec, bad, rng_seed=2, **run),
+                    lambda: check_quotient_consistency(net, spec, cert, rng_seed=3, **run),
+                    lambda: check_subsystem(net, spec, c, rng_seed=4, **run),
+                    lambda: check_locality(net, spec, c, 1, trials=5, rng_seed=5),
+                    lambda: probe_non_invariance(net, bad, seeds=2, trials=5, steps=8, exo=exo),
+                ]
+                for check in checks:
+                    forked = len(workers)
+                    assert hexed(check()) == hexed(in_process(monkeypatch, check))
+                    # a probe may stop in each seed's trial 0, before any fork
+                    assert len(workers) > forked or check is checks[-1]
+        assert no_child_left()
+
+    @pytest.mark.parametrize("failing", [1, 3], ids=["lower-block", "worker-block"])
+    def test_blowup_raises_as_in_process(self, workers, monkeypatch, failing):
+        # under x -> 20 x, trial `failing` starts 1e11 times larger and leaves
+        # the overflow guard at step 1; with three CPUs, trial 1 runs here
+        # while the workers run trials 2 and 3-4
+        net, planted, _ = next(worker_lifts(1))
+        growth = AdmissibleFunctionSpec(
+            0, False, net.num_types, (SelfParams(0.0, 20.0, 0.0, 1.0, 0.0),) * net.num_types,
+            ((CouplingParams(*[0.0] * 8),) * net.num_types,) * net.num_types)
+        dyn = synckit.dynamics
+        random_state = dyn._random_state
+
+        def huge_in_failing_trial(check_name):
+            first = random_state(random.Random(f"{check_name}:0:{failing}"), 1)
+
+            def draw(rng, n):
+                x = random_state(rng, n)
+                return tuple(v * 1e11 for v in x) if x[:1] == first else x
+            monkeypatch.setattr(dyn, "_random_state", draw)
+
+        huge_in_failing_trial("subsystem")
+        check = lambda: check_subsystem(net, growth, 0, steps=8)
+        with pytest.raises(NumericalBlowup) as want:
+            in_process(monkeypatch, check)
+        assert no_child_left()
+        with pytest.raises(NumericalBlowup) as got:
+            check()
+        assert (got.type, str(got.value)) == (want.type, str(want.value))
+        assert no_child_left() and len(workers) == 2
+        huge_in_failing_trial("invariance")
+        check = lambda: check_invariance(net, growth, planted, trials=5, steps=8)
+        report = check()
+        assert [t.aborted for t in report.trials] == [t == failing for t in range(5)]
+        assert hexed(report) == hexed(in_process(monkeypatch, check))
+        assert no_child_left()
+
+    @pytest.mark.parametrize("exit_early", [
+        lambda trial, lo, hi, fd: None,
+        lambda trial, lo, hi, fd: os.write(fd, marshal.dumps([trial(t) for t in range(lo, hi)])[:-2]),
+        lambda trial, lo, hi, fd: os.kill(os.getpid(), 9),
+    ], ids=["writes-nothing", "cut-short", "killed"])
+    def test_lost_worker_trials_rerun_here(self, workers, monkeypatch, exit_early):
+        monkeypatch.setattr(synckit.dynamics, "_work", exit_early)
+        net, planted, bad = next(worker_lifts(1))
+        spec = sample_admissible(net, 4)
+        for check in (lambda: check_subsystem(net, spec, 0, steps=8),
+                      lambda: check_invariance(net, spec, bad, trials=5, steps=8),
+                      lambda: check_locality(net, spec, net.n_cells - 1, 1)):
+            assert hexed(check()) == hexed(in_process(monkeypatch, check))
+        assert len(workers) == 6
+        assert no_child_left()
+
+    def test_early_stop_kills_the_workers(self, workers, monkeypatch):
+        net, _, bad = next(worker_lifts(1))
+        runs = synckit.dynamics._trial_results(
+            lambda t: t if t < 2 else time.sleep(60), 5, net, 1)
+        assert (next(runs), next(runs)) == (0, 1)
+        start = time.perf_counter()
+        runs.close()
+        assert time.perf_counter() - start < 30 and len(workers) == 2
+        assert no_child_left()
+        # check_invariance stops after the first trial above stop_above, here
+        # the first after trial 0 whose spread beats trial 0's
+        for seed in range(20):
+            spec = sample_admissible(net, seed)
+            spreads = [t.max_spread for t in check_invariance(net, spec, bad, trials=5, steps=8).trials]
+            if max(spreads[1:]) > spreads[0]:
+                break
+        stop = next(t for t in range(1, 5) if spreads[t] > spreads[0])
+        check = lambda: check_invariance(net, spec, bad, trials=5, steps=8, stop_above=spreads[0])
+        report = check()
+        assert len(report.trials) == stop + 1
+        assert hexed(report) == hexed(in_process(monkeypatch, check))
+        assert no_child_left()
+
+    def test_a_second_thread_keeps_trials_in_process(self, workers, monkeypatch):
+        def refuse():
+            raise AssertionError("forked with a second thread alive")
+        monkeypatch.setattr(synckit.dynamics.os, "fork", refuse)
+        net, planted, _ = next(worker_lifts(1))
+        spec = sample_admissible(net, 6)
+        check = lambda: check_subsystem(net, spec, 0, steps=8)
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait)
+        thread.start()
+        try:
+            report = check()
+        finally:
+            release.set()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert hexed(report) == hexed(in_process(monkeypatch, check))
+
+    @pytest.mark.parametrize("setting", ["one-cpu", "one-trial", "little-work", "no-fork"])
+    def test_stays_in_process(self, workers, monkeypatch, setting):
+        dyn = synckit.dynamics
+        net, _, _ = next(worker_lifts(1))
+        trials = 1 if setting == "one-trial" else 5
+        if setting == "one-cpu":
+            monkeypatch.setattr(dyn.os, "sched_getaffinity", lambda pid: {0})
+        elif setting == "little-work":
+            monkeypatch.setattr(dyn, "_FORK_WORK", trials * 8 * (net.n_cells + len(net.edges)) + 1)
+        elif setting == "no-fork":
+            monkeypatch.delattr(dyn.os, "fork")
+        spec = sample_admissible(net, 6)
+        check_subsystem(net, spec, 0, trials=trials, steps=8)
+        assert workers == []
+
+    def test_each_worker_needs_its_own_share_of_work(self, workers, monkeypatch):
+        # three CPUs, but work for one worker only
+        net, _, _ = next(worker_lifts(1))
+        monkeypatch.setattr(synckit.dynamics, "_FORK_WORK", 5 * 8 * (net.n_cells + len(net.edges)))
+        check = lambda: check_subsystem(net, sample_admissible(net, 6), 0, steps=8)
+        assert hexed(check()) == hexed(in_process(monkeypatch, check))
+        assert len(workers) == 1

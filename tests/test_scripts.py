@@ -2,6 +2,7 @@
 
 import importlib.util
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -56,3 +57,33 @@ def _run_script(argv):
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
     return subprocess.run([sys.executable, *argv], cwd=ROOT, env=env,
                           capture_output=True, text=True, timeout=300)
+
+
+def test_verify_dynamics_prints_the_same_with_trial_workers(monkeypatch, capsys, tmp_path):
+    """Splitting each check's trials over forked workers changes no byte.
+
+    Four fixtures keep the forks few: cancelling weights, zero row sums, a
+    driven chain and two sources feeding a pair."""
+    import synckit.dynamics as dyn
+
+    for name in ("cancel_cycle", "driven_chain", "two_sources_pair", "zero_sum_triangle"):
+        shutil.copy(ROOT / "fixtures" / f"{name}.json", tmp_path)
+    spec = importlib.util.spec_from_file_location(
+        "verify_dynamics", ROOT / "scripts" / "verify_dynamics.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    monkeypatch.setattr(sys, "argv", ["verify_dynamics.py", "--seeds", "1", "--steps", "10",
+                                      "--fixtures", str(tmp_path)])
+    monkeypatch.setattr(dyn.os, "sched_getaffinity", lambda pid: {0, 1})
+    forks = []
+    fork = os.fork
+    monkeypatch.setattr(dyn.os, "fork", lambda: forks.append(1) or fork())
+    runs = []
+    for work in (sys.maxsize, 1):
+        monkeypatch.setattr(dyn, "_FORK_WORK", work)
+        with pytest.raises(SystemExit) as done:
+            script.main()
+        runs.append((done.value.code, capsys.readouterr()))
+        assert bool(forks) == (work == 1)
+    assert runs[0] == runs[1]
+    assert runs[0][0] == 0
