@@ -6,15 +6,12 @@ from .network import Network, export_dot, load_network, network_to_doc, parse_ne
 from .partition import (
     Partition,
     format_partition,
-    join,
     meet,
     parse_partition,
-    quotient_partition,
     refines,
 )
 from .connectivity import (
     Condensation,
-    all_in_reachability,
     condensation,
     cumulative_in,
     cumulative_in_k,

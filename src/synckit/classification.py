@@ -27,7 +27,7 @@ from .connectivity import (
 )
 from .errors import EmptyColor, SynckitError
 from .network import Network
-from .partition import Partition, iter_bits, meet, quotient_partition
+from .partition import Partition, meet
 from .synchrony import (
     DEFAULT_MAX_CELLS,
     BalancedCertificate,
@@ -284,17 +284,25 @@ def quotient_class_report(
 ) -> QuotientClassReport:
     """Compare classes of balanced coarsenings with their quotient classes.
 
-    The class can only get stronger in the quotient when the base
-    partition is reach-in invariant; when it is not, the report is still
+    The balanced partitions coarser than p are the balanced partitions of
+    p's quotient network lifted through p's colors, so only the quotient's
+    lattice is enumerated and max_cells caps rank(p), not the cell count.
+    The class can only get stronger in the quotient when p is reach-in
+    invariant on the full network; when it is not, the report is still
     emitted but carries no table verdict.
     """
     precondition = is_invariant(net, cert, R_IN)
-    lattice = enumerate_balanced(net, max_cells)
+    colors = cert.partition.colors
+    lifted = sorted(
+        (
+            (Partition.from_assignment(map(q.colors.__getitem__, colors)), q)
+            for q in enumerate_balanced(cert.quotient, max_cells).elements
+        ),
+        key=lambda bq: (bq[0].rank, bq[0].colors),
+    )
     entries = []
     violations = []
-    for k in iter_bits(lattice.up[lattice.index_of(cert.partition)]):
-        b = lattice.elements[k]
-        q = quotient_partition(b, cert.partition)
+    for b, q in lifted:
         entry = QuotientClassEntry(
             b,
             classify_partition(net, b),

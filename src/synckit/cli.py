@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import random
 import sys
 from typing import Iterable, Optional
@@ -156,7 +157,8 @@ def cmd_balanced(args) -> int:
     payload = {"partition": _fmt(net, p), "balanced": cert is not None}
     if cert is not None:
         matrix = cert.quotient_matrix
-        payload["quotient_matrix"] = [list(row) for row in matrix]
+        # tropical-min's zero +inf is written as the document format spells it
+        payload["quotient_matrix"] = [["inf" if v == math.inf else v for v in row] for row in matrix]
         _emit(payload, args, "balanced\n" + _matrix_text(matrix))
         return EXIT_OK
     _emit(payload, args, "not balanced")

@@ -167,6 +167,7 @@ def reach_colors(net: Network, p: Partition) -> tuple[int, ...]:
     return tuple(bits[k] for k in scc)
 
 
+# No command calls this; it stays while bench/spans.py traces it.
 def all_in_reachability(net: Network) -> tuple[frozenset[int], ...]:
     """In-reachability set of every cell, decoded from reach_colors."""
     bits = reach_colors(net, Partition.trivial(net.n_cells))

@@ -279,6 +279,7 @@ def _orbit_map(
     return step
 
 
+# No command calls these two; they stay while bench/spans.py traces them.
 def component_value(
     net: Network, spec: AdmissibleFunctionSpec, x: tuple[float, ...], c: int
 ) -> float:

@@ -37,10 +37,6 @@ class PartitionDomainMismatch(DomainMismatch):
     """Partition does not cover the network's cell set."""
 
 
-class NotARefinement(SynckitError):
-    """Quotient requested for partitions not ordered by refinement."""
-
-
 class NotTypeRefining(SynckitError):
     """Partition mixes cells of different types where forbidden."""
 

@@ -86,9 +86,10 @@ class TropicalMin(Monoid):
         if isinstance(raw, bool) or not isinstance(raw, (int, float)):
             raise TypeError(f"tropical-min weight must be a number, got {raw!r}")
         value = float(raw)
-        if math.isnan(value):
-            # min() would drop a NaN silently, so it is not a weight
-            raise ValueError("tropical-min weight must not be NaN")
+        if math.isnan(value) or value == -math.inf:
+            # min() would drop a NaN silently, and -inf absorbs every sum:
+            # neither is a min-plus weight, and JSON has no token for either
+            raise ValueError(f"tropical-min weight must not be {value}")
         return value
 
 

@@ -2,10 +2,10 @@
 
 A partition is stored as a color assignment in canonical form: colors are
 numbered 0..rank-1 by first occurrence in cell order, which makes equality
-of partitions plain value equality.  The refinement order, join, meet and
-quotient partitions all live here, along with the compact text form used
-by the CLI ("12/45": colors split by "/", cells within a color split by
-"," or concatenated when ids are single characters, singletons omissible).
+of partitions plain value equality.  The refinement order, join and meet
+live here, along with the compact text form used by the CLI ("12/45":
+colors split by "/", cells within a color split by "," or concatenated
+when ids are single characters, singletons omissible).
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from __future__ import annotations
 from functools import cached_property
 from typing import Hashable, Iterable, Iterator, NamedTuple, Sequence
 
-from .errors import DomainMismatch, MalformedPartitionSpec, NotARefinement
+from .errors import DomainMismatch, MalformedPartitionSpec
 
 
 def _canonical(labels: Iterable[Hashable]) -> tuple[int, ...]:
@@ -91,6 +91,7 @@ def refines(a: Partition, b: Partition) -> bool:
     return True
 
 
+# No command calls this; it stays while bench/spans.py traces it.
 def join(a: Partition, b: Partition) -> Partition:
     """Least upper bound: merge along chains alternating a- and b-colors."""
     _check_domain(a, b)
@@ -122,16 +123,6 @@ def meet(a: Partition, b: Partition) -> Partition:
     """Greatest lower bound: nonempty intersections of color pairs."""
     _check_domain(a, b)
     return Partition.from_assignment(zip(a.colors, b.colors))
-
-
-def quotient_partition(b: Partition, a: Partition) -> Partition:
-    """The partition b/a on the colors of a, with (b/a) after a equal to b."""
-    if not refines(a, b):
-        raise NotARefinement("quotient requires the second argument to refine the first")
-    image = [-1] * a.rank
-    for c in range(a.size):
-        image[a.colors[c]] = b.colors[c]
-    return Partition.from_assignment(image)
 
 
 # ---------------------------------------------------------------------------

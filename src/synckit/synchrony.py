@@ -181,6 +181,7 @@ class BalancedLattice(NamedTuple("BalancedLattice", [
     highest set bit of up[i] & up[j].
     """
 
+    # No command calls index_of; it stays while bench/spans.py traces it.
     @cached_property
     def _positions(self) -> dict[Partition, int]:
         return {p: i for i, p in enumerate(self.elements)}

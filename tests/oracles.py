@@ -10,16 +10,19 @@ reachability, walks by boolean matrix powers, networks by folding every
 edge into a dense matrix, reach-based classes and matching from
 per-cell frozenset reach sets instead of condensation bitsets, the join
 table pair by pair instead of from class triples and up-set bitsets,
-and the admissible map cell by cell through a dict fold of each
-neighbourhood instead of the compiled push kernel.  It also holds
-the helpers only the tests need: networks to and from dense
-in-adjacency matrices, quotients from the dense rows of M @ P, the
-one-color partition, partitions from their blocks, one cell's component
-on an explicit neighbourhood, 0/1 partition matrices, composition of
-partitions, the balanced-lattice meet, the lattice above an element on
-its colors, the polydiagonal test, the numerical exo-balance verdict,
-the seeded and complete networks the lattice tests share, and a large
-planted lift for the dynamics tests.
+the quotient class report's entries from the full network's lattice
+instead of the quotient's, and the admissible map cell by cell through
+a dict fold of each neighbourhood instead of the compiled push kernel.
+It also holds the helpers only the tests need: networks to and from
+dense in-adjacency matrices, quotients from the dense rows of M @ P,
+the one-color partition, partitions from their blocks, one cell's
+component on an explicit neighbourhood, 0/1 partition matrices,
+composition of partitions and its inverse `quotient_partition`, the
+balanced-lattice meet, the lattice above an element on its colors, the
+polydiagonal test, the numerical exo-balance verdict, the seeded and
+complete networks the lattice tests share, and a large planted lift
+for the dynamics tests.  `quotient_partition` was a library function
+that no command called.
 """
 
 from __future__ import annotations
@@ -30,7 +33,13 @@ from typing import Any, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from synckit.classification import ColorClass
+from synckit.classification import (
+    ColorClass,
+    QuotientClassEntry,
+    R_IN,
+    classify_partition,
+    is_invariant,
+)
 from synckit.dynamics import (
     AdmissibleFunctionSpec,
     CouplingParams,
@@ -46,7 +55,6 @@ from synckit.partition import (
     format_partition,
     iter_bits,
     meet,
-    quotient_partition,
     refines,
 )
 from synckit.synchrony import (
@@ -54,6 +62,7 @@ from synckit.synchrony import (
     BalancedLattice,
     _build_lattice,
     cir_balanced,
+    enumerate_balanced,
     is_balanced,
 )
 
@@ -131,10 +140,39 @@ def lattice_meet(net: Network, b1: Partition, b2: Partition) -> Partition:
     return cir_balanced(net, meet(b1, b2))
 
 
+def quotient_partition(b: Partition, a: Partition) -> Partition:
+    """The partition b/a on the colors of a, with (b/a) after a equal to b."""
+    if not refines(a, b):
+        raise ValueError("quotient requires the second argument to refine the first")
+    image = [-1] * a.rank
+    for c in range(a.size):
+        image[a.colors[c]] = b.colors[c]
+    return Partition.from_assignment(image)
+
+
 def lattice_quotient(lattice: BalancedLattice, p: Partition) -> BalancedLattice:
     """The lattice {B/p : B >= p} on the colors of p; bottom is p/p."""
-    above = lattice.up[lattice.index_of(p)]
+    above = lattice.up[lattice.elements.index(p)]
     return _build_lattice([quotient_partition(lattice.elements[k], p) for k in iter_bits(above)])
+
+
+def oracle_quotient_entries(
+    net: Network, cert: BalancedCertificate
+) -> tuple[bool, tuple[QuotientClassEntry, ...]]:
+    """`quotient_class_report`'s precondition and entries, read from the full lattice.
+
+    Every balanced coarsening of p is found in the n-cell lattice, in its
+    order, through p's up-set, and quotiented by p.
+    """
+    p = cert.partition
+    lattice = enumerate_balanced(net)
+    entries = []
+    for k in iter_bits(lattice.up[lattice.elements.index(p)]):
+        b = lattice.elements[k]
+        q = quotient_partition(b, p)
+        entries.append(QuotientClassEntry(
+            b, classify_partition(net, b), q, classify_partition(cert.quotient, q)))
+    return is_invariant(net, cert, R_IN), tuple(entries)
 
 
 def in_polydiagonal(x: tuple[float, ...], p: Partition, tol: float = 0.0) -> bool:

@@ -1,4 +1,5 @@
 import json
+import math
 import random
 import tracemalloc
 from collections import Counter
@@ -27,7 +28,7 @@ from synckit.connectivity import (
     scc_decomposition,
 )
 from synckit.errors import EmptyColor, SynckitError
-from synckit.monoid import IntegerAdd
+from synckit.monoid import IntegerAdd, TropicalMin
 from synckit.cli import run
 from synckit.network import parse_network, save_network
 from synckit.partition import Partition, join, parse_partition, refines
@@ -41,6 +42,7 @@ from oracles import (
     oracle_classify_color,
     oracle_classify_partition,
     oracle_join_table,
+    oracle_quotient_entries,
     oracle_rdc,
     oracle_reach_invariant,
     oracle_reach_matched,
@@ -382,6 +384,29 @@ class TestQuotientClassReport:
                 report = quotient_class_report(net, cert)
                 if report.precondition_met:
                     assert not report.violations
+
+
+@pytest.mark.parametrize("monoid", ["int-add", "tropical-min"])
+def test_quotient_report_matches_full_lattice_oracle(monoid):
+    """Read from the quotient's lattice, the report has the entries, in the
+    order, and the precondition that the full network's lattice gives."""
+    rng = random.Random(f"quotient-report:{monoid}")
+    nontrivial = 0
+    for i in range(100):
+        if i % 2 == 0:
+            net = parse_network(reach_doc(rng, monoid))
+        elif monoid == "int-add":
+            net = random_balanced_lift(rng, max_cells=8)[0]
+        else:
+            net = random_network(rng, max_cells=7, num_types=1 + i // 2 % 2,
+                                 weights=(1.0, 2.0, math.inf, math.inf, math.inf),
+                                 monoid=TropicalMin())
+        for b in enumerate_balanced(net).elements:
+            cert = is_balanced(net, b)
+            report = quotient_class_report(net, cert)
+            assert (report.precondition_met, report.entries) == oracle_quotient_entries(net, cert)
+            nontrivial += 1 < b.rank < net.n_cells
+    assert nontrivial >= 40  # anchors with a quotient lattice of their own
 
 
 def test_neighborhood_kind_validation():

@@ -10,10 +10,13 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from synckit import cli
+from synckit import classification, cli
 from synckit.cli import run
 from synckit.dynamics import evolve, expand_state, sample_admissible
+from synckit.errors import TooLarge
 from synckit.network import load_network, save_network
+from synckit.partition import format_partition
+from synckit.synchrony import is_balanced
 
 from conftest import FIXTURE_NAMES, fixture_path
 from oracles import complete_graph, dense, ring_lift_doc
@@ -217,6 +220,79 @@ def test_colliding_quotient_ids_matter_only_where_printed(capsys, tmp_path, argv
         assert out == "" and err.startswith("error:") and "'a+b'" in err
     else:
         assert err == "" and out
+
+
+def test_tables_quotient_past_the_cell_cap(capsys, tmp_path, monkeypatch):
+    """A 16-cell lift of rank 4 gets its quotient class table: only the
+    quotient's 4-cell lattice is enumerated, and --max-cells caps the rank."""
+    doc, planted = ring_lift_doc(4, 4)
+    path = tmp_path / "lift.json"
+    path.write_text(json.dumps(doc))
+    net = load_network(str(path))
+    spec = format_partition(planted, net.cell_ids)
+    sizes = []
+    enumerate_balanced = classification.enumerate_balanced
+
+    def spy(network, max_cells):
+        sizes.append(network.n_cells)
+        return enumerate_balanced(network, max_cells)
+
+    monkeypatch.setattr(classification, "enumerate_balanced", spy)
+    code, out, err = invoke(capsys, "tables", "--network", str(path), "--quotient", spec)
+    assert code in (0, 1) and err == ""
+    assert out.startswith(f"over {spec} (reach-invariant: ")
+    assert out.endswith(f"table_ok: {code == 0}\n")
+    assert sizes == [planted.rank]
+    code, out, err = invoke(capsys, "tables", "--network", str(path), "--quotient", spec,
+                            "--max-cells", "3")
+    assert code == 2 and out == ""
+    assert err.startswith("error: 4 cells exceeds the enumeration cap of 3")
+    with pytest.raises(TooLarge):
+        classification.quotient_class_report(net, is_balanced(net, planted), max_cells=3)
+    assert 16 not in sizes
+
+
+def _refuse_constant(token):
+    raise ValueError(f"{token} is not JSON")
+
+
+_TROPICAL = {
+    "monoid": "tropical-min",
+    "cells": [{"id": i, "type": 1} for i in "abc"],
+    "edges": [{"from": "a", "to": "b", "weight": 1}, {"from": "a", "to": "c", "weight": 1.0},
+              {"from": "b", "to": "b", "weight": 2.5}, {"from": "c", "to": "c", "weight": 2.5},
+              {"from": "b", "to": "c", "weight": "inf"}],
+}
+
+
+@pytest.mark.parametrize("argv", [
+    ["scc"], ["condense"], ["rdc"], ["reach", "--cell", "b"], ["reach", "--cell", "b", "--k", "1"],
+    ["balanced", "--partition", "a/bc"], ["balanced", "--partition", "-"], ["cir", "--partition", "-"],
+    ["lattice"], ["quotient", "--partition", "a/bc"], ["exo", "--partition", "a/bc"],
+    ["classify", "--partition", "a/bc"], ["matched", "--partition", "a/bc", "--kind", "r"],
+    ["invariant", "--partition", "a/bc", "--kind", "r"], ["tables"], ["tables", "--quotient", "a/bc"],
+], ids=lambda argv: "-".join(a.strip("-") for a in argv))
+def test_tropical_json_output_is_strict_json(capsys, tmp_path, argv):
+    """No output writes +inf as the non-JSON token Infinity; the zero is "inf"."""
+    path = tmp_path / "tropical.json"
+    path.write_text(json.dumps(_TROPICAL))
+    code, out, err = invoke(capsys, *argv, "--network", str(path), "--format", "json")
+    assert code in (0, 1) and err == ""
+    payload = json.loads(out, parse_constant=_refuse_constant)
+    if argv[:3] == ["balanced", "--partition", "a/bc"]:
+        assert payload["quotient_matrix"] == [["inf", "inf"], [1.0, 2.5]]
+
+
+@pytest.mark.parametrize("weight", ["-Infinity", "-1e999"])
+def test_tropical_negative_infinity_weight_is_usage_error(capsys, tmp_path, weight):
+    """-inf is no min-plus weight, and no JSON output could write it back."""
+    path = tmp_path / "neg.json"
+    doc = dict(_TROPICAL, edges=[*_TROPICAL["edges"], {"from": "c", "to": "a", "weight": "W"}])
+    path.write_text(json.dumps(doc).replace('"W"', weight))
+    code, out, err = invoke(capsys, "quotient", "--network", str(path), "--partition", "a/bc",
+                            "--format", "json")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "-inf" in err
 
 
 class TestDynamicsCommands:
