@@ -13,9 +13,7 @@ from .partition import (
 from .connectivity import (
     Condensation,
     condensation,
-    cumulative_in,
     cumulative_in_k,
-    in_neighborhood,
     in_reachability,
     rdc_decomposition,
     reach_colors,

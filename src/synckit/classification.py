@@ -7,8 +7,10 @@ condensation: one SCC block, or a nonzero AND of the blocks' root
 bitsets.  On top of the classes this module checks the neighborhood
 color-matching and color-invariance predicates for the four neighborhood
 notions (one-step, cumulative, k-step cumulative, reachability) on the
-bitset of colors each cell's neighborhood meets, and produces the
-join-table and quotient-class reports used to validate how classes combine.
+bitset of colors each cell's neighborhood meets, ORed along
+`Network.in_edges` in rounds (down the condensation for reachability),
+and produces the join-table and quotient-class reports used to validate
+how classes combine.
 """
 
 from __future__ import annotations
@@ -16,15 +18,7 @@ from __future__ import annotations
 import enum
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
-from .connectivity import (
-    condensation,
-    cumulative_in,
-    cumulative_in_k,
-    in_neighborhood,
-    rdc_decomposition,
-    reach_colors,
-    scc_decomposition,
-)
+from .connectivity import condensation, rdc_decomposition, reach_colors
 from .errors import EmptyColor, SynckitError
 from .network import Network
 from .partition import Partition, meet
@@ -73,17 +67,27 @@ def v_in_k(k: int) -> NeighborhoodKind:
 
 
 def _hood_colors(net: Network, p: Partition, kind: NeighborhoodKind) -> tuple[int, ...]:
-    """Per cell, the bitset of p's colors that its chosen neighborhood meets."""
+    """Per cell, the bitset of p's colors that its chosen neighborhood meets.
+
+    From each cell's color bit, a round ORs every cell's senders' bitsets
+    into its own: N runs one round that starts each cell from 0, V one
+    round, and V^k k rounds, up to the first that changes nothing.
+    """
+    net.check_partition(p)
     if kind.name == "r":
         return reach_colors(net, p)
-    if kind.name == "n":
-        hoods = (in_neighborhood(net, c) for c in range(net.n_cells))
-    elif kind.name == "v":
-        hoods = (cumulative_in(net, c) for c in range(net.n_cells))
-    else:
-        assert kind.k is not None
-        hoods = (cumulative_in_k(net, c, kind.k) for c in range(net.n_cells))
-    return tuple(sum(1 << k for k in p.color_of_set(hood)) for hood in hoods)
+    bits = [1 << k for k in p.colors]
+    for _ in range(kind.k or 1):
+        grown = []
+        for c, row in enumerate(net.in_edges):
+            b = 0 if kind.name == "n" else bits[c]
+            for d, _ in row:
+                b |= bits[d]
+            grown.append(b)
+        if grown == bits:
+            break
+        bits = grown
+    return tuple(bits)
 
 
 def classify_color(net: Network, color: Iterable[int]) -> ColorClass:
@@ -105,6 +109,7 @@ def classify_color(net: Network, color: Iterable[int]) -> ColorClass:
 
 def classify_partition(net: Network, p: Partition) -> ColorClass:
     """Strong if all colors are; weak if any color is; rooted otherwise."""
+    net.check_partition(p)
     classes = [classify_color(net, block) for block in p.blocks()]
     if any(k is ColorClass.WEAK for k in classes):
         return ColorClass.WEAK
@@ -129,7 +134,7 @@ def is_invariant(net: Network, cert: BalancedCertificate, kind: NeighborhoodKind
 
 def top_strong(net: Network) -> Partition:
     """Top of the strong sublattice: coarsest balanced below types meet SCCs."""
-    return cir_balanced(net, meet(net.type_partition(), scc_decomposition(net)))
+    return cir_balanced(net, meet(net.type_partition(), condensation(net).scc_partition))
 
 
 def top_nonweak(net: Network, max_cells: int = DEFAULT_MAX_CELLS) -> tuple[Partition, bool]:

@@ -1,13 +1,14 @@
 """Neighborhood and reachability structure of a network.
 
-In-neighborhoods see only the folded weights: a sender whose parallel
-edges cancel to the monoid zero is not a neighbor.  On top of the
-one-step neighborhoods this module builds cumulative k-step
-neighborhoods, strongly connected components (single-pass Tarjan), the
-condensation DAG with its roots, and the partition of cells by root
-dependency.  The condensation, computed once per network instance, is
-the only stored reachability structure: `reach_colors` ORs per-block
-color bitsets (Python ints) down it in topological order, and the
+Everything reads `Network.in_edges`, so a sender whose parallel edges
+cancel to the monoid zero is not a neighbor.  This module builds one
+cell's cumulative k-step neighborhood, strongly connected components
+(single-pass Tarjan), the condensation DAG with its roots, and the
+partition of cells by root dependency.  Tarjan's algorithm finishes the
+blocks upstream first, so its finishing numbers are the condensation's
+topological order.  The condensation, computed once per network
+instance, is the only stored reachability structure: `reach_colors` ORs
+per-block color bitsets (Python ints) down it in that order, and the
 in-reachability sets of all cells and the root bitsets are decoded or
 seeded from the same pass.  One cell's in-reachability set is a
 breadth-first search that builds no condensation.
@@ -16,23 +17,11 @@ breadth-first search that builds no condensation.
 from __future__ import annotations
 
 from functools import cached_property
-from graphlib import TopologicalSorter
 from typing import NamedTuple
 
-from .errors import DomainMismatch, SynckitError
+from .errors import SynckitError
 from .network import Network
 from .partition import Partition, iter_bits
-
-
-def in_neighborhood(net: Network, c: int) -> frozenset[int]:
-    """Senders with a nonzero folded weight into c."""
-    net.check_cell(c)
-    return frozenset(d for d, _ in net.in_edges[c])
-
-
-def cumulative_in(net: Network, c: int) -> frozenset[int]:
-    """The cell itself together with its in-neighbors."""
-    return in_neighborhood(net, c) | {c}
 
 
 def cumulative_in_k(net: Network, c: int, k: int) -> frozenset[int]:
@@ -58,6 +47,13 @@ def in_reachability(net: Network, c: int) -> frozenset[int]:
 
 def scc_decomposition(net: Network) -> Partition:
     """Partition of cells into strongly connected components (Tarjan)."""
+    return Partition.from_assignment(_tarjan(net))
+
+
+def _tarjan(net: Network) -> list[int]:
+    """Per cell, its SCC's finishing number in Tarjan's search over in-edges.
+
+    Blocks upstream finish first, so the numbers are a topological order."""
     n = net.n_cells
     index = [-1] * n
     lowlink = [0] * n
@@ -104,8 +100,7 @@ def scc_decomposition(net: Network) -> Partition:
             if work:
                 u, _ = work[-1]
                 lowlink[u] = min(lowlink[u], lowlink[v])
-
-    return Partition.from_assignment(comp)
+    return comp
 
 
 class Condensation(NamedTuple("Condensation", [
@@ -136,7 +131,8 @@ def condensation(net: Network) -> Condensation:
 
 
 def _build_condensation(net: Network) -> Condensation:
-    sccs = scc_decomposition(net)
+    finished = _tarjan(net)
+    sccs = Partition.from_assignment(finished)
     edges = set()
     for c in range(net.n_cells):
         for d, _ in net.in_edges[c]:
@@ -145,7 +141,9 @@ def _build_condensation(net: Network) -> Condensation:
     preds: list[list[int]] = [[] for _ in range(sccs.rank)]
     for s, t in sorted(edges):
         preds[t].append(s)
-    order = TopologicalSorter(dict(enumerate(preds))).static_order()
+    order = [0] * sccs.rank
+    for c, k in enumerate(sccs.colors):
+        order[finished[c]] = k
     roots = frozenset(k for k in range(sccs.rank) if not preds[k])
     return Condensation(sccs, roots, tuple(map(tuple, preds)), tuple(order))
 
@@ -156,8 +154,7 @@ def reach_colors(net: Network, p: Partition) -> tuple[int, ...]:
     Each cell's color bit goes on its SCC block, and the blocks' bits are
     ORed downstream in topological order of the condensation.
     """
-    if p.size != net.n_cells:
-        raise DomainMismatch(f"partition on {p.size} cells for a network of {net.n_cells}")
+    net.check_partition(p)
     cond = condensation(net)
     scc = cond.scc_partition.colors
     bits = [0] * cond.scc_partition.rank

@@ -23,11 +23,11 @@ state).  On the polydiagonal of a balanced partition, cells of one class
 have one type, one state and the same weight sum per fold group, so the
 fold gives them the same bits and the orbit, RK4 stages included, stays
 there; a start whose states are all distinct has one cell per class.
-With the classes, the class quotient is read off each class's first
-cell: per sender class, the receiver classes with their exact weight
-sums, zero sums dropped, grouped by receiver type.  Both are built once
-per compiled system and start partition, so the orbits of one check
-share them.
+The classes' balance certificate holds their quotient, each class's
+exact weight sum per sender class with zero sums dropped, which the
+orbit compiles to pushes: per sender class, the receiver classes and
+weights by receiver type.  Both are built once per compiled system and
+start partition, so the orbits of one check share them.
 
 Each step then pushes senders' terms to receivers.  Every class's total
 starts with its intrinsic term.  Per sender type in ascending order, the
@@ -65,7 +65,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 from .errors import NumericalBlowup, SynckitError, UnsupportedMonoid
 from .network import Network
 from .partition import Partition
-from .synchrony import BalancedCertificate, cir_balanced
+from .synchrony import BalancedCertificate, _certify, cir_balanced
 from .connectivity import cumulative_in_k, in_reachability
 
 OVERFLOW_GUARD = 1e12
@@ -192,35 +192,29 @@ def _merge(pushes: Iterable[tuple]) -> list[tuple]:
             if (pairs := [(r, w) for r, w in row.items() if w])]
 
 
-def _class_quotient(system: _System, start: Partition) -> tuple:
-    """The synchronized classes of orbits from a start with the given
-    (type, state) partition, and the class quotient they push along."""
+def _lump(system: _System, start: Partition) -> tuple:
+    """For orbits from a start with the given (type, state) partition: the
+    classes, the pushes along their quotient, and a step's work units."""
     net, exo, selfs, couplings, _ = system
-    classes = cir_balanced(net, start)
-    colors = classes.colors
-    firsts = [block[0] for block in classes.blocks()]
-    types = [net.cell_types[c] - 1 for c in firsts]
+    cert = _certify(net, cir_balanced(net, start))
+    q = cert.quotient
+    firsts = [block[0] for block in cert.partition.blocks()]
+    types = [t - 1 for t in q.cell_types]
     own = [selfs[t] for t in types]
-    # the class quotient, read off each receiver class's first cell: per sender
-    # class, per receiver type, (type, coefficients, (receiver class, weight) pairs)
-    pushes: list[list[tuple]] = [[] for _ in firsts]
-    for rt in sorted(set(types)):
-        sums: list[dict[int, int]] = [{} for _ in firsts]  # sender -> receiver -> weight
-        for r, c in enumerate(firsts):
-            if types[r] == rt:
-                for d, w in net.in_edges[c]:
-                    row = sums[colors[d]]
-                    row[r] = row.get(r, 0) + w
-        for s, row in enumerate(sums):
-            if pairs := [rw for rw in row.items() if rw[1]]:
-                pushes[s].append((rt, couplings[rt][types[s]], pairs))
+    # per sender class, per receiver type: (receiver class, weight) pairs
+    heard: list[dict[int, list]] = [{} for _ in firsts]
+    for r, s, w in q.edges:
+        heard[s].setdefault(types[r], []).append((r, w))
+    # per sender class, per receiver type ascending: (type, coefficients, pairs)
+    pushes = [[(rt, couplings[rt][types[s]], pairs) for rt, pairs in sorted(by_rt.items())]
+              for s, by_rt in enumerate(heard)]
     # per sender type, ascending: its pushing classes and, for exo, each receiver's coefficients
     by_type = []
     for t in sorted(set(types)):
         senders = [s for s, ts in enumerate(types) if ts == t and pushes[s]]
         hearing = exo and {r: coeffs for s in senders for _, coeffs, pairs in pushes[s] for r, _ in pairs}
         by_type.append((senders, hearing))
-    return colors, firsts, own, pushes, by_type
+    return cert.partition.colors, firsts, own, pushes, by_type, q.n_cells + len(q.edges)
 
 
 def _orbit_map(
@@ -235,8 +229,8 @@ def _orbit_map(
     exo, quotients = system.exo, system.quotients
     start = Partition.from_assignment(zip(system.net.cell_types, x0))
     if start not in quotients:
-        quotients[start] = _class_quotient(system, start)
-    colors, firsts, own, pushes, by_type = quotients[start]
+        quotients[start] = _lump(system, start)
+    colors, firsts, own, pushes, by_type, _ = quotients[start]
 
     def step(x: tuple[float, ...]) -> tuple[float, ...]:
         xbar = list(map(x.__getitem__, firsts))
@@ -408,36 +402,37 @@ def _random_state(rng: random.Random, n: int) -> tuple[float, ...]:
 # systems, so each is a function of its index that returns plain data, and
 # one generator runs them in order, in-process or split with forked workers.
 # Each worker needs _FORK_WORK units of estimated work, trials x steps x
-# (cells + edges), so below it the trials stay in-process; the choice never
-# depends on timing.  Forking a worker, reading its pipe and reaping it took
-# 2.4-3.1 ms in an 18 MB CLI process on a 2-CPU Xeon, where an orbit step
-# that evaluates every cell took 0.6-1.1 us per cell or edge.  A worker's
-# block then holds a third of _FORK_WORK units or more, over 4 ms of such
-# steps.  Orbits lumped to one cell per class cost about 0.17 us per unit
-# and gain only from about 50000.
+# (classes + quotient edges) of the orbits trial 0 built, so below it the
+# trials stay in-process; the choice never depends on timing.  Forking a
+# worker, reading its pipe and reaping it took 2.4-3.1 ms in an 18 MB CLI
+# process on a 2-CPU Xeon, where an orbit step that evaluates every cell
+# took 0.6-1.1 us per cell or edge.  A worker's block then holds a third of
+# _FORK_WORK units or more, over 4 ms of such steps.  Per class and quotient
+# edge, a lumped step costs about as much: 0.3-0.7 us against 0.3-0.5 us
+# unlumped, timed side by side on lifts of 8-300 cells.
 
 _FORK_WORK = 20_000
 _SIGKILL = 9  # signal.SIGKILL, without loading the signal module
 
 
 def _trial_results(
-    trial: Callable[[int], object], trials: int, net: Network, steps: int
+    trial: Callable[[int], object], trials: int, system: _System, steps: int
 ) -> Iterator:
     """trial(t) for t in range(trials), in order, as the in-process loop gives them.
 
-    Trial 0 runs here first, building the compiled systems' class quotients
-    that the workers then inherit.  When it pays, one worker per further
-    CPU, up to one per _FORK_WORK units of work, runs a contiguous block of
-    the upper trials while this process runs the lower block.  A trial that
-    a worker did not return (it raised, the worker died or its output was
-    cut short) is run again here, so the bits, the exception and the trial
-    that raises are the in-process loop's.  Closing the generator kills and
-    reaps every worker still running.
+    Trial 0 runs here first, building the class quotients that the workers
+    then inherit and whose sizes in system give the work.  When it pays,
+    one worker per further CPU, up to one per _FORK_WORK units of work,
+    runs a contiguous block of the upper trials while this process runs
+    the lower block.  A trial that a worker did not return (it raised, the
+    worker died or its output was cut short) is run again here, so the
+    bits, the exception and the trial that raises are the in-process
+    loop's.  Closing the generator kills and reaps every worker still running.
     """
     yield trial(0)
     blocks = 1
     if threading.active_count() == 1 and hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
-        work = trials * steps * (net.n_cells + len(net.edges))
+        work = trials * steps * sum(lumped[-1] for lumped in system.quotients.values())
         blocks = min(len(os.sched_getaffinity(0)), trials, work // _FORK_WORK + 1)
     # block k runs trials bounds[k] .. bounds[k + 1] - 1; block 0 is this process's
     bounds = [1 + (trials - 1) * k // blocks for k in range(blocks + 1)]
@@ -590,7 +585,7 @@ def check_invariance(
 
     results = []
     worst = 0.0
-    runs = _trial_results(trial, trials, net, steps)
+    runs = _trial_results(trial, trials, system, steps)
     try:
         for run in runs:
             results.append(TrialResult(*run))
@@ -687,7 +682,7 @@ def check_locality(
                 mismatch = s
         return mismatch is None, mismatch
 
-    runs = _trial_results(trial, trials, net, k if support else 0)
+    runs = _trial_results(trial, trials, system, k if support else 0)
     results = [LocalityTrial(*run) for run in runs]
     return LocalityReport(c, k, tuple(results), all(t.agreed for t in results))
 
@@ -789,4 +784,4 @@ def _deviation(
             worst = max(worst, max(map(abs, gaps)))
         return worst
 
-    return max(_trial_results(trial, trials, full_system.net, steps))
+    return max(_trial_results(trial, trials, full_system, steps))

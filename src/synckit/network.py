@@ -69,6 +69,12 @@ class Network(NamedTuple("Network", [
         if not 0 <= c < self.n_cells:
             raise UnknownCell(f"cell index {c} out of range")
 
+    def check_partition(self, p: Partition) -> None:
+        if p.size != self.n_cells:
+            raise PartitionDomainMismatch(
+                f"partition on {p.size} cells applied to a {self.n_cells}-cell network"
+            )
+
     @cached_property
     def in_edges(self) -> tuple[tuple[tuple[int, Any], ...], ...]:
         """Per receiver, the (sender, weight) pairs with nonzero weight."""
@@ -114,10 +120,7 @@ def row_color_sum(net: Network, p: Partition, c: int) -> tuple[tuple[int, Any], 
     signatures exactly when their dense per-color rows are equal; the cost
     is the in-degree of c, whatever the rank of p.
     """
-    if p.size != net.n_cells:
-        raise PartitionDomainMismatch(
-            f"partition on {p.size} cells applied to a {net.n_cells}-cell network"
-        )
+    net.check_partition(p)
     net.check_cell(c)
     return _signature(net.in_edges[c], p.colors, net.monoid.add, net.monoid.zero())
 

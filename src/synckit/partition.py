@@ -53,10 +53,6 @@ class Partition(NamedTuple("Partition", [("colors", tuple[int, ...])])):
     def rank(self) -> int:
         return max(self.colors) + 1 if self.colors else 0
 
-    def color_of_set(self, cells: Iterable[int]) -> frozenset[int]:
-        """Set of colors occurring in a set of cells."""
-        return frozenset(self.colors[c] for c in cells)
-
     def blocks(self) -> tuple[tuple[int, ...], ...]:
         out: list[list[int]] = [[] for _ in range(self.rank)]
         for c, k in enumerate(self.colors):

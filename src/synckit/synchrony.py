@@ -70,8 +70,11 @@ def _round(net: Network, p: Partition, exo: bool = False) -> Partition:
 def is_balanced(net: Network, p: Partition) -> Optional[BalancedCertificate]:
     """Certificate with the quotient network, built in O(n + m), or None if rows disagree."""
     _check_type_refining(net, p)
-    if _round(net, p) != p:
-        return None
+    return _certify(net, p) if _round(net, p) == p else None
+
+
+def _certify(net: Network, p: Partition) -> BalancedCertificate:
+    """The certificate of a partition the caller knows to be balanced."""
     blocks = p.blocks()
     types = tuple(net.cell_types[block[0]] for block in blocks)
     edges = tuple(

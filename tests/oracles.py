@@ -20,9 +20,11 @@ component on an explicit neighbourhood, 0/1 partition matrices,
 composition of partitions and its inverse `quotient_partition`, the
 balanced-lattice meet, the lattice above an element on its colors, the
 polydiagonal test, the numerical exo-balance verdict, the seeded and
-complete networks the lattice tests share, and a large planted lift
-for the dynamics tests.  `quotient_partition` was a library function
-that no command called.
+complete networks the lattice tests share, a large planted lift
+for the dynamics tests, one cell's in-neighborhood and cumulative
+in-neighborhood as sets, and the set of colors a set of cells meets.
+`quotient_partition`, `in_neighborhood` and `cumulative_in` were
+library functions that no command called.
 """
 
 from __future__ import annotations
@@ -347,6 +349,22 @@ def oracle_covers(elements: Sequence[Partition]) -> frozenset[tuple[int, int]]:
     )
 
 
+def in_neighborhood(net: Network, c: int) -> frozenset[int]:
+    """Senders with a nonzero folded weight into c."""
+    net.check_cell(c)
+    return frozenset(d for d, _ in net.in_edges[c])
+
+
+def cumulative_in(net: Network, c: int) -> frozenset[int]:
+    """The cell itself together with its in-neighbors."""
+    return in_neighborhood(net, c) | {c}
+
+
+def colors_met(p: Partition, cells: Iterable[int]) -> frozenset[int]:
+    """Set of p's colors occurring in a set of cells."""
+    return frozenset(p.colors[c] for c in cells)
+
+
 def oracle_in_ball(net: Network, c: int, k: Optional[int]) -> frozenset[int]:
     """Senders of walks of at most k edges into c (any length if None), by matrix powers.
 
@@ -401,7 +419,7 @@ def oracle_reach_matched(reach: Sequence[frozenset[int]], p: Partition) -> bool:
     """Same-colored cells see the same color set in their reach sets."""
     images: dict[int, frozenset[int]] = {}
     for c, k in enumerate(p.colors):
-        if images.setdefault(k, p.color_of_set(reach[c])) != p.color_of_set(reach[c]):
+        if images.setdefault(k, colors_met(p, reach[c])) != colors_met(p, reach[c]):
             return False
     return True
 
@@ -490,7 +508,7 @@ def oracle_reach_invariant(
     p = cert.partition
     quotient = oracle_quotient(net, p)
     qreach = oracle_reach_sets(quotient)
-    return all(p.color_of_set(reach[c]) == qreach[k] for c, k in enumerate(p.colors))
+    return all(colors_met(p, reach[c]) == qreach[k] for c, k in enumerate(p.colors))
 
 
 def oracle_scc(net: Network) -> Partition:

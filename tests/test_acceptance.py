@@ -25,7 +25,6 @@ from synckit.classification import (
 )
 from synckit.connectivity import (
     condensation,
-    cumulative_in,
     cumulative_in_k,
     in_reachability,
     rdc_decomposition,
@@ -50,6 +49,7 @@ from synckit.synchrony import (
 
 from conftest import FIXTURE_NAMES, fixture_net
 from oracles import (
+    cumulative_in,
     dense,
     lattice_quotient,
     numeric_exo_verdict,

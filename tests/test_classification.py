@@ -9,6 +9,7 @@ import pytest
 from synckit.classification import (
     ColorClass,
     N_IN,
+    NeighborhoodKind,
     R_IN,
     V_IN,
     classify_color,
@@ -27,7 +28,7 @@ from synckit.connectivity import (
     rdc_decomposition,
     scc_decomposition,
 )
-from synckit.errors import EmptyColor, SynckitError
+from synckit.errors import EmptyColor, PartitionDomainMismatch, SynckitError
 from synckit.monoid import IntegerAdd, TropicalMin
 from synckit.cli import run
 from synckit.network import parse_network, save_network
@@ -36,12 +37,17 @@ from synckit.synchrony import cir_balanced, enumerate_balanced, is_balanced
 
 from conftest import FIXTURE_NAMES, fixture_net
 from oracles import (
+    colors_met,
     complete_graph,
+    cumulative_in,
     from_matrix,
+    in_neighborhood,
     one_color,
     oracle_classify_color,
     oracle_classify_partition,
+    oracle_in_ball,
     oracle_join_table,
+    oracle_quotient,
     oracle_quotient_entries,
     oracle_rdc,
     oracle_reach_invariant,
@@ -177,6 +183,27 @@ class TestMatched:
             for a in candidates:
                 for b in candidates:
                     assert classify_partition(net, join(a, b)) is not ColorClass.WEAK
+
+
+class TestPartitionDomain:
+    """A partition on another number of cells than the network's is refused."""
+
+    @pytest.mark.parametrize("size", [6, 8])
+    @pytest.mark.parametrize("kind", KINDS, ids=NeighborhoodKind.label)
+    def test_matched(self, two_roots, kind, size):
+        with pytest.raises(PartitionDomainMismatch):
+            is_matched(two_roots, one_color(size), kind)
+
+    @pytest.mark.parametrize("kind", KINDS, ids=NeighborhoodKind.label)
+    def test_invariant(self, two_roots, kind):
+        cert = is_balanced(two_roots.subnetwork(range(6)), Partition.trivial(6))
+        with pytest.raises(PartitionDomainMismatch):
+            is_invariant(two_roots, cert, kind)
+
+    @pytest.mark.parametrize("size", [6, 8])
+    def test_classify_partition(self, two_roots, size):
+        with pytest.raises(PartitionDomainMismatch):
+            classify_partition(two_roots, one_color(size))
 
 
 class TestInvariant:
@@ -486,6 +513,58 @@ def test_condensation_bitsets_match_frozenset_oracle(monoid):
     if monoid == "int-add":
         expected.add("invariant False")
     assert expected <= set(seen), seen
+
+
+def oracle_hoods(net, kind):
+    """Each cell's neighborhood of the given kind, as a set from the set oracles."""
+    if kind.name == "n":
+        return [in_neighborhood(net, c) for c in range(net.n_cells)]
+    if kind.name == "v":
+        return [cumulative_in(net, c) for c in range(net.n_cells)]
+    return [oracle_in_ball(net, c, kind.k) for c in range(net.n_cells)]  # k None: any length
+
+
+@pytest.mark.parametrize("monoid", ["int-add", "tropical-min"])
+def test_neighborhood_bitsets_match_set_oracles(monoid):
+    """Matching and invariance for N, V, V^1 .. V^(n+1) and R against the
+    colors met by set neighborhoods, on networks with self-loops and
+    parallel edges that fold to the monoid zero."""
+    rng = random.Random(f"hood-sets:{monoid}")
+    seen = set()
+    for trial in range(80):
+        if trial % 4 == 3 and monoid == "int-add":
+            # planted blocks whose in-weights may sum to zero drop quotient edges
+            net, planted = random_balanced_lift(rng, max_cells=8)
+        else:
+            net = parse_network(reach_doc(rng, monoid))
+            planted = cir_balanced(net, random_type_refinement(rng, net))
+        n = net.n_cells
+        partitions = [
+            Partition.from_assignment(rng.randrange(rng.randint(1, n)) for _ in range(n))
+            for _ in range(3)
+        ]
+        cert = is_balanced(net, planted)
+        for kind in (N_IN, V_IN, *map(v_in_k, range(1, n + 2)), R_IN):
+            hoods = oracle_hoods(net, kind)
+            for p in partitions:
+                met = {(k, colors_met(p, hood)) for k, hood in zip(p.colors, hoods)}
+                matched = is_matched(net, p, kind)
+                assert matched == (len(met) == p.rank), (kind, p)
+                seen.add((kind.name, "matched", matched))
+            p = cert.partition
+            quotient_hoods = oracle_hoods(oracle_quotient(net, p), kind)
+            invariant = is_invariant(net, cert, kind)
+            assert invariant == all(
+                colors_met(p, hoods[c]) == quotient_hoods[k] for c, k in enumerate(p.colors)
+            ), (kind, p)
+            seen.add((kind.name, "invariant", invariant))
+    # both verdicts occur for every kind, so no kind is compared only
+    # vacuously; a min of weights is never the zero, so a tropical quotient
+    # drops no edge and every tropical partition is invariant
+    checks = ("matched", "invariant") if monoid == "int-add" else ("matched",)
+    want = {(name, check, verdict) for name in ("n", "v", "vk", "r")
+            for check in checks for verdict in (True, False)}
+    assert want <= seen, want - seen
 
 
 def test_reach_consumers_stay_small_on_a_deep_chain():

@@ -6,9 +6,7 @@ import synckit.connectivity
 from synckit.connectivity import (
     all_in_reachability,
     condensation,
-    cumulative_in,
     cumulative_in_k,
-    in_neighborhood,
     in_reachability,
     rdc_decomposition,
     reach_colors,
@@ -19,7 +17,15 @@ from synckit.monoid import IntegerAdd
 from synckit.network import network_to_doc, parse_network
 from synckit.partition import Partition, refines
 
-from oracles import from_matrix, one_color, oracle_in_ball, oracle_scc, random_network
+from oracles import (
+    cumulative_in,
+    from_matrix,
+    in_neighborhood,
+    one_color,
+    oracle_in_ball,
+    oracle_scc,
+    random_network,
+)
 
 
 class TestNeighborhoods:
@@ -197,6 +203,20 @@ class TestCondensation:
                 visit(v)
 
 
+    def test_order_puts_every_block_after_its_preds(self):
+        rng = random.Random(4141)
+        edges = 0
+        for _ in range(200):
+            net = random_network(rng, max_cells=10, weights=(0, 0, 0, 0, 1, -1, 2))
+            cond = condensation(net)
+            assert sorted(cond.order) == list(range(cond.scc_partition.rank))
+            position = {k: i for i, k in enumerate(cond.order)}
+            for k, preds in enumerate(cond.preds):
+                assert all(position[j] < position[k] for j in preds)
+                edges += len(preds)
+        assert edges > 100  # many networks have a block DAG to order
+
+
 class TestRdc:
     def test_two_roots_example(self, two_roots):
         assert rdc_decomposition(two_roots).blocks() == ((0, 1, 2, 3), (4,), (5, 6))
@@ -253,13 +273,13 @@ class TestRdc:
 class TestPerNetworkMemo:
     def test_rdc_runs_tarjan_once(self, two_roots, monkeypatch):
         calls = []
-        original = synckit.connectivity.scc_decomposition
+        original = synckit.connectivity._tarjan
 
         def counting(net):
             calls.append(net)
             return original(net)
 
-        monkeypatch.setattr(synckit.connectivity, "scc_decomposition", counting)
+        monkeypatch.setattr(synckit.connectivity, "_tarjan", counting)
         net = parse_network(network_to_doc(two_roots))  # fresh instance, empty memo
         rdc_decomposition(net)
         all_in_reachability(net)

@@ -905,8 +905,10 @@ class TestTrialWorkers:
 
     def test_early_stop_kills_the_workers(self, workers, monkeypatch):
         net, _, bad = next(worker_lifts(1))
-        runs = synckit.dynamics._trial_results(
-            lambda t: t if t < 2 else time.sleep(60), 5, net, 1)
+        dyn = synckit.dynamics
+        system = dyn._compile(net, sample_admissible(net, 0))
+        dyn._orbit_map(system, (0.0,) * net.n_cells)  # an orbit's work to share out
+        runs = dyn._trial_results(lambda t: t if t < 2 else time.sleep(60), 5, system, 1)
         assert (next(runs), next(runs)) == (0, 1)
         start = time.perf_counter()
         runs.close()
@@ -958,6 +960,25 @@ class TestTrialWorkers:
         spec = sample_admissible(net, 6)
         check_subsystem(net, spec, 0, trials=trials, steps=8)
         assert workers == []
+
+    def test_planted_ring_lifts_stay_in_process(self, monkeypatch):
+        # an orbit lumped to the colors counts their classes and quotient
+        # edges: 7500 units for the 60-cell lift, where its cells and edges
+        # would make 45000, work for two workers
+        dyn = synckit.dynamics
+        monkeypatch.setattr(dyn.os, "sched_getaffinity", lambda pid: set(range(8)))
+
+        def refuse():
+            raise AssertionError("forked for a lumped orbit")
+        monkeypatch.setattr(dyn.os, "fork", refuse)
+        for colors, size in ((4, 2), (6, 5), (10, 6)):
+            doc, planted = ring_lift_doc(colors, size)
+            net = parse_network(doc)
+            spec = sample_admissible(net, colors)
+            assert check_invariance(net, spec, planted, trials=5, steps=50).invariant
+            cert = is_balanced(net, planted)
+            assert check_quotient_consistency(net, spec, cert, trials=5, steps=50).exact
+        assert 5 * 50 * (net.n_cells + len(net.edges)) >= 2 * dyn._FORK_WORK
 
     def test_each_worker_needs_its_own_share_of_work(self, workers, monkeypatch):
         # three CPUs, but work for one worker only
