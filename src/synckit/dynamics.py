@@ -163,6 +163,10 @@ def sample_admissible(net: Network, seed: int, exo: bool = False) -> AdmissibleF
 # orbit finds its synchronized classes and their quotient, and keeps those
 # keyed by the start's (type, state) partition, which alone decides them:
 # a check's orbits from starts with the same shared states build them once.
+# Every map evaluation adds its work units, classes plus quotient edges, to
+# _work_counted, which the trial runner reads to share out a check's trials.
+
+_work_counted = 0
 
 
 class _System(NamedTuple):
@@ -194,7 +198,7 @@ def _merge(pushes: Iterable[tuple]) -> list[tuple]:
 
 def _lump(system: _System, start: Partition) -> tuple:
     """For orbits from a start with the given (type, state) partition: the
-    classes, the pushes along their quotient, and a step's work units."""
+    classes, the pushes along their quotient, and a map evaluation's work units."""
     net, exo, selfs, couplings, _ = system
     cert = _certify(net, cir_balanced(net, start))
     q = cert.quotient
@@ -230,9 +234,11 @@ def _orbit_map(
     start = Partition.from_assignment(zip(system.net.cell_types, x0))
     if start not in quotients:
         quotients[start] = _lump(system, start)
-    colors, firsts, own, pushes, by_type, _ = quotients[start]
+    colors, firsts, own, pushes, by_type, units = quotients[start]
 
     def step(x: tuple[float, ...]) -> tuple[float, ...]:
+        global _work_counted
+        _work_counted += units
         xbar = list(map(x.__getitem__, firsts))
         if 0.0 in xbar:  # -0.0 == 0.0
             xbar = [v + 0.0 for v in xbar]
@@ -401,9 +407,10 @@ def _random_state(rng: random.Random, n: int) -> tuple[float, ...]:
 # A check's trials are seeded by index and share nothing but the compiled
 # systems, so each is a function of its index that returns plain data, and
 # one generator runs them in order, in-process or split with forked workers.
-# Each worker needs _FORK_WORK units of estimated work, trials x steps x
-# (classes + quotient edges) of the orbits trial 0 built, so below it the
-# trials stay in-process; the choice never depends on timing.  Forking a
+# Each worker needs _FORK_WORK units of estimated work, trials x the units
+# that trial 0's map evaluations counted: classes plus quotient edges per
+# evaluation, over every orbit the trial runs and each RK4 stage.  Below it
+# the trials stay in-process; the choice never depends on timing.  Forking a
 # worker, reading its pipe and reaping it took 2.4-3.1 ms in an 18 MB CLI
 # process on a 2-CPU Xeon, where an orbit step that evaluates every cell
 # took 0.6-1.1 us per cell or edge.  A worker's block then holds a third of
@@ -415,13 +422,11 @@ _FORK_WORK = 20_000
 _SIGKILL = 9  # signal.SIGKILL, without loading the signal module
 
 
-def _trial_results(
-    trial: Callable[[int], object], trials: int, system: _System, steps: int
-) -> Iterator:
+def _trial_results(trial: Callable[[int], object], trials: int) -> Iterator:
     """trial(t) for t in range(trials), in order, as the in-process loop gives them.
 
     Trial 0 runs here first, building the class quotients that the workers
-    then inherit and whose sizes in system give the work.  When it pays,
+    then inherit and counting the work of one trial.  When it pays,
     one worker per further CPU, up to one per _FORK_WORK units of work,
     runs a contiguous block of the upper trials while this process runs
     the lower block.  A trial that a worker did not return (it raised, the
@@ -429,10 +434,12 @@ def _trial_results(
     bits, the exception and the trial that raises are the in-process
     loop's.  Closing the generator kills and reaps every worker still running.
     """
-    yield trial(0)
+    counted = _work_counted
+    first = trial(0)
+    work = trials * (_work_counted - counted)
+    yield first
     blocks = 1
     if threading.active_count() == 1 and hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
-        work = trials * steps * sum(lumped[-1] for lumped in system.quotients.values())
         blocks = min(len(os.sched_getaffinity(0)), trials, work // _FORK_WORK + 1)
     # block k runs trials bounds[k] .. bounds[k + 1] - 1; block 0 is this process's
     bounds = [1 + (trials - 1) * k // blocks for k in range(blocks + 1)]
@@ -561,6 +568,7 @@ def check_invariance(
     aborted by the overflow guard shows nothing about the spread.
     """
     _check_run(mode=mode, dt=dt, steps=steps, trials=trials, tol=tol)
+    net.check_partition(p)
     system = _compile(net, spec)
     # a getter per color of two or more cells, which returns its states as a tuple
     picks = [itemgetter(*block) for block in p.blocks() if len(block) > 1]
@@ -585,7 +593,7 @@ def check_invariance(
 
     results = []
     worst = 0.0
-    runs = _trial_results(trial, trials, system, steps)
+    runs = _trial_results(trial, trials)
     try:
         for run in runs:
             results.append(TrialResult(*run))
@@ -613,6 +621,7 @@ def probe_non_invariance(
     A quiet run never counts as evidence of invariance, only as an
     inconclusive probe.
     """
+    net.check_partition(p)
     for s in range(seeds):
         spec = sample_admissible(net, seed=rng_seed * 7919 + s, exo=exo)
         report = check_invariance(
@@ -665,25 +674,19 @@ def check_locality(
     _check_run(trials=trials)
     support = sorted(set(range(net.n_cells)) - cumulative_in_k(net, c, k))
     system = _compile(net, spec)
+    if not support:
+        return LocalityReport(c, k, (LocalityTrial(True, None),) * trials, True)
 
-    def trial(t: int) -> tuple[bool, Optional[int]]:
-        if not support:
-            return True, None
+    def start(t: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
         rng = random.Random(f"locality:{rng_seed}:{t}")
         x0 = _random_state(rng, net.n_cells)
         bumped = list(x0)
         for d in support:
             bumped[d] += rng.uniform(0.1, 1.0)
-        # the two orbits run side by side, one state of each held at a time;
-        # every step still runs, so a blowup after a mismatch aborts the check
-        mismatch = None
-        for s, (x, y) in enumerate(zip(_orbit(system, x0, k), _orbit(system, tuple(bumped), k))):
-            if mismatch is None and x[c] != y[c]:
-                mismatch = s
-        return mismatch is None, mismatch
+        return x0, tuple(bumped)
 
-    runs = _trial_results(trial, trials, system, k if support else 0)
-    results = [LocalityTrial(*run) for run in runs]
+    runs = _compare(system, [c], system, [c], start, trials, k)
+    results = [LocalityTrial(first is None, first) for _, first in runs]
     return LocalityReport(c, k, tuple(results), all(t.agreed for t in results))
 
 
@@ -725,11 +728,9 @@ def check_subsystem(
         x0 = _random_state(random.Random(f"subsystem:{rng_seed}:{t}"), net.n_cells)
         return x0, tuple(x0[d] for d in cells)
 
-    worst = _deviation(
-        _compile(net, spec), _compile(net.subnetwork(cells), spec), start, trials,
-        cells, range(len(cells)), steps, mode, dt,
-    )
-    return ComparisonReport("subsystem", worst)
+    runs = _compare(_compile(net, spec), cells, _compile(net.subnetwork(cells), spec),
+                    range(len(cells)), start, trials, steps, mode, dt)
+    return ComparisonReport("subsystem", max(worst for worst, _ in runs))
 
 
 def check_quotient_consistency(
@@ -745,43 +746,41 @@ def check_quotient_consistency(
     """The quotient system reproduces the full system on the polydiagonal."""
     _check_run(mode=mode, dt=dt, steps=steps, trials=trials)
     p = cert.partition
+    net.check_partition(p)
 
     def start(t: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
         xbar = _random_state(random.Random(f"quotient:{rng_seed}:{t}"), p.rank)
         return expand_state(xbar, p), xbar
 
-    worst = _deviation(
-        _compile(net, spec), _compile(cert.quotient, spec), start, trials,
-        range(net.n_cells), p.colors, steps, mode, dt,
-    )
-    return ComparisonReport("quotient", worst)
+    runs = _compare(_compile(net, spec), range(net.n_cells), _compile(cert.quotient, spec),
+                    p.colors, start, trials, steps, mode, dt)
+    return ComparisonReport("quotient", max(worst for worst, _ in runs))
 
 
-def _deviation(
-    full_system: _System,
-    small_system: _System,
+def _compare(
+    system: _System, at: Sequence[int], other: _System, other_at: Sequence[int],
     start: Callable[[int], tuple[tuple[float, ...], tuple[float, ...]]],
-    trials: int,
-    full_at: Sequence[int],
-    small_at: Sequence[int],
-    steps: int,
-    mode: str,
-    dt: float,
-) -> float:
-    """Largest |full[full_at[i]] - small[small_at[i]]| over the paired orbits
-    from start(0), ..., start(trials - 1).
+    trials: int, steps: int, mode: str = "discrete", dt: float = 1e-3,
+) -> Iterator[tuple[float, Optional[int]]]:
+    """Per trial t: the largest |x[at[i]] - y[other_at[i]]| over the orbits x
+    of system and y of other from start(t), and the first step where it is
+    nonzero, or None.
 
-    Each full orbit is run to the end before its smaller one, so a
-    blowup in both is reported from the full system.
+    The two orbits run side by side, one state of each held at a time.
+    Within each step the orbit of system steps first, so a blowup that
+    both hit at one step is reported from it: the full system, for the
+    subsystem and quotient checks.  Every step runs, so a blowup after a
+    mismatch still aborts the check.
     """
-    def trial(t: int) -> float:
+    def trial(t: int) -> tuple[float, Optional[int]]:
         x0, y0 = start(t)
-        full = list(_orbit(full_system, x0, steps, mode, dt))
-        small = list(_orbit(small_system, y0, steps, mode, dt))
-        worst = 0.0
-        for x, y in zip(full, small):
-            gaps = map(sub, map(x.__getitem__, full_at), map(y.__getitem__, small_at))
-            worst = max(worst, max(map(abs, gaps)))
-        return worst
+        worst, first = 0.0, None
+        orbits = zip(_orbit(system, x0, steps, mode, dt), _orbit(other, y0, steps, mode, dt))
+        for s, (x, y) in enumerate(orbits):
+            gap = max(map(abs, map(sub, map(x.__getitem__, at), map(y.__getitem__, other_at))))
+            if gap and first is None:
+                first = s
+            worst = max(worst, gap)
+        return worst, first
 
-    return max(_trial_results(trial, trials, full_system, steps))
+    return _trial_results(trial, trials)

@@ -1,3 +1,5 @@
+import ast
+import inspect
 import marshal
 import math
 import os
@@ -13,7 +15,6 @@ import synckit.dynamics
 from synckit.dynamics import (
     AdmissibleFunctionSpec,
     CouplingParams,
-    LocalityTrial,
     SelfParams,
     check_invariance,
     check_locality,
@@ -26,7 +27,7 @@ from synckit.dynamics import (
     probe_non_invariance,
     sample_admissible,
 )
-from synckit.errors import NumericalBlowup, SynckitError, UnsupportedMonoid
+from synckit.errors import NumericalBlowup, PartitionDomainMismatch, SynckitError, UnsupportedMonoid
 from synckit.connectivity import cumulative_in_k, in_reachability
 from synckit.monoid import IntegerAdd, TropicalMin
 from synckit.network import parse_network
@@ -278,6 +279,25 @@ def test_vacuous_runs_are_refused(chain4, call):
         call(chain4, spec)
 
 
+class TestPartitionDomain:
+    """A partition on another number of cells than the network's is refused."""
+
+    def test_check_invariance(self, triangle):
+        spec = sample_admissible(triangle, 1)
+        for p in (Partition.from_assignment((0, 0, 1, 1)), Partition.from_assignment((0, 0))):
+            with pytest.raises(PartitionDomainMismatch):
+                check_invariance(triangle, spec, p, trials=2, steps=3)
+
+    def test_probe_non_invariance(self, triangle):
+        with pytest.raises(PartitionDomainMismatch):
+            probe_non_invariance(triangle, Partition.from_assignment((0, 0, 1, 1)), seeds=1)
+
+    def test_check_quotient_consistency(self, triangle, chain4):
+        cert = is_balanced(chain4, Partition.trivial(4))
+        with pytest.raises(PartitionDomainMismatch):
+            check_quotient_consistency(triangle, sample_admissible(triangle, 1), cert, trials=2)
+
+
 class TestInvariance:
     def test_balanced_partitions_have_zero_spread(self, any_fixture):
         net = any_fixture
@@ -402,20 +422,50 @@ class TestLocality:
             for k in range(0, 4):
                 assert check_locality(net, spec, c, k, trials=2).all_agreed
 
-    def test_long_run_holds_no_orbit(self, chain4):
-        """The two orbits are compared as they run: a long run's peak stays far
-        below the k + 1 states of each orbit that holding them would take."""
+
+@pytest.mark.parametrize("check", ["locality", "subsystem", "quotient"])
+def test_no_check_holds_an_orbit(chain4, triangle, check):
+    """A check compares its two orbits as they run, so after warm-up its
+    tracemalloc peak at 4k steps is its peak at k, where holding either
+    orbit would take (4k + 1) states against k + 1."""
+    if check == "quotient":
+        cert = is_balanced(triangle, parse_partition("12/3", triangle.cell_ids))
+        spec = sample_admissible(triangle, 9)
+        run = lambda steps: check_quotient_consistency(triangle, spec, cert, trials=1, steps=steps)
+    elif check == "subsystem":
         spec = sample_admissible(chain4, 0)
-        k = 20000
+        run = lambda steps: check_subsystem(chain4, spec, 3, trials=1, steps=steps)
+    else:
+        spec = sample_admissible(chain4, 0)
+        run = lambda steps: check_locality(chain4, spec, 2, steps, trials=1)
+    k = 500
+    run(4 * k)
+    report = run(4 * k)  # one-time allocations, and the free lists filled for the longest run
+    assert report.all_agreed if check == "locality" else report.exact
+    assert counted_work(lambda: run(k))  # both orbits step: locality's cell 4 is bumped
+    peaks = []
+    for steps in (k, k, 4 * k):  # a process's first traced run carries a few bytes once
         tracemalloc.start()
         try:
-            report = check_locality(chain4, spec, 2, k, trials=1)
-            peak = tracemalloc.get_traced_memory()[1]
+            run(steps)
+            peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
-        assert report.trials == (LocalityTrial(True, None),)  # cell 4 was bumped
-        held = 2 * (k + 1) * sys.getsizeof((0.0,) * chain4.n_cells)  # the state tuples alone
-        assert peak < held / 4
+    assert peaks[2] == peaks[1]
+
+
+def test_only_evolve_holds_an_orbit():
+    """An _orbit collected into a list or tuple sits only in evolve, which
+    returns the whole trajectory; the checks stream theirs."""
+    tree = ast.parse(inspect.getsource(synckit.dynamics))
+    holders = [
+        func.name for func in tree.body if isinstance(func, ast.FunctionDef)
+        for node in ast.walk(func)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) in ("list", "tuple")
+        and any(isinstance(arg, ast.Call) and getattr(arg.func, "id", None) == "_orbit"
+                for arg in node.args)
+    ]
+    assert holders == ["evolve"]
 
 
 class TestSubsystem:
@@ -805,6 +855,13 @@ def in_process(monkeypatch, check):
         monkeypatch.setattr(synckit.dynamics, "_FORK_WORK", 1)
 
 
+def counted_work(run):
+    """The work units that run()'s map evaluations counted."""
+    before = synckit.dynamics._work_counted
+    run()
+    return synckit.dynamics._work_counted - before
+
+
 def no_child_left():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
@@ -906,9 +963,14 @@ class TestTrialWorkers:
     def test_early_stop_kills_the_workers(self, workers, monkeypatch):
         net, _, bad = next(worker_lifts(1))
         dyn = synckit.dynamics
-        system = dyn._compile(net, sample_admissible(net, 0))
-        dyn._orbit_map(system, (0.0,) * net.n_cells)  # an orbit's work to share out
-        runs = dyn._trial_results(lambda t: t if t < 2 else time.sleep(60), 5, system, 1)
+        spec = sample_admissible(net, 0)
+
+        def trial(t):
+            if t >= 2:
+                time.sleep(60)
+            evaluate(net, spec, (0.0,) * net.n_cells)  # a map evaluation's work to share out
+            return t
+        runs = dyn._trial_results(trial, 5)
         assert (next(runs), next(runs)) == (0, 1)
         start = time.perf_counter()
         runs.close()
@@ -953,11 +1015,12 @@ class TestTrialWorkers:
         trials = 1 if setting == "one-trial" else 5
         if setting == "one-cpu":
             monkeypatch.setattr(dyn.os, "sched_getaffinity", lambda pid: {0})
-        elif setting == "little-work":
-            monkeypatch.setattr(dyn, "_FORK_WORK", trials * 8 * (net.n_cells + len(net.edges)) + 1)
+        spec = sample_admissible(net, 6)
+        if setting == "little-work":
+            one = counted_work(lambda: check_subsystem(net, spec, 0, trials=1, steps=8))
+            monkeypatch.setattr(dyn, "_FORK_WORK", trials * one + 1)
         elif setting == "no-fork":
             monkeypatch.delattr(dyn.os, "fork")
-        spec = sample_admissible(net, 6)
         check_subsystem(net, spec, 0, trials=trials, steps=8)
         assert workers == []
 
@@ -983,7 +1046,37 @@ class TestTrialWorkers:
     def test_each_worker_needs_its_own_share_of_work(self, workers, monkeypatch):
         # three CPUs, but work for one worker only
         net, _, _ = next(worker_lifts(1))
-        monkeypatch.setattr(synckit.dynamics, "_FORK_WORK", 5 * 8 * (net.n_cells + len(net.edges)))
-        check = lambda: check_subsystem(net, sample_admissible(net, 6), 0, steps=8)
+        spec = sample_admissible(net, 6)
+        one = counted_work(lambda: check_subsystem(net, spec, 0, trials=1, steps=8))
+        monkeypatch.setattr(synckit.dynamics, "_FORK_WORK", 5 * one)
+        check = lambda: check_subsystem(net, spec, 0, steps=8)
         assert hexed(check()) == hexed(in_process(monkeypatch, check))
         assert len(workers) == 1
+
+    def test_estimate_counts_every_orbit(self, workers, monkeypatch):
+        # an orbit from a generic start evaluates one class per cell, so each
+        # map evaluation counts the network's cells and edges; the estimate,
+        # trials x trial 0's count, forks one worker at _FORK_WORK = work
+        # and none at work + 1
+        net, _, _ = next(worker_lifts(1))
+        spec = sample_admissible(net, 6)
+        full = net.n_cells + len(net.edges)
+        reach = net.subnetwork(sorted(in_reachability(net, 0)))
+        both = full + reach.n_cells + len(reach.edges)
+        for check, work in [
+            # the start's orbit and the bumped one, k = 1 step each
+            (lambda: check_locality(net, spec, net.n_cells - 1, 1, trials=5), 5 * 1 * 2 * full),
+            # the full orbit and the subnetwork's
+            (lambda: check_subsystem(net, spec, 0, trials=5, steps=8), 5 * 8 * both),
+            # four map evaluations per RK4 step
+            (lambda: check_subsystem(net, spec, 0, trials=5, steps=8, mode="rk4", dt=0.05),
+             5 * 8 * 4 * both),
+        ]:
+            monkeypatch.setattr(synckit.dynamics, "_FORK_WORK", work + 1)
+            check()
+            assert workers == []
+            monkeypatch.setattr(synckit.dynamics, "_FORK_WORK", work)
+            check()
+            assert len(workers) == 1
+            workers.clear()
+        assert no_child_left()
