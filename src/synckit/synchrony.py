@@ -12,7 +12,9 @@ re-keys only the cells whose senders changed color.  Full lattices are
 built only for small networks, by split-and-cir: starting from the
 coarsest balanced partition, split one color in two and take cir of the
 result, so the work grows with the number of balanced partitions rather
-than with the number of type-refining ones.
+than with the number of type-refining ones.  Each split is refined from
+its balanced parent's signatures, and one memo of where refinements
+ended serves the whole enumeration.
 """
 
 from __future__ import annotations
@@ -99,73 +101,65 @@ def quotient_network(net: Network, cert: BalancedCertificate) -> Network:
 
 
 def cir_balanced(net: Network, p: Partition) -> Partition:
-    """Coarsest balanced partition finer than p, by worklist refinement.
-
-    Colors keep their ids while they split, and all cells of a color share
-    one signature, stored once for the color.  Each pass re-keys the cells
-    with an in-edge from a cell the last pass renamed (every cell, in the
-    first pass); any other cell sums the same edges into the same ids as
-    before, whatever the monoid, so its color's stored signature still
-    holds for it.  Each color with re-keyed cells splits by signature and
-    its largest part keeps the id, so a cell is renamed at most log2(n)
-    times (Paige & Tarjan 1987).  A pass that renames nothing leaves every
-    color with one signature: balanced.
-    """
+    """Coarsest balanced partition finer than p, by worklist refinement
+    (_rounds) from a first round that keys every cell."""
     _check_type_refining(net, p)
     if p.rank == net.n_cells:  # one cell per color: balanced
         return p
+    color = list(p.colors)
+    members = [set(block) for block in p.blocks()]
+    splits = sum(1 for _ in _rounds(net, color, [None] * p.rank, members, range(net.n_cells)))
+    return Partition.from_assignment(color) if splits else p
+
+
+def _rounds(
+    net: Network, color: list[int], signature: list[Optional[tuple]], members: list[set[int]],
+    rekey: Iterable[int],
+) -> Iterator[None]:
+    """Refine color in place to the coarsest balanced partition below it,
+    yielding after each round that splits a color.
+
+    Cell c has color id color[c] and members[i] holds the cells of id i.
+    Every cell of id i outside rekey has signature signature[i] (None: no
+    cell keyed yet).  A round keys the cells in rekey; the next re-keys
+    only the receivers of the cells it renamed, since any other cell sums
+    the same edges into the same ids, whatever the monoid.  A one-cell
+    color cannot split, so its cells are not re-keyed.  Each color splits
+    by signature and its largest part keeps the id, so a cell is renamed
+    at most log2(n) times (Paige & Tarjan 1987).  A round that splits no
+    color leaves every color with one signature: balanced.
+    """
     rows, receivers = net.in_edges, net.out_neighbours
     add, zero = net.monoid.add, net.monoid.zero()
-    color = list(p.colors)
-    signature: list[Optional[tuple]] = [None] * p.rank  # None: no cell keyed yet
-    members: list[set[int]] = []  # built once the first pass splits a color
-    rekey: Iterable[int] = range(net.n_cells)
-    while rekey:
-        parts: dict[int, dict[tuple, list[int]]] = {}
+    while True:
+        parts: dict[int, dict[tuple, list[int]]] = {}  # id -> new signature -> cells
         for c in rekey:
-            k, sig = color[c], _signature(rows[c], color, add, zero)
-            by_sig = parts.get(k)
-            if by_sig is None:
-                parts[k] = {sig: [c]}
-            elif sig in by_sig:
-                by_sig[sig].append(c)
-            else:
-                by_sig[sig] = [c]
-        if not members:
-            # an already balanced p (as most 2-splits of a dense network's
-            # lattice are) returns before any member set is built
-            if all(len(by_sig) == 1 for by_sig in parts.values()):
-                return p
-            members = [set() for _ in range(p.rank)]
-            for c, k in enumerate(color):
-                members[k].add(c)
+            old, sig = color[c], _signature(rows[c], color, add, zero)
+            if sig != signature[old]:
+                parts.setdefault(old, {}).setdefault(sig, []).append(c)
         renamed: list[int] = []
-        for k, by_sig in parts.items():
-            cells, old = members[k], signature[k]
-            if len(by_sig) == 1:
-                (sig, part), = by_sig.items()
-                if sig == old or len(part) == len(cells):  # no split
-                    signature[k] = sig
-                    continue
-            size = {sig: len(part) for sig, part in by_sig.items()}
-            unkeyed = len(cells) - sum(size.values())  # these still have the old signature
-            if unkeyed:
-                size[old] = size.get(old, 0) + unkeyed
-            keep = signature[k] = max(size, key=size.__getitem__)
-            if unkeyed and keep != old:
-                keyed = {c for part in by_sig.values() for c in part}
-                by_sig.setdefault(old, []).extend(c for c in cells if c not in keyed)
+        for old, by_sig in parts.items():
+            cells = members[old]
+            kept = len(cells) - sum(map(len, by_sig.values()))  # these keep signature[old]
+            sig = next(iter(by_sig)) if len(by_sig) == 1 else max(by_sig, key=lambda s: len(by_sig[s]))
+            if len(by_sig[sig]) > kept:  # a new signature's part keeps the id
+                if kept:
+                    listed = {c for part in by_sig.values() for c in part}
+                    by_sig[signature[old]] = [c for c in cells if c not in listed]
+                signature[old] = sig
+                del by_sig[sig]
             for sig, part in by_sig.items():
-                if sig != keep:
-                    new = len(members)
-                    members.append(set(part))
-                    signature.append(sig)
-                    cells.difference_update(part)
-                    for c in part:
-                        color[c] = new
-                    renamed.extend(part)
-        rekey = {c for d in renamed for c in receivers[d]}
-    return Partition.from_assignment(color)
+                new = len(members)
+                members.append(set(part))
+                signature.append(sig)
+                cells.difference_update(part)
+                for c in part:
+                    color[c] = new
+                renamed += part
+        if not renamed:
+            return
+        yield
+        rekey = {c for d in renamed for c in receivers[d] if len(members[color[c]]) > 1}
 
 
 class BalancedLattice(NamedTuple("BalancedLattice", [
@@ -243,46 +237,67 @@ def _build_lattice(elements: list[Partition]) -> BalancedLattice:
     return BalancedLattice(ordered, *_order(ordered), len(ordered) - 1, 0)
 
 
-def _two_splits(p: Partition) -> Iterator[Partition]:
-    """Every partition that splits one color of p in two.
-
-    The color's first cell stays on the old side, so each split is made
-    once: 2^(s-1) - 1 of them for a color of s cells.
-    """
-    fresh = p.rank
-    for block in p.blocks():
-        rest = block[1:]
-        for mask in range(1, 1 << len(rest)):
-            colors = list(p.colors)
-            for c in iter_bits(mask):
-                colors[rest[c]] = fresh
-            yield Partition.from_assignment(colors)
-
-
 def enumerate_balanced(net: Network, max_cells: int = DEFAULT_MAX_CELLS) -> BalancedLattice:
     """Full balanced lattice by split-and-cir; refuses large networks.
 
     Every balanced B strictly below a balanced P lies below some 2-split
     Q of P, hence B <= cir(Q) < P: walking down from cir(types) through
     cir of every 2-split reaches each balanced partition.  A split that
-    is already known is balanced, and cir would return it unchanged.
+    is already known is balanced and is skipped.
+
+    Q is refined from P's signatures, one per color: a cell none of whose
+    senders moved keeps its color's, so the first round re-keys only the
+    receivers of the moved cells (the smaller side).  If it splits no
+    color, Q is balanced; otherwise the rounds walk down to cir(Q), stop
+    at the first partition in a memo shared by all splits, and store the
+    end under every partition on the walk.  The memo is exact: cir(R) =
+    cir(Q) for every cir(Q) <= R <= Q, as cir is monotone and cir(Q) is
+    balanced below R.
     """
     if net.n_cells > max_cells:
         raise TooLarge(
             f"{net.n_cells} cells exceeds the enumeration cap of {max_cells}; "
             "raise it with max_cells (--max-cells)"
         )
+    rows, receivers = net.in_edges, net.out_neighbours
+    add, zero = net.monoid.add, net.monoid.zero()
     top = cir_balanced(net, net.type_partition())
-    found = {top}
-    stack = [top]
+    found, stack, memo = {top}, [top], {}
     while stack:
-        for q in _two_splits(stack.pop()):
-            if q in found:
-                continue
-            b = cir_balanced(net, q)
-            if b not in found:
-                found.add(b)
-                stack.append(b)
+        p = stack.pop()
+        blocks = p.blocks()
+        # a one-cell color is never re-keyed, so needs no signature
+        signatures = [_signature(rows[cells[0]], p.colors, add, zero) if len(cells) > 1 else None
+                      for cells in blocks]
+        for k, block in enumerate(blocks):
+            rest = block[1:]
+            for mask in range(1, 1 << len(rest)):
+                moved = [rest[i] for i in iter_bits(mask)]
+                if 2 * len(moved) > len(block):  # move the smaller side
+                    moved = [c for c in block if c not in moved]
+                split = list(p.colors)
+                for c in moved:
+                    split[c] = p.rank
+                q = Partition.from_assignment(split)
+                if q in found:
+                    continue
+                b = memo.get(q)
+                if b is None:
+                    members = [set(cells) for cells in blocks] + [set(moved)]
+                    members[k].difference_update(moved)
+                    rekey = {c for d in moved for c in receivers[d] if len(members[split[c]]) > 1}
+                    path = [q]
+                    for _ in _rounds(net, split, [*signatures, signatures[k]], members, rekey):
+                        path.append(Partition.from_assignment(split))
+                        if (b := memo.get(path[-1])) is not None:
+                            break
+                    else:
+                        b = path[-1]
+                    if b is not q:  # a balanced q is kept in found instead
+                        memo.update(dict.fromkeys(path, b))
+                if b not in found:
+                    found.add(b)
+                    stack.append(b)
     return _build_lattice(list(found))
 
 

@@ -839,6 +839,7 @@ def workers(monkeypatch):
     returned list gains one entry per fork."""
     dyn = synckit.dynamics
     monkeypatch.setattr(dyn, "_FORK_WORK", 1)
+    monkeypatch.setattr(dyn, "_resident_mb", lambda: 18)  # where _FORK_WORK holds as it is
     monkeypatch.setattr(dyn.os, "sched_getaffinity", lambda pid: {0, 1, 2})
     forks = []
     fork = os.fork
@@ -1080,3 +1081,23 @@ class TestTrialWorkers:
             assert len(workers) == 1
             workers.clear()
         assert no_child_left()
+
+    @pytest.mark.parametrize("mb, forks", [(18, 2), (107, 1), (108, 0), (None, 2)])
+    def test_fork_threshold_follows_the_resident_size(self, workers, monkeypatch, mb, forks):
+        # a worker needs _FORK_WORK units at 18 MB resident and (71 + mb) / 89
+        # times as many at mb: twice at 107 MB; an unread size keeps the constant
+        dyn = synckit.dynamics
+        net, _, _ = next(worker_lifts(1))
+        spec = sample_admissible(net, 6)
+        check = lambda: check_subsystem(net, spec, 0, trials=5, steps=8)
+        expected = hexed(in_process(monkeypatch, check))
+        half = counted_work(lambda: check_subsystem(net, spec, 0, trials=1, steps=8)) * 5 // 2
+        monkeypatch.setattr(dyn, "_FORK_WORK", half)
+        monkeypatch.setattr(dyn, "_resident_mb", lambda: mb)
+        assert hexed(check()) == expected
+        assert len(workers) == forks
+        assert no_child_left()
+
+    def test_resident_size_is_read(self):
+        mb = synckit.dynamics._resident_mb()
+        assert mb is None or 1 < mb < 1 << 20

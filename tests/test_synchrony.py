@@ -187,6 +187,32 @@ def random_multigraph(rng: random.Random, n: int, num_types: int, tropical: bool
     })
 
 
+def tropical_lift(rng: random.Random, num_types: int, max_cells: int = 7) -> Network:
+    """A tropical-min network on a planted balanced partition of 2-3 colors.
+
+    Each cell's least in-weight from color l is its color's entry q[k][l],
+    met by one sender of l while the others weigh as much, more or inf; an
+    inf entry leaves the color with no edge into cells of color k.
+    """
+    m = rng.randint(2, 3)
+    colors = list(range(m)) + [rng.randrange(m) for _ in range(rng.randint(1, max_cells - m))]
+    rng.shuffle(colors)
+    q = [[rng.choice((1, 2.5, math.inf)) for _ in range(m)] for _ in range(m)]
+    n = len(colors)
+    matrix = [[math.inf] * n for _ in range(n)]
+    for c in range(n):
+        for l in range(m):
+            entry = q[colors[c]][l]
+            if entry == math.inf:
+                continue
+            senders = [d for d in range(n) if colors[d] == l]
+            for d in senders:
+                matrix[c][d] = rng.choice((entry, entry + 1, math.inf))
+            matrix[c][rng.choice(senders)] = entry
+    types = [1 + colors[c] % num_types for c in range(n)]
+    return from_matrix(tuple(str(i + 1) for i in range(n)), types, matrix, TropicalMin())
+
+
 def random_two_split(rng: random.Random, p: Partition) -> Partition:
     """p with part of one color of two or more cells moved to a new color."""
     block = rng.choice([b for b in p.blocks() if len(b) > 1])
@@ -353,6 +379,71 @@ class TestEnumerate:
                     lattice.elements[k], lattice.elements[j]
                 )
                 assert not between
+
+    def test_tropical_lattices_match_brute_force(self):
+        # under tropical-min a color sums to the least of its in-weights and
+        # a color with no in-edge to the zero, inf, which a signature leaves
+        # out; the splits' partial rounds must agree with the dense oracle
+        rng = random.Random(83)
+        merged = 0
+        for trial in range(120):
+            num_types = 1 + trial // 2 % 2
+            if trial % 2:
+                net = tropical_lift(rng, num_types)
+            else:
+                net = random_network(rng, max_cells=7, num_types=num_types,
+                                     weights=(1, 2.5, math.inf, math.inf), monoid=TropicalMin())
+            lattice = enumerate_balanced(net)
+            expected = {p for p in oracle_type_refining(net) if oracle_balanced(net, p)}
+            assert set(lattice.elements) == expected
+            assert lattice.cover_edges == oracle_covers(lattice.elements)
+            merged += len(expected) > 2
+        assert merged >= 40
+
+    @pytest.mark.parametrize("n", range(2, 15))
+    def test_ring_lattice_is_the_divisor_lattice(self, n):
+        # the one-type directed ring C_n: the balanced partitions are
+        # c -> c mod d for the divisors d of n, and P_d covers P_e exactly
+        # when e / d is prime; a split of the top needs about n rounds
+        ring = TestCirWorklist._one_type(n, ((c, (c - 1) % n, 1) for c in range(n)))
+        lattice = enumerate_balanced(ring, max_cells=n)
+        divisors = [d for d in range(1, n + 1) if n % d == 0]
+        element = {d: Partition.from_assignment([c % d for c in range(n)]) for d in divisors}
+        assert set(lattice.elements) == set(element.values())
+        index = {p: i for i, p in enumerate(lattice.elements)}
+        prime = lambda m: m > 1 and all(m % f for f in range(2, m))
+        assert lattice.cover_edges == {
+            (index[element[e]], index[element[d]])
+            for d in divisors for e in divisors if e % d == 0 and prime(e // d)
+        }
+
+    @pytest.mark.parametrize("name, one_cir_per_split, elements",
+                             [("ring", 4536, 3), ("sparse", 13195, 20)])
+    def test_splits_are_refined_from_their_parent(self, monkeypatch, name, one_cir_per_split,
+                                                  elements):
+        # one full cir_balanced per 2-split made one_cir_per_split signature
+        # calls on these networks; refining each split from its balanced
+        # parent, through the shared memo, must make at most half as many
+        n = 9
+        if name == "ring":
+            edges = [(c, (c - 1) % n, 1) for c in range(n)]
+        else:  # two senders per cell, as in the benchmark's sparse networks
+            rng = random.Random(0)
+            edges = [(c, d, 1) for c in range(n) for d in rng.sample([d for d in range(n) if d != c], 2)]
+        net = TestCirWorklist._one_type(n, edges)
+        calls = TestCirWorklist._count_keys(monkeypatch)
+        assert len(enumerate_balanced(net).elements) == elements
+        assert calls[0] <= one_cir_per_split // 2
+
+    def test_known_splits_are_skipped(self, monkeypatch):
+        # every 2-split of K6 is balanced and is an element: cir of the types
+        # keys 6 cells, each element keys one cell per color it splits from,
+        # and each element found as a split costs one first round of at most
+        # 6 cells; refining the known splits again would cost about 3x that
+        net = complete_graph(6)
+        calls = TestCirWorklist._count_keys(monkeypatch)
+        elements = enumerate_balanced(net).elements
+        assert calls[0] <= 6 + sum(p.rank for p in elements) + (len(elements) - 1) * 6
 
 
 def _check_order(net: Network, quotient_every: int) -> int:
