@@ -113,6 +113,7 @@ class Network(NamedTuple("Network", [
         return Network(ids, types, tuple(sorted(edges)), self.monoid)
 
 
+# No command calls this; it stays while bench/spans.py traces it.
 def row_color_sum(net: Network, p: Partition, c: int) -> tuple[tuple[int, Any], ...]:
     """Sparse signature of cell c: sorted (color, sum) pairs of its in-row.
 

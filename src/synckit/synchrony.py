@@ -2,28 +2,28 @@
 
 A type-refining partition is balanced when cells of one color see the
 same monoid-summed in-weight per color; those sums are the in-edges of
-the quotient network, which the balance certificate carries.  One O(n + m)
-refinement round regroups the cells by color and sparse signature (the
-nonzero per-color sums of their in-edges, `row_color_sum`): a partition
-is balanced when the round leaves it unchanged, and exo-balanced when the
-round that ignores each cell's own color does.  The coarsest balanced
-partition below a given one comes from a worklist refinement that
-re-keys only the cells whose senders changed color.  Full lattices are
-built only for small networks, by split-and-cir: starting from the
-coarsest balanced partition, split one color in two and take cir of the
-result, so the work grows with the number of balanced partitions rather
-than with the number of type-refining ones.  Each split is refined from
-its balanced parent's signatures, and one memo of where refinements
-ended serves the whole enumeration.
+the quotient network, which the balance certificate carries.  Every
+verdict rests on one keying round (`_keyer`), which returns the cells
+whose sparse signature (nonzero per-color in-edge sums) differs from
+their color's.  A color with no signature yet takes its first keyed
+cell's, so a round over every cell finds nothing exactly when the
+partition is balanced, and leaves each color's signature behind.
+Exo-balance is balance without same-color in-edges.  cir re-keys only
+the cells whose senders changed color.  Small networks get their full
+lattice by split-and-cir: split a balanced partition's color in two and
+take cir of the result, keyed against the parent's signatures through
+one memo, so the work grows with the lattice, not with the number of
+type-refining partitions.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Any, Iterable, Iterator, NamedTuple, Optional
+from typing import Any, Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .errors import NotInLattice, NotTypeRefining, SynckitError, TooLarge
-from .network import Network, _signature, row_color_sum
+from .monoid import Monoid
+from .network import Network, _signature
 from .partition import Partition, iter_bits, refines
 
 DEFAULT_MAX_CELLS = 12
@@ -35,10 +35,8 @@ def _check_type_refining(net: Network, p: Partition) -> None:
 
 
 class BalancedCertificate(NamedTuple):
-    """A balanced partition and its quotient network, whose cell k is color k, named str(k).
-
-    A color's in-edges in the quotient are its first cell's signature.
-    """
+    """A balanced partition and its quotient network, whose cell k is color k,
+    named str(k), with its cells' common signature as in-edges."""
 
     partition: Partition
     quotient: Network
@@ -53,36 +51,56 @@ class BalancedCertificate(NamedTuple):
         return tuple(map(tuple, rows))
 
 
-def _round(net: Network, p: Partition, exo: bool = False) -> Partition:
-    """Split every color of p by its cells' signatures (own color left out if exo).
+def _keyer(rows: Sequence[Sequence[tuple[int, Any]]], monoid: Monoid) -> Callable[..., dict]:
+    """key(cells, color, signature): per color id, the given cells whose
+    signature under color differs from signature[id], grouped by signature.
+    An id whose signature is None takes its first keyed cell's."""
+    add, zero = monoid.add, monoid.zero()
 
-    Callers check once that p is type-refining, which covers its size.
-    """
-    rows, colors = net.in_edges, p.colors
-    add, zero = net.monoid.add, net.monoid.zero()
-    keys = []
-    for c, k in enumerate(colors):
-        signature = _signature(rows[c], colors, add, zero)
-        if exo:
-            signature = tuple(kw for kw in signature if kw[0] != k)
-        keys.append((k, signature))
-    return Partition.from_assignment(keys)
+    def key(cells: Iterable[int], color: list[int], signature: list[Optional[tuple]]) -> dict:
+        parts: dict[int, dict[tuple, list[int]]] = {}
+        for c in cells:
+            old, sig = color[c], _signature(rows[c], color, add, zero)
+            if sig != signature[old]:
+                if old in parts:
+                    parts[old].setdefault(sig, []).append(c)
+                elif signature[old] is None:
+                    signature[old] = sig
+                else:
+                    parts[old] = {sig: [c]}
+        return parts
+
+    return key
 
 
 def is_balanced(net: Network, p: Partition) -> Optional[BalancedCertificate]:
     """Certificate with the quotient network, built in O(n + m), or None if rows disagree."""
     _check_type_refining(net, p)
-    return _certify(net, p) if _round(net, p) == p else None
+    return _certify(net, p, range(net.n_cells))
 
 
-def _certify(net: Network, p: Partition) -> BalancedCertificate:
-    """The certificate of a partition the caller knows to be balanced."""
-    blocks = p.blocks()
-    types = tuple(net.cell_types[block[0]] for block in blocks)
-    edges = tuple(
-        (k, l, w) for k, block in enumerate(blocks) for l, w in row_color_sum(net, p, block[0])
-    )
+def _certify(net: Network, p: Partition,
+             cells: Optional[Iterable[int]] = None) -> Optional[BalancedCertificate]:
+    """p's certificate from one round over cells, None if it splits a color.
+    By default it keys each color's first cell, for a p known to be balanced."""
+    firsts = [block[0] for block in p.blocks()]
+    signature: list[Optional[tuple]] = [None] * p.rank
+    if _keyer(net.in_edges, net.monoid)(firsts if cells is None else cells, p.colors, signature):
+        return None
+    types = tuple(net.cell_types[c] for c in firsts)
+    edges = tuple((k, l, w) for k, sig in enumerate(signature) for l, w in sig)
     return BalancedCertificate(p, Network(tuple(map(str, range(p.rank))), types, edges, net.monoid))
+
+
+def is_exo_balanced(net: Network, p: Partition) -> bool:
+    """Balance up to each color's own column, which dynamics that ignore
+    same-state senders cannot see on the polydiagonal: the round keys
+    rows without same-color senders."""
+    _check_type_refining(net, p)
+    colors = p.colors
+    rows = [[(d, w) for d, w in row if colors[d] != colors[c]]
+            for c, row in enumerate(net.in_edges)]
+    return not _keyer(rows, net.monoid)(range(net.n_cells), colors, [None] * p.rank)
 
 
 def quotient_network(net: Network, cert: BalancedCertificate) -> Network:
@@ -101,42 +119,34 @@ def quotient_network(net: Network, cert: BalancedCertificate) -> Network:
 
 
 def cir_balanced(net: Network, p: Partition) -> Partition:
-    """Coarsest balanced partition finer than p, by worklist refinement
-    (_rounds) from a first round that keys every cell."""
+    """Coarsest balanced partition finer than p, by worklist rounds (_rounds)
+    after a first round over every cell, if that splits a color."""
     _check_type_refining(net, p)
     if p.rank == net.n_cells:  # one cell per color: balanced
         return p
-    color = list(p.colors)
-    members = [set(block) for block in p.blocks()]
-    splits = sum(1 for _ in _rounds(net, color, [None] * p.rank, members, range(net.n_cells)))
-    return Partition.from_assignment(color) if splits else p
+    key, color, signature = _keyer(net.in_edges, net.monoid), list(p.colors), [None] * p.rank
+    parts = key(range(net.n_cells), color, signature)
+    if not parts:
+        return p
+    for _ in _rounds(key, net.out_neighbours, color, signature, list(p.blocks()), parts):
+        pass
+    return Partition.from_assignment(color)
 
 
-def _rounds(
-    net: Network, color: list[int], signature: list[Optional[tuple]], members: list[set[int]],
-    rekey: Iterable[int],
-) -> Iterator[None]:
+def _rounds(key: Callable[..., dict], receivers: Sequence[Sequence[int]], color: list[int],
+            signature: list, members: list, parts: dict) -> Iterator[None]:
     """Refine color in place to the coarsest balanced partition below it,
     yielding after each round that splits a color.
 
-    Cell c has color id color[c] and members[i] holds the cells of id i.
-    Every cell of id i outside rekey has signature signature[i] (None: no
-    cell keyed yet).  A round keys the cells in rekey; the next re-keys
-    only the receivers of the cells it renamed, since any other cell sums
-    the same edges into the same ids, whatever the monoid.  A one-cell
-    color cannot split, so its cells are not re-keyed.  Each color splits
-    by signature and its largest part keeps the id, so a cell is renamed
-    at most log2(n) times (Paige & Tarjan 1987).  A round that splits no
-    color leaves every color with one signature: balanced.
+    members[i] holds the cells of id i (a set once id i has split), and
+    parts is what the last keying round returned: each cell of id i it
+    does not list has signature[i].  Each listed id splits by signature
+    and its largest part keeps the id, so a cell is renamed at most
+    log2(n) times (Paige & Tarjan 1987).  The next round keys only the
+    receivers of renamed cells in colors of two or more cells; any other
+    cell sums the same edges into the same ids, whatever the monoid.
     """
-    rows, receivers = net.in_edges, net.out_neighbours
-    add, zero = net.monoid.add, net.monoid.zero()
     while True:
-        parts: dict[int, dict[tuple, list[int]]] = {}  # id -> new signature -> cells
-        for c in rekey:
-            old, sig = color[c], _signature(rows[c], color, add, zero)
-            if sig != signature[old]:
-                parts.setdefault(old, {}).setdefault(sig, []).append(c)
         renamed: list[int] = []
         for old, by_sig in parts.items():
             cells = members[old]
@@ -148,6 +158,8 @@ def _rounds(
                     by_sig[signature[old]] = [c for c in cells if c not in listed]
                 signature[old] = sig
                 del by_sig[sig]
+            if by_sig and type(cells) is not set:
+                cells = members[old] = set(cells)
             for sig, part in by_sig.items():
                 new = len(members)
                 members.append(set(part))
@@ -159,7 +171,8 @@ def _rounds(
         if not renamed:
             return
         yield
-        rekey = {c for d in renamed for c in receivers[d] if len(members[color[c]]) > 1}
+        parts = key({c for d in renamed for c in receivers[d] if len(members[color[c]]) > 1},
+                    color, signature)
 
 
 class BalancedLattice(NamedTuple("BalancedLattice", [
@@ -190,23 +203,20 @@ class BalancedLattice(NamedTuple("BalancedLattice", [
             raise NotInLattice("partition is not an element of the lattice") from None
 
 
-def _order(
-    elements: tuple[Partition, ...],
-) -> tuple[tuple[int, ...], frozenset[tuple[int, int]]]:
+def _order(elements: tuple[Partition, ...]) -> tuple[tuple[int, ...], frozenset[tuple[int, int]]]:
     """Up-sets and covers of the refinement order, with sets of elements as bitsets.
 
     A partition is coded by the cell pairs it puts in one color, and i
     refines j iff j holds every pair of i; so the elements above i (i
     itself included) are the intersection, over i's pairs, of the
-    elements holding that pair.  A cover of i is an element strictly
-    above i that is not strictly above anything else strictly above i.
+    elements holding that pair.  Finer elements sort later, so the
+    highest element left in i's strict up-set has nothing left between
+    it and i: it is a cover, and the elements above it are not.
     """
     holders: dict[tuple[int, int], int] = {}
     pairs_of = []
     for i, p in enumerate(elements):
-        pairs = [
-            (a, b) for block in p.blocks() for x, a in enumerate(block) for b in block[x + 1:]
-        ]
+        pairs = [(a, b) for block in p.blocks() for x, a in enumerate(block) for b in block[x + 1:]]
         for pair in pairs:
             holders[pair] = holders.get(pair, 0) | 1 << i
         pairs_of.append(pairs)
@@ -219,11 +229,11 @@ def _order(
         up.append(mask)
     covers = set()
     for i, mask in enumerate(up):
-        strict = mask ^ 1 << i
-        above = 0
-        for k in iter_bits(strict):
-            above |= up[k] ^ 1 << k
-        covers.update((i, j) for j in iter_bits(strict & ~above))
+        rest = mask ^ 1 << i
+        while rest:  # the finest element left above i is a cover
+            j = rest.bit_length() - 1
+            covers.add((i, j))
+            rest &= ~up[j]
     return tuple(up), frozenset(covers)
 
 
@@ -245,72 +255,60 @@ def enumerate_balanced(net: Network, max_cells: int = DEFAULT_MAX_CELLS) -> Bala
     cir of every 2-split reaches each balanced partition.  A split that
     is already known is balanced and is skipped.
 
-    Q is refined from P's signatures, one per color: a cell none of whose
-    senders moved keeps its color's, so the first round re-keys only the
-    receivers of the moved cells (the smaller side).  If it splits no
-    color, Q is balanced; otherwise the rounds walk down to cir(Q), stop
-    at the first partition in a memo shared by all splits, and store the
-    end under every partition on the walk.  The memo is exact: cir(R) =
-    cir(Q) for every cir(Q) <= R <= Q, as cir is monotone and cir(Q) is
-    balanced below R.
+    Q is keyed against P's signatures: a cell none of whose senders moved
+    keeps its color's, so the first round keys only the receivers of the
+    moved cells (the smaller side).  If no color splits, Q is balanced;
+    else the rounds walk down to cir(Q), stop at the first partition in a
+    memo shared by all splits, and store the end under the colors of each
+    partition on the walk.  The memo is exact: cir(R) = cir(Q) for every
+    cir(Q) <= R <= Q, as cir is monotone and cir(Q) is balanced below R.
     """
     if net.n_cells > max_cells:
         raise TooLarge(
             f"{net.n_cells} cells exceeds the enumeration cap of {max_cells}; "
             "raise it with max_cells (--max-cells)"
         )
-    rows, receivers = net.in_edges, net.out_neighbours
-    add, zero = net.monoid.add, net.monoid.zero()
+    key, receivers = _keyer(net.in_edges, net.monoid), net.out_neighbours
     top = cir_balanced(net, net.type_partition())
     found, stack, memo = {top}, [top], {}
     while stack:
         p = stack.pop()
-        blocks = p.blocks()
-        # a one-cell color is never re-keyed, so needs no signature
-        signatures = [_signature(rows[cells[0]], p.colors, add, zero) if len(cells) > 1 else None
-                      for cells in blocks]
+        colors, rank, blocks = p.colors, p.rank, p.blocks()
+        # a one-cell color is never keyed, so needs no signature
+        signature: list[Optional[tuple]] = [None] * rank
+        key([cells[0] for cells in blocks if len(cells) > 1], colors, signature)
         for k, block in enumerate(blocks):
             rest = block[1:]
             for mask in range(1, 1 << len(rest)):
                 moved = [rest[i] for i in iter_bits(mask)]
                 if 2 * len(moved) > len(block):  # move the smaller side
                     moved = [c for c in block if c not in moved]
-                split = list(p.colors)
+                split = list(colors)
                 for c in moved:
-                    split[c] = p.rank
+                    split[c] = rank
                 q = Partition.from_assignment(split)
                 if q in found:
                     continue
-                b = memo.get(q)
+                b = memo.get(q.colors)
                 if b is None:
-                    members = [set(cells) for cells in blocks] + [set(moved)]
-                    members[k].difference_update(moved)
+                    members = [*blocks, moved]
+                    members[k] = [c for c in block if c not in moved]
+                    sig = [*signature, signature[k]]
                     rekey = {c for d in moved for c in receivers[d] if len(members[split[c]]) > 1}
-                    path = [q]
-                    for _ in _rounds(net, split, [*signatures, signatures[k]], members, rekey):
-                        path.append(Partition.from_assignment(split))
-                        if (b := memo.get(path[-1])) is not None:
+                    parts = key(rekey, split, sig)
+                    b, path = q, [q.colors]  # q is balanced unless a round splits a color
+                    for _ in _rounds(key, receivers, split, sig, members, parts):
+                        b = Partition.from_assignment(split)
+                        if (end := memo.get(b.colors)) is not None:
+                            b = end
                             break
-                    else:
-                        b = path[-1]
+                        path.append(b.colors)
                     if b is not q:  # a balanced q is kept in found instead
                         memo.update(dict.fromkeys(path, b))
                 if b not in found:
                     found.add(b)
                     stack.append(b)
     return _build_lattice(list(found))
-
-
-def is_exo_balanced(net: Network, p: Partition) -> bool:
-    """Balance up to each color's own column.
-
-    Cells of one color must see identical per-color in-weight rows on
-    every color except possibly their own; dynamics that ignore
-    same-state senders cannot distinguish the own-color entry on the
-    polydiagonal.
-    """
-    _check_type_refining(net, p)
-    return _round(net, p, exo=True) == p
 
 
 __all__ = [

@@ -73,3 +73,28 @@ def test_every_export_has_a_user_outside_the_tests():
     used = set().union(*map(_names_used, files))
     used.update(part for _, path in TARGETS for part in path.split("."))
     assert sorted(exported - used) == []
+
+
+def _functions_naming(path: Path, name: str) -> list[str]:
+    """The top-level functions of a file whose bodies read the given name."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return [
+        node.name for node in tree.body if isinstance(node, ast.FunctionDef)
+        and any(isinstance(n, ast.Name) and n.id == name for n in ast.walk(node))
+    ]
+
+
+def test_one_keying_round_computes_every_signature():
+    """Balance, exo-balance, cir, certificates and lattice splits share one
+    keying round, and no production path sums a row through row_color_sum."""
+    package = ROOT / "src" / "synckit"
+    synchrony = package / "synchrony.py"
+    assert len(_functions_naming(synchrony, "_signature")) == 1, _functions_naming(
+        synchrony, "_signature")
+    defined = {node.name for node in ast.walk(ast.parse(synchrony.read_text(encoding="utf-8")))
+               if isinstance(node, ast.FunctionDef)}
+    assert "_round" not in defined
+    # network.py defines it; __init__.py only re-exports the public name
+    callers = [f.name for f in package.glob("*.py")
+               if f.name not in ("network.py", "__init__.py") and "row_color_sum" in _names_used(f)]
+    assert callers == []

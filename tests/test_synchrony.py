@@ -6,6 +6,7 @@ import pytest
 
 from synckit.errors import NotBalanced, NotInLattice, NotTypeRefining, SynckitError, TooLarge
 from synckit.monoid import IntegerAdd, TropicalMin
+import synckit.network
 from synckit import synchrony
 from synckit.network import Network, parse_network
 from synckit.partition import (
@@ -284,6 +285,51 @@ class TestCirWorklist:
         assert cir_balanced(ring, Partition((0,) * n)) == Partition((0,) * n)
         assert calls[0] == n
 
+    def test_is_balanced_keys_each_cell_once(self, monkeypatch):
+        # one round over the n cells decides balance and leaves each color's
+        # signature behind for the certificate, so no row is summed again
+        def refuse(*args):
+            raise AssertionError("a certificate summed a row again")
+
+        monkeypatch.setattr(synckit.network, "row_color_sum", refuse)
+        monkeypatch.setattr(synchrony, "row_color_sum", refuse, raising=False)
+        calls = self._count_keys(monkeypatch)
+        rng = random.Random(89)
+        verdicts = Counter()
+        for _ in range(40):
+            net, planted = random_balanced_lift(rng, max_cells=8)
+            for p in (planted, random_type_refinement(rng, net)):
+                calls[0] = 0
+                cert = is_balanced(net, p)
+                assert calls[0] == net.n_cells
+                verdicts[cert is not None] += 1
+        assert verdicts[True] >= 40 and verdicts[False] >= 10
+
+    def test_certify_keys_each_colors_first_cell(self, monkeypatch):
+        # the certificate of a partition known to be balanced keys rank cells
+        keyed = []
+        inner = synchrony._keyer
+
+        def recording(rows, monoid):
+            key = inner(rows, monoid)
+
+            def recorded(cells, color, signature):
+                keyed.extend(cells)
+                return key(cells, color, signature)
+            return recorded
+
+        rng = random.Random(97)
+        for _ in range(30):
+            net, planted = random_balanced_lift(rng, max_cells=8)
+            expected = is_balanced(net, planted)
+            with monkeypatch.context() as patch:
+                patch.setattr(synchrony, "_keyer", recording)
+                calls = self._count_keys(patch)
+                keyed.clear()
+                assert synchrony._certify(net, planted) == expected
+            assert calls[0] == planted.rank
+            assert keyed == [block[0] for block in planted.blocks()]
+
 
 class TestEnumerate:
     def test_driven_chain_elements(self):
@@ -423,7 +469,9 @@ class TestEnumerate:
                                                   elements):
         # one full cir_balanced per 2-split made one_cir_per_split signature
         # calls on these networks; refining each split from its balanced
-        # parent, through the shared memo, must make at most half as many
+        # parent, through the shared memo, must make at most half as many,
+        # and keying it against the parent's signatures holds them at 1988
+        # (C9) and 5007
         n = 9
         if name == "ring":
             edges = [(c, (c - 1) % n, 1) for c in range(n)]
@@ -434,6 +482,7 @@ class TestEnumerate:
         calls = TestCirWorklist._count_keys(monkeypatch)
         assert len(enumerate_balanced(net).elements) == elements
         assert calls[0] <= one_cir_per_split // 2
+        assert calls[0] <= {"ring": 1988, "sparse": 5007}[name]
 
     def test_known_splits_are_skipped(self, monkeypatch):
         # every 2-split of K6 is balanced and is an element: cir of the types
@@ -444,6 +493,7 @@ class TestEnumerate:
         calls = TestCirWorklist._count_keys(monkeypatch)
         elements = enumerate_balanced(net).elements
         assert calls[0] <= 6 + sum(p.rank for p in elements) + (len(elements) - 1) * 6
+        assert calls[0] <= 1268  # K6's count with each split keyed against its parent
 
 
 def _check_order(net: Network, quotient_every: int) -> int:
