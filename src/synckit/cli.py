@@ -191,13 +191,13 @@ def cmd_lattice(args) -> int:
         lines.append("}")
         print("\n".join(lines))
         return EXIT_OK
-    payload = {
-        "elements": texts,
-        "cover_edges": [[i, j] for i, j in sorted(lattice.cover_edges)],
-        "bottom": lattice.bottom,
-        "top": lattice.top,
-    }
-    _emit(payload, args, "\n".join(texts))
+    if args.format == "json":
+        payload = {"elements": texts, "cover_edges": [],
+                   "bottom": lattice.bottom, "top": lattice.top}
+        edges = [f"    [\n      {i},\n      {j}\n    ]" for i, j in sorted(lattice.cover_edges)]
+        _write_json(payload, "cover_edges", [",\n".join(edges)] if edges else [])
+        return EXIT_OK
+    print("\n".join(texts))
     return EXIT_OK
 
 
@@ -332,18 +332,12 @@ def _write_json(payload: dict, key: str, runs: Iterable[str]) -> None:
     out.write(("]" if sep == "\n" else "\n  ]") + tail + "\n")
 
 
-# One pair of the join table as json.dumps(indent=2, sort_keys=True) lays it
-# out inside the top-level "pairs" list; each %s is an already encoded
-# '"key": value' run of one element.
-_PAIR = "    {\n      %s,\n      %s,\n      %s\n    }"
-
-
 def _write_join_table(net: Network, report: cls.JoinTableReport) -> None:
     """Write the join table's JSON without holding its pairs.
 
-    Everything but the pair list goes through json.dumps; the pairs are
-    written row by row from each element's text and class, encoded once,
-    in the bytes json.dumps would give them.
+    Everything but the pair list goes through json.dumps.  Each pair is
+    the join's, the left's and the right's pieces of its json.dumps
+    layout, each encoded once per element, joined row by row.
     """
     texts = [_fmt(net, p) for p in report.lattice.elements]
     payload = {
@@ -355,11 +349,11 @@ def _write_join_table(net: Network, report: cls.JoinTableReport) -> None:
         "rooted_all_reach_matched": report.rooted_all_reach_matched,
     }
     encoded = [(json.dumps(t), json.dumps(k.value)) for t, k in zip(texts, report.classes)]
-    joins = [f'"join": {t},\n      "join_class": {k}' for t, k in encoded]
-    lefts = [f'"left": {t},\n      "left_class": {k}' for t, k in encoded]
-    rights = [f'"right": {t},\n      "right_class": {k}' for t, k in encoded]
+    joins = [f'    {{\n      "join": {t},\n      "join_class": {k},\n      ' for t, k in encoded]
+    lefts = [f'"left": {t},\n      "left_class": {k},\n      ' for t, k in encoded]
+    rights = [f'"right": {t},\n      "right_class": {k}\n    }}' for t, k in encoded]
     rows = (
-        ",\n".join([_PAIR % (joins[jdx], lefts[i], right) for jdx, right in zip(row, rights[i:])])
+        ",\n".join(map(str.__add__, map(joins.__getitem__, row), map(lefts[i].__add__, rights[i:])))
         for i, row in enumerate(cls.join_rows(report.lattice.up))
     )
     _write_json(payload, "pairs", rows)

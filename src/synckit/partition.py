@@ -26,7 +26,7 @@ class Partition(NamedTuple("Partition", [("colors", tuple[int, ...])])):
     """Canonical color assignment over cells 0..n-1.
 
     A one-field tuple, so hashing and equality run in C; the subclass
-    has a `__dict__` for the cached rank.
+    has a `__dict__` for the cached rank and blocks.
     """
 
     def __new__(cls, colors: tuple[int, ...]) -> "Partition":
@@ -54,10 +54,24 @@ class Partition(NamedTuple("Partition", [("colors", tuple[int, ...])])):
         return max(self.colors) + 1 if self.colors else 0
 
     def blocks(self) -> tuple[tuple[int, ...], ...]:
-        out: list[list[int]] = [[] for _ in range(self.rank)]
-        for c, k in enumerate(self.colors):
-            out[k].append(c)
-        return tuple(tuple(b) for b in out)
+        """The cells of each color, in cell order; built once per partition."""
+        blocks = self.__dict__.get("_blocks")
+        if blocks is None:
+            out: list[list[int]] = [[] for _ in range(self.rank)]
+            for c, k in enumerate(self.colors):
+                out[k].append(c)
+            blocks = self.__dict__["_blocks"] = tuple(map(tuple, out))
+        return blocks
+
+    def split(self, cells: Sequence[int]) -> "Partition":
+        """This partition with cells moved to a new color: cells are sorted,
+        share one color and are not its first cell."""
+        colors = self.colors
+        new = max(colors[:cells[0]]) + 1  # the colors seen before cells[0] keep their number
+        out = [k + (k >= new) for k in colors]
+        for c in cells:
+            out[c] = new
+        return tuple.__new__(Partition, (tuple(out),))
 
 
 def iter_bits(mask: int) -> Iterator[int]:

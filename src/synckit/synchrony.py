@@ -11,9 +11,10 @@ partition is balanced, and leaves each color's signature behind.
 Exo-balance is balance without same-color in-edges.  cir re-keys only
 the cells whose senders changed color.  Small networks get their full
 lattice by split-and-cir: split a balanced partition's color in two and
-take cir of the result, keyed against the parent's signatures through
-one memo, so the work grows with the lattice, not with the number of
-type-refining partitions.
+take cir of the result, answered from the cuts already resolved where
+they bound it (cir is monotone) and otherwise keyed against the parent's
+signatures through one memo, so the work grows with the lattice, not
+with the number of type-refining partitions.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from typing import Any, Callable, Iterable, Iterator, NamedTuple, Optional, Sequ
 from .errors import NotInLattice, NotTypeRefining, SynckitError, TooLarge
 from .monoid import Monoid
 from .network import Network, _signature
-from .partition import Partition, iter_bits, refines
+from .partition import Partition, refines
 
 DEFAULT_MAX_CELLS = 12
 
@@ -255,60 +256,127 @@ def enumerate_balanced(net: Network, max_cells: int = DEFAULT_MAX_CELLS) -> Bala
     cir of every 2-split reaches each balanced partition.  A split that
     is already known is balanced and is skipped.
 
-    Q is keyed against P's signatures: a cell none of whose senders moved
-    keeps its color's, so the first round keys only the receivers of the
-    moved cells (the smaller side).  If no color splits, Q is balanced;
-    else the rounds walk down to cir(Q), stop at the first partition in a
-    memo shared by all splits, and store the end under the colors of each
-    partition on the walk.  The memo is exact: cir(R) = cir(Q) for every
-    cir(Q) <= R <= Q, as cir is monotone and cir(Q) is balanced below R.
+    cir is monotone and cir(Q) is balanced, so cir(Q) = cir(Q ∧ cir(R))
+    for every R >= Q, and cuts already resolved answer most splits.  Q
+    cuts P's color K into S and K - S.  The parent that first found P
+    resolved every cut of its color K' ⊇ K before P was split, and its
+    cuts of K' by S and by K - S lie above Q.  Each cut's cir is kept by
+    the mask of the cut's side without the color's first cell, where it
+    lies below the cut (a balanced cut bounds nothing).  A trivial cir
+    answers Q at once; else Q ∧ cir(R) is looked up among the elements
+    and in the memo below.
+
+    Otherwise Q is keyed against P's signatures: a cell none of whose
+    senders moved keeps its color's, so the first round keys only the
+    receivers of the moved cells (the smaller side).  If no color
+    splits, Q is balanced; else the rounds walk down to cir(Q).  At each
+    partition W of the walk, each W-part of K without K's first cell
+    cuts K above W; the cuts of K resolved before Q answer W as above.
+    The walk stops at the first partition in a memo shared by all splits,
+    and stores the end under the colors of each partition looked up on
+    the way.  The memo is exact: cir(R) = cir(Q) for every
+    cir(Q) <= R <= Q, as cir is monotone and cir(Q) is balanced below R;
+    so every answer is exactly cir(Q), which the bounds rely on.
     """
     if net.n_cells > max_cells:
         raise TooLarge(
             f"{net.n_cells} cells exceeds the enumeration cap of {max_cells}; "
             "raise it with max_cells (--max-cells)"
         )
-    key, receivers = _keyer(net.in_edges, net.monoid), net.out_neighbours
     top = cir_balanced(net, net.type_partition())
-    found, stack, memo = {top}, [top], {}
+    return _build_lattice([top, *{b for *_, b in _split_answers(net, top)}])
+
+
+def _split_answers(net: Network, top: Partition) -> Iterator[tuple[Partition, int, int, Partition]]:
+    """Split-and-cir from the balanced top: yields (P, k, mask, cir(Q)) for
+    every 2-split Q of every element P that is not a known element.
+
+    Q moves the cells of P's color k at the set bits of mask, positions
+    in the color after its first cell, to a new color; see
+    enumerate_balanced for how cir(Q) is found.
+    """
+    key, receivers, n = _keyer(net.in_edges, net.monoid), net.out_neighbours, net.n_cells
+    bottom = Partition.trivial(n)
+    found, stack, memo = {top}, [(top, None, None)], {}
+
+    def known(assignment: Sequence[int], bounds: list) -> tuple[Optional[Partition], Partition]:
+        """The meet of assignment and the balanced bounds, and its cir if known."""
+        if any(r.rank == n for r in bounds):
+            return bottom, bottom
+        if bounds:
+            assignment = zip(assignment, *[r.colors for r in bounds])
+        q = Partition.from_assignment(assignment)
+        return (q if q in found else memo.get(q.colors)), q
+
     while stack:
-        p = stack.pop()
+        p, parent, parent_cuts = stack.pop()
         colors, rank, blocks = p.colors, p.rank, p.blocks()
         # a one-cell color is never keyed, so needs no signature
         signature: list[Optional[tuple]] = [None] * rank
         key([cells[0] for cells in blocks if len(cells) > 1], colors, signature)
+        # cuts[k][mask]: cir of the cut of color k by mask, where it lies below the cut
+        cuts: list[Optional[list[Optional[Partition]]]] = [None] * rank
         for k, block in enumerate(blocks):
-            rest = block[1:]
-            for mask in range(1, 1 << len(rest)):
-                moved = [rest[i] for i in iter_bits(mask)]
-                if 2 * len(moved) > len(block):  # move the smaller side
-                    moved = [c for c in block if c not in moved]
-                split = list(colors)
-                for c in moved:
-                    split[c] = rank
-                q = Partition.from_assignment(split)
+            first, rest = block[0], block[1:]
+            sides = [()]  # sides[mask]: the cells of rest at the set bits of mask
+            for c in rest:
+                sides += [side + (c,) for side in sides]
+            full = len(sides) - 1
+            # the cuts of the parent's color that holds this one, by either side, lie above
+            above, bit = parent_cuts and parent_cuts[parent.colors[first]], None
+            for mask in range(1, full + 1):
+                q = p.split(sides[mask])
                 if q in found:
                     continue
                 b = memo.get(q.colors)
+                if b is None and above:
+                    if bit is None:  # the parent's mask of each cell, and of the whole block
+                        outer = parent.blocks()[parent.colors[first]]
+                        bit = {c: 1 << i for i, c in enumerate(outer[1:])}
+                        flip = sum(bit.get(c, 0) for c in block)
+                        if first == outer[0]:  # the other side holds the parent's first cell
+                            flip ^= len(above) - 1
+                    lift = sum(map(bit.__getitem__, sides[mask]))
+                    bounds = [*filter(None, {above[lift], above[flip ^ lift]})]
+                    if bounds:
+                        b = known(q.colors, bounds)[0]
                 if b is None:
+                    moved, kept = sides[mask], (first, *sides[full ^ mask])
+                    if 2 * len(moved) > len(block):  # move the smaller side
+                        moved, kept = kept, moved
+                    split = list(colors)
+                    for c in moved:
+                        split[c] = rank
                     members = [*blocks, moved]
-                    members[k] = [c for c in block if c not in moved]
+                    members[k] = kept
                     sig = [*signature, signature[k]]
                     rekey = {c for d in moved for c in receivers[d] if len(members[split[c]]) > 1}
                     parts = key(rekey, split, sig)
                     b, path = q, [q.colors]  # q is balanced unless a round splits a color
+                    table = cuts[k]
                     for _ in _rounds(key, receivers, split, sig, members, parts):
-                        b = Partition.from_assignment(split)
-                        if (end := memo.get(b.colors)) is not None:
+                        bounds = []
+                        if table:  # each part of the color without its first cell cuts it above W
+                            bits: dict[int, int] = {}
+                            for i, c in enumerate(rest):
+                                bits[split[c]] = bits.get(split[c], 0) | 1 << i
+                            bits.pop(split[first], None)
+                            bounds = [*filter(None, map(table.__getitem__, bits.values()))]
+                        end, b = known(split, bounds)
+                        if end is not None:
                             b = end
                             break
                         path.append(b.colors)
                     if b is not q:  # a balanced q is kept in found instead
                         memo.update(dict.fromkeys(path, b))
+                if max(b.colors) > rank:  # below the cut: bounds its later walks and its children
+                    if cuts[k] is None:
+                        cuts[k] = [None] * len(sides)
+                    cuts[k][mask] = b
+                yield p, k, mask, b
                 if b not in found:
                     found.add(b)
-                    stack.append(b)
-    return _build_lattice(list(found))
+                    stack.append((b, p, cuts))
 
 
 __all__ = [

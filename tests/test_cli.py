@@ -1,21 +1,24 @@
 import contextlib
+import io
 import json
 import math
 import os
 import random
 import re
+import tempfile
 import tracemalloc
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from synckit import classification, cli
 from synckit.cli import run
 from synckit.dynamics import evolve, expand_state, sample_admissible
 from synckit.errors import TooLarge
 from synckit.network import load_network, save_network
-from synckit.partition import format_partition
+from synckit.classification import join_table_report
+from synckit.partition import format_partition, join
 from synckit.synchrony import is_balanced
 
 from conftest import FIXTURE_NAMES, fixture_path
@@ -703,6 +706,66 @@ def test_byte_identical_reruns(capsys):
     a = invoke(capsys, "tables", "--network", fx("driven_chain"), "--format", "json")
     b = invoke(capsys, "tables", "--network", fx("driven_chain"), "--format", "json")
     assert a == b
+
+
+# quotes, backslashes, non-ASCII and a control character: every escape json.dumps makes
+_ODD_ID = st.text(st.sampled_from(['a', 'b', '"', '\\', 'é', '中', '😀', '\x01']),
+                  min_size=1, max_size=3)
+
+
+def _lattice_and_tables_payloads(net) -> tuple[dict, dict]:
+    """The full `lattice` and `tables` JSON payloads, built pair by pair."""
+    report = join_table_report(net)
+    elements = report.lattice.elements
+    texts = [format_partition(p, net.cell_ids) for p in elements]
+    classes = [k.value for k in report.classes]
+    lattice = {"elements": texts, "bottom": report.lattice.bottom, "top": report.lattice.top,
+               "cover_edges": [[i, j] for i, j in sorted(report.lattice.cover_edges)]}
+    pairs = []
+    for i, left in enumerate(elements):
+        for j in range(i, len(elements)):
+            k = elements.index(join(left, elements[j]))
+            pairs.append({"join": texts[k], "join_class": classes[k], "left": texts[i],
+                          "left_class": classes[i], "right": texts[j], "right_class": classes[j]})
+    tables = {
+        "elements": [{"partition": t, "class": k} for t, k in zip(texts, classes)],
+        "general_table_ok": report.general_table_ok,
+        "matched_table_ok": report.matched_table_ok,
+        "nonweak_join_closed": report.nonweak_join_closed,
+        "pairs": pairs,
+        "rooted_all_reach_matched": report.rooted_all_reach_matched,
+    }
+    return lattice, tables
+
+
+@settings(max_examples=40, deadline=None)
+@given(ids=st.lists(_ODD_ID, min_size=1, max_size=5, unique=True),
+       seed=st.integers(0, 2**16), tropical=st.booleans())
+@example(ids=['"'], seed=0, tropical=False)  # one element: no cover edge, one pair
+@example(ids=['a"', "\\", "é"], seed=1, tropical=True)
+def test_lattice_and_tables_json_are_json_dumps_of_the_payload(ids, seed, tropical):
+    """`lattice` and `tables` write their lists from pre-encoded pieces; the
+    bytes must be json.dumps(payload, indent=2, sort_keys=True) + newline."""
+    rng = random.Random(seed)
+    n = len(ids)
+    weights = (1, 2.5, 1) if tropical else (1, 2, -1)
+    doc = {
+        "monoid": "tropical-min" if tropical else "int-add",
+        "cells": [{"id": c, "type": 1 + (i > 0 and rng.randrange(2))} for i, c in enumerate(ids)],
+        "edges": [{"from": ids[rng.randrange(n)], "to": ids[rng.randrange(n)],
+                   "weight": rng.choice(weights)} for _ in range(rng.randint(0, 2 * n))],
+    }
+    with tempfile.TemporaryDirectory() as workdir:
+        path = Path(workdir) / "net.json"
+        path.write_text(json.dumps(doc))
+        net = load_network(str(path))
+        expected = _lattice_and_tables_payloads(net)
+        for command, payload in zip(("lattice", "tables"), expected):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                code = run([command, "--network", str(path), "--format", "json"])
+            assert code in (0, 1)
+            assert out.getvalue() == json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 GOLDEN = Path(__file__).resolve().parent / "golden"

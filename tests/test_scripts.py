@@ -52,6 +52,19 @@ def test_verify_dynamics_exactness_line_reads_the_comparisons_alone(monkeypatch,
     assert "falsified 0/1 non-balanced candidates" in out
     assert "locality exact: True" in out
 
+def test_lattice_sweep_runs_a_tiny_paired_comparison():
+    """A tiny A/B of this tree against itself: each network's row reads the
+    lattice size both trees agree on, their signature calls and a ratio."""
+    done = _run_script(["scripts/lattice_sweep.py", "--against", ".", "--repeats", "2", "--rings",
+                        "4-5", "--complete", "3", "--sparse", "5", "--sparse-seeds", "1"])
+    assert done.returncode == 0, done.stdout + done.stderr
+    rows = [line.split() for line in done.stdout.splitlines()[1:]]
+    assert [row[:2] for row in rows] == [
+        ["C4", "3"], ["C5", "2"], ["K3", "5"], ["sparse5.0", "9"]]
+    for row in rows:
+        assert row[2] == row[4] and float(row[-1]) > 0  # the same signature calls in both
+
+
 def _run_script(argv):
     path = filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}

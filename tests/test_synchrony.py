@@ -11,6 +11,7 @@ from synckit import synchrony
 from synckit.network import Network, parse_network
 from synckit.partition import (
     Partition,
+    iter_bits,
     join,
     meet,
     parse_partition,
@@ -469,9 +470,10 @@ class TestEnumerate:
                                                   elements):
         # one full cir_balanced per 2-split made one_cir_per_split signature
         # calls on these networks; refining each split from its balanced
-        # parent, through the shared memo, must make at most half as many,
-        # and keying it against the parent's signatures holds them at 1988
-        # (C9) and 5007
+        # parent, through the shared memo, must make at most half as many;
+        # keying it against the parent's signatures made 1988 (C9) and 5007,
+        # and answering it from the cuts already resolved holds them at 951
+        # and 1578
         n = 9
         if name == "ring":
             edges = [(c, (c - 1) % n, 1) for c in range(n)]
@@ -482,7 +484,17 @@ class TestEnumerate:
         calls = TestCirWorklist._count_keys(monkeypatch)
         assert len(enumerate_balanced(net).elements) == elements
         assert calls[0] <= one_cir_per_split // 2
-        assert calls[0] <= {"ring": 1988, "sparse": 5007}[name]
+        assert calls[0] <= {"ring": 951, "sparse": 1578}[name]
+
+    def test_ring_splits_are_answered_from_resolved_cuts(self, monkeypatch):
+        # C12's top has 2047 cuts, nearly all with the trivial cir: keyed
+        # against the parent they made 25973 signature calls, and answered
+        # from the cuts already resolved they make at most 10192
+        n = 12
+        ring = TestCirWorklist._one_type(n, ((c, (c - 1) % n, 1) for c in range(n)))
+        calls = TestCirWorklist._count_keys(monkeypatch)
+        assert len(enumerate_balanced(ring).elements) == 6
+        assert calls[0] <= 10192
 
     def test_known_splits_are_skipped(self, monkeypatch):
         # every 2-split of K6 is balanced and is an element: cir of the types
@@ -494,6 +506,41 @@ class TestEnumerate:
         elements = enumerate_balanced(net).elements
         assert calls[0] <= 6 + sum(p.rank for p in elements) + (len(elements) - 1) * 6
         assert calls[0] <= 1268  # K6's count with each split keyed against its parent
+
+
+def _split_answer_networks():
+    """Int-add, tropical-min and two-type networks whose splits are mostly
+    answered from cuts already resolved: rings, sparse one-type networks,
+    the seeded lattice networks and tropical lifts."""
+    rng = random.Random(101)
+    for n in range(5, 11):
+        yield TestCirWorklist._one_type(n, ((c, (c - 1) % n, 1) for c in range(n)))
+        edges = {(c, d, 1) for c in range(n)
+                 for d in rng.sample([d for d in range(n) if d != c], 2)}
+        yield TestCirWorklist._one_type(n, edges)
+    yield from seeded_lattice_networks()
+    for trial in range(40):
+        yield tropical_lift(rng, 1 + trial % 2, max_cells=8)
+        yield random_multigraph(rng, rng.randint(5, 8), 1 + trial % 2, tropical=trial % 4 == 1)
+
+
+def test_every_split_answer_is_exactly_its_cir():
+    # split-and-cir stays complete when splits get balanced upper bounds of
+    # their cir as answers, so only a direct check sees an answer that is
+    # not exact, which would corrupt the memo and the cuts that later splits
+    # are answered from
+    answered = below = 0
+    for net in _split_answer_networks():
+        top = cir_balanced(net, net.type_partition())
+        for p, k, mask, b in synchrony._split_answers(net, top):
+            block = p.blocks()[k]
+            moved = {block[1 + i] for i in iter_bits(mask)}
+            q = Partition.from_assignment([p.rank if c in moved else p.colors[c]
+                                           for c in range(net.n_cells)])
+            assert b == cir_balanced(net, q)
+            answered += 1
+            below += b != q
+    assert answered >= 4500 and below >= 3000
 
 
 def _check_order(net: Network, quotient_every: int) -> int:
