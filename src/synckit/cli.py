@@ -8,11 +8,11 @@ identical inputs produce byte-identical output.
 
 from __future__ import annotations
 
-import argparse
 import json
 import math
 import random
 import sys
+from types import SimpleNamespace
 from typing import Iterable, Optional
 
 from . import classification as cls
@@ -155,18 +155,27 @@ def cmd_balanced(args) -> int:
     p = _partition(args, net)
     cert = syn.is_balanced(net, p)
     payload = {"partition": _fmt(net, p), "balanced": cert is not None}
-    if cert is not None:
-        matrix = cert.quotient_matrix
-        # tropical-min's zero +inf is written as the document format spells it
-        payload["quotient_matrix"] = [["inf" if v == math.inf else v for v in row] for row in matrix]
-        _emit(payload, args, "balanced\n" + _matrix_text(matrix))
+    if cert is None:
+        _emit(payload, args, "not balanced")
+        return EXIT_FALSE
+    matrix = cert.quotient_matrix
+    if args.format != "json":
+        print("balanced\n" + "\n".join("[" + " ".join(map(str, row)) + "]" for row in matrix))
         return EXIT_OK
-    _emit(payload, args, "not balanced")
-    return EXIT_FALSE
+    payload["quotient_matrix"] = []
+    # tropical-min's zero +inf is written as the document format spells it;
+    # a row is never empty, so its items sit between its brackets
+    _write_json(payload, "quotient_matrix", (
+        "    [\n      "
+        + json.dumps(["inf" if v == math.inf else v for v in row], separators=_ROW_ITEMS)[1:-1]
+        + "\n    ]"
+        for row in matrix
+    ))
+    return EXIT_OK
 
 
-def _matrix_text(m) -> str:
-    return "\n".join("[" + " ".join(str(v) for v in row) + "]" for row in m)
+# the separators json.dumps(indent=2) puts between a nested list's items
+_ROW_ITEMS = (",\n      ", ": ")
 
 
 def cmd_cir(args) -> int:
@@ -207,7 +216,10 @@ def cmd_quotient_network(args) -> int:
     q = syn.quotient_network(net, cert)
     if args.out:
         save_network(q, args.out)
-    _emit(network_to_doc(q), args, export_dot(q).rstrip("\n"))
+    if args.format == "json":
+        print(json.dumps(network_to_doc(q), indent=2, sort_keys=True))
+    else:
+        print(export_dot(q).rstrip("\n"))
     return EXIT_OK
 
 
@@ -474,13 +486,15 @@ def cmd_export_dot(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+_SHARED = (("--network", {"required": True, "help": "path to a network JSON file"}),
+           ("--format", {"choices": ["text", "json", "dot"], "default": "text"}))
 _PARTITION = ("--partition", {"required": True, "help": "partition spec, e.g. 12/45"})
 _OPTIONAL_PARTITION = ("--partition", {"default": None})
 _MAX_CELLS = ("--max-cells", {"type": int, "default": syn.DEFAULT_MAX_CELLS})
 _KIND = ("--kind", {"required": True})
 
-# Each subcommand's handler and its arguments after --network and --format,
-# which all take, as (name, add_argument keywords) pairs.
+# Each subcommand's handler and its arguments after _SHARED's --network and
+# --format, which all take, as (name, add_argument keywords) pairs.
 _COMMANDS = {
     "scc": (cmd_scc, ()),
     "condense": (cmd_condense, ()),
@@ -527,7 +541,7 @@ _EPILOGS = {
 }
 
 
-def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+def build_parser(command: Optional[str] = None) -> "argparse.ArgumentParser":
     """The synckit parser with every subcommand, or with `command`'s alone.
 
     A parser of one subcommand is given the metavar that argparse would
@@ -535,6 +549,8 @@ def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
     lists every command, as the full parser's does.  The full parser keeps
     no metavar: its errors name the argument "command".
     """
+    import argparse  # loaded with gettext only here: about a fifth of this module's import time
+
     parser = argparse.ArgumentParser(
         prog="synckit",
         description="Synchrony analysis for weighted coupled cell networks.",
@@ -547,9 +563,7 @@ def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
         if command is not None and name != command:
             continue
         p = sub.add_parser(name, epilog=_EPILOGS.get(name))
-        p.add_argument("--network", required=True, help="path to a network JSON file")
-        p.add_argument("--format", choices=["text", "json", "dot"], default="text")
-        for flag, options in own:
+        for flag, options in (*_SHARED, *own):
             p.add_argument(flag, **options)
         p.set_defaults(handler=handler)
     return parser
@@ -560,17 +574,92 @@ def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
 _DOT_COMMANDS = {"condense", "lattice", "quotient", "export-dot"}
 
 
+# The add_argument keywords _fast_args follows; help changes only --help.
+_FAST_KEYWORDS = {"required", "default", "type", "choices", "action", "help"}
+
+
+def _fast_args(argv: list[str]) -> Optional[SimpleNamespace]:
+    """The attributes build_parser().parse_args(argv) would return, read off
+    _COMMANDS, or None unless argparse would surely return them unprompted.
+
+    Taken: the command first, then each of its flags at most once, spelled
+    in full as --flag=value or --flag value, where a separate value is "-"
+    or a nonempty string not starting with "-", and verify's check once.
+    Declined: help, "--", an abbreviated or unknown flag, a value that its
+    type or choices refuse, a missing required argument, and a flag whose
+    keywords this does not follow.  Whatever is declined goes to argparse,
+    so help, usage errors and their exit codes come from it alone.
+    """
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    handler, own = _COMMANDS[argv[0]]
+    values = {"command": argv[0], "handler": handler}
+    flags, positional, required = {}, None, set()
+    for name, options in (*_SHARED, *own):
+        action = options.get("action")
+        if not options.keys() <= _FAST_KEYWORDS or action not in (None, "store_true"):
+            return None
+        dest = name.lstrip("-").replace("-", "_")
+        values[dest] = options.get("default", False if action else None)
+        if isinstance(values[dest], str) and "type" in options:
+            return None  # argparse would convert the default
+        if name.startswith("-"):
+            flags[name] = dest, options
+        else:
+            positional = dest, options
+        if options.get("required") or not name.startswith("-"):
+            required.add(dest)
+    given = set()
+    rest = iter(argv[1:])
+    for arg in rest:
+        if not arg.startswith("-"):
+            if positional is None:
+                return None
+            (dest, options), value = positional, arg
+        else:
+            name, eq, value = arg.partition("=")
+            if name not in flags:
+                return None
+            dest, options = flags[name]
+            if "action" in options:
+                if eq:
+                    return None
+                value = True
+            elif not eq:
+                value = next(rest, "")
+                if not value or value[0] == "-" and value != "-":
+                    return None
+            elif value == "--":
+                return None  # argparse would drop it and store []
+        if dest in given:
+            return None
+        given.add(dest)
+        if "type" in options:
+            try:
+                value = options["type"](value)
+            except (TypeError, ValueError):
+                return None
+        if "choices" in options and value not in options["choices"]:
+            return None
+        values[dest] = value
+    if not required <= given:
+        return None
+    return SimpleNamespace(**values)
+
+
 def run(argv: Optional[list[str]] = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    # a command's arguments are parsed by its subparser alone, so only that
-    # one is built; anything else (no command, an option first, an unknown
-    # command) gets every subcommand for its help or error
-    parser = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
+    args = _fast_args(argv)
+    if args is None:
+        # a command's arguments are parsed by its subparser alone, so only
+        # that one is built; anything else (no command, an option first, an
+        # unknown command) gets every subcommand for its help or error
+        parser = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit as exc:
+            return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         if args.format == "dot" and args.command not in _DOT_COMMANDS:
             raise SynckitError(f"{args.command} has no --format dot output")

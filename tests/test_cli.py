@@ -18,7 +18,7 @@ from synckit.dynamics import evolve, expand_state, sample_admissible
 from synckit.errors import TooLarge
 from synckit.network import load_network, save_network
 from synckit.classification import join_table_report
-from synckit.partition import format_partition, join
+from synckit.partition import format_partition, join, parse_partition
 from synckit.synchrony import is_balanced
 
 from conftest import FIXTURE_NAMES, fixture_path
@@ -549,6 +549,118 @@ def test_run_answers_as_the_full_parser(capsys, monkeypatch, argv):
         assert "{" + ",".join(SUBCOMMANDS) + "}" in got[2]
 
 
+def _argparse_args(argv):
+    """build_parser().parse_args(argv) as a dict, or None where it exits."""
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            return vars(cli.build_parser().parse_args(argv))
+    except SystemExit:
+        return None
+
+
+_ARG_VALUES = st.sampled_from([
+    "f", "12/3", "3", "-2", "0", "1e-3", "nan", "1.5", "x", "", "-", "--", "-5", "--format",
+    "-h", "text", "json", "dot", "yaml", "discrete", "rk4", "euler", "random", "a=b",
+])
+_LOOSE_TOKENS = st.sampled_from([
+    "-h", "--help", "--", "-", "", "--net", "--form", "--part", "--max", "--bogus",
+    "invariance", "locality", "subsystem", "quotient", "bogus", "--exo", "--exo=1",
+])
+
+
+@st.composite
+def _argvs(draw):
+    """A command and its required arguments, some dropped, mixed with any of
+    every command's flags in both spellings and with awkward tokens."""
+    command = draw(st.sampled_from([*cli._COMMANDS, "bogus"]))
+    own = cli._COMMANDS.get(command, (None, ()))[1]
+    all_flags = sorted({f for _, opts in cli._COMMANDS.values() for f, _ in opts
+                        if f.startswith("-")})
+    def value(options):
+        if draw(st.integers(0, 3)) == 0:
+            return draw(_ARG_VALUES)
+        return draw(st.sampled_from(options.get("choices") or ["3" if "type" in options else "f"]))
+
+    items = [[f, value(o)] for f, o in (*cli._SHARED, *own) if o.get("required")]
+    items += [[draw(st.sampled_from(o["choices"]))] for f, o in own if not f.startswith("-")]
+    items = [item for item in items if draw(st.integers(0, 7))]
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(st.integers(0, 5))
+        if kind == 0:
+            items.append([draw(_LOOSE_TOKENS)])
+            continue
+        if kind == 1:
+            items.append([draw(st.sampled_from(all_flags)), draw(_ARG_VALUES)])
+            continue
+        flag, options = draw(st.sampled_from([o for o in (*cli._SHARED, *own) if o[0][0] == "-"]))
+        items.append([flag] if options.get("action") else [flag, value(options)])
+    items = draw(st.permutations(items))
+    argv = [] if draw(st.integers(0, 15)) == 0 else [command]
+    for item in items:
+        argv += ["=".join(item)] if len(item) == 2 and draw(st.booleans()) else item
+    return argv
+
+
+@settings(max_examples=600, deadline=None)
+@given(argv=_argvs())
+@example(argv=["verify", "invariance", "--network", "f", "--partition=--"])
+@example(argv=["verify", "invariance", "quotient", "--network", "f", "--partition", "1"])
+@example(argv=["verify", "--network", "f", "--partition", "1"])
+@example(argv=["simulate", "--network", "f", "--steps", "-5"])
+@example(argv=["balanced", "--network", "f", "--partition", ""])
+@example(argv=["lattice", "--network", "f", "--network", "g"])
+@example(argv=["simulate", "--network", "f", "--exo=1"])
+def test_fast_parser_agrees_with_argparse_or_declines(argv):
+    """run's table-driven parser returns argparse's namespace, or declines."""
+    fast = cli._fast_args(argv)
+    if fast is not None:
+        assert vars(fast) == _argparse_args(argv)
+
+
+def _well_formed_argvs():
+    f, chain = fx("triangle"), fx("chain4")
+    argvs = [[command, "--network", f, *flags] for command, *flags in _GOLDEN_COMMANDS.values()]
+    argvs += [
+        ["scc", "--network", f], ["condense", "--network", f, "--format", "dot"],
+        ["roots", "--network=" + f], ["rdc", "--format=json", "--network", f],
+        ["reach", "--network", chain, "--cell", "3", "--k", "2"],
+        ["balanced", "--network", f, "--partition", "12/3"],
+        ["cir", "--partition=12/3", "--network", f],
+        ["lattice", "--network", f, "--max-cells", "5"],
+        ["quotient", "--network", f, "--partition", "12/3", "--format", "json"],
+        ["exo", "--network", f, "--partition", "12/3"],
+        ["classify", "--network", f, "--partition", "12/3"],
+        ["matched", "--network", f, "--partition", "12/3", "--kind", "vk:2"],
+        ["invariant", "--network", f, "--partition", "12/3", "--kind", "r"],
+        ["tables", "--network", f, "--quotient", "12/3"],
+        ["simulate", "--network", f, "--steps", "3", "--mode", "rk4", "--dt", "0.01", "--exo"],
+        ["verify", "--network", f, "invariance", "--partition", "12/3", "--tol=1e-6"],
+        ["verify", "locality", "--network", chain, "--cell", "3", "--k", "2"],
+        ["export-dot", "--network", f, "--partition", "12/3"],
+    ]
+    return argvs
+
+
+def test_well_formed_commands_skip_argparse(monkeypatch):
+    """Every golden command and a well-formed argv of each subcommand is
+    parsed from the command table, to argparse's namespace, and run
+    without building an argparse parser."""
+    argvs = _well_formed_argvs()
+    assert {argv[0] for argv in argvs} == set(SUBCOMMANDS)
+    for argv in argvs:
+        fast = cli._fast_args(argv)
+        assert fast is not None, argv
+        assert vars(fast) == _argparse_args(argv)
+
+    def refuse(command=None):
+        raise AssertionError("argparse parser built")
+
+    monkeypatch.setattr(cli, "build_parser", refuse)
+    with contextlib.redirect_stdout(io.StringIO()):
+        for command, *flags in _GOLDEN_COMMANDS.values():
+            assert run([command, "--network", fx("triangle"), *flags]) == 0
+
+
 _IDS = st.sampled_from(["1", "2", "3", "a"])
 _JUNK = st.one_of(
     st.none(), st.booleans(), st.integers(-2, 3), st.just(10**400),
@@ -765,6 +877,42 @@ def test_lattice_and_tables_json_are_json_dumps_of_the_payload(ids, seed, tropic
             with contextlib.redirect_stdout(out):
                 code = run([command, "--network", str(path), "--format", "json"])
             assert code in (0, 1)
+            assert out.getvalue() == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(1, 6), seed=st.integers(0, 2**16), tropical=st.booleans())
+@example(n=1, seed=0, tropical=False)  # one cell: the one-color partition, a 1x1 matrix
+@example(n=3, seed=5, tropical=True)
+def test_balanced_json_is_json_dumps_of_the_payload(n, seed, tropical):
+    """`balanced` writes its quotient matrix row by row; the bytes must be
+    json.dumps(payload, indent=2, sort_keys=True) + newline, with the
+    tropical zero spelled "inf", for every partition of the lattice (the
+    one-color top included where it is balanced) and an unbalanced one."""
+    rng = random.Random(seed)
+    ids = "abcdef"[:n]
+    weights = (1, 2.5, 1) if tropical else (1, 2, -1)
+    doc = {
+        "monoid": "tropical-min" if tropical else "int-add",
+        "cells": [{"id": c, "type": 1} for c in ids],
+        "edges": [{"from": rng.choice(ids), "to": rng.choice(ids), "weight": rng.choice(weights)}
+                  for _ in range(rng.randint(0, 2 * n))],
+    }
+    with tempfile.TemporaryDirectory() as workdir:
+        path = Path(workdir) / "net.json"
+        path.write_text(json.dumps(doc))
+        net = load_network(str(path))
+        for spec in [*_lattice_and_tables_payloads(net)[0]["elements"], ids]:
+            cert = is_balanced(net, parse_partition(spec, net.cell_ids))
+            payload = {"partition": spec, "balanced": cert is not None}
+            if cert is not None:
+                payload["quotient_matrix"] = [["inf" if v == math.inf else v for v in row]
+                                              for row in cert.quotient_matrix]
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                code = run(["balanced", "--network", str(path), "--partition", spec,
+                            "--format", "json"])
+            assert code == (0 if cert is not None else 1)
             assert out.getvalue() == json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 

@@ -60,9 +60,10 @@ def test_library_does_not_import_dataclasses(path):
 
 # dataclasses and inspect would double the CLI's import time; the process
 # modules would only serve the trial workers, which fork with os alone;
-# graphlib would only sort the condensation, which Tarjan's search orders
+# graphlib would only sort the condensation, which Tarjan's search orders;
+# argparse and its gettext load only for help and usage errors
 _HEAVY = {"dataclasses", "inspect", "multiprocessing", "concurrent", "pickle", "subprocess",
-          "graphlib"}
+          "graphlib", "argparse", "gettext"}
 
 
 def test_cli_import_loads_no_heavy_module():
