@@ -6,8 +6,10 @@ Usage:
         [--rings 10-16] [--complete 6-8] [--sparse 9-12] [--sparse-seeds K]
         [--workload-seed S]
 
-For each network it prints the lattice's elements, the `_signature` calls
-of one enumeration and the median time, in this tree and, with --against
+For each network it prints the lattice's elements, the generators of the
+automorphism group that split-and-cir prunes its splits with ("-" for a
+tree without that search), the `_signature` calls of one enumeration and
+the median time, in this tree and, with --against
 (the root of another checkout, holding src/synckit), in that tree with
 the median of the paired ratios this/against.  The two trees run in one
 process, one after the other in an order that alternates from pair to
@@ -96,6 +98,10 @@ class Side:
     def enumerate(self):
         return self.tree.synchrony.enumerate_balanced(self.net, self.max_cells)
 
+    def generators(self) -> str:
+        search = getattr(self.tree.synchrony, "_automorphisms", None)
+        return "-" if search is None else str(len(search(self.net)))
+
     def count(self) -> tuple[int, int]:
         """Elements and _signature calls of one enumeration."""
         synchrony, calls = self.tree.synchrony, [0]
@@ -136,7 +142,8 @@ def main() -> int:
     trees = [load_tree(ROOT, "synckit_this")]
     if args.against is not None:
         trees.append(load_tree(args.against.resolve(), "synckit_against"))
-    head = f"{'network':<12} {'elements':>8} {'signatures':>17} {'median ms':>17}"
+    head = (f"{'network':<12} {'elements':>8} {'generators':>10} {'signatures':>17} "
+            f"{'median ms':>17}")
     print(head + ("  ratio" if len(trees) > 1 else ""))
     agree = True
     for name, doc, max_cells in networks(args):
@@ -153,6 +160,7 @@ def main() -> int:
         agree &= len(elements) == 1
         times = [f"{1000 * statistics.median(side.times):.2f}" for side in reversed(sides)]
         line = (f"{name:<12} {'/'.join(str(e) for e in sorted(elements)):>8} "
+                f"{' -> '.join(side.generators() for side in reversed(sides)):>10} "
                 f"{' -> '.join(str(s) for _, s in reversed(counts)):>17} "
                 f"{' -> '.join(times):>17}")
         if ratios:

@@ -658,6 +658,10 @@ def run(argv: Optional[list[str]] = None) -> int:
         parser = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
         try:
             args = parser.parse_args(argv)
+            # for --flag=-- argparse drops the "--" and stores [] as the value
+            empty = next((dest for dest, value in vars(args).items() if value == []), None)
+            if empty is not None:
+                parser.error(f"argument --{empty.replace('_', '-')}: expected one argument")
         except SystemExit as exc:
             return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:

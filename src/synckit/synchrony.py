@@ -15,6 +15,16 @@ take cir of the result, answered from the cuts already resolved where
 they bound it (cir is monotone) and otherwise keyed against the parent's
 signatures through one memo, so the work grows with the lattice, not
 with the number of type-refining partitions.
+
+Symmetric networks split one element per orbit.  An automorphism maps
+balanced partitions to balanced ones and commutes with cir, so the
+enumeration adds each element's whole orbit and splits only the element,
+one split per orbit under the automorphisms that fix it.  The
+automorphisms come from an individualization-refinement search
+(`_automorphisms`), a fraction of a millisecond on networks under the
+cell cap, and each one is checked against the types and folded edges
+before it is used; any subgroup of the automorphisms prunes correctly,
+so a candidate that fails the check is simply dropped.
 """
 
 from __future__ import annotations
@@ -25,7 +35,7 @@ from typing import Any, Callable, Iterable, Iterator, NamedTuple, Optional, Sequ
 from .errors import NotInLattice, NotTypeRefining, SynckitError, TooLarge
 from .monoid import Monoid
 from .network import Network, _signature
-from .partition import Partition, refines
+from .partition import Partition, iter_bits, refines
 
 DEFAULT_MAX_CELLS = 12
 
@@ -277,6 +287,14 @@ def enumerate_balanced(net: Network, max_cells: int = DEFAULT_MAX_CELLS) -> Bala
     the way.  The memo is exact: cir(R) = cir(Q) for every
     cir(Q) <= R <= Q, as cir is monotone and cir(Q) is balanced below R;
     so every answer is exactly cir(Q), which the bounds rely on.
+
+    An automorphism σ gives σ·cir(Q) = cir(σQ), so the splits of σP
+    answer as σ applied to those of P.  Each new element's orbit under
+    the generators `_automorphisms` finds goes into the elements, and
+    only the element is split, one split per orbit under the generators
+    that fix it; a cut that is not split stays unresolved, no bound.
+    Each new element must strictly refine the element it was split from,
+    so a fault in the refinement fails at once instead of wandering.
     """
     if net.n_cells > max_cells:
         raise TooLarge(
@@ -284,20 +302,156 @@ def enumerate_balanced(net: Network, max_cells: int = DEFAULT_MAX_CELLS) -> Bala
             "raise it with max_cells (--max-cells)"
         )
     top = cir_balanced(net, net.type_partition())
-    return _build_lattice([top, *{b for *_, b in _split_answers(net, top)}])
+    found = {top}
+    if top.rank < net.n_cells:  # else the top is the trivial partition, the only element
+        for _ in _split_answers(net, top, _automorphisms(net), found):
+            pass
+    return _build_lattice(list(found))
 
 
-def _split_answers(net: Network, top: Partition) -> Iterator[tuple[Partition, int, int, Partition]]:
+def _refine(rows: Sequence[tuple[Sequence[tuple[int, Any]], Sequence[tuple[int, Any]]]],
+            add: Callable[[Any, Any], Any], colors: list[int]) -> list[int]:
+    """Color refinement to a fixpoint: cells of one color split by their
+    in- and out-neighbour color sums, rows[c] holding c's (sender, weight)
+    and (receiver, weight) pairs.  New colors are numbered in the sorted
+    order of (color, sums), so refinement commutes with every relabelling
+    of the cells."""
+    rank = max(colors) + 1
+    while True:
+        keys = []
+        for c, both in enumerate(rows):
+            key: list[Any] = [colors[c]]
+            for row in both:
+                sums: dict[int, Any] = {}
+                for d, w in row:
+                    k = colors[d]
+                    sums[k] = add(sums[k], w) if k in sums else w
+                key.append(tuple(sorted(sums.items())))
+            keys.append(tuple(key))
+        number = {key: i for i, key in enumerate(sorted(set(keys)))}
+        if len(number) == rank:  # no color split, so none was renumbered
+            return colors
+        colors, rank = [number[key] for key in keys], len(number)
+
+
+def _automorphisms(net: Network) -> tuple[tuple[int, ...], ...]:
+    """Generators of a group of automorphisms of net; perm[c] is the image of cell c.
+
+    Individualization-refinement (McKay & Piperno 2014) from the cell
+    types, refined by `_refine`; individualizing a cell gives it a color
+    of its own, numbered just before the rest of its old color.  A first
+    path individualizes the first cell of the first color of two or more
+    cells and refines, until every color is one cell.  Then,
+    level by level from the deepest, each other cell of that color not
+    yet in the orbit of the path's cell under the generators found is
+    individualized instead, first choices below it give a second leaf,
+    and the map between the leaves' colors is kept if it maps types and
+    folded edges with their weights exactly onto themselves.  A dropped
+    candidate only makes the group smaller.
+    """
+    n, add, types, edges = net.n_cells, net.monoid.add, net.cell_types, net.edges
+    outs: list[list[tuple[int, Any]]] = [[] for _ in range(n)]
+    for c, d, w in edges:
+        outs[d].append((c, w))
+    rows = tuple(zip(net.in_edges, outs))
+
+    def individualize(colors: list[int], v: int) -> list[int]:
+        kv = colors[v]
+        return [k + (k > kv or k == kv and c != v) for c, k in enumerate(colors)]
+
+    def descend(colors: list[int], path: Optional[list] = None) -> list[int]:
+        """The leaf below colors by first choices, recording each level on path."""
+        colors = _refine(rows, add, colors)
+        while max(colors) + 1 < n:
+            size = [0] * n
+            for k in colors:
+                size[k] += 1
+            target = next(k for k, s in enumerate(size) if s > 1)
+            cells = [c for c, k in enumerate(colors) if k == target]
+            if path is not None:
+                path.append((colors, cells))
+            colors = _refine(rows, add, individualize(colors, cells[0]))
+        return colors
+
+    path: list[tuple[list[int], list[int]]] = []
+    leaf = descend([t - 1 for t in types], path)
+    weight = {(c, d): w for c, d, w in edges}
+    orbit = list(range(n))  # orbit[c]: a representative of c's orbit
+    generators = []
+    for colors, cells in reversed(path):
+        for u in cells[1:]:
+            if orbit[u] == orbit[cells[0]]:
+                continue
+            cell_of = [0] * n
+            for c, k in enumerate(descend(individualize(colors, u))):
+                cell_of[k] = c
+            perm = tuple([cell_of[k] for k in leaf])
+            if (all(types[perm[c]] == t for c, t in enumerate(types))
+                    and all(weight.get((perm[c], perm[d])) == w for c, d, w in edges)):
+                generators.append(perm)
+                for c in range(n):  # merge the orbits of c and its image
+                    a, b = orbit[c], orbit[perm[c]]
+                    if a != b:
+                        orbit = [a if o == b else o for o in orbit]
+    return tuple(generators)
+
+
+def _orbit(p: Partition, generators: Sequence[Sequence[int]]) -> set[Partition]:
+    """p's images under the group the generators generate, p included."""
+    orbit, todo = {p}, [p]
+    while todo:
+        colors = todo.pop().colors
+        for perm in generators:
+            image = Partition.from_assignment([colors[c] for c in perm])
+            if image not in orbit:
+                orbit.add(image)
+                todo.append(image)
+    return orbit
+
+
+def _side_orbit(side: int, generators: Sequence[Sequence[int]],
+                block_of: Sequence[int]) -> set[int]:
+    """The orbit of a split of a partition under generators that fix it,
+    block_of[c] being the cell bitset of c's color.
+
+    A split is coded by the cell bitset of its side without its color's
+    first cell: an image that holds its color's first cell, the lowest
+    bit of the color, is coded by the other side.
+    """
+    orbit, todo = {side}, [side]
+    while todo:
+        cells = list(iter_bits(todo.pop()))
+        for perm in generators:
+            image = 0
+            for c in cells:
+                image |= 1 << perm[c]
+            block = block_of[perm[cells[0]]]
+            if image & block & -block:
+                image ^= block
+            if image not in orbit:
+                orbit.add(image)
+                todo.append(image)
+    return orbit
+
+
+def _split_answers(net: Network, top: Partition, generators: Sequence[Sequence[int]],
+                   found: Optional[set[Partition]] = None
+                   ) -> Iterator[tuple[Partition, int, int, Partition]]:
     """Split-and-cir from the balanced top: yields (P, k, mask, cir(Q)) for
-    every 2-split Q of every element P that is not a known element.
+    one 2-split Q of every element P that is not a known element, per
+    orbit of the splits under the generators that fix P.
 
     Q moves the cells of P's color k at the set bits of mask, positions
     in the color after its first cell, to a new color; see
-    enumerate_balanced for how cir(Q) is found.
+    enumerate_balanced for how cir(Q) is found.  found, if given, is
+    filled with every element: the top, and the orbit of each element
+    found under the automorphisms that generators lists.
     """
     key, receivers, n = _keyer(net.in_edges, net.monoid), net.out_neighbours, net.n_cells
     bottom = Partition.trivial(n)
-    found, stack, memo = {top}, [(top, None, None)], {}
+    found = set() if found is None else found
+    found.add(top)
+    stack, memo = [(top, None, None)], {}
 
     def known(assignment: Sequence[int], bounds: list) -> tuple[Optional[Partition], Partition]:
         """The meet of assignment and the balanced bounds, and its cir if known."""
@@ -314,6 +468,13 @@ def _split_answers(net: Network, top: Partition) -> Iterator[tuple[Partition, in
         # a one-cell color is never keyed, so needs no signature
         signature: list[Optional[tuple]] = [None] * rank
         key([cells[0] for cells in blocks if len(cells) > 1], colors, signature)
+        # the automorphisms that fix p permute its splits, and their cirs alike
+        fixing = [perm for perm in generators
+                  if Partition.from_assignment([colors[c] for c in perm]) == p]
+        if fixing:  # the splits met so far with their images, by the cells of their side
+            seen: set[int] = set()
+            block_bits = [sum(1 << c for c in block) for block in blocks]
+            block_of = [block_bits[k] for k in colors]
         # cuts[k][mask]: cir of the cut of color k by mask, where it lies below the cut
         cuts: list[Optional[list[Optional[Partition]]]] = [None] * rank
         for k, block in enumerate(blocks):
@@ -325,9 +486,15 @@ def _split_answers(net: Network, top: Partition) -> Iterator[tuple[Partition, in
             # the cuts of the parent's color that holds this one, by either side, lie above
             above, bit = parent_cuts and parent_cuts[parent.colors[first]], None
             for mask in range(1, full + 1):
+                if fixing:
+                    cell_bits = sum(1 << c for c in sides[mask])
+                    if cell_bits in seen:
+                        continue
                 q = p.split(sides[mask])
                 if q in found:
                     continue
+                if fixing:
+                    seen |= _side_orbit(cell_bits, fixing, block_of)
                 b = memo.get(q.colors)
                 if b is None and above:
                     if bit is None:  # the parent's mask of each cell, and of the whole block
@@ -375,7 +542,10 @@ def _split_answers(net: Network, top: Partition) -> Iterator[tuple[Partition, in
                     cuts[k][mask] = b
                 yield p, k, mask, b
                 if b not in found:
-                    found.add(b)
+                    if b.rank <= rank or not refines(b, p):
+                        raise RuntimeError(f"split-and-cir ended at {b.colors}, "
+                                           f"not strictly below its parent {colors}")
+                    found |= _orbit(b, generators)
                     stack.append((b, p, cuts))
 
 

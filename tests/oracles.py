@@ -10,8 +10,9 @@ reachability, walks by boolean matrix powers, networks by folding every
 edge into a dense matrix, reach-based classes and matching from
 per-cell frozenset reach sets instead of condensation bitsets, the join
 table pair by pair instead of from class triples and up-set bitsets,
-the quotient class report's entries from the full network's lattice
-instead of the quotient's, and the admissible map cell by cell through
+automorphisms on every entry of the dense matrix instead of the folded
+edges, the quotient class report's entries from the full network's
+lattice instead of the quotient's, and the admissible map cell by cell through
 a dict fold of each neighbourhood instead of the compiled push kernel.
 It also holds the helpers only the tests need: networks to and from
 dense in-adjacency matrices, quotients from the dense rows of M @ P,
@@ -292,6 +293,14 @@ def oracle_exo_balanced(net: Network, p: Partition) -> bool:
     """Rows of M @ P constant on every color once that color's own column is dropped."""
     rows = [row[:k] + row[k + 1:] for row, k in zip(oracle_color_rows(net, p), p.colors)]
     return all(rows[c] == rows[block[0]] for block in p.blocks() for c in block)
+
+
+def oracle_automorphism(net: Network, perm: Sequence[int]) -> bool:
+    """perm (cell c to perm[c]) keeps the cell types and the dense in-adjacency."""
+    n, m = net.n_cells, dense(net)
+    return (sorted(perm) == list(range(n))
+            and all(net.cell_types[perm[c]] == net.cell_types[c] for c in range(n))
+            and all(m[perm[c]][perm[d]] == m[c][d] for c in range(n) for d in range(n)))
 
 
 def oracle_type_refining(net: Network) -> Iterator[Partition]:

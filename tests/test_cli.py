@@ -661,6 +661,24 @@ def test_well_formed_commands_skip_argparse(monkeypatch):
             assert run([command, "--network", fx("triangle"), *flags]) == 0
 
 
+@pytest.mark.parametrize("command, flag", [
+    (command, flag) for command, (_, own) in cli._COMMANDS.items()
+    for flag, _ in (*cli._SHARED, *own) if flag.startswith("-")])
+def test_flag_given_double_dash_is_a_usage_error(capsys, command, flag):
+    """argparse stores [] for --flag=--, which no handler can read: run
+    answers with a usage error and exit code 2, never a traceback."""
+    required = {"--network": fx("triangle"), "--partition": "12/3", "--kind": "n", "--cell": "1"}
+    argv = [command]
+    for name, options in (*cli._SHARED, *cli._COMMANDS[command][1]):
+        if options.get("required") and name != flag:
+            argv += [name, required[name]]
+    if command == "verify":
+        argv.append("locality")
+    code, out, err = invoke(capsys, *argv, f"{flag}=--")
+    assert (code, out) == (2, "")
+    assert f"error: argument {flag}: " in err
+
+
 _IDS = st.sampled_from(["1", "2", "3", "a"])
 _JUNK = st.one_of(
     st.none(), st.booleans(), st.integers(-2, 3), st.just(10**400),

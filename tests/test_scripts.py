@@ -54,15 +54,17 @@ def test_verify_dynamics_exactness_line_reads_the_comparisons_alone(monkeypatch,
 
 def test_lattice_sweep_runs_a_tiny_paired_comparison():
     """A tiny A/B of this tree against itself: each network's row reads the
-    lattice size both trees agree on, their signature calls and a ratio."""
+    lattice size both trees agree on, their generators, their signature
+    calls and a ratio."""
     done = _run_script(["scripts/lattice_sweep.py", "--against", ".", "--repeats", "2", "--rings",
                         "4-5", "--complete", "3", "--sparse", "5", "--sparse-seeds", "1"])
     assert done.returncode == 0, done.stdout + done.stderr
     rows = [line.split() for line in done.stdout.splitlines()[1:]]
     assert [row[:2] for row in rows] == [
         ["C4", "3"], ["C5", "2"], ["K3", "5"], ["sparse5.0", "9"]]
-    for row in rows:
-        assert row[2] == row[4] and float(row[-1]) > 0  # the same signature calls in both
+    for row in rows:  # the same generators and signature calls in both
+        assert row[2] == row[4] and row[5] == row[7] and float(row[-1]) > 0
+    assert [row[4] for row in rows] == ["1", "1", "2", "0"]
 
 
 def _run_script(argv):

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from collections import Counter
@@ -39,6 +40,7 @@ from oracles import (
     from_matrix,
     lattice_meet,
     lattice_quotient,
+    oracle_automorphism,
     oracle_balanced,
     oracle_cir,
     oracle_cir_rounds,
@@ -472,8 +474,8 @@ class TestEnumerate:
         # calls on these networks; refining each split from its balanced
         # parent, through the shared memo, must make at most half as many;
         # keying it against the parent's signatures made 1988 (C9) and 5007,
-        # and answering it from the cuts already resolved holds them at 951
-        # and 1578
+        # answering it from the cuts already resolved 951 and 1578, and
+        # splitting one cut per orbit of C9's rotations holds C9 at 170
         n = 9
         if name == "ring":
             edges = [(c, (c - 1) % n, 1) for c in range(n)]
@@ -484,17 +486,18 @@ class TestEnumerate:
         calls = TestCirWorklist._count_keys(monkeypatch)
         assert len(enumerate_balanced(net).elements) == elements
         assert calls[0] <= one_cir_per_split // 2
-        assert calls[0] <= {"ring": 951, "sparse": 1578}[name]
+        assert calls[0] <= {"ring": 170, "sparse": 1578}[name]
 
     def test_ring_splits_are_answered_from_resolved_cuts(self, monkeypatch):
         # C12's top has 2047 cuts, nearly all with the trivial cir: keyed
-        # against the parent they made 25973 signature calls, and answered
-        # from the cuts already resolved they make at most 10192
+        # against the parent they made 25973 signature calls, answered from
+        # the cuts already resolved 10192, and split one per orbit of the
+        # rotations they make at most 1357
         n = 12
         ring = TestCirWorklist._one_type(n, ((c, (c - 1) % n, 1) for c in range(n)))
         calls = TestCirWorklist._count_keys(monkeypatch)
         assert len(enumerate_balanced(ring).elements) == 6
-        assert calls[0] <= 10192
+        assert calls[0] <= 1357
 
     def test_known_splits_are_skipped(self, monkeypatch):
         # every 2-split of K6 is balanced and is an element: cir of the types
@@ -505,7 +508,10 @@ class TestEnumerate:
         calls = TestCirWorklist._count_keys(monkeypatch)
         elements = enumerate_balanced(net).elements
         assert calls[0] <= 6 + sum(p.rank for p in elements) + (len(elements) - 1) * 6
-        assert calls[0] <= 1268  # K6's count with each split keyed against its parent
+        # K6 made 1268 with each split keyed against its parent; its 5
+        # generators generate S6, so one element of each orbit is split, by
+        # one split per orbit of the generators that fix it
+        assert calls[0] <= 63
 
 
 def _split_answer_networks():
@@ -532,7 +538,7 @@ def test_every_split_answer_is_exactly_its_cir():
     answered = below = 0
     for net in _split_answer_networks():
         top = cir_balanced(net, net.type_partition())
-        for p, k, mask, b in synchrony._split_answers(net, top):
+        for p, k, mask, b in synchrony._split_answers(net, top, ()):
             block = p.blocks()[k]
             moved = {block[1 + i] for i in iter_bits(mask)}
             q = Partition.from_assignment([p.rank if c in moved else p.colors[c]
@@ -541,6 +547,152 @@ def test_every_split_answer_is_exactly_its_cir():
             answered += 1
             below += b != q
     assert answered >= 4500 and below >= 3000
+
+
+def cyclic_cover(rng: random.Random, m: int, k: int, num_types: int, tropical: bool) -> Network:
+    """A seeded k-fold cyclic cover of an m-cell circulant network, its
+    cells in shuffled order.
+
+    Base cell i hears base cell i + s (mod m) with weight base[s], so
+    rotating the base keeps the weights, and types repeat with period
+    num_types.  Cell (i, j) of the cover hears (i + s, j + shift) for a
+    shift drawn per base pair, 0 half the time: rotating every j is an
+    automorphism, and the base cells' copies form a balanced partition
+    whose quotient is the symmetric base.
+    """
+    weights = (1, 2.5, math.inf, math.inf) if tropical else (-1, 1, 2, 0, 0)
+    zero = math.inf if tropical else 0
+    base = [rng.choice(weights) for _ in range(m)]
+    order = list(range(m * k))
+    rng.shuffle(order)  # cell (i, j) is order[i * k + j]
+    matrix = [[zero] * (m * k) for _ in range(m * k)]
+    for i in range(m):
+        for s in range(m):
+            shift = rng.randrange(k) if rng.random() < 0.5 else 0
+            for j in range(k):
+                receiver, sender = order[i * k + j], order[(i + s) % m * k + (j + shift) % k]
+                matrix[receiver][sender] = base[s]
+    types = [0] * (m * k)
+    for i in range(m):
+        for j in range(k):
+            types[order[i * k + j]] = 1 + i % num_types
+    return from_matrix(tuple(str(c + 1) for c in range(m * k)), types, matrix,
+                       TropicalMin() if tropical else IntegerAdd())
+
+
+def symmetric_networks():
+    """Rings C2-C12, complete graphs K3-K7 and seeded cyclic covers of up
+    to 8 cells, int-add and tropical-min, with one and two types."""
+    for n in range(2, 13):
+        yield TestCirWorklist._one_type(n, ((c, (c - 1) % n, 1) for c in range(n)))
+    for n in range(3, 8):
+        yield complete_graph(n)
+    rng = random.Random(113)
+    shapes = [(m, k) for m in range(1, 5) for k in range(2, 5) if m * k <= 8]
+    for trial in range(48):
+        m, k = shapes[trial % len(shapes)]
+        num_types = 2 if m % 2 == 0 and trial % 3 else 1
+        yield cyclic_cover(rng, m, k, num_types, tropical=trial % 4 == 3)
+
+
+def test_symmetric_lattices_match_brute_force():
+    # enumeration splits one element per orbit of the automorphisms found,
+    # one split per orbit of those that fix it; the lattice must still be
+    # every balanced partition (by brute force up to 8 cells, past that as
+    # enumeration without automorphisms finds them) with the oracle's
+    # covers, which are checked on lattices of up to 300 elements
+    pruned = 0
+    for net in symmetric_networks():
+        lattice = enumerate_balanced(net)
+        if net.n_cells <= 8:
+            expected = {p for p in oracle_type_refining(net) if oracle_balanced(net, p)}
+        else:
+            top = cir_balanced(net, net.type_partition())
+            expected = {top}
+            for _ in synchrony._split_answers(net, top, (), expected):
+                pass
+        assert list(lattice.elements) == sorted(expected, key=lambda p: (p.rank, p.colors))
+        if len(expected) <= 300:
+            assert lattice.cover_edges == oracle_covers(lattice.elements)
+        pruned += bool(synchrony._automorphisms(net))
+    assert pruned >= 60
+
+
+def test_automorphisms_are_verified(monkeypatch):
+    # every generator keeps the types and the dense matrix; a search
+    # without refinement proposes leaf maps that are mostly not
+    # automorphisms, and each must be rejected
+    def check(nets) -> int:
+        found = 0
+        for net in nets:
+            generators = synchrony._automorphisms(net)
+            assert all(oracle_automorphism(net, perm) for perm in generators)
+            found += len(generators)
+        return found
+
+    assert check(symmetric_networks()) >= 100
+    rings = [TestCirWorklist._one_type(n, ((c, (c - 1) % n, 1) for c in range(n)))
+             for n in range(3, 8)]
+    # C3 and C4 side by side: refinement leaves one color, and the leaf
+    # maps that send C3 into C4 are planted non-automorphisms
+    pair = TestCirWorklist._one_type(7, [(0, 2, 1), (1, 0, 1), (2, 1, 1),
+                                         (3, 6, 1), (4, 3, 1), (5, 4, 1), (6, 5, 1)])
+    rng = random.Random(127)
+    asymmetric = [net for net in (random_network(rng, n=6, num_types=1) for _ in range(30))
+                  if not any(oracle_automorphism(net, perm)
+                             for perm in itertools.permutations(range(6))
+                             if perm != tuple(range(6)))]
+    assert len(asymmetric) >= 10
+    assert check([pair]) >= 1 and not check(asymmetric)
+    # only cells outside the orbit found so far are tried: C9 gets one
+    # rotation, and K6 one transposition per level of its first path
+    ring9 = TestCirWorklist._one_type(9, ((c, (c - 1) % 9, 1) for c in range(9)))
+    assert synchrony._automorphisms(ring9) == ((1, 2, 3, 4, 5, 6, 7, 8, 0),)
+    assert len(synchrony._automorphisms(complete_graph(6))) == 5
+    monkeypatch.setattr(synchrony, "_refine", lambda rows, add, colors: colors)
+    assert check([*rings, pair, *symmetric_networks()]) >= 100
+    assert not check(asymmetric)
+    for net in [*rings, pair, *asymmetric]:
+        expected = {p for p in oracle_type_refining(net) if oracle_balanced(net, p)}
+        assert set(enumerate_balanced(net).elements) == expected
+
+
+def test_every_split_answer_under_symmetry_is_exactly_its_cir():
+    # with the splits pruned to orbits, each answer is still exactly the
+    # cir of its split, and found closes under the automorphisms to the
+    # elements that enumeration without them finds
+    answered = unpruned = 0
+    for net in symmetric_networks():
+        top = cir_balanced(net, net.type_partition())
+        found = {top}
+        for p, k, mask, b in synchrony._split_answers(net, top, synchrony._automorphisms(net),
+                                                      found):
+            block = p.blocks()[k]
+            moved = {block[1 + i] for i in iter_bits(mask)}
+            q = Partition.from_assignment([p.rank if c in moved else p.colors[c]
+                                           for c in range(net.n_cells)])
+            assert b == cir_balanced(net, q)
+            answered += 1
+        everything = {top}
+        unpruned += sum(1 for _ in synchrony._split_answers(net, top, (), everything))
+        assert found == everything
+    assert answered >= 900 and 4 * answered <= unpruned
+
+
+def test_a_walk_ending_above_its_parent_fails_at_once(monkeypatch):
+    # a refinement fault that ends a walk above its parent must stop the
+    # enumeration at the first new element instead of letting it wander
+    # through partitions that are not below the top
+    def upward(key, receivers, color, signature, members, parts):
+        color[:] = [0] * len(color)
+        yield
+
+    # K6 with two types of three cells: the top is the type partition
+    net = complete_graph(6)._replace(cell_types=(1, 1, 1, 2, 2, 2))
+    assert cir_balanced(net, net.type_partition()).rank == 2
+    monkeypatch.setattr(synchrony, "_rounds", upward)
+    with pytest.raises(RuntimeError, match="not strictly below its parent"):
+        enumerate_balanced(net)
 
 
 def _check_order(net: Network, quotient_every: int) -> int:
