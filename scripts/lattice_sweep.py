@@ -13,11 +13,14 @@ the median time, in this tree and, with --against
 (the root of another checkout, holding src/synckit), in that tree with
 the median of the paired ratios this/against.  The two trees run in one
 process, one after the other in an order that alternates from pair to
-pair.  The networks are the one-type directed rings C_n (enumerated with
-max_cells = n), the complete graphs K_n, seeded one-type sparse networks
-of two senders per cell, and, with --workload-seed, the lattice networks
-of bench/run.py's `lattice` workload at that seed.  An empty range
-("--rings none") leaves a family out.
+pair.  The trees must give the same lattice, each element's colors and
+the cover edges; else the script names the networks where they differ
+and exits 1.  The networks are the one-type directed rings C_n
+(enumerated with max_cells = n), the complete graphs K_n, seeded
+one-type sparse networks of two senders per cell, and, with
+--workload-seed, the lattice networks of bench/run.py's `lattice`
+workload at that seed.  An empty range ("--rings none") leaves a family
+out.
 """
 
 from __future__ import annotations
@@ -102,8 +105,9 @@ class Side:
         search = getattr(self.tree.synchrony, "_automorphisms", None)
         return "-" if search is None else str(len(search(self.net)))
 
-    def count(self) -> tuple[int, int]:
-        """Elements and _signature calls of one enumeration."""
+    def count(self) -> tuple[tuple, int]:
+        """The lattice (each element's colors and the cover edges) and the
+        _signature calls of one enumeration."""
         synchrony, calls = self.tree.synchrony, [0]
         inner = synchrony._signature
 
@@ -113,10 +117,11 @@ class Side:
 
         synchrony._signature = counted
         try:
-            elements = len(self.enumerate().elements)
+            lattice = self.enumerate()
         finally:
             synchrony._signature = inner
-        return elements, calls[0]
+        elements = tuple(p.colors for p in lattice.elements)
+        return (elements, sorted(lattice.cover_edges)), calls[0]
 
     def time(self) -> float:
         start = time.perf_counter()
@@ -145,7 +150,7 @@ def main() -> int:
     head = (f"{'network':<12} {'elements':>8} {'generators':>10} {'signatures':>17} "
             f"{'median ms':>17}")
     print(head + ("  ratio" if len(trees) > 1 else ""))
-    agree = True
+    differ = []
     for name, doc, max_cells in networks(args):
         sides = [Side(tree, doc, max_cells) for tree in trees]
         counts = [side.count() for side in sides]
@@ -156,19 +161,20 @@ def main() -> int:
                 side.time()
             if len(sides) > 1:
                 ratios.append(sides[0].times[-1] / sides[1].times[-1])
-        elements = {e for e, _ in counts}
-        agree &= len(elements) == 1
+        if any(lattice != counts[0][0] for lattice, _ in counts):
+            differ.append(name)
+        sizes = {len(elements) for (elements, _), _ in counts}
         times = [f"{1000 * statistics.median(side.times):.2f}" for side in reversed(sides)]
-        line = (f"{name:<12} {'/'.join(str(e) for e in sorted(elements)):>8} "
+        line = (f"{name:<12} {'/'.join(str(e) for e in sorted(sizes)):>8} "
                 f"{' -> '.join(side.generators() for side in reversed(sides)):>10} "
                 f"{' -> '.join(str(s) for _, s in reversed(counts)):>17} "
                 f"{' -> '.join(times):>17}")
         if ratios:
             line += f"  {statistics.median(ratios):.3f}"
         print(line, flush=True)
-    if not agree:
-        print("element counts differ between the trees", file=sys.stderr)
-    return 0 if agree else 1
+    if differ:
+        print(f"the trees' lattices differ on {', '.join(differ)}", file=sys.stderr)
+    return 1 if differ else 0
 
 
 if __name__ == "__main__":

@@ -14,13 +14,15 @@ lattice by split-and-cir: split a balanced partition's color in two and
 take cir of the result, answered from the cuts already resolved where
 they bound it (cir is monotone) and otherwise keyed against the parent's
 signatures through one memo, so the work grows with the lattice, not
-with the number of type-refining partitions.
+with the number of type-refining partitions.  A cut has one key, the
+cell bitset of its side without its color's first cell, and each
+element keeps its resolved cuts in one table by that key.
 
 Symmetric networks split one element per orbit.  An automorphism maps
 balanced partitions to balanced ones and commutes with cir, so the
 enumeration adds each element's whole orbit and splits only the element,
-one split per orbit under the automorphisms that fix it.  The
-automorphisms come from an individualization-refinement search
+one split per orbit (on cut keys) under the automorphisms that fix it.
+The automorphisms come from an individualization-refinement search
 (`_automorphisms`), a fraction of a millisecond on networks under the
 cell cap, and each one is checked against the types and folded edges
 before it is used; any subgroup of the automorphisms prunes correctly,
@@ -270,9 +272,11 @@ def enumerate_balanced(net: Network, max_cells: int = DEFAULT_MAX_CELLS) -> Bala
     for every R >= Q, and cuts already resolved answer most splits.  Q
     cuts P's color K into S and K - S.  The parent that first found P
     resolved every cut of its color K' ⊇ K before P was split, and its
-    cuts of K' by S and by K - S lie above Q.  Each cut's cir is kept by
-    the mask of the cut's side without the color's first cell, where it
-    lies below the cut (a balanced cut bounds nothing).  A trivial cir
+    cuts of K' by S and by K - S lie above Q.  A cut is keyed by the
+    cell bitset of its side without its color's first cell (`_cut_key`),
+    and each element keeps one table of the cir of its cuts by that key,
+    where it lies below the cut (a balanced cut bounds nothing); keys of
+    different colors are disjoint, so they never collide.  A trivial cir
     answers Q at once; else Q ∧ cir(R) is looked up among the elements
     and in the memo below.
 
@@ -280,8 +284,9 @@ def enumerate_balanced(net: Network, max_cells: int = DEFAULT_MAX_CELLS) -> Bala
     senders moved keeps its color's, so the first round keys only the
     receivers of the moved cells (the smaller side).  If no color
     splits, Q is balanced; else the rounds walk down to cir(Q).  At each
-    partition W of the walk, each W-part of K without K's first cell
-    cuts K above W; the cuts of K resolved before Q answer W as above.
+    partition W of the walk, each W-part of K without K's first cell is
+    the key of a cut of K above W; the cuts of K resolved before Q
+    answer W as above.
     The walk stops at the first partition in a memo shared by all splits,
     and stores the end under the colors of each partition looked up on
     the way.  The memo is exact: cir(R) = cir(Q) for every
@@ -292,7 +297,8 @@ def enumerate_balanced(net: Network, max_cells: int = DEFAULT_MAX_CELLS) -> Bala
     answer as σ applied to those of P.  Each new element's orbit under
     the generators `_automorphisms` finds goes into the elements, and
     only the element is split, one split per orbit under the generators
-    that fix it; a cut that is not split stays unresolved, no bound.
+    that fix it, the orbit walked on cut keys (`_side_orbit`); a cut
+    that is not split stays unresolved, no bound.
     Each new element must strictly refine the element it was split from,
     so a fault in the refinement fails at once instead of wandering.
     """
@@ -409,15 +415,16 @@ def _orbit(p: Partition, generators: Sequence[Sequence[int]]) -> set[Partition]:
     return orbit
 
 
+def _cut_key(side: int, block: int) -> int:
+    """The key of the cut of a color by side, both cell bitsets: the side
+    without the color's first cell, its lowest bit."""
+    return side ^ block if side & block & -block else side
+
+
 def _side_orbit(side: int, generators: Sequence[Sequence[int]],
                 block_of: Sequence[int]) -> set[int]:
-    """The orbit of a split of a partition under generators that fix it,
-    block_of[c] being the cell bitset of c's color.
-
-    A split is coded by the cell bitset of its side without its color's
-    first cell: an image that holds its color's first cell, the lowest
-    bit of the color, is coded by the other side.
-    """
+    """The keys (`_cut_key`) of the orbit of a split of a partition under
+    generators that fix it, block_of[c] being the cell bitset of c's color."""
     orbit, todo = {side}, [side]
     while todo:
         cells = list(iter_bits(todo.pop()))
@@ -425,9 +432,7 @@ def _side_orbit(side: int, generators: Sequence[Sequence[int]],
             image = 0
             for c in cells:
                 image |= 1 << perm[c]
-            block = block_of[perm[cells[0]]]
-            if image & block & -block:
-                image ^= block
+            image = _cut_key(image, block_of[perm[cells[0]]])
             if image not in orbit:
                 orbit.add(image)
                 todo.append(image)
@@ -436,16 +441,17 @@ def _side_orbit(side: int, generators: Sequence[Sequence[int]],
 
 def _split_answers(net: Network, top: Partition, generators: Sequence[Sequence[int]],
                    found: Optional[set[Partition]] = None
-                   ) -> Iterator[tuple[Partition, int, int, Partition]]:
-    """Split-and-cir from the balanced top: yields (P, k, mask, cir(Q)) for
+                   ) -> Iterator[tuple[Partition, int, Partition]]:
+    """Split-and-cir from the balanced top: yields (P, side, cir(Q)) for
     one 2-split Q of every element P that is not a known element, per
     orbit of the splits under the generators that fix P.
 
-    Q moves the cells of P's color k at the set bits of mask, positions
-    in the color after its first cell, to a new color; see
-    enumerate_balanced for how cir(Q) is found.  found, if given, is
-    filled with every element: the top, and the orbit of each element
-    found under the automorphisms that generators lists.
+    Q moves the cells at the set bits of side, which share a color of P
+    and leave out its first cell, to a new color; side is the cut's key
+    (`_cut_key`).  See enumerate_balanced for how cir(Q) is found.
+    found, if given, is filled with every element: the top, and the
+    orbit of each element found under the automorphisms that generators
+    lists.
     """
     key, receivers, n = _keyer(net.in_edges, net.monoid), net.out_neighbours, net.n_cells
     bottom = Partition.trivial(n)
@@ -463,52 +469,44 @@ def _split_answers(net: Network, top: Partition, generators: Sequence[Sequence[i
         return (q if q in found else memo.get(q.colors)), q
 
     while stack:
-        p, parent, parent_cuts = stack.pop()
+        p, parent_block_of, parent_cuts = stack.pop()
         colors, rank, blocks = p.colors, p.rank, p.blocks()
         # a one-cell color is never keyed, so needs no signature
         signature: list[Optional[tuple]] = [None] * rank
         key([cells[0] for cells in blocks if len(cells) > 1], colors, signature)
+        block_bits = [sum(1 << c for c in block) for block in blocks]
+        block_of = [block_bits[k] for k in colors]  # the cell bitset of each cell's color
         # the automorphisms that fix p permute its splits, and their cirs alike
         fixing = [perm for perm in generators
                   if Partition.from_assignment([colors[c] for c in perm]) == p]
-        if fixing:  # the splits met so far with their images, by the cells of their side
-            seen: set[int] = set()
-            block_bits = [sum(1 << c for c in block) for block in blocks]
-            block_of = [block_bits[k] for k in colors]
-        # cuts[k][mask]: cir of the cut of color k by mask, where it lies below the cut
-        cuts: list[Optional[list[Optional[Partition]]]] = [None] * rank
+        seen: set[int] = set()  # the keys of the splits met so far and of their images
+        cuts: dict[int, Partition] = {}  # cir of each cut by its key, where it lies below the cut
         for k, block in enumerate(blocks):
-            first, rest = block[0], block[1:]
-            sides = [()]  # sides[mask]: the cells of rest at the set bits of mask
-            for c in rest:
-                sides += [side + (c,) for side in sides]
-            full = len(sides) - 1
-            # the cuts of the parent's color that holds this one, by either side, lie above
-            above, bit = parent_cuts and parent_cuts[parent.colors[first]], None
-            for mask in range(1, full + 1):
-                if fixing:
-                    cell_bits = sum(1 << c for c in sides[mask])
-                    if cell_bits in seen:
-                        continue
-                q = p.split(sides[mask])
+            first, bits = block[0], block_bits[k]
+            sides = [(0, ())]  # (cell bitset, cells) of each subset of the color without first
+            for c in block[1:]:
+                sides += [(side | 1 << c, cells + (c,)) for side, cells in sides]
+            # the cuts of the parent's color that holds this one, by either side, lie
+            # above; a side is its own key there, as that color's first cell is not in it
+            outer = parent_cuts and parent_block_of[first]
+            resolved = len(cuts)  # the cuts of the colors before this one
+            # read backwards, sides lists the complement of each side in the same order
+            for (side, cells), (_, others) in zip(sides[1:], sides[-2::-1]):
+                if side in seen:
+                    continue
+                q = p.split(cells)
                 if q in found:
                     continue
                 if fixing:
-                    seen |= _side_orbit(cell_bits, fixing, block_of)
+                    seen |= _side_orbit(side, fixing, block_of)
                 b = memo.get(q.colors)
-                if b is None and above:
-                    if bit is None:  # the parent's mask of each cell, and of the whole block
-                        outer = parent.blocks()[parent.colors[first]]
-                        bit = {c: 1 << i for i, c in enumerate(outer[1:])}
-                        flip = sum(bit.get(c, 0) for c in block)
-                        if first == outer[0]:  # the other side holds the parent's first cell
-                            flip ^= len(above) - 1
-                    lift = sum(map(bit.__getitem__, sides[mask]))
-                    bounds = [*filter(None, {above[lift], above[flip ^ lift]})]
+                if b is None and outer:
+                    bounds = [*filter(None, {parent_cuts.get(side),
+                                             parent_cuts.get(_cut_key(bits ^ side, outer))})]
                     if bounds:
                         b = known(q.colors, bounds)[0]
                 if b is None:
-                    moved, kept = sides[mask], (first, *sides[full ^ mask])
+                    moved, kept = cells, (first, *others)
                     if 2 * len(moved) > len(block):  # move the smaller side
                         moved, kept = kept, moved
                     split = list(colors)
@@ -520,15 +518,15 @@ def _split_answers(net: Network, top: Partition, generators: Sequence[Sequence[i
                     rekey = {c for d in moved for c in receivers[d] if len(members[split[c]]) > 1}
                     parts = key(rekey, split, sig)
                     b, path = q, [q.colors]  # q is balanced unless a round splits a color
-                    table = cuts[k]
                     for _ in _rounds(key, receivers, split, sig, members, parts):
                         bounds = []
-                        if table:  # each part of the color without its first cell cuts it above W
-                            bits: dict[int, int] = {}
-                            for i, c in enumerate(rest):
-                                bits[split[c]] = bits.get(split[c], 0) | 1 << i
-                            bits.pop(split[first], None)
-                            bounds = [*filter(None, map(table.__getitem__, bits.values()))]
+                        # each W-part of the color, but first's, is the key of a cut above W
+                        if len(cuts) > resolved:
+                            parts_of: dict[int, int] = {}
+                            for c in block:
+                                parts_of[split[c]] = parts_of.get(split[c], 0) | 1 << c
+                            del parts_of[split[first]]
+                            bounds = [*filter(None, map(cuts.get, parts_of.values()))]
                         end, b = known(split, bounds)
                         if end is not None:
                             b = end
@@ -537,16 +535,14 @@ def _split_answers(net: Network, top: Partition, generators: Sequence[Sequence[i
                     if b is not q:  # a balanced q is kept in found instead
                         memo.update(dict.fromkeys(path, b))
                 if max(b.colors) > rank:  # below the cut: bounds its later walks and its children
-                    if cuts[k] is None:
-                        cuts[k] = [None] * len(sides)
-                    cuts[k][mask] = b
-                yield p, k, mask, b
+                    cuts[side] = b
+                yield p, side, b
                 if b not in found:
                     if b.rank <= rank or not refines(b, p):
                         raise RuntimeError(f"split-and-cir ended at {b.colors}, "
                                            f"not strictly below its parent {colors}")
                     found |= _orbit(b, generators)
-                    stack.append((b, p, cuts))
+                    stack.append((b, block_of, cuts))
 
 
 __all__ = [

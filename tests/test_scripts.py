@@ -67,6 +67,24 @@ def test_lattice_sweep_runs_a_tiny_paired_comparison():
     assert [row[4] for row in rows] == ["1", "1", "2", "0"]
 
 
+def test_lattice_sweep_names_a_network_whose_lattices_differ(tmp_path):
+    """A tree whose cover edges point the wrong way gives lattices of the
+    same sizes; the sweep still sees them differ, names the network and
+    exits 1."""
+    shutil.copytree(ROOT / "src" / "synckit", tmp_path / "src" / "synckit",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    source = tmp_path / "src" / "synckit" / "synchrony.py"
+    text = source.read_text()
+    assert text.count("covers.add((i, j))") == 1
+    source.write_text(text.replace("covers.add((i, j))", "covers.add((j, i))"))
+    done = _run_script(["scripts/lattice_sweep.py", "--against", str(tmp_path), "--repeats", "1",
+                        "--rings", "4", "--complete", "3", "--sparse", "none"])
+    assert done.returncode == 1, done.stdout + done.stderr
+    rows = [line.split() for line in done.stdout.splitlines()[1:]]
+    assert [row[:2] for row in rows] == [["C4", "3"], ["K3", "5"]]
+    assert done.stderr == "the trees' lattices differ on C4, K3\n"
+
+
 def _run_script(argv):
     path = filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}

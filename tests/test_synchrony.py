@@ -538,9 +538,8 @@ def test_every_split_answer_is_exactly_its_cir():
     answered = below = 0
     for net in _split_answer_networks():
         top = cir_balanced(net, net.type_partition())
-        for p, k, mask, b in synchrony._split_answers(net, top, ()):
-            block = p.blocks()[k]
-            moved = {block[1 + i] for i in iter_bits(mask)}
+        for p, side, b in synchrony._split_answers(net, top, ()):
+            moved = set(iter_bits(side))
             q = Partition.from_assignment([p.rank if c in moved else p.colors[c]
                                            for c in range(net.n_cells)])
             assert b == cir_balanced(net, q)
@@ -657,6 +656,32 @@ def test_automorphisms_are_verified(monkeypatch):
         assert set(enumerate_balanced(net).elements) == expected
 
 
+def test_side_orbits_are_the_orbits_of_the_splits():
+    # a split is keyed by the cell bitset of its side without its color's
+    # first cell; the keys of a split's orbit under the generators that fix
+    # an element must each hold cells of one color and not its first cell,
+    # and name exactly the splits in the split's orbit
+    moved = 0
+    for net in symmetric_networks():
+        generators = synchrony._automorphisms(net)
+        for p in enumerate_balanced(net).elements:
+            fixing = [perm for perm in generators
+                      if Partition.from_assignment([p.colors[c] for c in perm]) == p]
+            bits = [sum(1 << c for c in block) for block in p.blocks()]
+            block_of = [bits[k] for k in p.colors]
+            for block in p.blocks():
+                for size in range(1, len(block)):
+                    for cells in itertools.combinations(block[1:], size):
+                        keys = synchrony._side_orbit(sum(1 << c for c in cells), fixing, block_of)
+                        for key in keys:
+                            color = block_of[min(iter_bits(key))]
+                            assert key & color == key and not key & color & -color
+                        assert ({p.split(list(iter_bits(key))) for key in keys}
+                                == synchrony._orbit(p.split(cells), fixing))
+                        moved += len(keys) > 1
+    assert moved >= 20000
+
+
 def test_every_split_answer_under_symmetry_is_exactly_its_cir():
     # with the splits pruned to orbits, each answer is still exactly the
     # cir of its split, and found closes under the automorphisms to the
@@ -665,10 +690,9 @@ def test_every_split_answer_under_symmetry_is_exactly_its_cir():
     for net in symmetric_networks():
         top = cir_balanced(net, net.type_partition())
         found = {top}
-        for p, k, mask, b in synchrony._split_answers(net, top, synchrony._automorphisms(net),
-                                                      found):
-            block = p.blocks()[k]
-            moved = {block[1 + i] for i in iter_bits(mask)}
+        for p, side, b in synchrony._split_answers(net, top, synchrony._automorphisms(net),
+                                                   found):
+            moved = set(iter_bits(side))
             q = Partition.from_assignment([p.rank if c in moved else p.colors[c]
                                            for c in range(net.n_cells)])
             assert b == cir_balanced(net, q)
