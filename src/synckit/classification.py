@@ -10,13 +10,14 @@ notions (one-step, cumulative, k-step cumulative, reachability) on the
 bitset of colors each cell's neighborhood meets, ORed along
 `Network.in_edges` in rounds (down the condensation for reachability),
 and produces the join-table and quotient-class reports used to validate
-how classes combine.
+how classes combine; the join table's verdicts are read off the lattice
+order, with no pair joined.
 """
 
 from __future__ import annotations
 
 import enum
-from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional
 
 from .connectivity import condensation, rdc_decomposition, reach_colors
 from .errors import EmptyColor, SynckitError
@@ -146,62 +147,11 @@ def top_nonweak(net: Network, max_cells: int = DEFAULT_MAX_CELLS) -> tuple[Parti
     hypothesis is checked by enumeration and reported alongside.
     """
     candidate = cir_balanced(net, meet(net.type_partition(), rdc_decomposition(net)))
-    lattice = enumerate_balanced(net, max_cells)
-    classes = [classify_partition(net, b) for b in lattice.elements]
-    return candidate, _rooted_reach_matched(net, lattice, classes)
-
-
-def _rooted_reach_matched(
-    net: Network, lattice: BalancedLattice, classes: Sequence[ColorClass]
-) -> bool:
-    """Whether every rooted element of the lattice is reach-in matched."""
-    return all(
-        is_matched(net, b, R_IN)
-        for b, k in zip(lattice.elements, classes)
-        if k is ColorClass.ROOTED
-    )
+    return candidate, join_table_report(net, max_cells).rooted_all_reach_matched
 
 
 # ---------------------------------------------------------------------------
 # Reports
-
-_TABLE1 = {
-    (ColorClass.STRONG, ColorClass.STRONG): {ColorClass.STRONG},
-    (ColorClass.STRONG, ColorClass.ROOTED): {ColorClass.ROOTED, ColorClass.WEAK},
-    (ColorClass.STRONG, ColorClass.WEAK): {ColorClass.WEAK},
-    (ColorClass.ROOTED, ColorClass.ROOTED): {ColorClass.ROOTED, ColorClass.WEAK},
-    (ColorClass.ROOTED, ColorClass.WEAK): {ColorClass.WEAK},
-    (ColorClass.WEAK, ColorClass.WEAK): {ColorClass.WEAK},
-}
-
-_TABLE2 = {
-    (ColorClass.STRONG, ColorClass.STRONG): {ColorClass.STRONG},
-    (ColorClass.STRONG, ColorClass.ROOTED): {ColorClass.ROOTED},
-    (ColorClass.STRONG, ColorClass.WEAK): {ColorClass.WEAK},
-    (ColorClass.ROOTED, ColorClass.ROOTED): {ColorClass.ROOTED},
-    (ColorClass.ROOTED, ColorClass.WEAK): {ColorClass.WEAK},
-    (ColorClass.WEAK, ColorClass.WEAK): {ColorClass.WEAK},
-}
-
-# Closure of the non-weak elements under join: only a weak join of two
-# non-weak elements breaks it.
-_NONWEAK_CLOSED = {
-    (ColorClass.STRONG, ColorClass.STRONG): {ColorClass.STRONG, ColorClass.ROOTED},
-    (ColorClass.STRONG, ColorClass.ROOTED): {ColorClass.STRONG, ColorClass.ROOTED},
-    (ColorClass.STRONG, ColorClass.WEAK): set(ColorClass),
-    (ColorClass.ROOTED, ColorClass.ROOTED): {ColorClass.STRONG, ColorClass.ROOTED},
-    (ColorClass.ROOTED, ColorClass.WEAK): set(ColorClass),
-    (ColorClass.WEAK, ColorClass.WEAK): set(ColorClass),
-}
-
-_CLASSES = tuple(ColorClass)  # strong, rooted, weak
-_ORDER = {k: n for n, k in enumerate(_CLASSES)}
-
-
-def _fits(table: dict, left: ColorClass, right: ColorClass, joined: ColorClass) -> bool:
-    """Whether a (left, right, join) class triple is allowed by a class table."""
-    key = (left, right) if _ORDER[left] <= _ORDER[right] else (right, left)
-    return joined in table[key]
 
 
 def join_rows(up: tuple[int, ...]) -> Iterator[list[int]]:
@@ -216,51 +166,65 @@ def join_rows(up: tuple[int, ...]) -> Iterator[list[int]]:
 
 
 class JoinTableReport(NamedTuple):
-    """The classes of a lattice and the class triples its pairs' joins take.
+    """The classes of a lattice and the verdicts of the paper's join tables.
 
-    The verdicts need only the set of (left, right, join) class triples
-    (at most 27), so no pair is stored; `join_rows(lattice.up)` yields
-    the pairs' joins row by row.
+    The verdicts are read off the order by `join_table_report`, so no
+    pair is walked for them; `join_rows(lattice.up)` yields the pairs'
+    joins row by row where the pairs are listed.  matched_table_ok is None
+    when the stricter table does not apply (a rooted element is not
+    reach-in matched).
     """
 
     lattice: BalancedLattice
     classes: tuple[ColorClass, ...]
     rooted_all_reach_matched: bool
-    triples: frozenset[tuple[ColorClass, ColorClass, ColorClass]]
-
-    @property
-    def general_table_ok(self) -> bool:
-        return all(_fits(_TABLE1, *t) for t in self.triples)
-
-    @property
-    def matched_table_ok(self) -> Optional[bool]:
-        """None when the stricter table does not apply (a rooted element is not reach-matched)."""
-        if not self.rooted_all_reach_matched:
-            return None
-        return all(_fits(_TABLE2, *t) for t in self.triples)
-
-    @property
-    def nonweak_join_closed(self) -> bool:
-        return all(_fits(_NONWEAK_CLOSED, *t) for t in self.triples)
+    general_table_ok: bool
+    matched_table_ok: Optional[bool]
+    nonweak_join_closed: bool
 
 
 def join_table_report(net: Network, max_cells: int = DEFAULT_MAX_CELLS) -> JoinTableReport:
-    """Join every pair of balanced partitions and collect the class triples."""
+    """Check how classes combine under join from the lattice order alone.
+
+    Weak is closed upward (a coarser color holds a weak color's cells,
+    so its root intersection is a subset) and strong is closed downward,
+    so the strong elements S and the non-weak elements N are down-sets
+    and a join can only break a table by leaving S or N.  A down-set of
+    a lattice is closed under join exactly when it has at most one
+    maximal element (at most: an empty set has no pair to break it).
+    The general table holds iff the classes are monotone and S is
+    join-closed, the matched table iff N is join-closed as well.  Each
+    element's up-set is ANDed with N, and that with S.
+    """
     lattice = enumerate_balanced(net, max_cells)
     classes = tuple(classify_partition(net, b) for b in lattice.elements)
-    rooted_matched = _rooted_reach_matched(net, lattice, classes)
-    # per left class, the (right, join) class pairs seen; small int codes
-    # hash far faster than enum members
-    codes = [_ORDER[k] for k in classes]
-    seen: list[set[tuple[int, int]]] = [set() for _ in _CLASSES]
-    for i, row in enumerate(join_rows(lattice.up)):
-        seen[codes[i]].update(zip(codes[i:], map(codes.__getitem__, row)))
-    triples = frozenset(
-        (_CLASSES[left], _CLASSES[right], _CLASSES[joined])
-        for left, pairs in enumerate(seen)
-        for right, joined in pairs
+    rooted_matched = all(
+        is_matched(net, b, R_IN)
+        for b, k in zip(lattice.elements, classes)
+        if k is ColorClass.ROOTED
     )
-    return JoinTableReport(lattice, classes, rooted_matched, triples)
+    strong = nonweak = 0
+    for i, k in enumerate(classes):
+        if k is not ColorClass.WEAK:
+            nonweak |= 1 << i
+            if k is ColorClass.STRONG:
+                strong |= 1 << i
+    weak_up = strong_down = True
+    strong_tops = nonweak_tops = 0
+    for i, (up, k) in enumerate(zip(lattice.up, classes)):
+        above = up & nonweak  # i itself included when i is non-weak
+        if k is ColorClass.WEAK:
+            weak_up = weak_up and not above
+            continue
+        nonweak_tops += above == 1 << i
+        if k is ColorClass.STRONG:
+            strong_tops += above & strong == 1 << i
+        else:
+            strong_down = strong_down and not above & strong
+    general = weak_up and strong_down and strong_tops <= 1
+    nonweak_closed = weak_up and nonweak_tops <= 1
+    matched = general and nonweak_closed if rooted_matched else None
+    return JoinTableReport(lattice, classes, rooted_matched, general, matched, nonweak_closed)
 
 
 class QuotientClassEntry(NamedTuple):

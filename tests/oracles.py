@@ -9,7 +9,7 @@ bounds by scanning every partition of the cell set, SCCs by pairwise mutual
 reachability, walks by boolean matrix powers, networks by folding every
 edge into a dense matrix, reach-based classes and matching from
 per-cell frozenset reach sets instead of condensation bitsets, the join
-table pair by pair instead of from class triples and up-set bitsets,
+table's verdicts pair by pair instead of from the lattice order,
 automorphisms on every entry of the dense matrix instead of the folded
 edges, the quotient class report's entries from the full network's
 lattice instead of the quotient's, and the admissible map cell by cell through
@@ -433,7 +433,7 @@ def oracle_reach_matched(reach: Sequence[frozenset[int]], p: Partition) -> bool:
     return True
 
 
-def _join_allowed(left: str, right: str, strict: bool) -> set[str]:
+def join_allowed(left: str, right: str, strict: bool) -> set[str]:
     """Classes the join of two classes may take: the paper's general table,
     or its stricter table when every rooted element is reach-in matched."""
     worst = max(left, right, key=["strong", "rooted", "weak"].index)
@@ -476,8 +476,8 @@ def oracle_join_table(net: Network, elements: Sequence[Partition]) -> dict[str, 
             left, right, joined = classes[i], classes[j], classes[jdx]
             entries.append(OraclePair(
                 i, j, ColorClass(left), ColorClass(right), ColorClass(joined), jdx))
-            general_ok &= joined in _join_allowed(left, right, strict=False)
-            matched_ok &= joined in _join_allowed(left, right, strict=True)
+            general_ok &= joined in join_allowed(left, right, strict=False)
+            matched_ok &= joined in join_allowed(left, right, strict=True)
             if "weak" not in (left, right) and joined == "weak":
                 nonweak_closed = False
             pairs.append({"left": texts[i], "right": texts[j], "left_class": left,

@@ -98,3 +98,15 @@ def test_one_keying_round_computes_every_signature():
     callers = [f.name for f in package.glob("*.py")
                if f.name not in ("network.py", "__init__.py") and "row_color_sum" in _names_used(f)]
     assert callers == []
+
+
+def test_join_table_verdicts_walk_no_pair():
+    """`tables`' verdicts are read off the lattice order: join_table_report
+    neither walks the join rows nor rebuilds the order, so no pair walk
+    can come back into the verdict path."""
+    tree = ast.parse((ROOT / "src" / "synckit" / "classification.py").read_text(encoding="utf-8"))
+    [report] = [node for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name == "join_table_report"]
+    read = {n.id for n in ast.walk(report) if isinstance(n, ast.Name)}
+    read |= {n.attr for n in ast.walk(report) if isinstance(n, ast.Attribute)}
+    assert not read & {"join_rows", "_order"}, read & {"join_rows", "_order"}

@@ -6,6 +6,7 @@ from collections import Counter
 
 import pytest
 
+from synckit import classification
 from synckit.classification import (
     ColorClass,
     N_IN,
@@ -16,6 +17,7 @@ from synckit.classification import (
     classify_partition,
     is_invariant,
     is_matched,
+    join_rows,
     join_table_report,
     quotient_class_report,
     top_nonweak,
@@ -35,13 +37,14 @@ from synckit.network import parse_network, save_network
 from synckit.partition import Partition, join, parse_partition, refines
 from synckit.synchrony import cir_balanced, enumerate_balanced, is_balanced
 
-from conftest import FIXTURE_NAMES, fixture_net
+from conftest import FIXTURE_NAMES, fixture_net, fixture_path
 from oracles import (
     colors_met,
     complete_graph,
     cumulative_in,
     from_matrix,
     in_neighborhood,
+    join_allowed,
     one_color,
     oracle_classify_color,
     oracle_classify_partition,
@@ -303,7 +306,10 @@ class TestJoinTable:
         net = fixture_net("twin_cycles_hub")
         report = join_table_report(net)
         assert report.general_table_ok
-        assert (ColorClass.ROOTED, ColorClass.ROOTED, ColorClass.WEAK) in report.triples
+        entries = oracle_join_table(net, report.lattice.elements)["entries"]
+        assert (ColorClass.ROOTED, ColorClass.ROOTED, ColorClass.WEAK) in {
+            (e.left_class, e.right_class, e.join_class) for e in entries
+        }
         assert not report.nonweak_join_closed
 
     def test_singleton_lattice_vacuous(self):
@@ -336,16 +342,13 @@ def _join_table_networks():
 
 
 def test_join_table_matches_pairwise_oracle(tmp_path, capsys):
-    """Class triples, verdicts and streamed `tables` output all agree with
-    the pair-by-pair oracle, byte for byte."""
+    """Verdicts and streamed `tables` output all agree with the
+    pair-by-pair oracle, byte for byte."""
     path = str(tmp_path / "net.json")
     for net in _join_table_networks():
         report = join_table_report(net)
         want = oracle_join_table(net, report.lattice.elements)
         payload = want["payload"]
-        assert report.triples == {
-            (e.left_class, e.right_class, e.join_class) for e in want["entries"]
-        }
         assert report.general_table_ok == payload["general_table_ok"]
         assert report.rooted_all_reach_matched == payload["rooted_all_reach_matched"]
         assert report.matched_table_ok == payload["matched_table_ok"]
@@ -355,6 +358,130 @@ def test_join_table_matches_pairwise_oracle(tmp_path, capsys):
         assert capsys.readouterr().out == want["text"]
         assert run(["tables", "--network", path, "--format", "json"]) == want["exit_code"]
         assert capsys.readouterr().out == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def _hub_variant(rng):
+    """twin_cycles_hub with its cells and edges shuffled and up to three
+    extra cells, each driven by one or two of the cells before it."""
+    doc = json.loads(fixture_path("twin_cycles_hub").read_text(encoding="utf-8"))
+    ids = [cell["id"] for cell in doc["cells"]]
+    for k in range(rng.randint(0, 3)):
+        for sender in rng.sample(ids, rng.randint(1, 2)):
+            doc["edges"].append({"from": sender, "to": f"d{k}", "weight": rng.choice((1, 2, -1))})
+        doc["cells"].append({"id": f"d{k}", "type": 1})
+        ids.append(f"d{k}")
+    rng.shuffle(doc["cells"])
+    rng.shuffle(doc["edges"])
+    return parse_network(doc)
+
+
+def _verdicts(report):
+    return report.general_table_ok, report.matched_table_ok, report.nonweak_join_closed
+
+
+def test_order_verdicts_match_the_pairwise_oracle():
+    """The verdicts read off the order are the pair-by-pair oracle's, on
+    random networks and on hub variants whose non-weak elements have two
+    maxima (random networks of this size almost never do)."""
+    rng = random.Random(3131)
+    weights = [(-1, 0, 1, 2), (0, 0, 0, 1), (0, 0, 0, 0, 1, -1)]
+    nets = [random_network(rng, max_cells=7, num_types=1 + i // 3 % 2, weights=weights[i % 3])
+            for i in range(300)]
+    nets += [_hub_variant(rng) for _ in range(30)]
+    split = Counter()
+    for net in nets:
+        report = join_table_report(net)
+        payload = oracle_join_table(net, report.lattice.elements)["payload"]
+        assert _verdicts(report) == (
+            payload["general_table_ok"], payload["matched_table_ok"],
+            payload["nonweak_join_closed"])
+        elements = report.lattice.elements
+        nonweak = [b for b, k in zip(elements, report.classes) if k is not ColorClass.WEAK]
+        tops = [b for b in nonweak if not any(b != c and refines(b, c) for c in nonweak)]
+        split[len(tops) >= 2, report.nonweak_join_closed] += 1
+    assert split[True, False] >= 20, split
+    assert split[True, True] == 0, split
+
+
+_SWAPPED = {
+    ColorClass.STRONG: ColorClass.WEAK,
+    ColorClass.ROOTED: ColorClass.ROOTED,
+    ColorClass.WEAK: ColorClass.STRONG,
+}
+
+
+def _walk(report):
+    """The three verdicts from every pair's join through join_rows, on the
+    report's own classes."""
+    names = [k.value for k in report.classes]
+    general = matched = closed = True
+    for i, row in enumerate(join_rows(report.lattice.up)):
+        for j, jdx in enumerate(row, i):
+            left, right, joined = names[i], names[j], names[jdx]
+            general &= joined in join_allowed(left, right, strict=False)
+            matched &= joined in join_allowed(left, right, strict=True)
+            closed &= "weak" in (left, right) or joined != "weak"
+    return general, matched if report.rooted_all_reach_matched else None, closed
+
+
+def test_swapped_classes_give_the_walks_table_verdicts(monkeypatch):
+    """With strong and weak swapped the classes are no longer monotone.
+    The table verdicts still equal a pair walk over the same classes, and
+    the non-weak closure reads False wherever a weak element lies below
+    a non-weak one (the general table then fails as well)."""
+    rng = random.Random(3132)
+    nets = [random_network(rng, max_cells=6, num_types=1 + i % 2, weights=(0, 0, 0, 1))
+            for i in range(100)]
+    nets += [random_balanced_lift(rng, max_cells=7)[0] for _ in range(100)]
+    real = classification.classify_partition
+    monkeypatch.setattr(classification, "classify_partition",
+                        lambda net, p: _SWAPPED[real(net, p)])
+    seen = Counter()
+    for net in nets:
+        report = join_table_report(net)
+        general, matched, closed = _walk(report)
+        assert (report.general_table_ok, report.matched_table_ok) == (general, matched)
+        nonweak = sum(1 << i for i, k in enumerate(report.classes) if k is not ColorClass.WEAK)
+        weak_below_nonweak = any(
+            k is ColorClass.WEAK and up & nonweak
+            for up, k in zip(report.lattice.up, report.classes)
+        )
+        if weak_below_nonweak:
+            assert not report.nonweak_join_closed and not general
+        else:
+            assert report.nonweak_join_closed == closed
+        seen[general, weak_below_nonweak, closed] += 1
+    assert seen[False, True, True] >= 20, seen
+    assert seen[True, False, True] + seen[True, False, False] >= 5, seen
+
+
+def test_down_set_classes_give_the_walks_verdicts(monkeypatch):
+    """Classes with weak closed upward whose strong or non-weak elements
+    may have two maxima: the elements below a or b are strong and those
+    below c rooted, weak elsewhere.  Where c's down-set takes precedence,
+    strong is no longer closed downward.  All three verdicts equal a pair
+    walk over those classes."""
+    rng = random.Random(3133)
+    seen = Counter()
+    for i in range(80):
+        net = complete_graph(5) if i % 4 == 0 else _hub_variant(rng)
+        elements = enumerate_balanced(net).elements
+        a, b, c = (rng.choice(elements) for _ in range(3))
+        rooted_first = i % 2 == 1
+
+        def down_set_class(net, p, a=a, b=b, c=c, rooted_first=rooted_first):
+            strong, rooted = refines(p, a) or refines(p, b), refines(p, c)
+            if rooted and (rooted_first or not strong):
+                return ColorClass.ROOTED
+            return ColorClass.STRONG if strong else ColorClass.WEAK
+
+        monkeypatch.setattr(classification, "classify_partition", down_set_class)
+        report = join_table_report(net)
+        assert _verdicts(report) == _walk(report)
+        seen[rooted_first, report.general_table_ok, report.nonweak_join_closed] += 1
+    for verdicts in ((False, False), (True, False), (True, True)):
+        assert seen[(False, *verdicts)] >= 5, seen
+    assert seen[True, False, True] >= 5, seen
 
 
 class TestQuotientClassReport:
