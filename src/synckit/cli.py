@@ -144,7 +144,7 @@ def cmd_reach(args) -> int:
     else:
         cells = conn.in_reachability(net, c)
         label = "in-reachability"
-    ids = sorted((net.cell_ids[d] for d in cells), key=net.index_of)
+    ids = [net.cell_ids[d] for d in sorted(cells)]
     _emit({"cell": args.cell, "k": args.k, "cells": ids}, args,
           f"{label} of {args.cell}: {{{','.join(ids)}}}")
     return EXIT_OK

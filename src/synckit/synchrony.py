@@ -13,8 +13,8 @@ the cells whose senders changed color.  Small networks get their full
 lattice by split-and-cir: split a balanced partition's color in two and
 take cir of the result, answered from the cuts already resolved where
 they bound it (cir is monotone) and otherwise keyed against the parent's
-signatures through one memo, so the work grows with the lattice, not
-with the number of type-refining partitions.  A cut has one key, the
+signatures and walked down to cir, so the work grows with the lattice,
+not with the number of type-refining partitions.  A cut has one key, the
 cell bitset of its side without its color's first cell, and each
 element keeps its resolved cuts in one table by that key.
 
@@ -277,21 +277,18 @@ def enumerate_balanced(net: Network, max_cells: int = DEFAULT_MAX_CELLS) -> Bala
     and each element keeps one table of the cir of its cuts by that key,
     where it lies below the cut (a balanced cut bounds nothing); keys of
     different colors are disjoint, so they never collide.  A trivial cir
-    answers Q at once; else Q ∧ cir(R) is looked up among the elements
-    and in the memo below.
+    answers Q at once; else Q ∧ cir(R) answers Q if it is an element.
 
     Otherwise Q is keyed against P's signatures: a cell none of whose
     senders moved keeps its color's, so the first round keys only the
     receivers of the moved cells (the smaller side).  If no color
-    splits, Q is balanced; else the rounds walk down to cir(Q).  At each
-    partition W of the walk, each W-part of K without K's first cell is
-    the key of a cut of K above W; the cuts of K resolved before Q
-    answer W as above.
-    The walk stops at the first partition in a memo shared by all splits,
-    and stores the end under the colors of each partition looked up on
-    the way.  The memo is exact: cir(R) = cir(Q) for every
-    cir(Q) <= R <= Q, as cir is monotone and cir(Q) is balanced below R;
-    so every answer is exactly cir(Q), which the bounds rely on.
+    splits, Q is balanced; else the rounds walk down to cir(Q).  Each
+    partition W of the walk has cir(W) = cir(Q), as cir(Q) <= W <= Q,
+    and each W-part of K without K's first cell is the key of a cut of K
+    above W; where the cuts of K resolved before Q include such a cut,
+    they answer W as above.  A walk no bound answers runs to cir(Q), its
+    last partition.  Every answer is thus exactly cir(Q), which the
+    bounds rely on.
 
     An automorphism σ gives σ·cir(Q) = cir(σQ), so the splits of σP
     answer as σ applied to those of P.  Each new element's orbit under
@@ -457,16 +454,14 @@ def _split_answers(net: Network, top: Partition, generators: Sequence[Sequence[i
     bottom = Partition.trivial(n)
     found = set() if found is None else found
     found.add(top)
-    stack, memo = [(top, None, None)], {}
+    stack = [(top, None, None)]
 
-    def known(assignment: Sequence[int], bounds: list) -> tuple[Optional[Partition], Partition]:
-        """The meet of assignment and the balanced bounds, and its cir if known."""
+    def known(assignment: Sequence[int], bounds: list) -> Optional[Partition]:
+        """The meet of assignment and the balanced bounds if it is an element, else None."""
         if any(r.rank == n for r in bounds):
-            return bottom, bottom
-        if bounds:
-            assignment = zip(assignment, *[r.colors for r in bounds])
-        q = Partition.from_assignment(assignment)
-        return (q if q in found else memo.get(q.colors)), q
+            return bottom
+        meet = Partition.from_assignment(zip(assignment, *[r.colors for r in bounds]))
+        return meet if meet in found else None
 
     while stack:
         p, parent_block_of, parent_cuts = stack.pop()
@@ -499,12 +494,12 @@ def _split_answers(net: Network, top: Partition, generators: Sequence[Sequence[i
                     continue
                 if fixing:
                     seen |= _side_orbit(side, fixing, block_of)
-                b = memo.get(q.colors)
-                if b is None and outer:
+                b = None
+                if outer:
                     bounds = [*filter(None, {parent_cuts.get(side),
                                              parent_cuts.get(_cut_key(bits ^ side, outer))})]
                     if bounds:
-                        b = known(q.colors, bounds)[0]
+                        b = known(q.colors, bounds)
                 if b is None:
                     moved, kept = cells, (first, *others)
                     if 2 * len(moved) > len(block):  # move the smaller side
@@ -517,9 +512,9 @@ def _split_answers(net: Network, top: Partition, generators: Sequence[Sequence[i
                     sig = [*signature, signature[k]]
                     rekey = {c for d in moved for c in receivers[d] if len(members[split[c]]) > 1}
                     parts = key(rekey, split, sig)
-                    b, path = q, [q.colors]  # q is balanced unless a round splits a color
+                    b = q  # q is balanced unless a round splits a color
                     for _ in _rounds(key, receivers, split, sig, members, parts):
-                        bounds = []
+                        b = None
                         # each W-part of the color, but first's, is the key of a cut above W
                         if len(cuts) > resolved:
                             parts_of: dict[int, int] = {}
@@ -527,13 +522,11 @@ def _split_answers(net: Network, top: Partition, generators: Sequence[Sequence[i
                                 parts_of[split[c]] = parts_of.get(split[c], 0) | 1 << c
                             del parts_of[split[first]]
                             bounds = [*filter(None, map(cuts.get, parts_of.values()))]
-                        end, b = known(split, bounds)
-                        if end is not None:
-                            b = end
-                            break
-                        path.append(b.colors)
-                    if b is not q:  # a balanced q is kept in found instead
-                        memo.update(dict.fromkeys(path, b))
+                            if bounds:
+                                b = known(split, bounds)
+                                if b is not None:
+                                    break
+                    b = b or Partition.from_assignment(split)  # else the walk ran to cir(Q)
                 if max(b.colors) > rank:  # below the cut: bounds its later walks and its children
                     cuts[side] = b
                 yield p, side, b

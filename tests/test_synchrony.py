@@ -8,6 +8,7 @@ import pytest
 from synckit.errors import NotBalanced, NotInLattice, NotTypeRefining, SynckitError, TooLarge
 from synckit.monoid import IntegerAdd, TropicalMin
 import synckit.network
+import synckit.partition
 from synckit import synchrony
 from synckit.network import Network, parse_network
 from synckit.partition import (
@@ -472,10 +473,13 @@ class TestEnumerate:
                                                   elements):
         # one full cir_balanced per 2-split made one_cir_per_split signature
         # calls on these networks; refining each split from its balanced
-        # parent, through the shared memo, must make at most half as many;
+        # parent must make at most half as many;
         # keying it against the parent's signatures made 1988 (C9) and 5007,
         # answering it from the cuts already resolved 951 and 1578, and
-        # splitting one cut per orbit of C9's rotations holds C9 at 170
+        # splitting one cut per orbit of C9's rotations holds C9 at 173; a
+        # memo of walks held it at 170, but C9 enumerates faster without it
+        # (median time ratios 0.90-0.92 in three paired sweeps), so those
+        # lookups cost more than the rounds they saved
         n = 9
         if name == "ring":
             edges = [(c, (c - 1) % n, 1) for c in range(n)]
@@ -486,18 +490,45 @@ class TestEnumerate:
         calls = TestCirWorklist._count_keys(monkeypatch)
         assert len(enumerate_balanced(net).elements) == elements
         assert calls[0] <= one_cir_per_split // 2
-        assert calls[0] <= {"ring": 170, "sparse": 1578}[name]
+        assert calls[0] <= {"ring": 173, "sparse": 1578}[name]
 
     def test_ring_splits_are_answered_from_resolved_cuts(self, monkeypatch):
         # C12's top has 2047 cuts, nearly all with the trivial cir: keyed
         # against the parent they made 25973 signature calls, answered from
         # the cuts already resolved 10192, and split one per orbit of the
-        # rotations they make at most 1357
+        # rotations they make at most 1442; a memo of walks held them at
+        # 1357, but C12 enumerates faster without it (median time ratios
+        # 0.94-0.96 in three paired sweeps), so those lookups cost more
+        # than the rounds they saved
         n = 12
         ring = TestCirWorklist._one_type(n, ((c, (c - 1) % n, 1) for c in range(n)))
         calls = TestCirWorklist._count_keys(monkeypatch)
         assert len(enumerate_balanced(ring).elements) == 6
-        assert calls[0] <= 1357
+        assert calls[0] <= 1442
+
+    @pytest.mark.parametrize("name, canonical", [("C9", 12), ("C12", 67), ("sparse", 87)])
+    def test_walks_canonicalize_where_bounded_and_at_their_end(self, monkeypatch, name,
+                                                                canonical):
+        # a walk builds a partition only for a round that a resolved cut
+        # bounds, and once at its end; canonicalizing every round to look it
+        # up in a memo of walks made 43, 223 and 109 on these networks
+        if name == "sparse":  # test_splits_are_refined_from_their_parent's
+            n, rng = 9, random.Random(0)
+            edges = [(c, d, 1) for c in range(n) for d in rng.sample([d for d in range(n) if d != c], 2)]
+        else:
+            n = int(name[1:])
+            edges = [(c, (c - 1) % n, 1) for c in range(n)]
+        net = TestCirWorklist._one_type(n, edges)
+        calls = [0]
+        inner = synckit.partition._canonical
+
+        def counted(labels):
+            calls[0] += 1
+            return inner(labels)
+
+        monkeypatch.setattr(synckit.partition, "_canonical", counted)
+        enumerate_balanced(net, max_cells=n)
+        assert calls[0] <= canonical
 
     def test_known_splits_are_skipped(self, monkeypatch):
         # every 2-split of K6 is balanced and is an element: cir of the types
@@ -533,8 +564,8 @@ def _split_answer_networks():
 def test_every_split_answer_is_exactly_its_cir():
     # split-and-cir stays complete when splits get balanced upper bounds of
     # their cir as answers, so only a direct check sees an answer that is
-    # not exact, which would corrupt the memo and the cuts that later splits
-    # are answered from
+    # not exact, which would corrupt the cuts that later splits are
+    # answered from
     answered = below = 0
     for net in _split_answer_networks():
         top = cir_balanced(net, net.type_partition())
