@@ -11,7 +11,9 @@ automorphism group that split-and-cir prunes its splits with ("-" for a
 tree without that search), the `_signature` calls of one enumeration and
 the median time, in this tree and, with --against
 (the root of another checkout, holding src/synckit), in that tree with
-the median of the paired ratios this/against.  The two trees run in one
+the median of the paired ratios this/against, their first and third
+quartiles, and the pairs this tree won (a ratio below 1) out of all
+pairs, which tell one noisy median from a change.  The two trees run in one
 process, one after the other in an order that alternates from pair to
 pair.  The trees must give the same lattice, each element's colors and
 the cover edges; else the script names the networks where they differ
@@ -149,7 +151,7 @@ def main() -> int:
         trees.append(load_tree(args.against.resolve(), "synckit_against"))
     head = (f"{'network':<12} {'elements':>8} {'generators':>10} {'signatures':>17} "
             f"{'median ms':>17}")
-    print(head + ("  ratio" if len(trees) > 1 else ""))
+    print(head + ("  ratio    quartiles    won" if len(trees) > 1 else ""))
     differ = []
     for name, doc, max_cells in networks(args):
         sides = [Side(tree, doc, max_cells) for tree in trees]
@@ -170,7 +172,11 @@ def main() -> int:
                 f"{' -> '.join(str(s) for _, s in reversed(counts)):>17} "
                 f"{' -> '.join(times):>17}")
         if ratios:
-            line += f"  {statistics.median(ratios):.3f}"
+            low, high = (statistics.quantiles(ratios, n=4, method="inclusive")[::2]
+                         if len(ratios) > 1 else ratios * 2)
+            won = sum(ratio < 1 for ratio in ratios)
+            line += (f"  {statistics.median(ratios):.3f}  {low:.3f}-{high:.3f}"
+                     f"  {won:>2}/{len(ratios)}")
         print(line, flush=True)
     if differ:
         print(f"the trees' lattices differ on {', '.join(differ)}", file=sys.stderr)

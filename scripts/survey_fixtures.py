@@ -19,13 +19,13 @@ from synckit.classification import (
     is_matched,
     join_rows,
     join_table_report,
-    top_nonweak,
     top_strong,
 )
+from synckit.connectivity import rdc_decomposition
 from synckit.errors import SynckitError
 from synckit.network import load_network
-from synckit.partition import format_partition
-from synckit.synchrony import DEFAULT_MAX_CELLS, enumerate_balanced, is_balanced
+from synckit.partition import format_partition, meet
+from synckit.synchrony import DEFAULT_MAX_CELLS, cir_balanced, enumerate_balanced, is_balanced
 
 
 def survey(path: Path, max_cells: int) -> None:
@@ -42,9 +42,12 @@ def survey(path: Path, max_cells: int) -> None:
             marks.append("reach-invariant")
         print(f"   {format_partition(b, ids):<18} {', '.join(marks)}")
     print(f"   top strong:   {format_partition(top_strong(net), ids)}")
-    candidate, valid = top_nonweak(net, max_cells)
-    print(f"   top non-weak: {format_partition(candidate, ids)} (valid: {valid})")
     table = join_table_report(net, max_cells)
+    # the coarsest balanced partition below types meet root-dependency classes
+    # tops the non-weak elements when every rooted element is reach-in matched
+    candidate = cir_balanced(net, meet(net.type_partition(), rdc_decomposition(net)))
+    print(f"   top non-weak: {format_partition(candidate, ids)} "
+          f"(valid: {table.rooted_all_reach_matched})")
     print(
         f"   join table: general_ok={table.general_table_ok} "
         f"strict_applies={table.rooted_all_reach_matched} "

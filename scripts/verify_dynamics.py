@@ -22,7 +22,6 @@ from synckit.dynamics import (
     check_locality,
     check_quotient_consistency,
     check_subsystem,
-    probe_non_invariance,
     sample_admissible,
 )
 from synckit.errors import SynckitError
@@ -30,9 +29,10 @@ from synckit.network import load_network
 from synckit.partition import format_partition
 from synckit.synchrony import enumerate_balanced, is_balanced
 
-# the brute-force scan of every type-refining partition lives with the test oracles
+# the brute-force scan of every type-refining partition and the numerical
+# verdict live with the test oracles
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
-from oracles import oracle_type_refining  # noqa: E402
+from oracles import numeric_verdict, oracle_type_refining  # noqa: E402
 
 
 def verify(path: Path, seeds: int, steps: int) -> bool:
@@ -58,7 +58,7 @@ def verify(path: Path, seeds: int, steps: int) -> bool:
         if p in balanced:
             continue
         attempted += 1
-        if probe_non_invariance(net, p, seeds=seeds, trials=5, steps=steps) == "falsified":
+        if not numeric_verdict(net, p, seeds=seeds, trials=5, steps=steps, tol=1e-3):
             falsified += 1
     if attempted:
         print(f"   falsified {falsified}/{attempted} non-balanced candidates")

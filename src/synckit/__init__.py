@@ -40,7 +40,6 @@ from .classification import (
     is_matched,
     join_table_report,
     quotient_class_report,
-    top_nonweak,
     top_strong,
     v_in_k,
 )
@@ -52,7 +51,6 @@ from .dynamics import (
     check_quotient_consistency,
     check_subsystem,
     evolve,
-    probe_non_invariance,
     sample_admissible,
 )
 

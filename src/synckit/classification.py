@@ -19,7 +19,7 @@ from __future__ import annotations
 import enum
 from typing import Iterable, Iterator, NamedTuple, Optional
 
-from .connectivity import condensation, rdc_decomposition, reach_colors
+from .connectivity import condensation, reach_colors
 from .errors import EmptyColor, SynckitError
 from .network import Network
 from .partition import Partition, meet
@@ -136,18 +136,6 @@ def is_invariant(net: Network, cert: BalancedCertificate, kind: NeighborhoodKind
 def top_strong(net: Network) -> Partition:
     """Top of the strong sublattice: coarsest balanced below types meet SCCs."""
     return cir_balanced(net, meet(net.type_partition(), condensation(net).scc_partition))
-
-
-def top_nonweak(net: Network, max_cells: int = DEFAULT_MAX_CELLS) -> tuple[Partition, bool]:
-    """Candidate top non-weak element plus a validity flag.
-
-    The candidate is the coarsest balanced partition below types meet
-    root-dependency classes.  It tops the non-weak elements only when
-    every rooted element of the lattice is reach-in matched, so that
-    hypothesis is checked by enumeration and reported alongside.
-    """
-    candidate = cir_balanced(net, meet(net.type_partition(), rdc_decomposition(net)))
-    return candidate, join_table_report(net, max_cells).rooted_all_reach_matched
 
 
 # ---------------------------------------------------------------------------

@@ -494,7 +494,8 @@ _MAX_CELLS = ("--max-cells", {"type": int, "default": syn.DEFAULT_MAX_CELLS})
 _KIND = ("--kind", {"required": True})
 
 # Each subcommand's handler and its arguments after _SHARED's --network and
-# --format, which all take, as (name, add_argument keywords) pairs.
+# --format, which all take, as (name, add_argument keywords) pairs.  Only the
+# keywords _fast_args follows appear, and no str default beside a type.
 _COMMANDS = {
     "scc": (cmd_scc, ()),
     "condense": (cmd_condense, ()),
@@ -541,27 +542,16 @@ _EPILOGS = {
 }
 
 
-def build_parser(command: Optional[str] = None) -> "argparse.ArgumentParser":
-    """The synckit parser with every subcommand, or with `command`'s alone.
-
-    A parser of one subcommand is given the metavar that argparse would
-    derive from all of them, so its usage line for unrecognized arguments
-    lists every command, as the full parser's does.  The full parser keeps
-    no metavar: its errors name the argument "command".
-    """
+def build_parser() -> "argparse.ArgumentParser":
+    """The synckit parser with every subcommand, for the argv _fast_args declines."""
     import argparse  # loaded with gettext only here: about a fifth of this module's import time
 
     parser = argparse.ArgumentParser(
         prog="synckit",
         description="Synchrony analysis for weighted coupled cell networks.",
     )
-    sub = parser.add_subparsers(
-        dest="command", required=True,
-        metavar=None if command is None else "{" + ",".join(_COMMANDS) + "}",
-    )
+    sub = parser.add_subparsers(dest="command", required=True)
     for name, (handler, own) in _COMMANDS.items():
-        if command is not None and name != command:
-            continue
         p = sub.add_parser(name, epilog=_EPILOGS.get(name))
         for flag, options in (*_SHARED, *own):
             p.add_argument(flag, **options)
@@ -574,10 +564,6 @@ def build_parser(command: Optional[str] = None) -> "argparse.ArgumentParser":
 _DOT_COMMANDS = {"condense", "lattice", "quotient", "export-dot"}
 
 
-# The add_argument keywords _fast_args follows; help changes only --help.
-_FAST_KEYWORDS = {"required", "default", "type", "choices", "action", "help"}
-
-
 def _fast_args(argv: list[str]) -> Optional[SimpleNamespace]:
     """The attributes build_parser().parse_args(argv) would return, read off
     _COMMANDS, or None unless argparse would surely return them unprompted.
@@ -586,9 +572,9 @@ def _fast_args(argv: list[str]) -> Optional[SimpleNamespace]:
     in full as --flag=value or --flag value, where a separate value is "-"
     or a nonempty string not starting with "-", and verify's check once.
     Declined: help, "--", an abbreviated or unknown flag, a value that its
-    type or choices refuse, a missing required argument, and a flag whose
-    keywords this does not follow.  Whatever is declined goes to argparse,
-    so help, usage errors and their exit codes come from it alone.
+    type or choices refuse, and a missing required argument.  Whatever is
+    declined goes to argparse, so help, usage errors and their exit codes
+    come from it alone.
     """
     if not argv or argv[0] not in _COMMANDS:
         return None
@@ -596,13 +582,8 @@ def _fast_args(argv: list[str]) -> Optional[SimpleNamespace]:
     values = {"command": argv[0], "handler": handler}
     flags, positional, required = {}, None, set()
     for name, options in (*_SHARED, *own):
-        action = options.get("action")
-        if not options.keys() <= _FAST_KEYWORDS or action not in (None, "store_true"):
-            return None
         dest = name.lstrip("-").replace("-", "_")
-        values[dest] = options.get("default", False if action else None)
-        if isinstance(values[dest], str) and "type" in options:
-            return None  # argparse would convert the default
+        values[dest] = options.get("default", False if "action" in options else None)
         if name.startswith("-"):
             flags[name] = dest, options
         else:
@@ -652,10 +633,7 @@ def run(argv: Optional[list[str]] = None) -> int:
         argv = sys.argv[1:]
     args = _fast_args(argv)
     if args is None:
-        # a command's arguments are parsed by its subparser alone, so only
-        # that one is built; anything else (no command, an option first, an
-        # unknown command) gets every subcommand for its help or error
-        parser = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
+        parser = build_parser()
         try:
             args = parser.parse_args(argv)
             # for --flag=-- argparse drops the "--" and stores [] as the value

@@ -621,34 +621,6 @@ def check_invariance(
     return InvarianceReport(p, tuple(results), tol, worst, invariant)
 
 
-def probe_non_invariance(
-    net: Network,
-    p: Partition,
-    seeds: int = 20,
-    trials: int = 10,
-    steps: int = 100,
-    threshold: float = 1e-3,
-    exo: bool = False,
-    rng_seed: int = 0,
-) -> str:
-    """Try to exhibit a spread above threshold; "falsified" or "inconclusive".
-
-    A quiet run never counts as evidence of invariance, only as an
-    inconclusive probe.
-    """
-    net.check_partition(p)
-    for s in range(seeds):
-        spec = sample_admissible(net, seed=rng_seed * 7919 + s, exo=exo)
-        report = check_invariance(
-            net, spec, p,
-            trials=trials, steps=steps, tol=threshold,
-            rng_seed=rng_seed * 104729 + s, stop_above=threshold,
-        )
-        if report.max_spread > threshold:
-            return "falsified"
-    return "inconclusive"
-
-
 class LocalityTrial(NamedTuple):
     agreed: bool
     first_mismatch_step: Optional[int]

@@ -99,8 +99,12 @@ class Network(NamedTuple("Network", [
 
         return _build_condensation(self)
 
-    def type_partition(self) -> Partition:
+    @cached_property
+    def _type_partition(self) -> Partition:
         return Partition.from_assignment(self.cell_types)
+
+    def type_partition(self) -> Partition:
+        return self._type_partition
 
     def subnetwork(self, cells: Sequence[int]) -> "Network":
         """Induced subnetwork on the given cells, kept in the given order."""

@@ -20,12 +20,13 @@ the one-color partition, partitions from their blocks, one cell's
 component on an explicit neighbourhood, 0/1 partition matrices,
 composition of partitions and its inverse `quotient_partition`, the
 balanced-lattice meet, the lattice above an element on its colors, the
-polydiagonal test, the numerical exo-balance verdict, the seeded and
+polydiagonal test, the numerical invariance verdict under either map
+family, the candidate top non-weak element, the seeded and
 complete networks the lattice tests share, a large planted lift
 for the dynamics tests, one cell's in-neighborhood and cumulative
 in-neighborhood as sets, and the set of colors a set of cells meets.
-`quotient_partition`, `in_neighborhood` and `cumulative_in` were
-library functions that no command called.
+`quotient_partition`, `in_neighborhood`, `cumulative_in` and `top_nonweak`
+were library functions that no command called.
 """
 
 from __future__ import annotations
@@ -42,7 +43,9 @@ from synckit.classification import (
     R_IN,
     classify_partition,
     is_invariant,
+    join_table_report,
 )
+from synckit.connectivity import rdc_decomposition
 from synckit.dynamics import (
     AdmissibleFunctionSpec,
     CouplingParams,
@@ -539,20 +542,22 @@ def oracle_scc(net: Network) -> Partition:
     return Partition.from_assignment(labels)
 
 
-def numeric_exo_verdict(
+def numeric_verdict(
     net: Network,
     p: Partition,
     seeds: int = 5,
     trials: int = 4,
     steps: int = 50,
     tol: float = 1e-9,
+    exo: bool = False,
     rng_seed: int = 0,
 ) -> bool:
-    """Numerical invariance verdict under the same-state-insensitive family."""
+    """Numerical invariance verdict: False once a sampled admissible map,
+    same-state-insensitive under exo, shows a spread above tol."""
     if not refines(p, net.type_partition()):
-        raise SynckitError("exo verdict needs a type-refining partition")
+        raise SynckitError("numeric verdict needs a type-refining partition")
     for s in range(seeds):
-        spec = sample_admissible(net, seed=rng_seed * 6101 + s, exo=True)
+        spec = sample_admissible(net, seed=rng_seed * 6101 + s, exo=exo)
         report = check_invariance(
             net, spec, p,
             trials=trials, steps=steps, tol=tol,
@@ -561,6 +566,13 @@ def numeric_exo_verdict(
         if report.max_spread > tol:
             return False
     return True
+
+
+def top_nonweak(net: Network) -> tuple[Partition, bool]:
+    """The coarsest balanced partition below types meet root-dependency
+    classes, and whether every rooted element is reach-in matched."""
+    candidate = cir_balanced(net, meet(net.type_partition(), rdc_decomposition(net)))
+    return candidate, join_table_report(net).rooted_all_reach_matched
 
 
 def _coupling(p: CouplingParams, x: float, y: float) -> float:

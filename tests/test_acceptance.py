@@ -19,7 +19,6 @@ from synckit.classification import (
     is_matched,
     join_table_report,
     quotient_class_report,
-    top_nonweak,
     top_strong,
     v_in_k,
 )
@@ -35,7 +34,6 @@ from synckit.dynamics import (
     check_locality,
     check_quotient_consistency,
     check_subsystem,
-    probe_non_invariance,
     sample_admissible,
 )
 from synckit.partition import Partition, join, parse_partition
@@ -52,13 +50,14 @@ from oracles import (
     cumulative_in,
     dense,
     lattice_quotient,
-    numeric_exo_verdict,
+    numeric_verdict,
     one_color,
     oracle_cir,
     oracle_type_refining,
     random_balanced_lift,
     random_network,
     random_type_refinement,
+    top_nonweak,
 )
 
 
@@ -298,10 +297,7 @@ def test_c10_dynamics_invariance_and_falsification():
             if p in balanced:
                 continue
             attempted += 1
-            verdict = probe_non_invariance(
-                network, p, seeds=20, trials=10, steps=100, threshold=1e-3
-            )
-            if verdict == "falsified":
+            if not numeric_verdict(network, p, seeds=20, trials=10, steps=100, tol=1e-3):
                 falsified += 1
     assert attempted > 0
     fraction = falsified / attempted
@@ -348,8 +344,8 @@ def test_c12_exo_crosscheck():
     for network in networks:
         for p in oracle_type_refining(network):
             combinatorial = is_exo_balanced(network, p)
-            numerical = numeric_exo_verdict(
-                network, p, seeds=4, trials=3, steps=40, tol=1e-9
+            numerical = numeric_verdict(
+                network, p, seeds=4, trials=3, steps=40, tol=1e-9, exo=True
             )
             checked += 1
             if combinatorial != numerical:

@@ -539,11 +539,11 @@ def _parser_argvs():
 @pytest.mark.parametrize("argv", _parser_argvs(), ids=lambda argv: " ".join(
     "F" if a == fx("triangle") else a for a in argv) or "no-arguments")
 def test_run_answers_as_the_full_parser(capsys, monkeypatch, argv):
-    """run builds the named subcommand's parser alone; its exit code, help
-    and errors are those of the parser with every subcommand."""
+    """run's exit code, help and errors are those of the parser with every
+    subcommand."""
     got = invoke(capsys, *argv)
     full = cli.build_parser
-    monkeypatch.setattr(cli, "build_parser", lambda command=None: full())
+    monkeypatch.setattr(cli, "build_parser", lambda: full())
     assert invoke(capsys, *argv) == got
     if not argv:
         assert "{" + ",".join(SUBCOMMANDS) + "}" in got[2]
@@ -652,7 +652,7 @@ def test_well_formed_commands_skip_argparse(monkeypatch):
         assert fast is not None, argv
         assert vars(fast) == _argparse_args(argv)
 
-    def refuse(command=None):
+    def refuse():
         raise AssertionError("argparse parser built")
 
     monkeypatch.setattr(cli, "build_parser", refuse)

@@ -24,7 +24,6 @@ from synckit.dynamics import (
     evaluate,
     evolve,
     expand_state,
-    probe_non_invariance,
     sample_admissible,
 )
 from synckit.errors import NumericalBlowup, PartitionDomainMismatch, SynckitError, UnsupportedMonoid
@@ -39,7 +38,7 @@ from oracles import (
     eval_on_neighborhood,
     from_matrix,
     in_polydiagonal,
-    numeric_exo_verdict,
+    numeric_verdict,
     one_color,
     oracle_eval_on_neighborhood,
     oracle_evaluate,
@@ -288,10 +287,6 @@ class TestPartitionDomain:
             with pytest.raises(PartitionDomainMismatch):
                 check_invariance(triangle, spec, p, trials=2, steps=3)
 
-    def test_probe_non_invariance(self, triangle):
-        with pytest.raises(PartitionDomainMismatch):
-            probe_non_invariance(triangle, Partition.from_assignment((0, 0, 1, 1)), seeds=1)
-
     def test_check_quotient_consistency(self, triangle, chain4):
         cert = is_balanced(chain4, Partition.trivial(4))
         with pytest.raises(PartitionDomainMismatch):
@@ -331,7 +326,7 @@ class TestInvariance:
             if p.rank == net.n_cells or is_balanced(net, p) is not None:
                 continue
             found += 1
-            assert probe_non_invariance(net, p, seeds=8, trials=5) == "falsified"
+            assert not numeric_verdict(net, p, seeds=8, trials=5, steps=100, tol=1e-3)
 
     def test_joint_invariance_of_passing_pairs(self):
         # two invariant partitions stay invariant after a join
@@ -526,7 +521,7 @@ class TestExoCrossCheck:
             net = random_network(rng, max_cells=4)
             for p in oracle_type_refining(net):
                 combinatorial = is_exo_balanced(net, p)
-                numerical = numeric_exo_verdict(net, p, seeds=3, trials=3, steps=30)
+                numerical = numeric_verdict(net, p, seeds=3, trials=3, steps=30, exo=True)
                 assert combinatorial == numerical
 
 
@@ -900,12 +895,12 @@ class TestTrialWorkers:
                     lambda: check_quotient_consistency(net, spec, cert, rng_seed=3, **run),
                     lambda: check_subsystem(net, spec, c, rng_seed=4, **run),
                     lambda: check_locality(net, spec, c, 1, trials=5, rng_seed=5),
-                    lambda: probe_non_invariance(net, bad, seeds=2, trials=5, steps=8, exo=exo),
+                    lambda: numeric_verdict(net, bad, seeds=2, trials=5, steps=8, tol=1e-3, exo=exo),
                 ]
                 for check in checks:
                     forked = len(workers)
                     assert hexed(check()) == hexed(in_process(monkeypatch, check))
-                    # a probe may stop in each seed's trial 0, before any fork
+                    # a verdict may stop in each seed's trial 0, before any fork
                     assert len(workers) > forked or check is checks[-1]
         assert no_child_left()
 

@@ -313,3 +313,13 @@ def test_subnetwork_preserves_order_and_weights(two_roots):
 def test_index_of_unknown(triangle):
     with pytest.raises(UnknownCell):
         triangle.index_of("99")
+
+
+def test_type_partition_is_cached_per_network(two_roots):
+    """Every call returns one partition object; a network built by _replace
+    computes its own."""
+    types = two_roots.type_partition()
+    assert two_roots.type_partition() is types
+    assert types == Partition.from_assignment(two_roots.cell_types)
+    retyped = two_roots._replace(cell_types=tuple(range(1, two_roots.n_cells + 1)))
+    assert retyped.type_partition() == Partition.trivial(two_roots.n_cells) != types

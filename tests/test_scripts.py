@@ -46,7 +46,7 @@ def test_verify_dynamics_exactness_line_reads_the_comparisons_alone(monkeypatch,
         "verify_dynamics", ROOT / "scripts" / "verify_dynamics.py")
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
-    monkeypatch.setattr(script, "probe_non_invariance", lambda *args, **kwargs: "not falsified")
+    monkeypatch.setattr(script, "numeric_verdict", lambda *args, **kwargs: True)
     assert not script.verify(ROOT / "fixtures" / "edge_pair.json", 1, 5)
     out = capsys.readouterr().out
     assert "falsified 0/1 non-balanced candidates" in out
@@ -55,7 +55,7 @@ def test_verify_dynamics_exactness_line_reads_the_comparisons_alone(monkeypatch,
 def test_lattice_sweep_runs_a_tiny_paired_comparison():
     """A tiny A/B of this tree against itself: each network's row reads the
     lattice size both trees agree on, their generators, their signature
-    calls and a ratio."""
+    calls, the median ratio, its quartiles and the pairs won of two."""
     done = _run_script(["scripts/lattice_sweep.py", "--against", ".", "--repeats", "2", "--rings",
                         "4-5", "--complete", "3", "--sparse", "5", "--sparse-seeds", "1"])
     assert done.returncode == 0, done.stdout + done.stderr
@@ -63,7 +63,10 @@ def test_lattice_sweep_runs_a_tiny_paired_comparison():
     assert [row[:2] for row in rows] == [
         ["C4", "3"], ["C5", "2"], ["K3", "5"], ["sparse5.0", "9"]]
     for row in rows:  # the same generators and signature calls in both
-        assert row[2] == row[4] and row[5] == row[7] and float(row[-1]) > 0
+        assert row[2] == row[4] and row[5] == row[7]
+        ratio, (low, high), (won, pairs) = float(row[-3]), row[-2].split("-"), row[-1].split("/")
+        assert 0 < float(low) <= ratio <= float(high)
+        assert pairs == "2" and won in ("0", "1", "2")
     assert [row[4] for row in rows] == ["1", "1", "2", "0"]
 
 
