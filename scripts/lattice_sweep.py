@@ -17,12 +17,13 @@ pairs, which tell one noisy median from a change.  The two trees run in one
 process, one after the other in an order that alternates from pair to
 pair.  The trees must give the same lattice, each element's colors and
 the cover edges; else the script names the networks where they differ
-and exits 1.  The networks are the one-type directed rings C_n
-(enumerated with max_cells = n), the complete graphs K_n, seeded
-one-type sparse networks of two senders per cell, and, with
---workload-seed, the lattice networks of bench/run.py's `lattice`
-workload at that seed.  An empty range ("--rings none") leaves a family
-out.
+and exits 1.  The networks are the one-type directed rings C_n, the
+complete graphs K_n, seeded one-type sparse networks of two senders per
+cell, and, with --workload-seed, the lattice networks of bench/run.py's
+`lattice` workload at that seed.  An empty range ("--rings none") leaves
+a family out.  A tree from before the work bound, which caps enumeration
+at DEFAULT_MAX_CELLS cells, is passed each network's cell count as its
+cap.
 """
 
 from __future__ import annotations
@@ -67,8 +68,8 @@ def span(text: str) -> range:
     return range(int(low), int(high or low) + 1)
 
 
-def networks(args) -> list[tuple[str, dict, int]]:
-    """(name, document, max_cells) per network to sweep."""
+def networks(args) -> list[tuple[str, dict]]:
+    """(name, document) per network to sweep."""
     out = []
     if args.workload_seed is not None:
         sys.path.insert(0, str(ROOT / "bench"))
@@ -77,31 +78,34 @@ def networks(args) -> list[tuple[str, dict, int]]:
         with tempfile.TemporaryDirectory() as workdir:
             work = workloads.lattice(args.workload_seed, workloads.SIZES["full"], workdir)
         for name, lift in work.networks.items():
-            out.append((name, lift.doc(), len(lift.ids)))
+            out.append((name, lift.doc()))
     for n in span(args.rings):
-        out.append((f"C{n}", one_type(n, [(c, (c - 1) % n) for c in range(n)]), n))
+        out.append((f"C{n}", one_type(n, [(c, (c - 1) % n) for c in range(n)])))
     for n in span(args.complete):
         edges = [(c, d) for c in range(n) for d in range(n) if d != c]
-        out.append((f"K{n}", one_type(n, edges), n))
+        out.append((f"K{n}", one_type(n, edges)))
     for n in span(args.sparse):
         for seed in range(args.sparse_seeds):
             rng = random.Random(f"sweep:{n}:{seed}")
             edges = [(c, d) for c in range(n)
                      for d in rng.sample([d for d in range(n) if d != c], 2)]
-            out.append((f"sparse{n}.{seed}", one_type(n, edges), n))
+            out.append((f"sparse{n}.{seed}", one_type(n, edges)))
     return out
 
 
 class Side:
     """One tree's enumeration of one network."""
 
-    def __init__(self, tree, doc: dict, max_cells: int):
-        self.tree, self.max_cells = tree, max_cells
+    def __init__(self, tree, doc: dict):
+        self.tree = tree
         self.net = tree.network.parse_network(doc)
         self.times: list[float] = []
+        # a tree from before the work bound refuses networks past its cell cap
+        capped = hasattr(tree.synchrony, "DEFAULT_MAX_CELLS")
+        self.cap = (self.net.n_cells,) if capped else ()
 
     def enumerate(self):
-        return self.tree.synchrony.enumerate_balanced(self.net, self.max_cells)
+        return self.tree.synchrony.enumerate_balanced(self.net, *self.cap)
 
     def generators(self) -> str:
         search = getattr(self.tree.synchrony, "_automorphisms", None)
@@ -153,8 +157,8 @@ def main() -> int:
             f"{'median ms':>17}")
     print(head + ("  ratio    quartiles    won" if len(trees) > 1 else ""))
     differ = []
-    for name, doc, max_cells in networks(args):
-        sides = [Side(tree, doc, max_cells) for tree in trees]
+    for name, doc in networks(args):
+        sides = [Side(tree, doc) for tree in trees]
         counts = [side.count() for side in sides]
         ratios = []
         for r in range(args.repeats):

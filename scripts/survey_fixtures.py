@@ -2,7 +2,7 @@
 """Survey every fixture network: lattice, classes, tops, table verdicts.
 
 Usage:
-    python scripts/survey_fixtures.py [--fixtures DIR] [--max-cells N]
+    python scripts/survey_fixtures.py [--fixtures DIR]
 """
 
 from __future__ import annotations
@@ -19,20 +19,19 @@ from synckit.classification import (
     is_matched,
     join_rows,
     join_table_report,
-    top_strong,
 )
-from synckit.connectivity import rdc_decomposition
+from synckit.connectivity import condensation, rdc_decomposition
 from synckit.errors import SynckitError
 from synckit.network import load_network
 from synckit.partition import format_partition, meet
-from synckit.synchrony import DEFAULT_MAX_CELLS, cir_balanced, enumerate_balanced, is_balanced
+from synckit.synchrony import cir_balanced, enumerate_balanced, is_balanced
 
 
-def survey(path: Path, max_cells: int) -> None:
+def survey(path: Path) -> None:
     net = load_network(str(path))
     ids = net.cell_ids
     print(f"== {path.stem} ({net.n_cells} cells, {net.num_types} types)")
-    lattice = enumerate_balanced(net, max_cells)
+    lattice = enumerate_balanced(net)
     for b in lattice.elements:
         cert = is_balanced(net, b)
         marks = [classify_partition(net, b).value]
@@ -41,8 +40,10 @@ def survey(path: Path, max_cells: int) -> None:
         if is_invariant(net, cert, R_IN):
             marks.append("reach-invariant")
         print(f"   {format_partition(b, ids):<18} {', '.join(marks)}")
-    print(f"   top strong:   {format_partition(top_strong(net), ids)}")
-    table = join_table_report(net, max_cells)
+    # the top of the strong elements: the coarsest balanced partition below types meet SCCs
+    strong = cir_balanced(net, meet(net.type_partition(), condensation(net).scc_partition))
+    print(f"   top strong:   {format_partition(strong, ids)}")
+    table = join_table_report(net)
     # the coarsest balanced partition below types meet root-dependency classes
     # tops the non-weak elements when every rooted element is reach-in matched
     candidate = cir_balanced(net, meet(net.type_partition(), rdc_decomposition(net)))
@@ -71,11 +72,10 @@ def main() -> None:
         "--fixtures",
         default=str(Path(__file__).resolve().parent.parent / "fixtures"),
     )
-    parser.add_argument("--max-cells", type=int, default=DEFAULT_MAX_CELLS)
     args = parser.parse_args()
     try:
         for path in sorted(Path(args.fixtures).glob("*.json")):
-            survey(path, args.max_cells)
+            survey(path)
     except SynckitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         sys.exit(2)

@@ -40,7 +40,6 @@ from .classification import (
     is_matched,
     join_table_report,
     quotient_class_report,
-    top_strong,
     v_in_k,
 )
 from .dynamics import (

@@ -22,12 +22,10 @@ from typing import Iterable, Iterator, NamedTuple, Optional
 from .connectivity import condensation, reach_colors
 from .errors import EmptyColor, SynckitError
 from .network import Network
-from .partition import Partition, meet
+from .partition import Partition
 from .synchrony import (
-    DEFAULT_MAX_CELLS,
     BalancedCertificate,
     BalancedLattice,
-    cir_balanced,
     enumerate_balanced,
 )
 
@@ -133,11 +131,6 @@ def is_invariant(net: Network, cert: BalancedCertificate, kind: NeighborhoodKind
     return all(hoods_g[c] == hoods_q[k] for c, k in enumerate(p.colors))
 
 
-def top_strong(net: Network) -> Partition:
-    """Top of the strong sublattice: coarsest balanced below types meet SCCs."""
-    return cir_balanced(net, meet(net.type_partition(), condensation(net).scc_partition))
-
-
 # ---------------------------------------------------------------------------
 # Reports
 
@@ -171,7 +164,7 @@ class JoinTableReport(NamedTuple):
     nonweak_join_closed: bool
 
 
-def join_table_report(net: Network, max_cells: int = DEFAULT_MAX_CELLS) -> JoinTableReport:
+def join_table_report(net: Network) -> JoinTableReport:
     """Check how classes combine under join from the lattice order alone.
 
     Weak is closed upward (a coarser color holds a weak color's cells,
@@ -184,7 +177,7 @@ def join_table_report(net: Network, max_cells: int = DEFAULT_MAX_CELLS) -> JoinT
     join-closed, the matched table iff N is join-closed as well.  Each
     element's up-set is ANDed with N, and that with S.
     """
-    lattice = enumerate_balanced(net, max_cells)
+    lattice = enumerate_balanced(net)
     classes = tuple(classify_partition(net, b) for b in lattice.elements)
     rooted_matched = all(
         is_matched(net, b, R_IN)
@@ -236,14 +229,12 @@ _ALLOWED_QUOTIENT = {
 }
 
 
-def quotient_class_report(
-    net: Network, cert: BalancedCertificate, max_cells: int = DEFAULT_MAX_CELLS
-) -> QuotientClassReport:
+def quotient_class_report(net: Network, cert: BalancedCertificate) -> QuotientClassReport:
     """Compare classes of balanced coarsenings with their quotient classes.
 
     The balanced partitions coarser than p are the balanced partitions of
     p's quotient network lifted through p's colors, so only the quotient's
-    lattice is enumerated and max_cells caps rank(p), not the cell count.
+    lattice is enumerated, and its work alone counts against MAX_WORK.
     The class can only get stronger in the quotient when p is reach-in
     invariant on the full network; when it is not, the report is still
     emitted but carries no table verdict.
@@ -253,7 +244,7 @@ def quotient_class_report(
     lifted = sorted(
         (
             (Partition.from_assignment(map(q.colors.__getitem__, colors)), q)
-            for q in enumerate_balanced(cert.quotient, max_cells).elements
+            for q in enumerate_balanced(cert.quotient).elements
         ),
         key=lambda bq: (bq[0].rank, bq[0].colors),
     )

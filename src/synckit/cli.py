@@ -188,7 +188,7 @@ def cmd_cir(args) -> int:
 
 def cmd_lattice(args) -> int:
     net = _net(args)
-    lattice = syn.enumerate_balanced(net, args.max_cells)
+    lattice = syn.enumerate_balanced(net)
     texts = [_fmt(net, p) for p in lattice.elements]
     if args.format == "dot":
         lines = ["digraph lattice {", "  rankdir=BT;"]
@@ -283,7 +283,7 @@ def cmd_tables(args) -> int:
     if args.quotient:
         p = parse_partition(args.quotient, net.cell_ids)
         cert = _certificate(net, p, "no quotient class table")
-        report = cls.quotient_class_report(net, cert, args.max_cells)
+        report = cls.quotient_class_report(net, cert)
         qnet = syn.quotient_network(net, cert)
         payload = _quotient_table(report, net.cell_ids, qnet.cell_ids)
         lines = [f"over {payload['over']} (reach-invariant: {report.precondition_met})"]
@@ -294,7 +294,7 @@ def cmd_tables(args) -> int:
         lines.append(f"table_ok: {payload['table_ok']}")
         _emit(payload, args, "\n".join(lines))
         return EXIT_OK if not report.violations else EXIT_FALSE
-    report = cls.join_table_report(net, args.max_cells)
+    report = cls.join_table_report(net)
     ok = report.general_table_ok and report.matched_table_ok is not False
     if args.format == "json":
         _write_join_table(net, report)
@@ -490,7 +490,6 @@ _SHARED = (("--network", {"required": True, "help": "path to a network JSON file
            ("--format", {"choices": ["text", "json", "dot"], "default": "text"}))
 _PARTITION = ("--partition", {"required": True, "help": "partition spec, e.g. 12/45"})
 _OPTIONAL_PARTITION = ("--partition", {"default": None})
-_MAX_CELLS = ("--max-cells", {"type": int, "default": syn.DEFAULT_MAX_CELLS})
 _KIND = ("--kind", {"required": True})
 
 # Each subcommand's handler and its arguments after _SHARED's --network and
@@ -505,13 +504,13 @@ _COMMANDS = {
                           ("--k", {"type": int, "default": None}))),
     "balanced": (cmd_balanced, (_PARTITION,)),
     "cir": (cmd_cir, (_PARTITION,)),
-    "lattice": (cmd_lattice, (_MAX_CELLS,)),
+    "lattice": (cmd_lattice, ()),
     "quotient": (cmd_quotient_network, (_PARTITION, ("--out", {"default": None}))),
     "exo": (cmd_exo, (_PARTITION,)),
     "classify": (cmd_classify, (_PARTITION,)),
     "matched": (cmd_matched, (_PARTITION, _KIND)),
     "invariant": (cmd_invariant, (_PARTITION, _KIND)),
-    "tables": (cmd_tables, (("--quotient", {"default": None}), _MAX_CELLS)),
+    "tables": (cmd_tables, (("--quotient", {"default": None}),)),
     "simulate": (cmd_simulate, (
         ("--seed", {"type": int, "default": 0}),
         ("--steps", {"type": int, "default": 20}),

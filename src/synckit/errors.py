@@ -50,7 +50,7 @@ class NotInLattice(SynckitError):
 
 
 class TooLarge(SynckitError):
-    """Enumeration refused: network exceeds the configured cell cap."""
+    """Enumeration refused: its work passed the bound (synchrony.MAX_WORK)."""
 
 
 class UnsupportedMonoid(SynckitError):

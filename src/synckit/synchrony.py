@@ -16,15 +16,17 @@ they bound it (cir is monotone) and otherwise keyed against the parent's
 signatures and walked down to cir, so the work grows with the lattice,
 not with the number of type-refining partitions.  A cut has one key, the
 cell bitset of its side without its color's first cell, and each
-element keeps its resolved cuts in one table by that key.
+element keeps its resolved cuts in one table by that key.  The splits
+considered and the elements found count against MAX_WORK, past which
+the network is refused (TooLarge), whatever its number of cells.
 
 Symmetric networks split one element per orbit.  An automorphism maps
 balanced partitions to balanced ones and commutes with cir, so the
 enumeration adds each element's whole orbit and splits only the element,
 one split per orbit (on cut keys) under the automorphisms that fix it.
 The automorphisms come from an individualization-refinement search
-(`_automorphisms`), a fraction of a millisecond on networks under the
-cell cap, and each one is checked against the types and folded edges
+(`_automorphisms`), a fraction of a millisecond on networks of a dozen
+cells, and each one is checked against the types and folded edges
 before it is used; any subgroup of the automorphisms prunes correctly,
 so a candidate that fails the check is simply dropped.
 """
@@ -39,7 +41,7 @@ from .monoid import Monoid
 from .network import Network, _signature
 from .partition import Partition, iter_bits, refines
 
-DEFAULT_MAX_CELLS = 12
+MAX_WORK = 40_000  # splits considered plus elements found; see enumerate_balanced
 
 
 def _check_type_refining(net: Network, p: Partition) -> None:
@@ -260,8 +262,8 @@ def _build_lattice(elements: list[Partition]) -> BalancedLattice:
     return BalancedLattice(ordered, *_order(ordered), len(ordered) - 1, 0)
 
 
-def enumerate_balanced(net: Network, max_cells: int = DEFAULT_MAX_CELLS) -> BalancedLattice:
-    """Full balanced lattice by split-and-cir; refuses large networks.
+def enumerate_balanced(net: Network) -> BalancedLattice:
+    """Full balanced lattice by split-and-cir; TooLarge past MAX_WORK.
 
     Every balanced B strictly below a balanced P lies below some 2-split
     Q of P, hence B <= cir(Q) < P: walking down from cir(types) through
@@ -296,14 +298,17 @@ def enumerate_balanced(net: Network, max_cells: int = DEFAULT_MAX_CELLS) -> Bala
     only the element is split, one split per orbit under the generators
     that fix it, the orbit walked on cut keys (`_side_orbit`); a cut
     that is not split stays unresolved, no bound.
+    The orbits are not only pruning: a split skipped as the image of
+    another reaches its cir only as an image, so without adding each
+    element's orbit the walk misses elements (K6 gives 49 of its 203).
     Each new element must strictly refine the element it was split from,
     so a fault in the refinement fails at once instead of wandering.
+
+    Work is counted as it is done: an element's 2^(s-1) splits per color
+    of s cells before any is built, and each element as its orbit adds
+    it.  Past MAX_WORK in all, TooLarge is raised: K9's 21147 elements
+    pass, K10's 115975 and the 2^16 splits of C17's one color do not.
     """
-    if net.n_cells > max_cells:
-        raise TooLarge(
-            f"{net.n_cells} cells exceeds the enumeration cap of {max_cells}; "
-            "raise it with max_cells (--max-cells)"
-        )
     top = cir_balanced(net, net.type_partition())
     found = {top}
     if top.rank < net.n_cells:  # else the top is the trivial partition, the only element
@@ -399,10 +404,11 @@ def _automorphisms(net: Network) -> tuple[tuple[int, ...], ...]:
     return tuple(generators)
 
 
-def _orbit(p: Partition, generators: Sequence[Sequence[int]]) -> set[Partition]:
-    """p's images under the group the generators generate, p included."""
+def _orbit(p: Partition, generators: Sequence[Sequence[int]], room: int) -> set[Partition]:
+    """p's images under the group the generators generate, p included,
+    cut short once they number more than room (checked per image taken)."""
     orbit, todo = {p}, [p]
-    while todo:
+    while todo and len(orbit) <= room:
         colors = todo.pop().colors
         for perm in generators:
             image = Partition.from_assignment([colors[c] for c in perm])
@@ -455,6 +461,7 @@ def _split_answers(net: Network, top: Partition, generators: Sequence[Sequence[i
     found = set() if found is None else found
     found.add(top)
     stack = [(top, None, None)]
+    splits = 0  # the splits of the elements split so far, built or not
 
     def known(assignment: Sequence[int], bounds: list) -> Optional[Partition]:
         """The meet of assignment and the balanced bounds if it is an element, else None."""
@@ -466,6 +473,10 @@ def _split_answers(net: Network, top: Partition, generators: Sequence[Sequence[i
     while stack:
         p, parent_block_of, parent_cuts = stack.pop()
         colors, rank, blocks = p.colors, p.rank, p.blocks()
+        splits += sum(1 << len(block) - 1 for block in blocks)
+        if splits + len(found) > MAX_WORK:  # as found is after an orbit was cut short
+            raise TooLarge(f"the lattice enumeration passed its bound of {MAX_WORK} "
+                           "splits considered and elements found")
         # a one-cell color is never keyed, so needs no signature
         signature: list[Optional[tuple]] = [None] * rank
         key([cells[0] for cells in blocks if len(cells) > 1], colors, signature)
@@ -534,14 +545,13 @@ def _split_answers(net: Network, top: Partition, generators: Sequence[Sequence[i
                     if b.rank <= rank or not refines(b, p):
                         raise RuntimeError(f"split-and-cir ended at {b.colors}, "
                                            f"not strictly below its parent {colors}")
-                    found |= _orbit(b, generators)
+                    found |= _orbit(b, generators, MAX_WORK - splits - len(found))
                     stack.append((b, block_of, cuts))
 
 
 __all__ = [
     "BalancedCertificate",
     "BalancedLattice",
-    "DEFAULT_MAX_CELLS",
     "cir_balanced",
     "enumerate_balanced",
     "is_balanced",

@@ -21,12 +21,12 @@ component on an explicit neighbourhood, 0/1 partition matrices,
 composition of partitions and its inverse `quotient_partition`, the
 balanced-lattice meet, the lattice above an element on its colors, the
 polydiagonal test, the numerical invariance verdict under either map
-family, the candidate top non-weak element, the seeded and
+family, the top strong and candidate top non-weak elements, the seeded and
 complete networks the lattice tests share, a large planted lift
 for the dynamics tests, one cell's in-neighborhood and cumulative
 in-neighborhood as sets, and the set of colors a set of cells meets.
-`quotient_partition`, `in_neighborhood`, `cumulative_in` and `top_nonweak`
-were library functions that no command called.
+`quotient_partition`, `in_neighborhood`, `cumulative_in`, `top_nonweak` and
+`top_strong` were library functions that no command called.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ from synckit.classification import (
     is_invariant,
     join_table_report,
 )
-from synckit.connectivity import rdc_decomposition
+from synckit.connectivity import condensation, rdc_decomposition
 from synckit.dynamics import (
     AdmissibleFunctionSpec,
     CouplingParams,
@@ -566,6 +566,11 @@ def numeric_verdict(
         if report.max_spread > tol:
             return False
     return True
+
+
+def top_strong(net: Network) -> Partition:
+    """Top of the strong sublattice: coarsest balanced below types meet SCCs."""
+    return cir_balanced(net, meet(net.type_partition(), condensation(net).scc_partition))
 
 
 def top_nonweak(net: Network) -> tuple[Partition, bool]:

@@ -19,7 +19,6 @@ from synckit.classification import (
     is_matched,
     join_table_report,
     quotient_class_report,
-    top_strong,
     v_in_k,
 )
 from synckit.connectivity import (
@@ -58,6 +57,7 @@ from oracles import (
     random_network,
     random_type_refinement,
     top_nonweak,
+    top_strong,
 )
 
 

@@ -20,7 +20,6 @@ from synckit.classification import (
     join_rows,
     join_table_report,
     quotient_class_report,
-    top_strong,
     v_in_k,
 )
 from synckit.connectivity import (
@@ -60,6 +59,7 @@ from oracles import (
     random_type_refinement,
     seeded_lattice_networks,
     top_nonweak,
+    top_strong,
 )
 
 KINDS = (N_IN, V_IN, v_in_k(1), v_in_k(2), v_in_k(3), R_IN)

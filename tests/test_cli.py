@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from synckit import classification, cli
+from synckit import classification, cli, synchrony
 from synckit.cli import run
 from synckit.dynamics import evolve, expand_state, sample_admissible
 from synckit.errors import TooLarge
@@ -117,11 +117,13 @@ class TestAnalysisCommands:
         assert out.startswith("digraph")
         assert '"1/2/3/4" -> "13/2/4"' in out
 
-    def test_lattice_cap(self, capsys):
-        code, _, err = invoke(capsys, "lattice", "--network", fx("two_roots"),
-                              "--max-cells", "5")
-        assert code == 2
-        assert "cap" in err
+    def test_lattice_cap(self, capsys, monkeypatch):
+        # two_roots' enumeration counts more than 5 splits and elements
+        monkeypatch.setattr(synchrony, "MAX_WORK", 5)
+        code, out, err = invoke(capsys, "lattice", "--network", fx("two_roots"))
+        assert (code, out) == (2, "")
+        assert err == ("error: the lattice enumeration passed its bound of 5 "
+                       "splits considered and elements found\n")
 
     def test_matched_and_invariant(self, capsys):
         code, out, _ = invoke(capsys, "matched", "--network", fx("edge_pair"),
@@ -227,7 +229,8 @@ def test_colliding_quotient_ids_matter_only_where_printed(capsys, tmp_path, argv
 
 def test_tables_quotient_past_the_cell_cap(capsys, tmp_path, monkeypatch):
     """A 16-cell lift of rank 4 gets its quotient class table: only the
-    quotient's 4-cell lattice is enumerated, and --max-cells caps the rank."""
+    quotient's 4-cell lattice is enumerated, and only its work counts
+    against the bound."""
     doc, planted = ring_lift_doc(4, 4)
     path = tmp_path / "lift.json"
     path.write_text(json.dumps(doc))
@@ -236,9 +239,9 @@ def test_tables_quotient_past_the_cell_cap(capsys, tmp_path, monkeypatch):
     sizes = []
     enumerate_balanced = classification.enumerate_balanced
 
-    def spy(network, max_cells):
+    def spy(network):
         sizes.append(network.n_cells)
-        return enumerate_balanced(network, max_cells)
+        return enumerate_balanced(network)
 
     monkeypatch.setattr(classification, "enumerate_balanced", spy)
     code, out, err = invoke(capsys, "tables", "--network", str(path), "--quotient", spec)
@@ -246,12 +249,12 @@ def test_tables_quotient_past_the_cell_cap(capsys, tmp_path, monkeypatch):
     assert out.startswith(f"over {spec} (reach-invariant: ")
     assert out.endswith(f"table_ok: {code == 0}\n")
     assert sizes == [planted.rank]
-    code, out, err = invoke(capsys, "tables", "--network", str(path), "--quotient", spec,
-                            "--max-cells", "3")
+    monkeypatch.setattr(synchrony, "MAX_WORK", 3)
+    code, out, err = invoke(capsys, "tables", "--network", str(path), "--quotient", spec)
     assert code == 2 and out == ""
-    assert err.startswith("error: 4 cells exceeds the enumeration cap of 3")
+    assert err.startswith("error: the lattice enumeration passed its bound of 3 ")
     with pytest.raises(TooLarge):
-        classification.quotient_class_report(net, is_balanced(net, planted), max_cells=3)
+        classification.quotient_class_report(net, is_balanced(net, planted))
     assert 16 not in sizes
 
 
@@ -538,13 +541,16 @@ def _parser_argvs():
 
 @pytest.mark.parametrize("argv", _parser_argvs(), ids=lambda argv: " ".join(
     "F" if a == fx("triangle") else a for a in argv) or "no-arguments")
-def test_run_answers_as_the_full_parser(capsys, monkeypatch, argv):
+def test_run_answers_as_the_full_parser(capsys, argv):
     """run's exit code, help and errors are those of the parser with every
-    subcommand."""
+    subcommand, run directly: each argv here is help, which exits 0, or
+    a usage error, which exits 2."""
     got = invoke(capsys, *argv)
-    full = cli.build_parser
-    monkeypatch.setattr(cli, "build_parser", lambda: full())
-    assert invoke(capsys, *argv) == got
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        with pytest.raises(SystemExit) as done:
+            cli.build_parser().parse_args(argv)
+    assert got == (0 if done.value.code in (0, None) else 2, out.getvalue(), err.getvalue())
     if not argv:
         assert "{" + ",".join(SUBCOMMANDS) + "}" in got[2]
 
@@ -626,7 +632,7 @@ def _well_formed_argvs():
         ["reach", "--network", chain, "--cell", "3", "--k", "2"],
         ["balanced", "--network", f, "--partition", "12/3"],
         ["cir", "--partition=12/3", "--network", f],
-        ["lattice", "--network", f, "--max-cells", "5"],
+        ["lattice", "--network", f],
         ["quotient", "--network", f, "--partition", "12/3", "--format", "json"],
         ["exo", "--network", f, "--partition", "12/3"],
         ["classify", "--network", f, "--partition", "12/3"],

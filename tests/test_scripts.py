@@ -25,13 +25,6 @@ def test_script_exits_zero(argv, golden):
         assert done.stdout == (GOLDEN / golden).read_text()
 
 
-def test_survey_honours_max_cells():
-    """The survey passes --max-cells to the library: a cap of 2 refuses the fixtures."""
-    done = _run_script(["scripts/survey_fixtures.py", "--max-cells", "2"])
-    assert done.returncode == 2, done.stdout + done.stderr
-    assert "exceeds the enumeration cap of 2" in done.stderr
-
-
 def test_verify_dynamics_refuses_zero_steps():
     """A run of no steps is refused before any check reports "ok"."""
     done = _run_script(["scripts/verify_dynamics.py", "--seeds", "1", "--steps", "0"])
@@ -86,6 +79,31 @@ def test_lattice_sweep_names_a_network_whose_lattices_differ(tmp_path):
     rows = [line.split() for line in done.stdout.splitlines()[1:]]
     assert [row[:2] for row in rows] == [["C4", "3"], ["K3", "5"]]
     assert done.stderr == "the trees' lattices differ on C4, K3\n"
+
+
+def test_lattice_sweep_passes_a_capped_tree_the_cell_count(tmp_path):
+    """A tree from before the work bound refuses networks past
+    DEFAULT_MAX_CELLS unless its max_cells argument raises the cap; the
+    sweep passes each network's cell count, so C13 runs in both trees."""
+    shutil.copytree(ROOT / "src" / "synckit", tmp_path / "src" / "synckit",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    source = tmp_path / "src" / "synckit" / "synchrony.py"
+    text = source.read_text()
+    signature = "def enumerate_balanced(net: Network) -> BalancedLattice:\n"
+    assert text.count(signature) == 1
+    source.write_text(text.replace(signature, (
+        "DEFAULT_MAX_CELLS = 12\n\n\n"
+        "def enumerate_balanced(net: Network, max_cells: int = DEFAULT_MAX_CELLS)"
+        " -> BalancedLattice:\n"
+        "    if net.n_cells > max_cells:\n"
+        "        raise TooLarge(f'{net.n_cells} cells exceeds the enumeration cap of {max_cells}')\n"
+        "    return _uncapped(net)\n\n\n"
+        "def _uncapped(net: Network) -> BalancedLattice:\n")))
+    done = _run_script(["scripts/lattice_sweep.py", "--against", str(tmp_path), "--repeats", "1",
+                        "--rings", "13", "--complete", "none", "--sparse", "none"])
+    assert done.returncode == 0, done.stdout + done.stderr
+    rows = [line.split() for line in done.stdout.splitlines()[1:]]
+    assert [row[:2] for row in rows] == [["C13", "2"]]
 
 
 def _run_script(argv):

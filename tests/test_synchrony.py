@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import time
 from collections import Counter
 
 import pytest
@@ -26,7 +27,6 @@ from synckit.classification import (
     quotient_class_report,
 )
 from synckit.synchrony import (
-    DEFAULT_MAX_CELLS,
     cir_balanced,
     enumerate_balanced,
     is_balanced,
@@ -363,22 +363,74 @@ class TestEnumerate:
         for text in ("12/3/45", "12/345", "1/25/34", "125/34", "12345"):
             assert parse_partition(text, net.cell_ids) in lattice.elements
 
-    def test_cap_enforced(self):
-        rng = random.Random(5)
-        net = random_network(rng, n=5)
-        with pytest.raises(TooLarge):
-            enumerate_balanced(net, max_cells=4)
-        enumerate_balanced(net, max_cells=5)
+    def test_cap_enforced(self, monkeypatch):
+        """The bound caps the work counted, not the cells: without
+        automorphisms every element is split, so the least bound that
+        admits a network is its elements plus 2^(s-1) splits per color of
+        s cells of each of them, and one less refuses it."""
+        checked = 0
+        for net in seeded_lattice_networks():
+            if synchrony._automorphisms(net):
+                continue
+            elements = enumerate_balanced(net).elements
+            if len(elements) == 1:  # the top is trivial: nothing is split or counted
+                continue
+            work = len(elements) + sum(1 << len(block) - 1
+                                       for p in elements for block in p.blocks())
+            monkeypatch.setattr(synchrony, "MAX_WORK", work)
+            assert enumerate_balanced(net).elements == elements
+            monkeypatch.setattr(synchrony, "MAX_WORK", work - 1)
+            with pytest.raises(TooLarge, match=f"bound of {work - 1} splits considered "
+                                               "and elements found"):
+                enumerate_balanced(net)
+            monkeypatch.undo()
+            checked += 1
+        assert checked >= 100
 
     def test_default_cap(self):
-        """Without max_cells the cap is DEFAULT_MAX_CELLS; only the argument raises it."""
-        n = DEFAULT_MAX_CELLS + 1
+        """The bound counts work, not cells: networks past 12 cells with
+        small lattices enumerate at the default MAX_WORK."""
+        n = 16
         # one type per cell: the lattice is the trivial partition alone
         net = parse_network({"cells": [{"id": f"c{c}", "type": c + 1} for c in range(n)],
                              "edges": []})
-        with pytest.raises(TooLarge, match=f"cap of {DEFAULT_MAX_CELLS}"):
+        assert enumerate_balanced(net).elements == (Partition.trivial(n),)
+        ring = TestCirWorklist._one_type(n, ((c, (c - 1) % n, 1) for c in range(n)))
+        assert len(enumerate_balanced(ring).elements) == 5
+
+    def test_k10_is_refused_in_about_a_second(self, monkeypatch):
+        # K10's 115975 elements pass the bound inside one orbit, which
+        # stops growing there: no orbit holds more than its room plus the
+        # images of the one element taken last
+        net = complete_graph(10)
+        generators = synchrony._automorphisms(net)
+        orbit, past = synchrony._orbit, []
+
+        def bounded(p, generators, room):
+            images = orbit(p, generators, room)
+            assert len(images) <= max(room, 0) + len(generators)
+            past.append(len(images) > room)
+            return images
+
+        monkeypatch.setattr(synchrony, "_orbit", bounded)
+        start = time.perf_counter()
+        with pytest.raises(TooLarge, match=f"bound of {synchrony.MAX_WORK} "):
             enumerate_balanced(net)
-        assert enumerate_balanced(net, max_cells=n).elements == (Partition.trivial(n),)
+        assert time.perf_counter() - start < 10
+        assert past[-1] and not any(past[:-1])
+
+    @pytest.mark.parametrize("n", [17, 20])
+    def test_rings_past_the_bound_are_refused_before_any_split_is_built(self, monkeypatch, n):
+        # the top's one color of n cells has 2^(n-1) splits, which pass
+        # the bound before the first of them is built
+        ring = TestCirWorklist._one_type(n, ((c, (c - 1) % n, 1) for c in range(n)))
+
+        def split(self, cells):
+            raise AssertionError("a split was built")
+
+        monkeypatch.setattr(Partition, "split", split)
+        with pytest.raises(TooLarge):
+            enumerate_balanced(ring)
 
     def test_join_closure(self):
         rng = random.Random(51)
@@ -456,7 +508,7 @@ class TestEnumerate:
         # c -> c mod d for the divisors d of n, and P_d covers P_e exactly
         # when e / d is prime; a split of the top needs about n rounds
         ring = TestCirWorklist._one_type(n, ((c, (c - 1) % n, 1) for c in range(n)))
-        lattice = enumerate_balanced(ring, max_cells=n)
+        lattice = enumerate_balanced(ring)
         divisors = [d for d in range(1, n + 1) if n % d == 0]
         element = {d: Partition.from_assignment([c % d for c in range(n)]) for d in divisors}
         assert set(lattice.elements) == set(element.values())
@@ -527,7 +579,7 @@ class TestEnumerate:
             return inner(labels)
 
         monkeypatch.setattr(synckit.partition, "_canonical", counted)
-        enumerate_balanced(net, max_cells=n)
+        enumerate_balanced(net)
         assert calls[0] <= canonical
 
     def test_known_splits_are_skipped(self, monkeypatch):
@@ -708,15 +760,17 @@ def test_side_orbits_are_the_orbits_of_the_splits():
                             color = block_of[min(iter_bits(key))]
                             assert key & color == key and not key & color & -color
                         assert ({p.split(list(iter_bits(key))) for key in keys}
-                                == synchrony._orbit(p.split(cells), fixing))
+                                == synchrony._orbit(p.split(cells), fixing, synchrony.MAX_WORK))
                         moved += len(keys) > 1
     assert moved >= 20000
 
 
-def test_every_split_answer_under_symmetry_is_exactly_its_cir():
+def test_every_split_answer_under_symmetry_is_exactly_its_cir(monkeypatch):
     # with the splits pruned to orbits, each answer is still exactly the
     # cir of its split, and found closes under the automorphisms to the
-    # elements that enumeration without them finds
+    # elements that enumeration without them finds; that reference splits
+    # every element, 49484 splits and elements on the 8-cell cover whose
+    # 4140 elements are every partition, so it runs past MAX_WORK
     answered = unpruned = 0
     for net in symmetric_networks():
         top = cir_balanced(net, net.type_partition())
@@ -729,7 +783,9 @@ def test_every_split_answer_under_symmetry_is_exactly_its_cir():
             assert b == cir_balanced(net, q)
             answered += 1
         everything = {top}
-        unpruned += sum(1 for _ in synchrony._split_answers(net, top, (), everything))
+        with monkeypatch.context() as unbounded:
+            unbounded.setattr(synchrony, "MAX_WORK", 10**6)
+            unpruned += sum(1 for _ in synchrony._split_answers(net, top, (), everything))
         assert found == everything
     assert answered >= 900 and 4 * answered <= unpruned
 
