@@ -19,13 +19,16 @@ from . import classification as cls
 from . import connectivity as conn
 from . import dynamics as dyn
 from . import synchrony as syn
-from .errors import NotBalanced, SynckitError
+from .errors import NotBalanced, SynckitError, TooLarge
 from .network import Network, export_dot, load_network, network_to_doc, quote_dot, save_network
 from .partition import Partition, format_partition, parse_partition
 
 EXIT_OK = 0
 EXIT_FALSE = 1
 EXIT_USAGE = 2
+# `tables --format json` writes each of the n(n+1)/2 pairs of n elements:
+# K7's 385003 pairs (71 MB) pass, K8's 8.57 million (1.6 GB) do not
+MAX_JSON_PAIRS = 1_000_000
 
 
 def _emit(payload: dict, args, text: str) -> None:
@@ -351,6 +354,10 @@ def _write_join_table(net: Network, report: cls.JoinTableReport) -> None:
     the join's, the left's and the right's pieces of its json.dumps
     layout, each encoded once per element, joined row by row.
     """
+    n = len(report.lattice.elements)
+    if n * (n + 1) // 2 > MAX_JSON_PAIRS:
+        raise TooLarge(f"the join table has {n * (n + 1) // 2} pairs, past {MAX_JSON_PAIRS} "
+                       "for --format json; text output prints its verdicts")
     texts = [_fmt(net, p) for p in report.lattice.elements]
     payload = {
         "elements": [{"partition": t, "class": k.value} for t, k in zip(texts, report.classes)],

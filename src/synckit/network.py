@@ -8,13 +8,19 @@ receiver * n + sender, and folded weights equal to the monoid zero are
 dropped; the in-memory model only ever holds that folded nonzero edge
 list, never a dense matrix.  Every algorithm reads it through
 `Network.in_edges`, the per-receiver (sender, weight) pairs.  Cell ids
-are strings in files and dense indices internally.
+are strings in files and dense indices internally.  `load_network`
+keeps parsed documents of 8 KiB or more in an on-disk cache keyed by
+their bytes.
 """
 
 from __future__ import annotations
 
+import io
 import json
-from functools import cached_property
+import marshal
+import os
+import sys
+from functools import cache, cached_property
 from typing import TYPE_CHECKING, Any, Callable, NamedTuple, Optional, Sequence
 
 from .errors import (
@@ -226,17 +232,107 @@ def network_to_doc(net: Network) -> dict:
     }
 
 
+# The load cache keeps one entry per document, named by its length and
+# CRC-32: a tag, the document's length and bytes, then the Network's marshal.
+_CACHE_ENTRIES, _CACHE_BYTES = 256, 128 * 2**20  # past either, the oldest go
+_CACHE_MIN_BYTES = 8192  # a smaller document parses about as fast as its entry loads
+
+
+@cache
+def _cache_tag() -> bytes:
+    """Entry format, interpreter, and a fingerprint of the parsing code."""
+    import zlib
+
+    with open(__file__, "rb") as a, open(sys.modules[Monoid.__module__].__file__, "rb") as b:
+        fp = zlib.crc32(b.read(), zlib.crc32(a.read()))
+    return f"synckit-network 1 {sys.implementation.cache_tag} {fp:08x}\n".encode()
+
+
+def _cache_hit(data: bytes) -> tuple[Optional[Network], str, bytes]:
+    """The cached Network of these document bytes or None; the entry's path and head."""
+    import zlib
+
+    base = os.environ.get("XDG_CACHE_HOME", "")
+    base = base if os.path.isabs(base) else os.path.expanduser("~/.cache")
+    entry = os.path.join(base, "synckit", f"{len(data):x}-{zlib.crc32(data):08x}")
+    if not os.path.isabs(entry):  # no home folder to expand "~" to
+        raise OSError("no cache folder")
+    head = _cache_tag() + len(data).to_bytes(8, "little")
+    try:
+        with open(entry, "rb") as fh:
+            cached = fh.read()
+        if cached.startswith(head) and cached.startswith(data, len(head)):
+            ids, types, edges, kind = marshal.loads(memoryview(cached)[len(head) + len(data):])
+            return Network(ids, types, edges, monoid_by_name(kind)), entry, head
+    except (OSError, ValueError, EOFError, TypeError):
+        pass
+    return None, entry, head
+
+
+def _cache_finish(out: io.BufferedWriter, entry: str, net: Optional[Network]) -> None:
+    """Complete the entry begun in out with net and put it in place, then
+    prune; with net None, or when a step fails, remove the begun file."""
+    try:
+        with out:
+            if net is not None:
+                out.write(marshal.dumps((*net[:3], net.monoid.kind), 2))
+        if net is not None:
+            os.replace(out.name, entry)
+            newest = sorted(os.scandir(os.path.dirname(entry)),  # this entry first
+                            key=lambda e: (e.path != entry, -e.stat().st_mtime_ns))
+            total = 0
+            for kept, e in enumerate(newest):
+                total += e.stat().st_size
+                if kept >= _CACHE_ENTRIES or total > _CACHE_BYTES:
+                    os.remove(e.path)
+    except (OSError, ValueError):
+        pass
+    try:
+        os.remove(out.name)  # gone already once it took the entry's place
+    except OSError:
+        pass
+
+
 def load_network(path: str) -> Network:
-    with open(path, "r", encoding="utf-8") as fh:
+    """Parse a network document, or rebuild it from the load cache (see README).
+
+    A miss parses as with no cache.  Its entry gets the document's bytes
+    before the parse, so that no second copy of them is held.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    out = net = None
+    if _CACHE_MIN_BYTES <= len(data) <= _CACHE_BYTES:
         try:
-            doc = json.load(fh)
+            hit, entry, head = _cache_hit(data)
+            if hit is not None:
+                return hit
+            os.makedirs(os.path.dirname(entry), exist_ok=True)
+            out = open(f"{entry}.{os.urandom(6).hex()}.tmp", "xb")
+            out.write(head)
+            out.write(data)
+        except (OSError, ValueError):
+            if out is not None:
+                _cache_finish(out, entry, None)
+                out = None
+    try:
+        try:
+            text = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read()
+            del data
+            doc = json.loads(text)
         # bad JSON, bad UTF-8 and an integer past Python's int-string digit
         # limit raise ValueError; nesting too deep raises RecursionError
         except ValueError as exc:
             raise MalformedDocument(f"{path}: {exc}") from None
         except RecursionError:
             raise MalformedDocument(f"{path}: nested too deeply to decode") from None
-    return parse_network(doc)
+        del text
+        net = parse_network(doc)
+        del doc
+        return net
+    finally:
+        if out is not None:
+            _cache_finish(out, entry, net)
 
 
 def save_network(net: Network, path: str) -> None:

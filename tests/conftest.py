@@ -1,4 +1,7 @@
+import os
+import shutil
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -22,6 +25,26 @@ FIXTURE_NAMES = [
     "edge_pair",
     "chorded_cycle",
 ]
+
+
+_XDG = "XDG_CACHE_HOME"
+
+
+def pytest_configure(config):
+    """Point the network load cache at a temporary directory for the whole
+    session, before collection loads any network; subprocesses inherit it,
+    so no test writes into the user's home."""
+    config.synckit_cache = (os.environ.get(_XDG), tempfile.mkdtemp(prefix="synckit-cache-"))
+    os.environ[_XDG] = config.synckit_cache[1]
+
+
+def pytest_unconfigure(config):
+    previous, folder = config.synckit_cache
+    if previous is None:
+        os.environ.pop(_XDG, None)
+    else:
+        os.environ[_XDG] = previous
+    shutil.rmtree(folder, ignore_errors=True)
 
 
 def fixture_path(name: str) -> Path:

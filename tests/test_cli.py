@@ -616,11 +616,22 @@ def _argvs(draw):
 @example(argv=["balanced", "--network", "f", "--partition", ""])
 @example(argv=["lattice", "--network", "f", "--network", "g"])
 @example(argv=["simulate", "--network", "f", "--exo=1"])
+@example(argv=["simulate", "--network", "f", "--dt", "nan"])
 def test_fast_parser_agrees_with_argparse_or_declines(argv):
     """run's table-driven parser returns argparse's namespace, or declines."""
     fast = cli._fast_args(argv)
     if fast is not None:
-        assert vars(fast) == _argparse_args(argv)
+        assert _nan_marked(vars(fast)) == _nan_marked(_argparse_args(argv))
+
+
+_NAN = object()
+
+
+def _nan_marked(args):
+    """args with each float NaN, which equals nothing, replaced by one marker."""
+    if args is None:
+        return None
+    return {k: _NAN if isinstance(v, float) and math.isnan(v) else v for k, v in args.items()}
 
 
 def _well_formed_argvs():
@@ -796,6 +807,33 @@ def test_tables_json_streams_pairs_in_small_memory(tmp_path):
             tracemalloc.stop()
     assert code == 0
     assert peak < 4 * 2**20
+
+
+def test_tables_json_refuses_k8_before_writing(tmp_path, capsys):
+    """K8's 4140 elements make 8571870 pairs, some 1.6 GB of JSON: refused, exit 2."""
+    path = tmp_path / "k8.json"
+    save_network(complete_graph(8), str(path))
+    code, out, err = invoke(capsys, "tables", "--network", str(path), "--format", "json")
+    assert (code, out) == (2, "")
+    assert err == (f"error: the join table has 8571870 pairs, past {cli.MAX_JSON_PAIRS} for "
+                   "--format json; text output prints its verdicts\n")
+
+
+def test_tables_json_pair_bound_admits_k7_and_is_exact(tmp_path, capsys, monkeypatch):
+    """K7's 385003 pairs are written; on K6 (203 elements, 20706 pairs) the
+    bound admits exactly its pairs and refuses one fewer; text is never refused."""
+    assert 877 * 878 // 2 <= cli.MAX_JSON_PAIRS < 4140 * 4141 // 2
+    path = tmp_path / "k6.json"
+    save_network(complete_graph(6), str(path))
+    argv = ("tables", "--network", str(path))
+    monkeypatch.setattr(cli, "MAX_JSON_PAIRS", 20706)
+    code, out, err = invoke(capsys, *argv, "--format", "json")
+    assert (code, err) == (0, "") and len(json.loads(out)["pairs"]) == 20706
+    monkeypatch.setattr(cli, "MAX_JSON_PAIRS", 20705)
+    code, out, err = invoke(capsys, *argv, "--format", "json")
+    assert (code, out) == (2, "") and "20706 pairs, past 20705" in err
+    code, out, err = invoke(capsys, *argv)
+    assert (code, err) == (0, "") and out.startswith("elements: 203\n")
 
 
 @pytest.mark.parametrize("argv", [
