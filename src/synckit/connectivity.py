@@ -57,49 +57,42 @@ def _tarjan(net: Network) -> list[int]:
     n = net.n_cells
     index = [-1] * n
     lowlink = [0] * n
-    on_stack = [False] * n
     stack: list[int] = []
-    comp = [-1] * n
-    counter = 0
-    ncomp = 0
+    comp = [-1] * n  # a cell seen but not yet in a component is on the stack
+    counter = ncomp = 0
 
-    # Tarjan over the reversed graph: mutual reachability is symmetric
+    # Tarjan over the reversed graph: mutual reachability is symmetric.  Each
+    # frame keeps an iterator over its cell's row, so a row is walked once.
     in_edges = net.in_edges
     for root in range(n):
         if index[root] != -1:
             continue
-        work = [(root, 0)]
+        index[root] = lowlink[root] = counter
+        counter += 1
+        stack.append(root)
+        work = [(root, iter(in_edges[root]))]
         while work:
-            v, pi = work[-1]
-            if pi == 0:
-                index[v] = lowlink[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack[v] = True
-            advanced = False
-            for j in range(pi, len(in_edges[v])):
-                w = in_edges[v][j][0]
+            v, senders = work[-1]
+            for w, _ in senders:
                 if index[w] == -1:
-                    work[-1] = (v, j + 1)
-                    work.append((w, 0))
-                    advanced = True
+                    index[w] = lowlink[w] = counter
+                    counter += 1
+                    stack.append(w)
+                    work.append((w, iter(in_edges[w])))
                     break
-                if on_stack[w]:
-                    lowlink[v] = min(lowlink[v], index[w])
-            if advanced:
-                continue
-            if lowlink[v] == index[v]:
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp[w] = ncomp
-                    if w == v:
-                        break
-                ncomp += 1
-            work.pop()
-            if work:
-                u, _ = work[-1]
-                lowlink[u] = min(lowlink[u], lowlink[v])
+                if comp[w] == -1 and index[w] < lowlink[v]:
+                    lowlink[v] = index[w]
+            else:
+                work.pop()
+                if lowlink[v] == index[v]:
+                    while True:
+                        w = stack.pop()
+                        comp[w] = ncomp
+                        if w == v:
+                            break
+                    ncomp += 1
+                elif lowlink[v] < lowlink[work[-1][0]]:
+                    lowlink[work[-1][0]] = lowlink[v]
     return comp
 
 
@@ -133,17 +126,15 @@ def condensation(net: Network) -> Condensation:
 def _build_condensation(net: Network) -> Condensation:
     finished = _tarjan(net)
     sccs = Partition.from_assignment(finished)
-    edges = set()
-    for c in range(net.n_cells):
-        for d, _ in net.in_edges[c]:
-            if sccs.colors[d] != sccs.colors[c]:
-                edges.add((sccs.colors[d], sccs.colors[c]))
+    colors = sccs.colors
+    edges = {(j, k) for k, row in zip(colors, net.in_edges) for d, _ in row
+             if (j := colors[d]) != k}
     preds: list[list[int]] = [[] for _ in range(sccs.rank)]
     for s, t in sorted(edges):
         preds[t].append(s)
     order = [0] * sccs.rank
-    for c, k in enumerate(sccs.colors):
-        order[finished[c]] = k
+    for f, k in zip(finished, colors):
+        order[f] = k
     roots = frozenset(k for k in range(sccs.rank) if not preds[k])
     return Condensation(sccs, roots, tuple(map(tuple, preds)), tuple(order))
 

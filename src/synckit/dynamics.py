@@ -207,8 +207,9 @@ def _lump(system: _System, start: Partition) -> tuple:
     own = [selfs[t] for t in types]
     # per sender class, per receiver type: (receiver class, weight) pairs
     heard: list[dict[int, list]] = [{} for _ in firsts]
-    for r, s, w in q.edges:
-        heard[s].setdefault(types[r], []).append((r, w))
+    for r, row in enumerate(q.in_edges):
+        for s, w in row:
+            heard[s].setdefault(types[r], []).append((r, w))
     # per sender class, per receiver type ascending: (type, coefficients, pairs)
     pushes = [[(rt, couplings[rt][types[s]], pairs) for rt, pairs in sorted(by_rt.items())]
               for s, by_rt in enumerate(heard)]
@@ -218,7 +219,8 @@ def _lump(system: _System, start: Partition) -> tuple:
         senders = [s for s, ts in enumerate(types) if ts == t and pushes[s]]
         hearing = exo and {r: coeffs for s in senders for _, coeffs, pairs in pushes[s] for r, _ in pairs}
         by_type.append((senders, hearing))
-    return cert.partition.colors, firsts, own, pushes, by_type, q.n_cells + len(q.edges)
+    work = q.n_cells + sum(map(len, q.in_edges))
+    return cert.partition.colors, firsts, own, pushes, by_type, work
 
 
 def _orbit_map(

@@ -1,16 +1,16 @@
 """Coupled cell network data model with JSON I/O and DOT export.
 
-A network is a list of typed cells plus (receiver, sender, weight) edges
-over one commutative monoid (many graph libraries put the sender first).
-Parallel edges in a document are folded with the monoid sum at parse
-time, in one pass over the edge lines into a dict keyed by the int
-receiver * n + sender, and folded weights equal to the monoid zero are
-dropped; the in-memory model only ever holds that folded nonzero edge
-list, never a dense matrix.  Every algorithm reads it through
-`Network.in_edges`, the per-receiver (sender, weight) pairs.  Cell ids
-are strings in files and dense indices internally.  `load_network`
-keeps parsed documents of 8 KiB or more in an on-disk cache keyed by
-their bytes.
+A network is a list of typed cells plus weighted edges over one
+commutative monoid, stored as its in-edge rows: per receiver, the
+(sender, weight) pairs sorted by sender.  Parallel edges in a document
+are folded with the monoid sum at parse time, in one pass over the edge
+lines into one dict per receiver, and folded weights equal to the monoid
+zero are dropped; the in-memory model only ever holds those folded
+nonzero rows, never a dense matrix, and every algorithm reads them as
+`Network.in_edges`.  `Network.edges` derives the (receiver, sender,
+weight) triples for the tests.  Cell ids are strings in files and dense
+indices internally.  `load_network` keeps parsed documents of 8 KiB or
+more in an on-disk cache keyed by their bytes.
 """
 
 from __future__ import annotations
@@ -42,15 +42,15 @@ _DOT_SHAPES = ("circle", "box", "diamond", "hexagon", "ellipse", "triangle")
 class Network(NamedTuple("Network", [
     ("cell_ids", tuple[str, ...]),
     ("cell_types", tuple[int, ...]),
-    ("edges", tuple[tuple[int, int, Any], ...]),
+    ("in_edges", tuple[tuple[tuple[int, Any], ...], ...]),
     ("monoid", Monoid),
 ])):
-    """Immutable network: typed cells and folded nonzero weighted edges.
+    """Immutable network: typed cells and each cell's folded nonzero in-edges.
 
-    `edges` holds (receiver, sender, weight) triples sorted by receiver
-    and then sender, one per connected pair, none with the zero weight,
-    so equal networks compare equal.  The subclass of the fields' tuple
-    has a `__dict__` for the cached properties.
+    `in_edges[c]` holds cell c's (sender, weight) pairs sorted by sender,
+    one per connected pair, none with the zero weight, so equal networks
+    compare equal.  The subclass of the fields' tuple has a `__dict__`
+    for the cached properties.
     """
 
     @property
@@ -83,18 +83,21 @@ class Network(NamedTuple("Network", [
 
     @cached_property
     def in_edges(self) -> tuple[tuple[tuple[int, Any], ...], ...]:
-        """Per receiver, the (sender, weight) pairs with nonzero weight."""
-        rows: list[list[tuple[int, Any]]] = [[] for _ in range(self.n_cells)]
-        for c, d, w in self.edges:
-            rows[c].append((d, w))
-        return tuple(map(tuple, rows))
+        """The stored field, behind a cached property for bench/spans.py to trace."""
+        return self[2]
+
+    @property
+    def edges(self) -> tuple[tuple[int, int, Any], ...]:
+        """(receiver, sender, weight) triples sorted by receiver and then sender."""
+        return tuple([(c, d, w) for c, row in enumerate(self.in_edges) for d, w in row])
 
     @cached_property
     def out_neighbours(self) -> tuple[tuple[int, ...], ...]:
         """Per sender, the receivers of its nonzero-weight edges."""
         rows: list[list[int]] = [[] for _ in range(self.n_cells)]
-        for c, d, _ in self.edges:
-            rows[d].append(c)
+        for c, row in enumerate(self.in_edges):
+            for d, _ in row:
+                rows[d].append(c)
         return tuple(map(tuple, rows))
 
     # Connectivity structure is computed once per instance, on first use.
@@ -119,8 +122,9 @@ class Network(NamedTuple("Network", [
         ids = tuple(self.cell_ids[c] for c in cells)
         types = tuple(self.cell_types[c] for c in cells)
         pos = {c: i for i, c in enumerate(cells)}
-        edges = [(pos[c], pos[d], w) for c in cells for d, w in self.in_edges[c] if d in pos]
-        return Network(ids, types, tuple(sorted(edges)), self.monoid)
+        rows = tuple(tuple(sorted([(pos[d], w) for d, w in self.in_edges[c] if d in pos]))
+                     for c in cells)
+        return Network(ids, types, rows, self.monoid)
 
 
 # No command calls this; it stays while bench/spans.py traces it.
@@ -185,12 +189,10 @@ def parse_network(doc: Any) -> Network:
     edges = doc.get("edges", [])
     if not isinstance(edges, list):
         raise MalformedDocument("'edges' must be a list")
-    # the pair (receiver c, sender d) is keyed by the int c * n + d, which
-    # sorts as the pair does
-    n = len(index)
+    # each receiver folds its senders in a dict of its own
     zero, coerce, add, plus_type = monoid.zero(), monoid.coerce, monoid.add, monoid.plus_type
-    folded: dict[int, Any] = {}
-    fget, iget = folded.get, index.get
+    folded: list[dict[int, Any]] = [{} for _ in index]
+    iget = index.get
     for edge in edges:
         if (not isinstance(edge, dict)
                 or "from" not in edge or "to" not in edge or "weight" not in edge):
@@ -208,18 +210,18 @@ def parse_network(doc: Any) -> Network:
         c = iget(dst)
         if c is None:
             raise UnknownCellInEdge(f"edge references unknown cell {dst!r}")
-        key = c * n + d
+        row = folded[c]
         if type(w) is plus_type:
-            folded[key] = fget(key, zero) + w
+            row[d] = row.get(d, zero) + w
         else:
             try:
                 w = coerce(w)
             except (TypeError, ValueError, OverflowError) as exc:
                 raise MalformedDocument(str(exc)) from None
-            folded[key] = add(fget(key, zero), w)
+            row[d] = add(row.get(d, zero), w)
 
-    nonzero = tuple([(k // n, k % n, w) for k in sorted(folded) if (w := folded[k]) != zero])
-    return Network(tuple(index), tuple(types), nonzero, monoid)
+    rows = tuple([tuple([(d, w) for d in sorted(row) if (w := row[d]) != zero]) for row in folded])
+    return Network(tuple(index), tuple(types), rows, monoid)
 
 
 def network_to_doc(net: Network) -> dict:
@@ -228,12 +230,14 @@ def network_to_doc(net: Network) -> dict:
     return {
         "monoid": net.monoid.kind,
         "cells": [{"id": cid, "type": t} for cid, t in zip(ids, net.cell_types)],
-        "edges": [{"from": ids[d], "to": ids[c], "weight": w} for c, d, w in net.edges],
+        "edges": [{"from": ids[d], "to": ids[c], "weight": w}
+                  for c, row in enumerate(net.in_edges) for d, w in row],
     }
 
 
 # The load cache keeps one entry per document, named by its length and
-# CRC-32: a tag, the document's length and bytes, then the Network's marshal.
+# CRC-32: a tag, the document's length and bytes, then the CRC-32 of the
+# Network's marshal and that marshal.
 _CACHE_ENTRIES, _CACHE_BYTES = 256, 128 * 2**20  # past either, the oldest go
 _CACHE_MIN_BYTES = 8192  # a smaller document parses about as fast as its entry loads
 
@@ -245,7 +249,7 @@ def _cache_tag() -> bytes:
 
     with open(__file__, "rb") as a, open(sys.modules[Monoid.__module__].__file__, "rb") as b:
         fp = zlib.crc32(b.read(), zlib.crc32(a.read()))
-    return f"synckit-network 1 {sys.implementation.cache_tag} {fp:08x}\n".encode()
+    return f"synckit-network 2 {sys.implementation.cache_tag} {fp:08x}\n".encode()
 
 
 def _cache_hit(data: bytes) -> tuple[Optional[Network], str, bytes]:
@@ -261,10 +265,14 @@ def _cache_hit(data: bytes) -> tuple[Optional[Network], str, bytes]:
     try:
         with open(entry, "rb") as fh:
             cached = fh.read()
-        if cached.startswith(head) and cached.startswith(data, len(head)):
-            ids, types, edges, kind = marshal.loads(memoryview(cached)[len(head) + len(data):])
-            return Network(ids, types, edges, monoid_by_name(kind)), entry, head
-    except (OSError, ValueError, EOFError, TypeError):
+        start = len(head) + len(data)
+        payload = memoryview(cached)[start + 4:]
+        if (cached.startswith(head) and cached.startswith(data, len(head))
+                and cached[start:start + 4] == zlib.crc32(payload).to_bytes(4, "little")):
+            ids, types, rows, kind = marshal.loads(payload)
+            if len(ids) == len(types) == len(rows):
+                return Network(ids, types, rows, monoid_by_name(kind)), entry, head
+    except Exception:  # whatever fails to rebuild the network makes a miss
         pass
     return None, entry, head
 
@@ -272,10 +280,13 @@ def _cache_hit(data: bytes) -> tuple[Optional[Network], str, bytes]:
 def _cache_finish(out: io.BufferedWriter, entry: str, net: Optional[Network]) -> None:
     """Complete the entry begun in out with net and put it in place, then
     prune; with net None, or when a step fails, remove the begun file."""
+    import zlib
+
     try:
         with out:
             if net is not None:
-                out.write(marshal.dumps((*net[:3], net.monoid.kind), 2))
+                payload = marshal.dumps((*net[:3], net.monoid.kind), 2)  # 2 dumps fastest
+                out.writelines((zlib.crc32(payload).to_bytes(4, "little"), payload))
         if net is not None:
             os.replace(out.name, entry)
             newest = sorted(os.scandir(os.path.dirname(entry)),  # this entry first
@@ -369,7 +380,7 @@ def export_dot(net: Network, p: Optional[Partition] = None) -> str:
             attrs.append("style=filled")
             attrs.append(f'fillcolor="{_fill_color(p.colors[c], p.rank)}"')
         lines.append(f'  {cid} [{", ".join(attrs)}];')
-    for c, d, w in net.edges:
-        lines.append(f'  {ids[d]} -> {ids[c]} [label="{w}"];')
+    lines += [f'  {ids[d]} -> {ids[c]} [label="{w}"];'
+              for c, row in enumerate(net.in_edges) for d, w in row]
     lines.append("}")
     return "\n".join(lines) + "\n"

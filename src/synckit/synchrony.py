@@ -59,11 +59,8 @@ class BalancedCertificate(NamedTuple):
     @property
     def quotient_matrix(self) -> tuple[tuple[Any, ...], ...]:
         """The quotient's dense rank x rank in-adjacency, zero where no edge is."""
-        q = self.quotient
-        rows = [[q.monoid.zero()] * q.n_cells for _ in range(q.n_cells)]
-        for k, l, w in q.edges:
-            rows[k][l] = w
-        return tuple(map(tuple, rows))
+        q, zero = self.quotient, self.quotient.monoid.zero()
+        return tuple(tuple(dict(row).get(l, zero) for l in range(q.n_cells)) for row in q.in_edges)
 
 
 def _keyer(rows: Sequence[Sequence[tuple[int, Any]]], monoid: Monoid) -> Callable[..., dict]:
@@ -102,9 +99,8 @@ def _certify(net: Network, p: Partition,
     signature: list[Optional[tuple]] = [None] * p.rank
     if _keyer(net.in_edges, net.monoid)(firsts if cells is None else cells, p.colors, signature):
         return None
-    types = tuple(net.cell_types[c] for c in firsts)
-    edges = tuple((k, l, w) for k, sig in enumerate(signature) for l, w in sig)
-    return BalancedCertificate(p, Network(tuple(map(str, range(p.rank))), types, edges, net.monoid))
+    ids, types = tuple(map(str, range(p.rank))), tuple(net.cell_types[c] for c in firsts)
+    return BalancedCertificate(p, Network(ids, types, tuple(signature), net.monoid))
 
 
 def is_exo_balanced(net: Network, p: Partition) -> bool:
@@ -357,11 +353,12 @@ def _automorphisms(net: Network) -> tuple[tuple[int, ...], ...]:
     folded edges with their weights exactly onto themselves.  A dropped
     candidate only makes the group smaller.
     """
-    n, add, types, edges = net.n_cells, net.monoid.add, net.cell_types, net.edges
+    n, add, types, in_edges = net.n_cells, net.monoid.add, net.cell_types, net.in_edges
+    weight = {(c, d): w for c, row in enumerate(in_edges) for d, w in row}
     outs: list[list[tuple[int, Any]]] = [[] for _ in range(n)]
-    for c, d, w in edges:
+    for (c, d), w in weight.items():
         outs[d].append((c, w))
-    rows = tuple(zip(net.in_edges, outs))
+    rows = tuple(zip(in_edges, outs))
 
     def individualize(colors: list[int], v: int) -> list[int]:
         kv = colors[v]
@@ -383,7 +380,6 @@ def _automorphisms(net: Network) -> tuple[tuple[int, ...], ...]:
 
     path: list[tuple[list[int], list[int]]] = []
     leaf = descend([t - 1 for t in types], path)
-    weight = {(c, d): w for c, d, w in edges}
     orbit = list(range(n))  # orbit[c]: a representative of c's orbit
     generators = []
     for colors, cells in reversed(path):
@@ -395,7 +391,7 @@ def _automorphisms(net: Network) -> tuple[tuple[int, ...], ...]:
                 cell_of[k] = c
             perm = tuple([cell_of[k] for k in leaf])
             if (all(types[perm[c]] == t for c, t in enumerate(types))
-                    and all(weight.get((perm[c], perm[d])) == w for c, d, w in edges)):
+                    and all(weight.get((perm[c], perm[d])) == w for (c, d), w in weight.items())):
                 generators.append(perm)
                 for c in range(n):  # merge the orbits of c and its image
                     a, b = orbit[c], orbit[perm[c]]

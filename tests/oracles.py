@@ -15,7 +15,8 @@ edges, the quotient class report's entries from the full network's
 lattice instead of the quotient's, and the admissible map cell by cell through
 a dict fold of each neighbourhood instead of the compiled push kernel.
 It also holds the helpers only the tests need: networks to and from
-dense in-adjacency matrices, quotients from the dense rows of M @ P,
+dense in-adjacency matrices or edge triples, seeded documents with
+parallel and cancelling edges, quotients from the dense rows of M @ P,
 the one-color partition, partitions from their blocks, one cell's
 component on an explicit neighbourhood, 0/1 partition matrices,
 composition of partitions and its inverse `quotient_partition`, the
@@ -75,15 +76,24 @@ from synckit.synchrony import (
 Matrix = tuple[tuple[Any, ...], ...]
 
 
+def from_edges(
+    ids: Sequence[str], types: Sequence[int], edges: Iterable[tuple[int, int, Any]], monoid: Monoid
+) -> Network:
+    """Network with the given folded nonzero (receiver, sender, weight) edges,
+    one per connected pair, in any order."""
+    rows: list[list[tuple[int, Any]]] = [[] for _ in ids]
+    for c, d, w in sorted(edges, key=lambda e: e[:2]):
+        rows[c].append((d, w))
+    return Network(tuple(ids), tuple(types), tuple(map(tuple, rows)), monoid)
+
+
 def from_matrix(
     ids: Sequence[str], types: Sequence[int], matrix: Sequence[Sequence[Any]], monoid: Monoid
 ) -> Network:
     """Network whose in-adjacency matrix (rows receive, columns send) is given."""
     zero = monoid.zero()
-    edges = tuple(
-        (c, d, w) for c, row in enumerate(matrix) for d, w in enumerate(row) if w != zero
-    )
-    return Network(tuple(ids), tuple(types), edges, monoid)
+    edges = [(c, d, w) for c, row in enumerate(matrix) for d, w in enumerate(row) if w != zero]
+    return from_edges(ids, types, edges, monoid)
 
 
 def dense(net: Network) -> Matrix:
@@ -103,6 +113,27 @@ def oracle_fold(doc: dict) -> Matrix:
         c, d = index[str(edge["to"])], index[str(edge["from"])]
         rows[c][d] = monoid.add(rows[c][d], monoid.coerce(edge["weight"]))
     return tuple(map(tuple, rows))
+
+
+def seeded_doc(rng: random.Random, monoid: str) -> dict:
+    """A valid document of up to 7 cells with parallel edges, edges that
+    cancel or sum to zero, and zero weights."""
+    n = rng.randint(1, 7)
+    types = [1 + rng.randrange(min(n, 3)) for _ in range(n)]
+    used = sorted(set(types))
+    cells = [{"id": f"c{i}", "type": used.index(t) + 1} for i, t in enumerate(types)]
+    edges = []
+    for _ in range(rng.randint(0, 14)):
+        src, dst = (f"c{rng.randrange(n)}" for _ in range(2))
+        if monoid == "int-add":
+            w = rng.choice([0, 1, -1, 2, 3, -5, 10**30])
+            group = rng.choice([[w], [w], [w, -w], [w, 1, -1 - w]])
+        else:
+            weights = [0, 1, 2.5, -3, "inf", 0.1, -0.0]
+            group = [rng.choice(weights) for _ in range(rng.randint(1, 3))]
+        edges += [{"from": src, "to": dst, "weight": x} for x in group]
+    rng.shuffle(edges)
+    return {"monoid": monoid, "cells": cells, "edges": edges}
 
 
 def all_partitions(n: int) -> Iterator[Partition]:
@@ -673,7 +704,7 @@ def eval_on_neighborhood(
     """
     types = (cell_type, *(t for t, _, _ in inputs))
     edges = tuple((0, d, w) for d, (_, w, _) in enumerate(inputs, 1) if w != 0)
-    star = Network(tuple(map(str, range(len(types)))), types, edges, IntegerAdd())
+    star = from_edges(tuple(map(str, range(len(types)))), types, edges, IntegerAdd())
     return evaluate(star, spec, (x_self, *(y for _, _, y in inputs)))[0]
 
 

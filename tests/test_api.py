@@ -110,3 +110,15 @@ def test_join_table_verdicts_walk_no_pair():
     read = {n.id for n in ast.walk(report) if isinstance(n, ast.Name)}
     read |= {n.attr for n in ast.walk(report) if isinstance(n, ast.Attribute)}
     assert not read & {"join_rows", "_order"}, read & {"join_rows", "_order"}
+
+
+def test_no_library_function_reads_the_edge_triples():
+    """Every algorithm and both writers read the stored in-edge rows;
+    `Network.edges` derives the triples for the tests alone."""
+    package = ROOT / "src" / "synckit"
+    readers = [
+        f"{f.name}:{node.lineno}" for f in sorted(package.glob("*.py"))
+        for node in ast.walk(ast.parse(f.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Attribute) and node.attr == "edges"
+    ]
+    assert readers == []

@@ -9,6 +9,7 @@ are smaller than the size below which a document is only parsed.
 """
 
 import json
+import marshal
 import os
 import random
 import subprocess
@@ -23,6 +24,7 @@ from synckit.errors import MalformedDocument
 from synckit.network import load_network, parse_network, save_network
 
 from conftest import FIXTURE_NAMES, fixture_path
+from oracles import seeded_doc
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -63,26 +65,6 @@ def _files(folder: Path) -> list[Path]:
     return sorted(folder.iterdir()) if folder.is_dir() else []
 
 
-def _seeded_doc(rng: random.Random, monoid: str) -> dict:
-    """Parallel edges, edges that cancel or sum to zero, and zero weights."""
-    n = rng.randint(1, 7)
-    types = [1 + rng.randrange(min(n, 3)) for _ in range(n)]
-    used = sorted(set(types))
-    cells = [{"id": f"c{i}", "type": used.index(t) + 1} for i, t in enumerate(types)]
-    edges = []
-    for _ in range(rng.randint(0, 14)):
-        src, dst = (f"c{rng.randrange(n)}" for _ in range(2))
-        if monoid == "int-add":
-            w = rng.choice([0, 1, -1, 2, 3, -5, 10**30])
-            group = rng.choice([[w], [w], [w, -w], [w, 1, -1 - w]])
-        else:
-            weights = [0, 1, 2.5, -3, "inf", 0.1, -0.0]
-            group = [rng.choice(weights) for _ in range(rng.randint(1, 3))]
-        edges += [{"from": src, "to": dst, "weight": x} for x in group]
-    rng.shuffle(edges)
-    return {"monoid": monoid, "cells": cells, "edges": edges}
-
-
 class TestHit:
     @pytest.mark.parametrize("name", FIXTURE_NAMES)
     def test_fixture_hit_equals_a_fresh_parse(self, cache, monkeypatch, name):
@@ -99,7 +81,7 @@ class TestHit:
         paths = []
         for i in range(60):
             path = tmp_path / f"doc{i}.json"
-            path.write_text(json.dumps(_seeded_doc(rng, monoid)))
+            path.write_text(json.dumps(seeded_doc(rng, monoid)))
             paths.append(path)
         wants = [_fresh(p) for p in paths]
         pairs = [{(e["to"], e["from"]) for e in json.loads(p.read_text())["edges"]} for p in paths]
@@ -113,16 +95,16 @@ class TestHit:
     def test_a_hit_builds_a_new_network(self, cache):
         path = str(fixture_path("two_roots"))
         first = load_network(path)
-        first.in_edges  # noqa: B018  (fills the cached property)
         second = load_network(path)
-        assert second is not first and second == first and "in_edges" not in vars(second)
+        assert second is not first and second == first
+        assert second.in_edges is not first.in_edges
 
     def test_the_tag_fingerprints_the_parsing_code(self):
         fp = 0
         for name in ("network.py", "monoid.py"):
             fp = zlib.crc32((SRC / "synckit" / name).read_bytes(), fp)
         assert network._cache_tag() == (
-            f"synckit-network 1 {sys.implementation.cache_tag} {fp:08x}\n".encode())
+            f"synckit-network 2 {sys.implementation.cache_tag} {fp:08x}\n".encode())
 
 
 def _entry(cache: Path, path) -> Path:
@@ -132,10 +114,16 @@ def _entry(cache: Path, path) -> Path:
     return entry
 
 
+def _with_payload(good: bytes, doc_end: int, payload: bytes) -> bytes:
+    """The entry good with its payload replaced, under a matching CRC-32."""
+    return good[:doc_end] + zlib.crc32(payload).to_bytes(4, "little") + payload
+
+
 class TestFaults:
     @pytest.mark.parametrize("damage", [
         "garbage", "empty", "truncated-document", "truncated-marshal", "marshal-garbage",
         "foreign-format", "foreign-interpreter", "foreign-fingerprint",
+        "unknown-monoid", "wrong-shape", "short-rows", "wrong-arity",
     ])
     def test_a_bad_entry_is_a_miss_and_is_rewritten(self, cache, monkeypatch, damage):
         path = fixture_path("cancel_fan")
@@ -144,20 +132,63 @@ class TestFaults:
         good = entry.read_bytes()
         tag = network._cache_tag()
         doc_end = len(tag) + 8 + path.stat().st_size
+        fmt = int(tag.split()[1])
+        ids, types, rows, kind = marshal.loads(good[doc_end + 4:])
         bad = {
             "garbage": bytes(random.Random(5).randrange(256) for _ in range(len(good))),
             "empty": b"",
             "truncated-document": good[:doc_end - 3],
             "truncated-marshal": good[:doc_end + 5],
             "marshal-garbage": good[:doc_end] + b"\xff\x00\x01",
-            "foreign-format": good.replace(b"synckit-network 1 ", b"synckit-network 2 ", 1),
+            "foreign-format": good.replace(b"synckit-network %d " % fmt,
+                                           b"synckit-network %d " % (fmt + 1), 1),
             "foreign-interpreter": good.replace(sys.implementation.cache_tag.encode(), b"py-0", 1),
             "foreign-fingerprint": good.replace(tag[-9:], b"%08x\n" % (int(tag[-9:-1], 16) ^ 1), 1),
+            "unknown-monoid": _with_payload(good, doc_end, marshal.dumps(
+                (ids, types, rows, kind.replace("int", "iot")), 2)),
+            "wrong-shape": _with_payload(good, doc_end, marshal.dumps((ids, types, 7, kind), 2)),
+            "short-rows": _with_payload(good, doc_end, marshal.dumps(
+                (ids, types, rows[:-1], kind), 2)),
+            "wrong-arity": _with_payload(good, doc_end, marshal.dumps((ids, types, rows), 2)),
         }[damage]
         assert bad != good
         entry.write_bytes(bad)
         _same(load_network(str(path)), want)
         assert _files(cache) == [entry] and entry.read_bytes() == good
+        _no_parse(monkeypatch)
+        _same(load_network(str(path)), want)
+
+    def test_a_flipped_payload_byte_is_a_miss(self, cache, monkeypatch):
+        """Each byte from the payload's CRC-32 on, flipped alone: the load
+        parses, equals a fresh parse and rewrites the entry."""
+        path = fixture_path("cancel_fan")
+        want = _fresh(path)
+        entry = _entry(cache, path)
+        good = entry.read_bytes()
+        doc_end = len(network._cache_tag()) + 8 + path.stat().st_size
+        parses = []
+        monkeypatch.setattr(network, "parse_network",
+                            lambda doc: parses.append(1) or parse_network(doc))
+        for i in range(doc_end, len(good)):
+            entry.write_bytes(good[:i] + bytes([good[i] ^ 0xFF]) + good[i + 1:])
+            _same(load_network(str(path)), want)
+            assert entry.read_bytes() == good
+        assert len(parses) == len(good) - doc_end > 50
+
+    def test_an_entry_of_the_triples_format_is_a_miss(self, cache, monkeypatch):
+        """An entry as format 1 wrote it, (receiver, sender, weight) triples
+        with no CRC-32, is never read as rows, even under today's fingerprint."""
+        path = fixture_path("two_roots")
+        want = _fresh(path)
+        entry = _entry(cache, path)
+        good = entry.read_bytes()
+        tag = network._cache_tag()
+        old = tag.replace(b"synckit-network 2 ", b"synckit-network 1 ", 1)
+        data = path.read_bytes()
+        triples = (want.cell_ids, want.cell_types, want.edges, want.monoid.kind)
+        entry.write_bytes(old + len(data).to_bytes(8, "little") + data + marshal.dumps(triples, 2))
+        _same(load_network(str(path)), want)
+        assert entry.read_bytes() == good
         _no_parse(monkeypatch)
         _same(load_network(str(path)), want)
 

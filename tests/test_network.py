@@ -23,7 +23,15 @@ from synckit.network import (
 from synckit.partition import Partition, format_partition, parse_partition
 
 from conftest import fixture_path
-from oracles import dense, from_matrix, one_color, oracle_fold, random_network, random_type_refinement
+from oracles import (
+    dense,
+    from_matrix,
+    one_color,
+    oracle_fold,
+    random_network,
+    random_type_refinement,
+    seeded_doc,
+)
 
 
 def doc_for(edges, cells=None, monoid="int-add"):
@@ -301,6 +309,36 @@ def test_folded_edges_agree_with_dense_fold(doc, data):
         monoid,
     )
     assert parse_network(network_to_doc(net)) == net
+
+
+class TestRows:
+    """The stored in-edge rows against the dense fold of every edge line;
+    test_folded_edges_agree_with_dense_fold below also checks subnetworks
+    on shuffled cells and the round trip through network_to_doc."""
+
+    @pytest.mark.parametrize("monoid", ["int-add", "tropical-min"])
+    def test_seeded_rows_equal_the_oracle_fold(self, monoid):
+        rng = random.Random(f"rows:{monoid}")
+        cancelled = 0
+        for _ in range(150):
+            doc = seeded_doc(rng, monoid)
+            net, matrix = parse_network(doc), oracle_fold(doc)
+            zero = net.monoid.zero()
+            assert net.in_edges == tuple(
+                tuple((d, w) for d, w in enumerate(row) if w != zero) for row in matrix)
+            # equal weights of unequal types would hide behind ==
+            assert [type(w) for row in net.in_edges for _, w in row] == [
+                type(w) for row in matrix for w in row if w != zero]
+            assert net.edges == tuple(sorted(
+                (c, d, w) for c, row in enumerate(matrix) for d, w in enumerate(row) if w != zero))
+            cancelled += len(net.edges) < len({(e["to"], e["from"]) for e in doc["edges"]})
+        assert cancelled, "no pair folded to the zero"
+
+    def test_rows_are_the_stored_field(self, two_roots):
+        """`in_edges` is the stored tuple itself, read through a cached property."""
+        assert two_roots.in_edges is two_roots[2]
+        renamed = two_roots._replace(cell_ids=tuple(f"x{c}" for c in two_roots.cell_ids))
+        assert renamed.in_edges is two_roots.in_edges
 
 
 def test_subnetwork_preserves_order_and_weights(two_roots):

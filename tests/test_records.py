@@ -30,6 +30,7 @@ from synckit.partition import Partition, parse_partition
 from synckit.synchrony import enumerate_balanced, is_balanced
 
 from conftest import fixture_net
+from oracles import from_edges
 
 
 def _cert():
@@ -90,13 +91,13 @@ def test_monoids_are_equal_by_type():
 
 
 def test_network_built_in_code_equals_the_parsed_one():
-    built = Network(("a", "b"), (1, 1), ((1, 0, 2),), IntegerAdd())
+    built = from_edges(("a", "b"), (1, 1), [(1, 0, 2)], IntegerAdd())
     parsed = parse_network({
         "cells": [{"id": "a", "type": 1}, {"id": "b", "type": 1}],
         "edges": [{"from": "a", "to": "b", "weight": 2}],
     })
     assert built == parsed and hash(built) == hash(parsed)
-    assert built != Network(("a", "b"), (1, 1), ((1, 0, 2),), TropicalMin())
+    assert built != from_edges(("a", "b"), (1, 1), [(1, 0, 2)], TropicalMin())
     assert fixture_net("chain4") == parse_network({
         "cells": [{"id": c, "type": 1} for c in "1234"],
         "edges": [{"from": d, "to": c, "weight": 1} for d, c in ("12", "23", "34")],

@@ -38,6 +38,7 @@ from conftest import fixture_net
 from oracles import (
     complete_graph,
     dense,
+    from_edges,
     from_matrix,
     lattice_meet,
     lattice_quotient,
@@ -271,7 +272,7 @@ class TestCirWorklist:
 
     @staticmethod
     def _one_type(n: int, edges) -> Network:
-        return Network(tuple(map(str, range(n))), (1,) * n, tuple(sorted(edges)), IntegerAdd())
+        return from_edges(tuple(map(str, range(n))), (1,) * n, edges, IntegerAdd())
 
     def test_chain_keys_each_cell_about_twice(self, monkeypatch):
         # each cell is keyed once in the first pass and once when its
@@ -1066,6 +1067,8 @@ def test_certificate_quotient_matches_dense_oracle(monoid, weights):
             cert = is_balanced(net, p)
             assert cert is not None
             assert cert.quotient == oracle_quotient(net, p)
+            # keyed on each color's first cell only, as lattices and dynamics do
+            assert synchrony._certify(net, p).quotient == cert.quotient
             ids = [joiner.join(net.cell_ids[c] for c in block) for block in p.blocks()]
             assert quotient_network(net, cert) == oracle_quotient(net, p, ids)
             assert cert.quotient_matrix == dense(cert.quotient)
