@@ -7,23 +7,20 @@ Usage:
         [--workload-seed S]
 
 For each network it prints the lattice's elements, the generators of the
-automorphism group that split-and-cir prunes its splits with ("-" for a
-tree without that search), the `_signature` calls of one enumeration and
-the median time, in this tree and, with --against
-(the root of another checkout, holding src/synckit), in that tree with
-the median of the paired ratios this/against, their first and third
-quartiles, and the pairs this tree won (a ratio below 1) out of all
-pairs, which tell one noisy median from a change.  The two trees run in one
-process, one after the other in an order that alternates from pair to
-pair.  The trees must give the same lattice, each element's colors and
-the cover edges; else the script names the networks where they differ
-and exits 1.  The networks are the one-type directed rings C_n, the
-complete graphs K_n, seeded one-type sparse networks of two senders per
-cell, and, with --workload-seed, the lattice networks of bench/run.py's
-`lattice` workload at that seed.  An empty range ("--rings none") leaves
-a family out.  A tree from before the work bound, which caps enumeration
-at DEFAULT_MAX_CELLS cells, is passed each network's cell count as its
-cap.
+automorphism group that split-and-cir prunes its splits with, the
+`_signature` calls of one enumeration and the median time, in this tree
+and, with --against (the root of another checkout, holding src/synckit),
+in that tree with the median of the paired ratios this/against, their
+first and third quartiles, and the pairs this tree won (a ratio below 1)
+out of all pairs, which tell one noisy median from a change.  The two
+trees run in one process, one after the other in an order that
+alternates from pair to pair.  The trees must give the same lattice,
+each element's colors and the cover edges; else the script names the
+networks where they differ and exits 1.  The networks are the one-type
+directed rings C_n, the complete graphs K_n, seeded one-type sparse
+networks of two senders per cell, and, with --workload-seed, the lattice
+networks of bench/run.py's `lattice` workload at that seed.  An empty
+range ("--rings none") leaves a family out.
 """
 
 from __future__ import annotations
@@ -100,16 +97,12 @@ class Side:
         self.tree = tree
         self.net = tree.network.parse_network(doc)
         self.times: list[float] = []
-        # a tree from before the work bound refuses networks past its cell cap
-        capped = hasattr(tree.synchrony, "DEFAULT_MAX_CELLS")
-        self.cap = (self.net.n_cells,) if capped else ()
 
     def enumerate(self):
-        return self.tree.synchrony.enumerate_balanced(self.net, *self.cap)
+        return self.tree.synchrony.enumerate_balanced(self.net)
 
     def generators(self) -> str:
-        search = getattr(self.tree.synchrony, "_automorphisms", None)
-        return "-" if search is None else str(len(search(self.net)))
+        return str(len(self.tree.synchrony._automorphisms(self.net)))
 
     def count(self) -> tuple[tuple, int]:
         """The lattice (each element's colors and the cover edges) and the

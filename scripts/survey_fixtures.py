@@ -44,11 +44,14 @@ def survey(path: Path) -> None:
     strong = cir_balanced(net, meet(net.type_partition(), condensation(net).scc_partition))
     print(f"   top strong:   {format_partition(strong, ids)}")
     table = join_table_report(net)
-    # the coarsest balanced partition below types meet root-dependency classes
-    # tops the non-weak elements when every rooted element is reach-in matched
+    # the coarsest balanced partition below types meet root-dependency classes;
+    # it tops the non-weak elements when it is one and every other lies below it
     candidate = cir_balanced(net, meet(net.type_partition(), rdc_decomposition(net)))
-    print(f"   top non-weak: {format_partition(candidate, ids)} "
-          f"(valid: {table.rooted_all_reach_matched})")
+    elements, up = table.lattice.elements, table.lattice.up
+    nonweak = [i for i, k in enumerate(table.classes) if k is not ColorClass.WEAK]
+    top = elements.index(candidate) if candidate in elements else None
+    valid = top in nonweak and all(up[i] >> top & 1 for i in nonweak)
+    print(f"   top non-weak: {format_partition(candidate, ids)} (valid: {valid})")
     print(
         f"   join table: general_ok={table.general_table_ok} "
         f"strict_applies={table.rooted_all_reach_matched} "

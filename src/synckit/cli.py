@@ -42,8 +42,8 @@ def _net(args) -> Network:
     return load_network(args.network)
 
 
-def _partition(args, net: Network, attr: str = "partition") -> Partition:
-    return parse_partition(getattr(args, attr), net.cell_ids)
+def _partition(args, net: Network) -> Partition:
+    return parse_partition(args.partition, net.cell_ids)
 
 
 def _kind(text: str) -> cls.NeighborhoodKind:
@@ -455,6 +455,12 @@ def cmd_verify(args) -> int:
     settings = {name: default if getattr(args, name) is None else getattr(args, name)
                 for name, default in own.items()}
     net = _net(args)
+    if args.what == "locality" and settings["k"] > net.n_cells:
+        # from k = n - 1 on the k-step neighborhood is the in-reachability set
+        raise SynckitError(
+            f"verify locality --k {settings['k']} is past the network's {net.n_cells} cells; "
+            "use verify subsystem --steps to check a cell's in-reachability set"
+        )
     spec = dyn.sample_admissible(net, args.seed, exo=args.exo)
     if args.what == "invariance":
         report = dyn.check_invariance(net, spec, _partition(args, net), **settings,

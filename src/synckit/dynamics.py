@@ -418,23 +418,10 @@ def _random_state(rng: random.Random, n: int) -> tuple[float, ...]:
 # took 0.6-1.1 us per cell or edge.  A worker's block then holds a third of
 # _FORK_WORK units or more, over 4 ms of such steps.  Per class and quotient
 # edge, a lumped step costs about as much: 0.3-0.7 us against 0.3-0.5 us
-# unlumped, timed side by side on lifts of 8-300 cells.  A fork costs more
-# as the caller's resident size grows: 2.71 ms at 16.5 MB, 4.92 ms at 67.6
-# MB and 9.17 ms at 206.6 MB, about 2.38 ms + 0.0333 ms per MB (least
-# squares), so the bar a worker needs is _FORK_WORK x (71 + MB) / (71 + 18),
-# MB the caller's resident size, or _FORK_WORK where that cannot be read.
+# unlumped, timed side by side on lifts of 8-300 cells.
 
 _FORK_WORK = 20_000
 _SIGKILL = 9  # signal.SIGKILL, without loading the signal module
-
-
-def _resident_mb() -> Optional[int]:
-    """This process's resident size in whole MB (MiB), or None where it cannot be read."""
-    try:
-        with open("/proc/self/statm", "rb") as statm:
-            return int(statm.read().split()[1]) * os.sysconf("SC_PAGE_SIZE") >> 20
-    except (OSError, ValueError, IndexError):
-        return None
 
 
 def _trial_results(trial: Callable[[int], object], trials: int) -> Iterator:
@@ -442,7 +429,7 @@ def _trial_results(trial: Callable[[int], object], trials: int) -> Iterator:
 
     Trial 0 runs here first, building the class quotients that the workers
     then inherit and counting the work of one trial.  When it pays,
-    one worker per further CPU, up to one per bar units of work,
+    one worker per further CPU, up to one per _FORK_WORK units of work,
     runs a contiguous block of the upper trials while this process runs
     the lower block.  A trial that a worker did not return (it raised, the
     worker died or its output was cut short) is run again here, so the
@@ -455,9 +442,7 @@ def _trial_results(trial: Callable[[int], object], trials: int) -> Iterator:
     yield first
     blocks = 1
     if threading.active_count() == 1 and hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
-        mb = _resident_mb()
-        bar = _FORK_WORK if mb is None else _FORK_WORK * (71 + mb) // (71 + 18)
-        blocks = min(len(os.sched_getaffinity(0)), trials, work // bar + 1)
+        blocks = min(len(os.sched_getaffinity(0)), trials, work // _FORK_WORK + 1)
     # block k runs trials bounds[k] .. bounds[k + 1] - 1; block 0 is this process's
     bounds = [1 + (trials - 1) * k // blocks for k in range(blocks + 1)]
     workers: dict[int, tuple[int, int]] = {}  # block -> (pid, read end)

@@ -7,10 +7,9 @@ are folded with the monoid sum at parse time, in one pass over the edge
 lines into one dict per receiver, and folded weights equal to the monoid
 zero are dropped; the in-memory model only ever holds those folded
 nonzero rows, never a dense matrix, and every algorithm reads them as
-`Network.in_edges`.  `Network.edges` derives the (receiver, sender,
-weight) triples for the tests.  Cell ids are strings in files and dense
-indices internally.  `load_network` keeps parsed documents of 8 KiB or
-more in an on-disk cache keyed by their bytes.
+`Network.in_edges`.  Cell ids are strings in files and dense indices
+internally.  `load_network` keeps parsed documents of 8 KiB or more in
+an on-disk cache keyed by their bytes.
 """
 
 from __future__ import annotations
@@ -85,11 +84,6 @@ class Network(NamedTuple("Network", [
     def in_edges(self) -> tuple[tuple[tuple[int, Any], ...], ...]:
         """The stored field, behind a cached property for bench/spans.py to trace."""
         return self[2]
-
-    @property
-    def edges(self) -> tuple[tuple[int, int, Any], ...]:
-        """(receiver, sender, weight) triples sorted by receiver and then sender."""
-        return tuple([(c, d, w) for c, row in enumerate(self.in_edges) for d, w in row])
 
     @cached_property
     def out_neighbours(self) -> tuple[tuple[int, ...], ...]:

@@ -354,10 +354,10 @@ def _automorphisms(net: Network) -> tuple[tuple[int, ...], ...]:
     candidate only makes the group smaller.
     """
     n, add, types, in_edges = net.n_cells, net.monoid.add, net.cell_types, net.in_edges
-    weight = {(c, d): w for c, row in enumerate(in_edges) for d, w in row}
     outs: list[list[tuple[int, Any]]] = [[] for _ in range(n)]
-    for (c, d), w in weight.items():
-        outs[d].append((c, w))
+    for c, row in enumerate(in_edges):
+        for d, w in row:
+            outs[d].append((c, w))
     rows = tuple(zip(in_edges, outs))
 
     def individualize(colors: list[int], v: int) -> list[int]:
@@ -391,7 +391,8 @@ def _automorphisms(net: Network) -> tuple[tuple[int, ...], ...]:
                 cell_of[k] = c
             perm = tuple([cell_of[k] for k in leaf])
             if (all(types[perm[c]] == t for c, t in enumerate(types))
-                    and all(weight.get((perm[c], perm[d])) == w for (c, d), w in weight.items())):
+                    and all(tuple(sorted([(perm[d], w) for d, w in row])) == in_edges[perm[c]]
+                            for c, row in enumerate(in_edges))):
                 generators.append(perm)
                 for c in range(n):  # merge the orbits of c and its image
                     a, b = orbit[c], orbit[perm[c]]

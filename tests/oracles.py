@@ -15,7 +15,8 @@ edges, the quotient class report's entries from the full network's
 lattice instead of the quotient's, and the admissible map cell by cell through
 a dict fold of each neighbourhood instead of the compiled push kernel.
 It also holds the helpers only the tests need: networks to and from
-dense in-adjacency matrices or edge triples, seeded documents with
+dense in-adjacency matrices or edge triples, a network's edge triples
+(`edges_of`), seeded documents with
 parallel and cancelling edges, quotients from the dense rows of M @ P,
 the one-color partition, partitions from their blocks, one cell's
 component on an explicit neighbourhood, 0/1 partition matrices,
@@ -87,6 +88,11 @@ def from_edges(
     return Network(tuple(ids), tuple(types), tuple(map(tuple, rows)), monoid)
 
 
+def edges_of(net: Network) -> tuple[tuple[int, int, Any], ...]:
+    """(receiver, sender, weight) triples sorted by receiver and then sender."""
+    return tuple([(c, d, w) for c, row in enumerate(net.in_edges) for d, w in row])
+
+
 def from_matrix(
     ids: Sequence[str], types: Sequence[int], matrix: Sequence[Sequence[Any]], monoid: Monoid
 ) -> Network:
@@ -99,7 +105,7 @@ def from_matrix(
 def dense(net: Network) -> Matrix:
     """The n x n in-adjacency matrix of a network, zero where no edge is."""
     rows = [[net.monoid.zero()] * net.n_cells for _ in range(net.n_cells)]
-    for c, d, w in net.edges:
+    for c, d, w in edges_of(net):
         rows[c][d] = w
     return tuple(map(tuple, rows))
 

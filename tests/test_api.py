@@ -114,7 +114,7 @@ def test_join_table_verdicts_walk_no_pair():
 
 def test_no_library_function_reads_the_edge_triples():
     """Every algorithm and both writers read the stored in-edge rows;
-    `Network.edges` derives the triples for the tests alone."""
+    the tests derive the triples with `oracles.edges_of`."""
     package = ROOT / "src" / "synckit"
     readers = [
         f"{f.name}:{node.lineno}" for f in sorted(package.glob("*.py"))
@@ -122,3 +122,24 @@ def test_no_library_function_reads_the_edge_triples():
         if isinstance(node, ast.Attribute) and node.attr == "edges"
     ]
     assert readers == []
+
+
+def _attributes_read(path: Path) -> set[str]:
+    return {node.attr for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, ast.Attribute)}
+
+
+@pytest.mark.parametrize("module, cls", [
+    ("network", "Network"), ("partition", "Partition"), ("connectivity", "Condensation"),
+    ("synchrony", "BalancedLattice"), ("synchrony", "BalancedCertificate"),
+])
+def test_every_public_member_has_a_reader_outside_the_tests(module, cls):
+    """A public member of the data classes is read as an attribute in the
+    library or the scripts, or the benchmark traces it; bench/'s own
+    classes (its Lift has an `edges` of its own) do not count."""
+    owner = getattr(importlib.import_module(f"synckit.{module}"), cls)
+    files = [*(ROOT / "src" / "synckit").glob("*.py"), *(ROOT / "scripts").glob("*.py")]
+    read = set().union(*map(_attributes_read, files))
+    read.update(part for _, path in TARGETS for part in path.split("."))
+    unread = [name for name in vars(owner) if not name.startswith("_") and name not in read]
+    assert unread == []

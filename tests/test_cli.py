@@ -381,6 +381,23 @@ class TestDynamicsCommands:
         code, _, err = invoke(capsys, "verify", "locality", "--network", fx("triangle"))
         assert code == 2
 
+    def test_verify_locality_refuses_k_past_the_cell_count(self, capsys, monkeypatch):
+        # from k = n - 1 on the neighborhood is the in-reachability set, which
+        # verify subsystem checks; a larger --k only ran for longer
+        def refuse(*args, **kwargs):
+            raise AssertionError("ran check_locality")
+
+        argv = ["verify", "locality", "--network", fx("chain4"), "--cell", "3", "--k"]
+        with monkeypatch.context() as patch:
+            patch.setattr(cli.dyn, "check_locality", refuse)
+            for k in ("5", "100000000"):
+                code, out, err = invoke(capsys, *argv, k)
+                assert (code, out) == (2, "")
+                assert err.startswith("error: ") and err.count("\n") == 1
+                assert "verify subsystem" in err
+        code, out, _ = invoke(capsys, *argv, "4")
+        assert (code, out) == (0, "locality agreed: True\n")
+
 
 def _simulate_bytes(capsys, path, net, x0, steps, mode):
     """simulate --format json output next to json.dumps of the same trajectory."""

@@ -35,6 +35,7 @@ from synckit.synchrony import cir_balanced, enumerate_balanced, is_balanced
 
 from conftest import fixture_net
 from oracles import (
+    edges_of,
     eval_on_neighborhood,
     from_matrix,
     in_polydiagonal,
@@ -714,12 +715,12 @@ class TestLumpedOrbits:
         lumped = sines_in_one_step(expand_state(xbar, planted))
         # a generic start evaluates every cell once: its own sine, one per
         # input and one per (sender, receiver type) pair
-        pushes = {(d, net.cell_types[c]) for c, d, _ in net.edges}
-        assert generic == net.n_cells + len(net.edges) + len(pushes) == 240
+        pushes = {(d, net.cell_types[c]) for c, d, _ in edges_of(net)}
+        assert generic == net.n_cells + len(edges_of(net)) + len(pushes) == 240
         # a polydiagonal start evaluates the class quotient the same way
         quotient = is_balanced(net, planted).quotient
-        class_pushes = {(d, quotient.cell_types[c]) for c, d, _ in quotient.edges}
-        assert lumped == planted.rank + len(quotient.edges) + len(class_pushes) == 40
+        class_pushes = {(d, quotient.cell_types[c]) for c, d, _ in edges_of(quotient)}
+        assert lumped == planted.rank + len(edges_of(quotient)) + len(class_pushes) == 40
         assert lumped * net.n_cells <= generic * planted.rank
 
     def test_each_check_finds_a_systems_classes_once(self, monkeypatch):
@@ -777,7 +778,7 @@ def larger_lifts(count):
     while count:
         net, planted = random_balanced_lift(rng, max_quotient=6, max_cells=36, type_range=(2, 3))
         feeds = {}
-        for c, d, _ in net.edges:
+        for c, d, _ in edges_of(net):
             feeds.setdefault(d, set()).add(net.cell_types[c])
         if net.n_cells >= 24 and net.num_types == 2 + count % 2 and max(map(len, feeds.values())) >= 2:
             count -= 1
@@ -834,7 +835,6 @@ def workers(monkeypatch):
     returned list gains one entry per fork."""
     dyn = synckit.dynamics
     monkeypatch.setattr(dyn, "_FORK_WORK", 1)
-    monkeypatch.setattr(dyn, "_resident_mb", lambda: 18)  # where _FORK_WORK holds as it is
     monkeypatch.setattr(dyn.os, "sched_getaffinity", lambda pid: {0, 1, 2})
     forks = []
     fork = os.fork
@@ -1037,7 +1037,7 @@ class TestTrialWorkers:
             assert check_invariance(net, spec, planted, trials=5, steps=50).invariant
             cert = is_balanced(net, planted)
             assert check_quotient_consistency(net, spec, cert, trials=5, steps=50).exact
-        assert 5 * 50 * (net.n_cells + len(net.edges)) >= 2 * dyn._FORK_WORK
+        assert 5 * 50 * (net.n_cells + len(edges_of(net))) >= 2 * dyn._FORK_WORK
 
     def test_each_worker_needs_its_own_share_of_work(self, workers, monkeypatch):
         # three CPUs, but work for one worker only
@@ -1056,9 +1056,9 @@ class TestTrialWorkers:
         # and none at work + 1
         net, _, _ = next(worker_lifts(1))
         spec = sample_admissible(net, 6)
-        full = net.n_cells + len(net.edges)
+        full = net.n_cells + len(edges_of(net))
         reach = net.subnetwork(sorted(in_reachability(net, 0)))
-        both = full + reach.n_cells + len(reach.edges)
+        both = full + reach.n_cells + len(edges_of(reach))
         for check, work in [
             # the start's orbit and the bumped one, k = 1 step each
             (lambda: check_locality(net, spec, net.n_cells - 1, 1, trials=5), 5 * 1 * 2 * full),
@@ -1076,23 +1076,3 @@ class TestTrialWorkers:
             assert len(workers) == 1
             workers.clear()
         assert no_child_left()
-
-    @pytest.mark.parametrize("mb, forks", [(18, 2), (107, 1), (108, 0), (None, 2)])
-    def test_fork_threshold_follows_the_resident_size(self, workers, monkeypatch, mb, forks):
-        # a worker needs _FORK_WORK units at 18 MB resident and (71 + mb) / 89
-        # times as many at mb: twice at 107 MB; an unread size keeps the constant
-        dyn = synckit.dynamics
-        net, _, _ = next(worker_lifts(1))
-        spec = sample_admissible(net, 6)
-        check = lambda: check_subsystem(net, spec, 0, trials=5, steps=8)
-        expected = hexed(in_process(monkeypatch, check))
-        half = counted_work(lambda: check_subsystem(net, spec, 0, trials=1, steps=8)) * 5 // 2
-        monkeypatch.setattr(dyn, "_FORK_WORK", half)
-        monkeypatch.setattr(dyn, "_resident_mb", lambda: mb)
-        assert hexed(check()) == expected
-        assert len(workers) == forks
-        assert no_child_left()
-
-    def test_resident_size_is_read(self):
-        mb = synckit.dynamics._resident_mb()
-        assert mb is None or 1 < mb < 1 << 20

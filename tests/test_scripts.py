@@ -25,6 +25,40 @@ def test_script_exits_zero(argv, golden):
         assert done.stdout == (GOLDEN / golden).read_text()
 
 
+def _script(name):
+    """scripts/<name>.py imported as a module."""
+    spec = importlib.util.spec_from_file_location(name, ROOT / "scripts" / f"{name}.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    return script
+
+
+def test_survey_top_nonweak_verdict_is_exact(monkeypatch, capsys):
+    """The survey calls its candidate valid exactly when it is the one
+    maximal non-weak element, found here by refinement over every pair.
+    On item 201 (5 cells) the candidate 12/345 tops the non-weak elements
+    although a rooted element is not reach-in matched."""
+    from synckit.classification import ColorClass, classify_partition
+    from synckit.partition import refines
+    from synckit.synchrony import enumerate_balanced
+
+    from oracles import seeded_lattice_networks, top_nonweak
+
+    script = _script("survey_fixtures")
+    valid = []
+    for net in seeded_lattice_networks():
+        monkeypatch.setattr(script, "load_network", lambda path: net)
+        script.survey(Path("net.json"))
+        [line] = [s for s in capsys.readouterr().out.splitlines() if "top non-weak:" in s]
+        candidate, matched = top_nonweak(net)
+        nonweak = [b for b in enumerate_balanced(net).elements
+                   if classify_partition(net, b) is not ColorClass.WEAK]
+        tops = [b for b in nonweak if not any(a != b and refines(b, a) for a in nonweak)]
+        assert line.endswith(f"(valid: {tops == [candidate]})"), line
+        valid.append((line.split()[2], tops == [candidate], matched))
+    assert valid[201] == ("12/345", True, False)
+
+
 def test_verify_dynamics_refuses_zero_steps():
     """A run of no steps is refused before any check reports "ok"."""
     done = _run_script(["scripts/verify_dynamics.py", "--seeds", "1", "--steps", "0"])
@@ -35,15 +69,13 @@ def test_verify_dynamics_refuses_zero_steps():
 
 def test_verify_dynamics_exactness_line_reads_the_comparisons_alone(monkeypatch, capsys):
     """A falsification shortfall fails the fixture but not its exactness line."""
-    spec = importlib.util.spec_from_file_location(
-        "verify_dynamics", ROOT / "scripts" / "verify_dynamics.py")
-    script = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(script)
+    script = _script("verify_dynamics")
     monkeypatch.setattr(script, "numeric_verdict", lambda *args, **kwargs: True)
     assert not script.verify(ROOT / "fixtures" / "edge_pair.json", 1, 5)
     out = capsys.readouterr().out
     assert "falsified 0/1 non-balanced candidates" in out
     assert "locality exact: True" in out
+
 
 def test_lattice_sweep_runs_a_tiny_paired_comparison():
     """A tiny A/B of this tree against itself: each network's row reads the
@@ -81,31 +113,6 @@ def test_lattice_sweep_names_a_network_whose_lattices_differ(tmp_path):
     assert done.stderr == "the trees' lattices differ on C4, K3\n"
 
 
-def test_lattice_sweep_passes_a_capped_tree_the_cell_count(tmp_path):
-    """A tree from before the work bound refuses networks past
-    DEFAULT_MAX_CELLS unless its max_cells argument raises the cap; the
-    sweep passes each network's cell count, so C13 runs in both trees."""
-    shutil.copytree(ROOT / "src" / "synckit", tmp_path / "src" / "synckit",
-                    ignore=shutil.ignore_patterns("__pycache__"))
-    source = tmp_path / "src" / "synckit" / "synchrony.py"
-    text = source.read_text()
-    signature = "def enumerate_balanced(net: Network) -> BalancedLattice:\n"
-    assert text.count(signature) == 1
-    source.write_text(text.replace(signature, (
-        "DEFAULT_MAX_CELLS = 12\n\n\n"
-        "def enumerate_balanced(net: Network, max_cells: int = DEFAULT_MAX_CELLS)"
-        " -> BalancedLattice:\n"
-        "    if net.n_cells > max_cells:\n"
-        "        raise TooLarge(f'{net.n_cells} cells exceeds the enumeration cap of {max_cells}')\n"
-        "    return _uncapped(net)\n\n\n"
-        "def _uncapped(net: Network) -> BalancedLattice:\n")))
-    done = _run_script(["scripts/lattice_sweep.py", "--against", str(tmp_path), "--repeats", "1",
-                        "--rings", "13", "--complete", "none", "--sparse", "none"])
-    assert done.returncode == 0, done.stdout + done.stderr
-    rows = [line.split() for line in done.stdout.splitlines()[1:]]
-    assert [row[:2] for row in rows] == [["C13", "2"]]
-
-
 def _run_script(argv):
     path = filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
@@ -122,10 +129,7 @@ def test_verify_dynamics_prints_the_same_with_trial_workers(monkeypatch, capsys,
 
     for name in ("cancel_cycle", "driven_chain", "two_sources_pair", "zero_sum_triangle"):
         shutil.copy(ROOT / "fixtures" / f"{name}.json", tmp_path)
-    spec = importlib.util.spec_from_file_location(
-        "verify_dynamics", ROOT / "scripts" / "verify_dynamics.py")
-    script = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(script)
+    script = _script("verify_dynamics")
     monkeypatch.setattr(sys, "argv", ["verify_dynamics.py", "--seeds", "1", "--steps", "10",
                                       "--fixtures", str(tmp_path)])
     monkeypatch.setattr(dyn.os, "sched_getaffinity", lambda pid: {0, 1})
